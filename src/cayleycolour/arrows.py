@@ -434,7 +434,7 @@ class RecursionAnalysis:
     real_fixed_points: tuple[Fraction, ...]
     exact_head: tuple[Fraction, ...]
     iterates: tuple[float, ...]
-    first_below_tolerance: int
+    first_below_tolerance: int | None  # None when the tolerance is never reached
     tolerance: float
     conclusion: str
 
@@ -464,11 +464,11 @@ def chain_recursion(steps: int = 60, tolerance: float = 1e-6) -> RecursionAnalys
     while len(head) < 7:
         head.append(survival_map(head[-1]))
     trace = [1.0]
-    first_below = -1
+    first_below = None
     for k in range(steps):
         p = trace[-1]
         trace.append((3 * p * p - p * p * p) / 4)
-        if first_below < 0 and trace[-1] < tolerance:
+        if first_below is None and trace[-1] < tolerance:
             first_below = k + 1
     return RecursionAnalysis(
         update_map="p -> (3*p**2 - p**3)/4",

@@ -9,6 +9,8 @@ a ball is by left multiplication with generator letters.
 from __future__ import annotations
 
 import csv
+import functools
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
@@ -107,6 +109,13 @@ def _block_length(gen: int, exp: int, p: Presentation) -> int:
     return min(exp, order - exp)
 
 
+def _block_key(gen: int, exp: int, p: Presentation) -> tuple[int, int, int]:
+    """Order of blocks within canonical order: generator, sign, size."""
+    if p.order(gen) is None:
+        return (gen, 0 if exp > 0 else 1, abs(exp))
+    return (gen, 0, exp)
+
+
 def reduce_letters(raw: Sequence[Letter], p: Presentation) -> "ReducedWord":
     """Left-to-right greedy cancellation into the canonical form."""
     stack: list[Letter] = []
@@ -172,13 +181,7 @@ class ReducedWord:
         return units
 
     def sort_key(self) -> tuple:
-        key = []
-        for gen, exp in self.letters:
-            if self.presentation.order(gen) is None:
-                key.append((gen, 0 if exp > 0 else 1, abs(exp)))
-            else:
-                key.append((gen, 0, exp))
-        return (self.length, tuple(key))
+        return (self.length, tuple(_block_key(g, e, self.presentation) for g, e in self.letters))
 
     def to_string(self) -> str:
         if not self.letters:
@@ -199,26 +202,86 @@ class ReducedWord:
         return self.to_string()
 
 
-def mul(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    return u * v
-
-
-def inv(u: ReducedWord) -> ReducedWord:
-    return u.inverse()
-
-
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     out = np.where(inner >= 0, outer[np.maximum(inner, 0)], -1)
     return out.astype(np.int32)
 
 
+def _blocks(p: Presentation, radius: int) -> list[tuple[int, int, int]]:
+    """Every block (gen, exp, block length) of length 1..radius, by _block_key."""
+    out = []
+    for gen in range(p.n_generators):
+        order = p.order(gen)
+        exps = range(1, order) if order is not None else [*range(1, radius + 1), *range(-1, -radius - 1, -1)]
+        out.extend((gen, e, _block_length(gen, e, p)) for e in exps)
+    out = [blk for blk in out if blk[2] <= radius]
+    out.sort(key=lambda blk: _block_key(blk[0], blk[1], p))
+    return out
+
+
+class _Words(SequenceABC):
+    """A ball's words in vertex order, each built from the arrays when read."""
+
+    def __init__(self, ball: "Ball"):
+        self._ball = ball
+
+    def __len__(self) -> int:
+        return len(self._ball)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("vertex index out of range")
+        i = int(i) % n
+        b = self._ball
+        letters = []
+        while i > 0:
+            letters.append((int(b.first_gen[i]), int(b.first_exp[i])))
+            i = int(b.rest[i])
+        return ReducedWord(b.presentation, tuple(letters))
+
+    def __iter__(self) -> Iterator[ReducedWord]:
+        b = self._ball
+        p = b.presentation
+        gens, exps, rests = b.first_gen.tolist(), b.first_exp.tolist(), b.rest.tolist()
+        letters: list[tuple[Letter, ...]] = [()]
+        yield ReducedWord(p, ())
+        for i in range(1, len(gens)):
+            letters.append(((gens[i], exps[i]),) + letters[rests[i]])
+            yield ReducedWord(p, letters[i])
+
+
 class Ball:
     """All reduced words of length at most `radius`, in a fixed canonical order.
 
-    The order is breadth-first by word length with a lexicographic tiebreak,
-    so vertex indices are stable across runs.  Left and right translation
-    tables are built lazily and cached; entries falling outside the ball
-    are -1.
+    Vertices are stored as integer arrays, not word objects.  Vertex i is
+    the word (first_gen[i], first_exp[i]) * rest[i]: its first block, then
+    the vertex index of what is left after removing that block.  The
+    identity is vertex 0, with first_gen -1 and rest -1.  `lengths` holds
+    word lengths; `words` builds `ReducedWord` objects only when read.
+
+    The order is `ReducedWord.sort_key`: by length, then by the blocks'
+    keys (gen, sign, |exp|) from the left.  Words of one length that share
+    a first block have rests of one shorter length, and within a length the
+    rests are already in key order, so the rest's vertex index settles every
+    tie.  Each sphere is therefore written out block by block, each block
+    followed by the shorter sphere's vertices that do not start with its
+    generator, already in order and with no sort.
+
+    The same argument makes the integer key (length, block code, rest) of
+    each vertex strictly increasing in vertex index, so the vertex of any
+    (block, rest) pair is one `searchsorted` away.  The left unit tables
+    are built that way during construction; right tables go through the
+    inverse permutation, w*l = (l^-1 * w^-1)^-1.  Tables of other words
+    are composed block by block, lazily, and cached; entries falling
+    outside the ball are -1.  Composing by blocks, not unit letters, never
+    drops an entry spuriously: along the blocks of g, the length of the
+    partial product falls while blocks cancel, changes once where a block
+    merges, then only grows.  A unit spelling of one block can overshoot:
+    in Z4 at radius 1, a^2 * a = a^3 = A is inside, but a * (a * a) passes
+    through a^2, which is not.
     """
 
     def __init__(self, presentation: Presentation, radius: int):
@@ -226,66 +289,172 @@ class Ball:
             raise ValueError("radius must be nonnegative")
         self.presentation = presentation
         self.radius = radius
-        self.words: list[ReducedWord] = [presentation.identity()]
-        self.index: dict[tuple[Letter, ...], int] = {(): 0}
-        self.sphere_sizes: list[int] = [1]
-        adjacency = presentation.adjacency_letters()
-        letter_words = [presentation.generator(g, e) for g, e in adjacency]
-        frontier = [presentation.identity()]
+        orders = [presentation.order(g) for g in range(presentation.n_generators)]
+        self._modulus = np.array([o or 0 for o in orders], dtype=np.int64)
+        self._exp_span = max([radius, *(o for o in orders if o is not None)]) + 1
+
+        # Per sphere: first generators, first exponents, rests.
+        spheres = [(np.array([-1]), np.array([0]), np.array([-1]))]
+        starts = [0, 1]
+        rests_for: dict[tuple[int, int], np.ndarray] = {}  # (length, gen) -> vertices not starting with gen
+        blocks = _blocks(presentation, radius)
         for ell in range(1, radius + 1):
-            found: dict[tuple[Letter, ...], ReducedWord] = {}
-            for w in frontier:
-                for lw in letter_words:
-                    u = lw * w
-                    if u.length == ell and u.letters not in self.index and u.letters not in found:
-                        found[u.letters] = u
-            sphere = sorted(found.values(), key=ReducedWord.sort_key)
-            for u in sphere:
-                self.index[u.letters] = len(self.words)
-                self.words.append(u)
-            self.sphere_sizes.append(len(sphere))
-            frontier = sphere
-        self.lengths = np.array([w.length for w in self.words], dtype=np.int32)
-        self._left_unit: dict[Letter, np.ndarray] = {}
-        self._right_unit: dict[Letter, np.ndarray] = {}
+            parts = []
+            for gen, exp, size in blocks:
+                if size > ell:
+                    continue
+                key = (ell - size, gen)
+                if key not in rests_for:
+                    rests_for[key] = starts[ell - size] + np.flatnonzero(spheres[ell - size][0] != gen)
+                tail = rests_for[key]
+                parts.append((np.full(len(tail), gen), np.full(len(tail), exp), tail))
+            spheres.append(tuple(np.concatenate(column) for column in zip(*parts)))
+            starts.append(starts[-1] + len(spheres[-1][0]))
+        columns = (np.concatenate(column).astype(np.int32) for column in zip(*spheres))
+        self.first_gen, self.first_exp, self.rest = columns
+        self.sphere_sizes: list[int] = [len(sphere[0]) for sphere in spheres]
+        self.lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), self.sphere_sizes)
+        self._starts = starts
+
+        n = len(self.lengths)
+        if (radius + 1) * 2 * presentation.n_generators * self._exp_span * n >= 2**63:
+            raise OverflowError("ball too large for 64-bit vertex keys")
+        self._keys = np.zeros(n, dtype=np.int64)
+        self._keys[1:] = self._key(self.first_gen[1:], self.first_exp[1:], self.rest[1:], self.lengths[1:])
+
+        self._left_block: dict[Letter, np.ndarray] = {}
+        self._right_block: dict[Letter, np.ndarray] = {}
+        for letter in presentation.adjacency_letters():
+            self._block_table(letter, "left")
+        self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
         self._right: dict[tuple[Letter, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.lengths)
+
+    @property
+    def words(self) -> _Words:
+        return _Words(self)
+
+    def _key(self, gen, exp, rest, length) -> np.ndarray:
+        code = (2 * np.asarray(gen, dtype=np.int64) + (exp < 0)) * self._exp_span + np.abs(exp)
+        per_length = 2 * self.presentation.n_generators * self._exp_span
+        return (np.asarray(length, dtype=np.int64) * per_length + code) * len(self) + rest
+
+    def _normalise(self, gen, exp) -> np.ndarray:
+        """Exponents reduced modulo each generator's order; 0 means cancelled."""
+        m = self._modulus[gen]
+        return np.where(m > 0, np.mod(exp, np.maximum(m, 1)), exp)
+
+    def _block_lengths(self, gen, exp) -> np.ndarray:
+        m = self._modulus[gen]
+        return np.where(m > 0, np.minimum(exp, m - exp), np.abs(exp))
+
+    def _find(self, gen, exp, rest) -> np.ndarray:
+        """Vertex of the word (gen, exp) * rest, -1 where it is not in the ball.
+
+        exp is normalised.  A zero exp or a rest starting with gen matches no
+        vertex, since no vertex has such a block and rest.  An exponent too
+        large for its field of the key carries into the length field, which
+        is then already past the radius, so it matches no vertex either.
+        """
+        length = self.lengths[rest] + self._block_lengths(gen, exp)
+        key = self._key(gen, exp, rest, length)
+        pos = np.minimum(np.searchsorted(self._keys, key), len(self) - 1)
+        return np.where(self._keys[pos] == key, pos, -1)
+
+    def _left_block_table(self, gen: int, exp: int) -> np.ndarray:
+        """l*w for the block l = (gen, exp): l merges into w's first block
+        when the generators agree, otherwise it is prepended."""
+        merge = self.first_gen == gen
+        rest = np.where(merge, self.rest, np.arange(len(self)))
+        new_exp = self._normalise(gen, np.where(merge, self.first_exp + exp, exp))
+        table = np.where(merge & (new_exp == 0), self.rest, self._find(gen, new_exp, rest))
+        return table.astype(np.int32)
+
+    def _inverses(self) -> np.ndarray:
+        """Vertex index of each vertex's inverse.
+
+        With w = head * last (last its final block), w^-1 = last^-1 * head^-1;
+        head = (first block) * head(rest), and both head and head^-1 are
+        shorter than w, so one pass over the spheres in order fills all three.
+        """
+        if self._inverse is None:
+            n = len(self)
+            head = np.zeros(n, dtype=np.int64)
+            last_gen, last_exp = self.first_gen.copy(), self.first_exp.copy()
+            inverse = np.zeros(n, dtype=np.int64)
+            for lo, hi in zip(self._starts[1:-1], self._starts[2:]):
+                gen, exp, rest = self.first_gen[lo:hi], self.first_exp[lo:hi], self.rest[lo:hi]
+                inner = rest > 0
+                last_gen[lo:hi] = np.where(inner, last_gen[rest], gen)
+                last_exp[lo:hi] = np.where(inner, last_exp[rest], exp)
+                head[lo:hi] = np.where(inner, self._find(gen, exp, head[rest]), 0)
+                lg = last_gen[lo:hi]
+                inverse[lo:hi] = self._find(lg, self._normalise(lg, -last_exp[lo:hi]), inverse[head[lo:hi]])
+            self._inverse = inverse.astype(np.int32)
+        return self._inverse
+
+    def _index(self, w: ReducedWord) -> int:
+        if w.presentation != self.presentation:
+            return -1
+        v = 0
+        for gen, exp in reversed(w.letters):
+            v = int(self._find(gen, exp, v))
+            if v < 0:
+                break
+        return v
 
     def __contains__(self, w: ReducedWord) -> bool:
-        return w.letters in self.index
+        return self._index(w) >= 0
 
     def index_of(self, w: ReducedWord) -> int:
-        i = self.index.get(w.letters)
-        if i is None:
+        i = self._index(w)
+        if i < 0:
             raise KeyError(f"word {w} not in ball of radius {self.radius}")
         return i
 
-    def _unit_table(self, letter: Letter, side: str) -> np.ndarray:
-        cache = self._left_unit if side == "left" else self._right_unit
-        table = cache.get(letter)
+    def _block_table(self, block: Letter, side: str) -> np.ndarray:
+        """Table of one block, cached; right tables use w*l = (l^-1 * w^-1)^-1."""
+        if side == "left":
+            table = self._left_block.get(block)
+            if table is None:
+                table = self._left_block[block] = self._left_block_table(*block)
+            return table
+        table = self._right_block.get(block)
         if table is None:
-            lw = self.presentation.generator(*letter)
-            table = np.empty(len(self.words), dtype=np.int32)
-            for i, w in enumerate(self.words):
-                u = lw * w if side == "left" else w * lw
-                table[i] = self.index.get(u.letters, -1)
-            cache[letter] = table
+            inverse = self._inverses()
+            table = _compose(inverse, self._block_table((block[0], -block[1]), "left")[inverse])
+            self._right_block[block] = table
         return table
+
+    def first_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per vertex, the index into `adjacency_letters()` of its first unit
+        letter (the first of `ReducedWord.unit_letters`) and the vertex,
+        one step shorter, that removing it leaves; -1 at the identity."""
+        first = np.full(len(self), -1, dtype=np.int32)
+        parent = np.full(len(self), -1, dtype=np.int32)
+        for i, (gen, exp) in enumerate(self.presentation.adjacency_letters()):
+            order = self.presentation.order(gen)
+            e = self.first_exp
+            sign = np.sign(e) if order is None else np.where(e <= order - e, 1, -1)
+            mine = (self.first_gen == gen) & (sign == exp)
+            first[mine] = i
+            parent[mine] = self._block_table((gen, -exp), "left")[mine]
+        return first, parent
+
+    def _compose_blocks(self, tables: list[np.ndarray]) -> np.ndarray:
+        """The table applying tables[-1] first and tables[0] last."""
+        if not tables:
+            return np.arange(len(self), dtype=np.int32)
+        return functools.reduce(_compose, tables)
 
     def left_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of g*w per vertex w; -1 where g*w leaves the ball."""
         table = self._left.get(g.letters)
         if table is None:
-            units = g.unit_letters()
-            if not units:
-                table = np.arange(len(self.words), dtype=np.int32)
-            else:
-                table = self._unit_table(units[-1], "left")
-                for letter in reversed(units[:-1]):
-                    table = _compose(self._unit_table(letter, "left"), table)
+            table = self._compose_blocks([self._block_table(block, "left") for block in g.letters])
             self._left[g.letters] = table
         return table
 
@@ -293,13 +462,8 @@ class Ball:
         """Vertex index of w*g per vertex w; -1 where w*g leaves the ball."""
         table = self._right.get(g.letters)
         if table is None:
-            units = g.unit_letters()
-            if not units:
-                table = np.arange(len(self.words), dtype=np.int32)
-            else:
-                table = self._unit_table(units[0], "right")
-                for letter in units[1:]:
-                    table = _compose(self._unit_table(letter, "right"), table)
+            tables = [self._block_table(block, "right") for block in g.letters]
+            table = self._compose_blocks(tables[::-1])
             self._right[g.letters] = table
         return table
 
@@ -312,8 +476,8 @@ class Ball:
             gen, exp = letter
             name = self.presentation.name(gen)
             label = name if exp > 0 else name.upper()
-            table = self._unit_table(letter, "left")
-            for i in range(len(self.words)):
+            table = self._block_table(letter, "left")
+            for i in range(len(self)):
                 j = int(table[i])
                 if j >= 0:
                     yield i, label, j
@@ -321,14 +485,10 @@ class Ball:
     def write_edges_csv(self, fileobj: IO[str]) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(["from", "generator", "to"])
+        names = [w.to_string() for w in self.words]
         for i, label, j in self.edges():
-            writer.writerow([self.words[i].to_string(), label, self.words[j].to_string()])
+            writer.writerow([names[i], label, names[j]])
 
 
 def ball(presentation: Presentation, radius: int) -> Ball:
     return Ball(presentation, radius)
-
-
-def enumerate_words(presentation: Presentation, max_length: int) -> list[ReducedWord]:
-    """All reduced words of length at most max_length, canonical order."""
-    return list(Ball(presentation, max_length).words)

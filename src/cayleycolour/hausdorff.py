@@ -21,7 +21,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .groups import Ball, Letter, Presentation, ReducedWord, free_group, reduce_letters, z2_z3
+from .groups import Ball, Letter, Presentation, free_group, z2_z3
 from .measures import DensityProgram, TransportCertificate, certify_transport, translate
 from .rules import Colouring, ColouringRule, check, register_builtin
 
@@ -33,16 +33,19 @@ def _bfs_colour(ball: Ball, root: int, child_colour: Callable[[Letter, int], int
     """Colour each vertex from its unique shorter neighbour, identity first.
 
     child_colour(letter, parent_code) gives the code of l*parent.  Ball
-    order is by length, so parents are always coloured before children.
+    order is by length, so each sphere's parents are coloured before it,
+    and child_colour is called once per (letter, parent code) in a sphere.
     """
+    letters = ball.presentation.adjacency_letters()
+    first, parent = ball.first_steps()
     codes = np.full(len(ball), -1, dtype=np.int16)
     codes[0] = root
-    for i, w in enumerate(ball.words):
-        if i == 0:
-            continue
-        units = w.unit_letters()
-        parent = ball.index_of(reduce_letters(units[1:], ball.presentation))
-        codes[i] = child_colour(units[0], int(codes[parent]))
+    for lo, size in zip(np.cumsum(ball.sphere_sizes[:-1]), ball.sphere_sizes[1:]):
+        for i, letter in enumerate(letters):
+            mine = lo + np.flatnonzero(first[lo : lo + size] == i)
+            parent_codes = codes[parent[mine]]
+            for code in np.unique(parent_codes):
+                codes[mine[parent_codes == code]] = child_colour(letter, int(code))
     return codes
 
 

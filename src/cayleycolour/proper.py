@@ -19,7 +19,7 @@ import numpy as np
 
 from .arrows import arrow_field, candidates, incoming_counts, neighbour_tables
 from .configs import Configuration
-from .groups import Ball, Presentation, ReducedWord, enumerate_words, free_group
+from .groups import Ball, Presentation, ReducedWord, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
 from .rules import Colouring, ViolationReport
 
@@ -223,8 +223,11 @@ def apply_left_word(b: Ball, gamma: ReducedWord, indices: np.ndarray) -> np.ndar
     return out
 
 
-def _words_by_parity(p: Presentation, limit: int, parity: int) -> list[ReducedWord]:
-    return [w for w in enumerate_words(p, limit) if w.length % 2 == parity and w.length > 0]
+def _words_by_parity(b: Ball, limit: int, parity: int) -> list[ReducedWord]:
+    """Nonempty words of length <= limit and the given parity, in canonical
+    order: a length-prefix of the ball, since the ball is ordered by length."""
+    prefix = b.lengths[: sum(b.sphere_sizes[: limit + 1])]
+    return [b.words[i] for i in np.flatnonzero((prefix % 2 == parity) & (prefix > 0))]
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def calibrate_N(
         if samples is not None and samples < len(eligible):
             eligible = np.sort(rng.choice(eligible, size=samples, replace=False))
         seen = np.zeros((len(eligible), n_colours), dtype=bool)
-        for gamma in _words_by_parity(b.presentation, n_odd, 1):
+        for gamma in _words_by_parity(b, n_odd, 1):
             images = apply_left_word(b, gamma, eligible)
             ok = images >= 0
             seen[np.flatnonzero(ok), base.codes[images[ok]]] = True
@@ -393,9 +396,8 @@ def doubled_graph(
             f"radius {b.radius} cannot hold the edge families for N={N}; "
             "need radius >= 2N+12 or strict=False"
         )
-    p = b.presentation
-    odd = tuple(_words_by_parity(p, min(N, b.radius), 1))
-    even = tuple(_words_by_parity(p, min(2 * N + 10, b.radius), 0))
+    odd = tuple(_words_by_parity(b, min(N, b.radius), 1))
+    even = tuple(_words_by_parity(b, min(2 * N + 10, b.radius), 0))
     return DoubledGraph(
         ball=b,
         config=config,

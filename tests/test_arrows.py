@@ -271,6 +271,12 @@ def test_chain_recursion_record():
     assert rec["exact_head"][2] == "5/32"
 
 
+def test_chain_recursion_reports_a_miss():
+    analysis = chain_recursion(steps=3)
+    assert analysis.first_below_tolerance is None
+    assert analysis.to_record()["first_below_tolerance"] is None
+
+
 def test_iterates_monotone_to_zero():
     analysis = chain_recursion(steps=30)
     xs = analysis.iterates

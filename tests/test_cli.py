@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from cayleycolour import arrows
 from cayleycolour.cli import ExperimentSpec, main, presentation_named, run
 from cayleycolour.groups import free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -221,6 +223,14 @@ class TestStructureCommands:
         for experiment in record["result"]["experiments"]:
             assert experiment["failures"] == 0
             assert experiment["recovered"] == experiment["witnessed"] == 30
+
+    def test_recursion_miss_fails(self, tmp_path, monkeypatch):
+        # Three steps never reach the 1e-6 tolerance, so the run must fail.
+        short = functools.partial(arrows.chain_recursion, steps=3)
+        monkeypatch.setattr(arrows, "chain_recursion", short)
+        code, record = run_json(tmp_path, ["recursion"])
+        assert record["result"]["first_below_tolerance"] is None
+        assert record["ok"] is False and code == 1
 
     def test_prefix(self, tmp_path):
         code, record = run_json(tmp_path, ["prefix", "--radius", "5"])

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleycolour.groups import (
     Ball,
+    Presentation,
     ReducedWord,
     ball,
     free_group,
@@ -215,3 +218,113 @@ def test_lengths_array():
     b = ball(free_group(2), 2)
     assert b.lengths.dtype == np.int32
     assert list(b.lengths[:5]) == [0, 1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# Property tests against an object-per-vertex reference.
+
+
+def reference_ball(p: Presentation, radius: int) -> tuple[list[ReducedWord], dict]:
+    """Breadth-first search by left multiplication with unit letters, each
+    sphere sorted by sort_key: the word-object oracle for the array Ball."""
+    words = [p.identity()]
+    index = {(): 0}
+    letter_words = [p.generator(g, e) for g, e in p.adjacency_letters()]
+    frontier = [p.identity()]
+    for ell in range(1, radius + 1):
+        found = {}
+        for w in frontier:
+            for lw in letter_words:
+                u = reduce_letters(list(lw.letters) + list(w.letters), p)
+                if u.length == ell and u.letters not in index:
+                    found[u.letters] = u
+        frontier = sorted(found.values(), key=ReducedWord.sort_key)
+        for u in frontier:
+            index[u.letters] = len(words)
+            words.append(u)
+    return words, index
+
+
+def reference_table(words, index, g: ReducedWord, side: str) -> np.ndarray:
+    products = (g * w if side == "left" else w * g for w in words)
+    return np.array([index.get(u.letters, -1) for u in products], dtype=np.int32)
+
+
+ORDERS = st.sampled_from([None, 2, 3, 4, 5])
+PRESENTATIONS = st.lists(ORDERS, min_size=1, max_size=3).map(
+    lambda orders: Presentation(tuple(zip("abc", orders)))
+)
+NAMED = {
+    "F1": free_group(1),
+    "F2": free_group(2),
+    "F3": free_group(3),
+    "Z2*Z3": z2_z3(),
+    "Z4*Z5": Presentation((("a", 4), ("b", 5))),
+    "<a, s^2>": Presentation((("a", None), ("s", 2))),
+}
+
+
+def raw_words(p: Presentation, max_size: int = 8):
+    letters = st.tuples(st.integers(0, p.n_generators - 1), st.integers(-7, 7))
+    return st.lists(letters, max_size=max_size).map(lambda raw: reduce_letters(raw, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=PRESENTATIONS)
+def test_reduced_word_group_laws(data, p):
+    u, v, w = (data.draw(raw_words(p)) for _ in range(3))
+    assert (u * v) * w == u * (v * w)
+    assert (u * u.inverse()).is_identity and (u.inverse() * u).is_identity
+    assert u.inverse().inverse() == u
+    assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=PRESENTATIONS, radius=st.integers(0, 4))
+def test_tables_compose_inside_the_ball(data, p, radius):
+    b = ball(p, radius)
+    g, h = data.draw(raw_words(p, 4)), data.draw(raw_words(p, 4))
+    inner = b.left_table(h)
+    stays = inner >= 0
+    assert np.array_equal(b.left_table(g * h)[stays], b.left_table(g)[inner[stays]])
+    first = b.right_table(g)
+    stays = first >= 0
+    assert np.array_equal(b.right_table(g * h)[stays], b.right_table(h)[first[stays]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PRESENTATIONS, radius=st.integers(0, 4))
+@example(p=NAMED["F1"], radius=6)
+@example(p=NAMED["F2"], radius=5)
+@example(p=NAMED["F3"], radius=3)
+@example(p=NAMED["Z2*Z3"], radius=9)
+@example(p=NAMED["Z4*Z5"], radius=6)
+@example(p=NAMED["<a, s^2>"], radius=6)
+def test_array_ball_matches_reference(p, radius):
+    words, index = reference_ball(p, radius)
+    b = ball(p, radius)
+    assert list(b.words) == words
+    assert [b.words[i] for i in range(len(b))] == words
+    assert list(b.lengths) == [w.length for w in words]
+    assert sum(b.sphere_sizes) == len(words)
+    for i in range(0, len(words), 7):
+        assert b.index_of(words[i]) == i
+    for gen, exp in p.adjacency_letters():
+        unit = p.generator(gen, exp)
+        for side in ("left", "right"):
+            table = b.left_table(unit) if side == "left" else b.right_table(unit)
+            assert np.array_equal(table, reference_table(words, index, unit, side)), (unit, side)
+    next_sphere = reference_ball(p, radius + 1)[0][len(words):]
+    assert not any(w in b for w in next_sphere)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=PRESENTATIONS, radius=st.integers(0, 4))
+def test_word_tables_match_reference(data, p, radius):
+    # Exponents run past the radius and past every order, so block tables
+    # meet blocks that leave the ball or wrap around.
+    words, index = reference_ball(p, radius)
+    b = ball(p, radius)
+    g = data.draw(raw_words(p, 4))
+    assert np.array_equal(b.left_table(g), reference_table(words, index, g, "left"))
+    assert np.array_equal(b.right_table(g), reference_table(words, index, g, "right"))
