@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .configs import Configuration, RandomSource, batched_values, sample_batch, sample_stream
+from .configs import Configuration, RandomSource, histogram, sample_stream
 from .groups import Ball, Presentation, free_group
 from .measures import (
     DensityProgram,
@@ -162,40 +162,28 @@ class PdegreeReport:
         return rec
 
 
-def pdegree_histogram(ball: Ball, source: RandomSource, n: int) -> PdegreeReport:
-    """Root p-degree counts over n sampled configurations."""
+def _root_pdegree(ball: Ball):
     root = np.array([0])
-    counts = np.zeros(5, dtype=np.int64)
-    for _, values in batched_values(ball, source, n):
-        deg = pdegree_profile(ball, values, root)[:, 0]
-        counts += np.bincount(deg, minlength=5)
+    return lambda values: pdegree_profile(ball, values, root)[:, 0]
+
+
+def pdegree_histogram(ball: Ball, source: RandomSource, n: int, workers: int = 1) -> PdegreeReport:
+    """Root p-degree counts over n sampled configurations."""
+    counts = histogram(ball, source, n, _root_pdegree(ball), 5, workers=workers)
     return PdegreeReport(n, tuple(int(c) for c in counts), source.seed)
 
 
-def conditional_pdegree(ball: Ball, source: RandomSource, n: int) -> PdegreeReport:
+def conditional_pdegree(ball: Ball, source: RandomSource, n: int, workers: int = 1) -> PdegreeReport:
     """Root p-degree counts over n samples conditioned on one fixed in-pointer.
 
     The conditioning event: the T1-neighbour's sign bit orients its own
     candidate pair toward the root.  Sampling continues until n conditioned
     samples have been collected.
     """
-    t1 = neighbour_tables(ball)[0]
-    j = int(t1[0])
-    root = np.array([0])
-    counts = np.zeros(5, dtype=np.int64)
-    total = 0
-    batch = 0
-    while total < n:
-        values = sample_batch(ball, source, batch)
-        keep = values[:, j] == -1
-        sub = values[keep]
-        if total + len(sub) > n:
-            sub = sub[: n - total]
-        if len(sub):
-            deg = pdegree_profile(ball, sub, root)[:, 0]
-            counts += np.bincount(deg, minlength=5)
-            total += len(sub)
-        batch += 1
+    j = int(neighbour_tables(ball)[0][0])
+    counts = histogram(
+        ball, source, n, _root_pdegree(ball), 5, keep=lambda values: values[:, j] == -1, workers=workers
+    )
     return PdegreeReport(n, tuple(int(c) for c in counts), source.seed, conditioned_on="T1-neighbour sign bit -1")
 
 

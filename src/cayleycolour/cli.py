@@ -1,8 +1,8 @@
 """Command-line experiments with frozen seeds and versioned JSON records.
 
 Primary artifacts are byte-stable: keys sorted, rationals as "p/q" strings,
-timestamps segregated into a ``.meta.json`` sidecar.  Worker count never
-changes results, only wall time.
+timestamps, worker count and output paths segregated into a ``.meta.json``
+sidecar.  Worker count never changes results, only wall time.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrows, equidecomp, hausdorff, proper
-from .configs import ALGORITHM, RandomSource, sample, sample_batch
+from .configs import ALGORITHM, RandomSource, sample
 from .groups import Ball, Presentation, ball, free_group, z2_z3
 from .measures import feasible
 from .rules import Colouring, check, iterate, rule_from_json
@@ -53,8 +52,9 @@ def presentation_named(name: str) -> Presentation:
 class ExperimentSpec:
     """Everything that determines a run's primary artifact.
 
-    Worker count is deliberately absent: it may change wall time, never
-    bytes.  It travels in the sidecar instead.
+    Worker count and the output and CSV paths are deliberately absent: they
+    may change wall time or where files go, never bytes.  They travel in the
+    sidecar instead, as ``RunOptions``.
     """
 
     command: str
@@ -68,25 +68,15 @@ class ExperimentSpec:
     choice: str = "min"
     solver: str = "constructive"
     conditional: bool = False
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a run is carried out and where it writes; recorded in the sidecar."""
+
+    workers: int = 1
     out: str | None = None
     csv: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "command": self.command,
-            "presentation": self.presentation,
-            "radius": self.radius,
-            "seed": self.seed,
-            "samples": self.samples,
-            "rule": self.rule,
-            "epsilon": self.epsilon,
-            "n_levels": self.n_levels,
-            "choice": self.choice,
-            "solver": self.solver,
-            "conditional": self.conditional,
-            "out": self.out,
-            "csv": self.csv,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ def _write_colour_csv(colouring: Colouring, path: str) -> None:
             writer.writerow((w.to_string(), colouring.colour_at(i) or ""))
 
 
-def _run_solve(spec: ExperimentSpec) -> dict:
+def _run_solve(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
     rule, colouring, extra = _solve_colouring(spec, p, b)
@@ -147,8 +137,8 @@ def _run_solve(spec: ExperimentSpec) -> dict:
         colour: int(np.count_nonzero(colouring.codes == i))
         for i, colour in enumerate(colouring.palette)
     }
-    if spec.csv:
-        _write_colour_csv(colouring, spec.csv)
+    if options.csv:
+        _write_colour_csv(colouring, options.csv)
     return {
         "rule": rule.name,
         "interior_checked": report.interior_size,
@@ -159,7 +149,7 @@ def _run_solve(spec: ExperimentSpec) -> dict:
     }
 
 
-def _run_check(spec: ExperimentSpec) -> dict:
+def _run_check(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
     rule, colouring, extra = _solve_colouring(spec, p, b)
@@ -171,7 +161,7 @@ def _run_check(spec: ExperimentSpec) -> dict:
 # Audits.
 
 
-def _run_audit(spec: ExperimentSpec) -> dict:
+def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
     name = spec.rule
@@ -209,59 +199,25 @@ def _run_audit(spec: ExperimentSpec) -> dict:
 # Monte Carlo p-degree histograms, worker-count invariant.
 
 
-def _parallel_pdegree(
-    b: Ball, seed: int, n: int, workers: int, conditional: bool
-) -> arrows.PdegreeReport:
-    """Batches are deterministic by index and consumed in index order, so
-    any worker count yields the same counts as the sequential loop."""
-    source = RandomSource(seed)
-    root = np.array([0])
-    j = int(arrows.neighbour_tables(b)[0][0]) if conditional else -1
-
-    def batch_degrees(k: int) -> np.ndarray:
-        values = sample_batch(b, source, k)
-        if conditional:
-            values = values[values[:, j] == -1]
-        if not len(values):
-            return np.zeros(0, dtype=np.int64)
-        return arrows.pdegree_profile(b, values, root)[:, 0]
-
-    counts = np.zeros(5, dtype=np.int64)
-    total = 0
-    next_batch = 0
-    stride = max(1, workers)
-    with ThreadPoolExecutor(max_workers=stride) as pool:
-        while total < n:
-            block = pool.map(batch_degrees, range(next_batch, next_batch + stride))
-            next_batch += stride
-            for degrees in block:
-                if total >= n:
-                    break
-                take = degrees[: n - total]
-                counts += np.bincount(take, minlength=5)
-                total += len(take)
-    conditioned = "T1-neighbour sign bit -1" if conditional else None
-    return arrows.PdegreeReport(n, tuple(int(c) for c in counts), seed, conditioned)
-
-
-def _run_pdeg(spec: ExperimentSpec, workers: int) -> dict:
+def _run_pdeg(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
-    report = _parallel_pdegree(b, spec.seed, spec.samples, workers, spec.conditional)
+    estimate = arrows.conditional_pdegree if spec.conditional else arrows.pdegree_histogram
+    report = estimate(b, RandomSource(spec.seed), spec.samples, workers=options.workers)
     record = report.to_record()
     record["algorithm"] = ALGORITHM
     record["ok"] = True
     return record
 
 
-def _run_recursion(spec: ExperimentSpec) -> dict:
+def _run_recursion(spec: ExperimentSpec, options: RunOptions) -> dict:
     analysis = arrows.chain_recursion()
     record = analysis.to_record()
     record["ok"] = analysis.first_below_tolerance is not None
     return record
 
 
-def _run_offsets(spec: ExperimentSpec) -> dict:
+def _run_offsets(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     family = proper.offsets16(p)
     b = ball(p, spec.radius)
@@ -280,7 +236,7 @@ def _run_offsets(spec: ExperimentSpec) -> dict:
     }
 
 
-def _run_doubled(spec: ExperimentSpec) -> dict:
+def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
     config = sample(b, RandomSource(spec.seed))
@@ -312,8 +268,8 @@ def _run_doubled(spec: ExperimentSpec) -> dict:
     colouring = proper.canonical_doubled_colouring(graph, arrow_colouring)
     properness = proper.check_proper(graph, colouring, seed=spec.seed)
     audit = proper.flow_audit_doubled(colouring, graph, config)
-    if spec.csv:
-        with open(spec.csv, "w", newline="") as fh:
+    if options.csv:
+        with open(options.csv, "w", newline="") as fh:
             graph.write_csv(fh)
     result.update(
         {
@@ -326,7 +282,7 @@ def _run_doubled(spec: ExperimentSpec) -> dict:
     return result
 
 
-def _run_types(spec: ExperimentSpec) -> dict:
+def _run_types(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     pool = list(ball(p, spec.radius).words)
     movers = {p.identity()}
@@ -348,7 +304,7 @@ def _run_types(spec: ExperimentSpec) -> dict:
     }
 
 
-def _run_prefix(spec: ExperimentSpec) -> dict:
+def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     report = equidecomp.verify_prefix_identities(ball(p, spec.radius))
     record = report.to_record()
@@ -436,7 +392,7 @@ def _fill_from_env(args: argparse.Namespace) -> None:
                 setattr(args, attr, cast(raw))
 
 
-def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, int]:
+def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]:
     defaults = _DEFAULTS[args.command]
 
     def value(attr, fallback):
@@ -481,41 +437,38 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, int]:
         choice=value("choice", "min"),
         solver=value("solver", "constructive"),
         conditional=bool(value("conditional", False)),
-        out=value("out", None),
-        csv=value("csv", None),
     )
-    return spec, workers
+    return spec, RunOptions(workers, value("out", None), value("csv", None))
 
 
-def _emit(record: dict, out: str | None, elapsed: float | None, workers: int) -> None:
+def _emit(record: dict, options: RunOptions, elapsed: float | None) -> None:
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if options.out:
+        Path(options.out).write_text(text)
         meta = {
             "written_at": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": elapsed,
-            "workers": workers,
+            **asdict(options),
         }
-        Path(out + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        Path(options.out + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
 
 
-def run(spec: ExperimentSpec, workers: int = 1) -> dict:
+def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
     """Dispatch to the command implementation, returning the result body."""
-    if spec.command == "pdeg":
-        return _run_pdeg(spec, workers)
     dispatch = {
         "solve": _run_solve,
         "check": _run_check,
         "audit": _run_audit,
+        "pdeg": _run_pdeg,
         "recursion": _run_recursion,
         "offsets": _run_offsets,
         "doubled": _run_doubled,
         "types": _run_types,
         "prefix": _run_prefix,
     }
-    return dispatch[spec.command](spec)
+    return dispatch[spec.command](spec, options)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -524,29 +477,29 @@ def main(argv: list[str] | None = None) -> int:
     _fill_from_env(args)
     started = time.perf_counter()
     try:
-        spec, workers = _resolve_spec(args)
+        spec, options = _resolve_spec(args)
     except SpecError as err:
         record = {
             "schema": SCHEMA,
             "error": {"type": "SpecError", "message": str(err)},
             "ok": False,
         }
-        _emit(record, getattr(args, "out", None), None, 1)
+        _emit(record, RunOptions(out=getattr(args, "out", None)), None)
         return 1
     try:
-        result = run(spec, workers)
+        result = run(spec, options)
     except (SpecError, ValueError, KeyError, FileNotFoundError) as err:
         record = {
             "schema": SCHEMA,
-            "spec": spec.to_record(),
+            "spec": asdict(spec),
             "error": {"type": type(err).__name__, "message": str(err)},
             "ok": False,
         }
-        _emit(record, spec.out, time.perf_counter() - started, workers)
+        _emit(record, options, time.perf_counter() - started)
         return 1
     ok = bool(result.pop("ok"))
-    record = {"schema": SCHEMA, "spec": spec.to_record(), "result": result, "ok": ok}
-    _emit(record, spec.out, time.perf_counter() - started, workers)
+    record = {"schema": SCHEMA, "spec": asdict(spec), "result": result, "ok": ok}
+    _emit(record, options, time.perf_counter() - started)
     return 0 if ok else 1
 
 

@@ -5,8 +5,13 @@ element moves coordinates by right multiplication, so the action satisfies
 (g.x)(w) = x(wg); coordinates whose preimage leaves the ball become
 undefined (stored as 0) rather than silently defaulted.
 
-Sampling is batched and seeded per batch, which makes every estimate
-independent of how many workers share the batches.
+Sampling is batched and seeded per batch.  One engine, ``batches``, walks
+the batch indices: it draws batch k = 0, 1, 2, ..., optionally filters its
+rows, applies a per-sample statistic and yields the results in batch order,
+cut at exactly n kept samples.  Every sampler and estimator here and in
+``arrows`` reads that one walk, so an estimate never depends on how many
+workers draw the batches: one worker runs on the calling thread, more run in
+a thread pool and are still consumed in index order.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
@@ -88,8 +94,10 @@ class Configuration:
 def sample_batch(ball: Ball, source: RandomSource, batch: int) -> np.ndarray:
     """Rows of ±1 values, one per sample in the batch.  int8, shape (B, |ball|)."""
     rng = source.batch_rng(batch)
-    bits = rng.integers(0, 2, size=(BATCH_SIZE, len(ball)), dtype=np.int8)
-    return (2 * bits - 1).astype(np.int8)
+    values = rng.integers(0, 2, size=(BATCH_SIZE, len(ball)), dtype=np.int8)
+    values *= 2  # in place: one batch-sized allocation per draw
+    values -= 1
+    return values
 
 
 def sample(ball: Ball, source: RandomSource, index: int = 0) -> Configuration:
@@ -99,18 +107,66 @@ def sample(ball: Ball, source: RandomSource, index: int = 0) -> Configuration:
     return Configuration(ball, row)
 
 
+def batches(
+    ball: Ball,
+    source: RandomSource,
+    n: int,
+    statistic: Callable[[np.ndarray], np.ndarray] | None = None,
+    keep: Callable[[np.ndarray], np.ndarray] | None = None,
+    workers: int = 1,
+) -> Iterator[np.ndarray]:
+    """Per-sample results of batches 0, 1, 2, ..., cut to the first n kept samples.
+
+    Each batch is drawn by ``sample_batch``; ``keep`` maps its rows to a
+    boolean mask, and ``statistic`` maps the kept rows to one result per row
+    (the rows themselves when None).  Without ``keep``, ``statistic`` sees the
+    drawn array itself and only its output is cut.  ``workers`` batches are
+    in flight at a time, in a thread pool when there are more than one;
+    results are yielded in batch order either way, so they never depend on
+    ``workers``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+    def draw(batch: int) -> np.ndarray:
+        rows = sample_batch(ball, source, batch)
+        if keep is not None:
+            rows = rows[keep(rows)]
+        return rows if statistic is None else statistic(rows)
+
+    total = first = 0
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        apply = map if pool is None else pool.map
+        while total < n:
+            for out in apply(draw, range(first, first + workers)):
+                out = out[: n - total]
+                total += len(out)
+                yield out
+                if total == n:
+                    break
+            first += workers
+
+
+def histogram(
+    ball: Ball,
+    source: RandomSource,
+    n: int,
+    statistic: Callable[[np.ndarray], np.ndarray],
+    minlength: int,
+    keep: Callable[[np.ndarray], np.ndarray] | None = None,
+    workers: int = 1,
+) -> np.ndarray:
+    """Counts of an integer per-sample statistic over the first n kept samples."""
+    counts = np.zeros(minlength, dtype=np.int64)
+    for values in batches(ball, source, n, statistic, keep, workers):
+        counts += np.bincount(values, minlength=minlength)
+    return counts
+
+
 def sample_stream(ball: Ball, source: RandomSource, n: int) -> Iterator[Configuration]:
-    for start, block in batched_values(ball, source, n):
-        for row in block:
+    for rows in batches(ball, source, n):
+        for row in rows:
             yield Configuration(ball, row)
-
-
-def batched_values(ball: Ball, source: RandomSource, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first sample index, value matrix) per batch, truncated to n samples."""
-    for batch in range((n + BATCH_SIZE - 1) // BATCH_SIZE):
-        block = sample_batch(ball, source, batch)
-        start = batch * BATCH_SIZE
-        yield start, block[: n - start]
 
 
 def shift(x: Configuration, g: ReducedWord) -> Configuration:
@@ -151,18 +207,6 @@ class DensityEstimate:
         }
 
 
-def _count_batches(
-    predicate: WindowPredicate, ball: Ball, source: RandomSource, batches: list[int], n: int
-) -> int:
-    total = 0
-    for batch in batches:
-        block = sample_batch(ball, source, batch)
-        start = batch * BATCH_SIZE
-        hits = np.asarray(predicate(block[: n - start], ball), dtype=bool)
-        total += int(hits.sum())
-    return total
-
-
 def empirical_density(
     predicate: WindowPredicate,
     ball: Ball,
@@ -174,23 +218,17 @@ def empirical_density(
 ) -> DensityEstimate:
     """Monte Carlo frequency of a local event at the root.
 
-    The result depends only on (seed, ball, n), never on `workers`: batches
-    are seeded independently and counts are summed.
+    The result depends only on (seed, ball, n), never on `workers`.
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
     if window > ball.radius:
         raise ValueError(f"window {window} exceeds ball radius {ball.radius}")
-    batches = list(range((n + BATCH_SIZE - 1) // BATCH_SIZE))
-    if workers <= 1 or len(batches) == 1:
-        count = _count_batches(predicate, ball, source, batches, n)
-    else:
-        chunks = [batches[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda chunk: _count_batches(predicate, ball, source, chunk, n), chunks
-            )
-            count = sum(parts)
+
+    def hits(rows: np.ndarray) -> np.ndarray:
+        return np.asarray(predicate(rows, ball), dtype=bool)
+
+    count = int(histogram(ball, source, n, hits, 2, workers=workers)[1])
     p = count / n
     return DensityEstimate(
         predicate=name or getattr(predicate, "__name__", "predicate"),
@@ -210,11 +248,10 @@ def empirical_covariance(
     source: RandomSource,
 ) -> float:
     """Sample covariance of two ±1 window observables (predicates as indicators)."""
-    sum_a = sum_b = sum_ab = 0
-    for start, block in batched_values(ball, source, n):
-        a = np.asarray(pred_a(block, ball), dtype=np.float64)
-        b = np.asarray(pred_b(block, ball), dtype=np.float64)
-        sum_a += float(a.sum())
-        sum_b += float(b.sum())
-        sum_ab += float((a * b).sum())
-    return sum_ab / n - (sum_a / n) * (sum_b / n)
+
+    def joint(rows: np.ndarray) -> np.ndarray:
+        a = np.asarray(pred_a(rows, ball), dtype=np.int8)
+        return a + 2 * np.asarray(pred_b(rows, ball), dtype=np.int8)
+
+    _, only_a, only_b, both = (int(c) for c in histogram(ball, source, n, joint, 4))
+    return both / n - ((only_a + both) / n) * ((only_b + both) / n)

@@ -144,14 +144,16 @@ def equidecomposable(
     a: LevelSet,
     b: LevelSet,
     movers: Sequence[ReducedWord],
-    max_pieces: int | None = None,
 ) -> Decomposition | None:
     """Witness that a maps injectively into b by elements of `movers` with
     free level relabelling, or None.  Complete for the given mover set:
-    reduces to maximum matching on the compatibility graph."""
+    reduces to maximum matching on the compatibility graph.  The number of
+    pieces of the witness is not minimised."""
     left = _sorted_elements(a)
     right = _sorted_elements(b)
-    right_pos = {elem: i for i, elem in enumerate(right)}
+    right_at: dict[ReducedWord, list[int]] = {}
+    for j, (point, _) in enumerate(right):
+        right_at.setdefault(point, []).append(j)
     movers = sorted(movers, key=ReducedWord.sort_key)
     adjacency: list[list[int]] = []
     labels: list[dict[int, ReducedWord]] = []
@@ -160,9 +162,8 @@ def equidecomposable(
         row_labels: dict[int, ReducedWord] = {}
         seen: set[int] = set()
         for g in movers:
-            image = g * point
-            for elem, j in right_pos.items():
-                if elem[0] == image and j not in seen:
+            for j in right_at.get(g * point, ()):
+                if j not in seen:
                     seen.add(j)
                     row.append(j)
                     row_labels[j] = g
@@ -174,10 +175,7 @@ def equidecomposable(
     pairs = tuple(
         (left[i], labels[i][match[i]], right[match[i]]) for i in range(len(left))
     )
-    witness = Decomposition(pairs)
-    if max_pieces is not None and witness.n_pieces() > max_pieces:
-        return None
-    return witness
+    return Decomposition(pairs)
 
 
 def verify_decomposition(
@@ -231,48 +229,20 @@ def schroeder_bernstein(
     into_b: Decomposition,
     into_a: Decomposition,
 ) -> Decomposition:
-    """Combine injections a->b and b->a into a bijection a<->b by chasing
-    the alternating chains; b-stopper chains invert the second injection."""
-    f = {src: (mover, tgt) for src, mover, tgt in into_b.pairs}
-    g = {src: (mover, tgt) for src, mover, tgt in into_a.pairs}
-    g_inv = {tgt: (mover, src) for src, mover, tgt in into_a.pairs}
-    if set(f) != a.elements or not {t for _, t in f.values()} <= b.elements:
+    """Combine injections a->b and b->a into a bijection a<->b.
+
+    On finite sets two injections force |a| = |b|, so the first one is
+    already a bijection: no element of b escapes it, and the alternating
+    chains of the general proof never reach the second injection.  Both
+    witnesses are still checked, and the result is `into_b`, sorted.
+    """
+    if not verify_decomposition(into_b, a, b):
         raise ValueError("first witness is not an injection of a into b")
-    if set(g) != b.elements or not {t for _, t in g.values()} <= a.elements:
+    if not verify_decomposition(into_a, b, a):
         raise ValueError("second witness is not an injection of b into a")
-
-    # Chains starting at b-elements nobody maps onto use g backwards;
-    # everything else (a-stoppers and cycles) uses f.  With finite sets and
-    # two total injections the stopper set is empty and f already wins, but
-    # the walk is the general rule.  The chain alternates sides, so the
-    # bookkeeping keeps a-nodes and b-nodes in separate sets.
-    b_stoppers = b.elements - {t for _, t in f.values()}
-    reached: set[Element] = set()
-    for start in b_stoppers:
-        cur_b = start
-        seen_b = {start}
-        while True:
-            _, cur_a = g[cur_b]
-            if cur_a in reached:
-                break
-            reached.add(cur_a)
-            _, nxt_b = f[cur_a]
-            if nxt_b in seen_b:
-                break
-            seen_b.add(nxt_b)
-            cur_b = nxt_b
-    use_f = a.elements - reached
-
-    pairs = []
-    for elem in use_f:
-        mover, tgt = f[elem]
-        pairs.append((elem, mover, tgt))
-    for elem in a.elements - use_f:
-        mover, src_b = g_inv[elem]
-        pairs.append((elem, mover.inverse(), src_b))
-    witness = Decomposition(tuple(sorted(pairs, key=lambda p: (p[0][1],) + p[0][0].sort_key())))
+    witness = Decomposition(tuple(sorted(into_b.pairs, key=lambda p: (p[0][1],) + p[0][0].sort_key())))
     if not verify_decomposition(witness, a, b, bijection=True):
-        raise ValueError("chain combination failed to produce a bijection")
+        raise ValueError("the injections do not combine into a bijection")
     return witness
 
 

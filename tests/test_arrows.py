@@ -22,7 +22,7 @@ from cayleycolour.arrows import (
     pdegree_profile,
     survival_map,
 )
-from cayleycolour.configs import Configuration, RandomSource, sample
+from cayleycolour.configs import Configuration, RandomSource, histogram, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.rules import RANK_ONE, check, classify_rank
@@ -143,15 +143,12 @@ def test_neighbour_bits_independent_fair_coins():
     b = small_ball(3)
     t1, u1, t2, u2 = neighbour_tables(b)
     idx = [int(t1[0]), int(u1[0]), int(t2[0]), int(u2[0])]
-    source = RandomSource(515)
-    cells = np.zeros(16, dtype=np.int64)
-    from cayleycolour.configs import batched_values
+
+    def code(values):
+        return (values[:, idx] > 0).astype(np.int64) @ np.array([8, 4, 2, 1])
 
     n = 100_000
-    for _, values in batched_values(b, source, n):
-        bits = (values[:, idx] > 0).astype(np.int64)
-        code = bits @ np.array([8, 4, 2, 1])
-        cells += np.bincount(code, minlength=16)
+    cells = histogram(b, RandomSource(515), n, code, 16)
     chi2 = float(((cells - n / 16) ** 2 / (n / 16)).sum())
     assert stats.chi2.sf(chi2, df=15) > 0.001
 

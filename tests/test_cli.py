@@ -46,6 +46,17 @@ class TestPlumbing:
         main(["pdeg", "--samples", "2000", "--seed", "9", "--out", str(out)])
         assert out.read_bytes() == first
 
+    def test_pdeg_independent_of_out_path(self, tmp_path):
+        blobs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            args = ["pdeg", "--samples", "2000", "--seed", "9", "--csv", str(out) + ".csv"]
+            assert main(args + ["--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+            meta = json.loads((tmp_path / (name + ".meta.json")).read_text())
+            assert meta["out"] == str(out) and meta["csv"] == str(out) + ".csv"
+        assert blobs[0] == blobs[1]
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAYLEYCOLOUR_RADIUS", "4")
         monkeypatch.setenv("CAYLEYCOLOUR_SEED", "17")
@@ -173,6 +184,17 @@ class TestMonteCarlo:
         assert code == 0
         assert record["result"]["histogram"][0] == 0
         assert sum(record["result"]["histogram"]) == 2000
+
+    def test_conditional_matches_library(self, tmp_path):
+        from cayleycolour.arrows import conditional_pdegree
+        from cayleycolour.configs import RandomSource
+        from cayleycolour.groups import ball, free_group
+
+        args = ["pdeg", "--samples", "4000", "--seed", "13", "--conditional", "--workers", "3"]
+        code, record = run_json(tmp_path, args)
+        expected = conditional_pdegree(ball(free_group(2), 3), RandomSource(13), 4000)
+        assert record["result"]["conditioned_on"] == expected.conditioned_on
+        assert tuple(record["result"]["histogram"]) == expected.histogram
 
     def test_matches_library_sequential(self, tmp_path):
         from cayleycolour.arrows import pdegree_histogram

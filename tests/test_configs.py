@@ -2,13 +2,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycolour.configs import (
     BATCH_SIZE,
     Configuration,
     RandomSource,
+    batches,
     empirical_covariance,
     empirical_density,
+    histogram,
     sample,
     sample_batch,
     shift,
@@ -128,6 +132,43 @@ def test_density_worker_invariance():
         empirical_density(root_is_one, b, 5000, RandomSource(5), workers=w) for w in (1, 2, 4)
     ]
     assert runs[0].count == runs[1].count == runs[2].count
+
+
+def reference_rows(b, source, n, keep):
+    """The first n kept rows, drawn batch by batch without the engine."""
+    kept, batch = [], 0
+    while sum(len(rows) for rows in kept) < n:
+        rows = sample_batch(b, source, batch)
+        kept.append(rows if keep is None else rows[keep(rows)])
+        batch += 1
+    return np.concatenate(kept)[:n]
+
+
+def root_code(rows):
+    return (rows[:, :3] == 1).astype(np.int64) @ np.array([4, 2, 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    workers=st.integers(1, 4),
+    conditioned=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_engine_matches_reference_loop(n, workers, conditioned, seed):
+    b = ball(F2, 1)
+    source = RandomSource(seed)
+    keep = (lambda rows: rows[:, 3] == -1) if conditioned else None
+    expected = reference_rows(b, source, n, keep)
+    drawn = np.concatenate(list(batches(b, source, n, keep=keep, workers=workers)))
+    assert np.array_equal(drawn, expected)
+    counts = histogram(b, source, n, root_code, 8, keep, workers)
+    assert np.array_equal(counts, np.bincount(root_code(expected), minlength=8))
+
+
+def test_engine_rejects_zero_workers():
+    with pytest.raises(ValueError):
+        next(batches(ball(F2, 1), RandomSource(1), 10, workers=0))
 
 
 def test_density_window_check():
