@@ -238,17 +238,13 @@ def constructive_solve(config: Configuration) -> Colouring:
         raise ValueError("need radius at least 3")
     if not config.is_total:
         raise ValueError("need a total configuration")
-    t1, u1, t2, u2 = neighbour_tables(ball)
-    lengths = ball.lengths
-    signs = config.values
-    colouring = Colouring(ball, ARROW_COLOURS, configuration=config)
-    for w in range(len(ball)):
-        if lengths[w] > ball.radius - 1:
-            break
-        first, second = (t1[w], t2[w]) if signs[w] == 1 else (u1[w], u2[w])
-        active = 1 if lengths[first] > lengths[w] else 2
-        colouring.set_colour(w, f"a{active}u")
-    return colouring
+    t1, u1 = neighbour_tables(ball)[:2]
+    inner = ball.interior_indices(1)
+    first = np.where(config.values[inner] == 1, t1[inner], u1[inner])
+    longer = ball.lengths[first] > ball.lengths[inner]
+    codes = np.full(len(ball), -1, dtype=np.int16)
+    codes[inner] = np.where(longer, ARROW_COLOURS.index("a1u"), ARROW_COLOURS.index("a2u"))
+    return Colouring(ball, ARROW_COLOURS, codes, config)
 
 
 @dataclass(frozen=True)

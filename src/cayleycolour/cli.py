@@ -112,7 +112,7 @@ def _solve_colouring(spec: ExperimentSpec, p: Presentation, b: Ball):
         if spec.solver != "iterate":
             raise SpecError(f"unknown solver {spec.solver!r}")
         initial = Colouring.uniform(b, rule.colours, rule.colours[0])
-        if name in _ARROW_NAMES:
+        if rule.window:
             config = sample(b, RandomSource(spec.seed))
             initial = Colouring(b, rule.colours, initial.codes, config)
         colouring, converged, rounds = iterate(rule, initial, max_rounds=64)

@@ -91,10 +91,11 @@ class Configuration:
                 writer.writerow([w.to_string(), int(self.values[i])])
 
 
-def sample_batch(ball: Ball, source: RandomSource, batch: int) -> np.ndarray:
-    """Rows of ±1 values, one per sample in the batch.  int8, shape (B, |ball|)."""
+def sample_batch(ball: Ball, source: RandomSource, batch: int, rows: int = BATCH_SIZE) -> np.ndarray:
+    """Rows of ±1 values, one per sample; the first `rows` of the batch, since
+    PCG64 fills rows in order.  int8, shape (rows, |ball|)."""
     rng = source.batch_rng(batch)
-    values = rng.integers(0, 2, size=(BATCH_SIZE, len(ball)), dtype=np.int8)
+    values = rng.integers(0, 2, size=(rows, len(ball)), dtype=np.int8)
     values *= 2  # in place: one batch-sized allocation per draw
     values -= 1
     return values
@@ -103,8 +104,8 @@ def sample_batch(ball: Ball, source: RandomSource, batch: int) -> np.ndarray:
 def sample(ball: Ball, source: RandomSource, index: int = 0) -> Configuration:
     if index < 0:
         raise ValueError("sample index must be nonnegative")
-    row = sample_batch(ball, source, index // BATCH_SIZE)[index % BATCH_SIZE]
-    return Configuration(ball, row)
+    batch, row = divmod(index, BATCH_SIZE)
+    return Configuration(ball, sample_batch(ball, source, batch, row + 1)[row])
 
 
 def batches(

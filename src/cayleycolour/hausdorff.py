@@ -316,24 +316,19 @@ def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
     into_checks: dict[str, tuple[int, int]] = {}
     onto_checks: dict[str, tuple[int, int]] = {}
     mover_words: dict[str, str] = {}
+    images: dict[int, list[np.ndarray]] = {1: [], 2: []}
     remainder = 0
     for k, name in enumerate(PIECES):
-        word_text, target, _copy = MOVERS[name]
+        word_text, target, copy = MOVERS[name]
         mover = ball.presentation.word(word_text)
         mover_words[name] = word_text
         table = ball.left_table(mover)
         target_code = H_COLOURS.index(target)
-        members = np.nonzero(piece == k + 1)[0]
-        passed = total = 0
-        for i in members:
-            j = int(table[i])
-            if j < 0:
-                remainder += 1
-                continue
-            total += 1
-            if cls[j] == target_code:
-                passed += 1
-        into_checks[name] = (passed, total)
+        moved = table[piece == k + 1]
+        remainder += int(np.count_nonzero(moved < 0))
+        moved = moved[moved >= 0]
+        images[copy].append(moved)
+        into_checks[name] = (int(np.count_nonzero(cls[moved] == target_code)), len(moved))
         inv_table = ball.left_table(mover.inverse())
         opassed = ototal = 0
         for i in inner:
@@ -349,7 +344,9 @@ def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
                 opassed += 1
         onto_checks[name] = (opassed, ototal)
 
-    copies_disjoint = all(p == t for p, t in into_checks.values())
+    # A copy is disjoint when its three pieces never move onto the same vertex.
+    hits = [np.concatenate(parts) for parts in images.values()]
+    copies_disjoint = all(len(np.unique(h)) == len(h) for h in hits)
     return DoublingReport(
         interior_size=len(inner),
         piece_sizes=piece_sizes,

@@ -2,8 +2,13 @@
 
 A rule lists descendant group elements and, per point, an allowed set of
 colours computed from the point's local ±1 window and the descendants'
-colours.  Rank one means the allowed set is never empty.  Checking is
-exact on the interior of a ball (every read stays inside); boundary
+colours.  The inputs are finite, so a rule is compiled once, when built,
+into a read-only boolean table ``allowed[input, colour]``; inputs run in
+``itertools.product`` order over the window signs (-1 first), then the
+descendants' colour codes.  Checking, iteration, rank and JSON export all
+read that table, and a rule whose table exceeds ``MAX_TABLE_CELLS`` cells
+is refused.  Rank one means no input has an empty allowed set.  Checking
+is exact on the interior of a ball (every read stays inside); boundary
 vertices are never judged.
 
 Two rule transformers are provided: doubling the space with a tag bit
@@ -18,22 +23,31 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .configs import Configuration
 from .groups import Ball, ReducedWord
 
-AllowedFn = Callable[[tuple[int, ...], tuple[str, ...]], frozenset[str]]
-
 RANK_ONE = "rank-one"
 RANK_TWO_OR_HIGHER = "rank-two-or-higher"
+
+# In (input, colour) cells; the largest shipped rule, squared(example1), has 9^6.
+MAX_TABLE_CELLS = 2**20
 
 
 class EmptyAllowedSetError(ValueError):
     """Raised when an update hits an empty allowed set (rule not rank one)."""
+
+
+def _inputs(rule: "ColouringRule") -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """Every (window values, descendant colours) input, in table row order."""
+    return itertools.product(
+        itertools.product((-1, 1), repeat=len(rule.window)),
+        itertools.product(rule.colours, repeat=len(rule.descendants)),
+    )
 
 
 @dataclass(frozen=True)
@@ -41,19 +55,21 @@ class ColouringRule:
     """Descendant-driven local constraint with an optional position window.
 
     `allowed_fn` maps (window values, descendant colours) to the set of
-    colours permitted at the point.  `window` lists the group elements
-    whose ±1 coordinates the rule reads; stationary rules read none.
-    `dependency_radius` bounds every read the rule makes, including any
-    the checker performs on its behalf.
+    colours permitted at the point; it is called once per input, at
+    construction, to compile `table` (row = input, column = colour).
+    `window` lists the group elements whose ±1 coordinates the rule reads;
+    stationary rules read none.  `dependency_radius` bounds every read the
+    rule makes, including any the checker performs on its behalf.
     """
 
     name: str
     colours: tuple[str, ...]
     descendants: tuple
-    allowed_fn: AllowedFn
+    allowed_fn: Callable[[tuple[int, ...], tuple[str, ...]], frozenset[str]]
     window: tuple = ()
     dependency_radius: int = 1
     stationary: bool = True
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.colours)) != len(self.colours):
@@ -65,33 +81,41 @@ class ColouringRule:
         reach = [d.length for d in self.descendants] + [w.length for w in self.window]
         if reach and max(reach) > self.dependency_radius:
             raise ValueError("dependency radius smaller than a declared read")
+        k = len(self.colours)
+        cells = 2 ** len(self.window) * k ** (len(self.descendants) + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(f"rule {self.name!r} needs {cells} table cells; the cap is {MAX_TABLE_CELLS}")
+        known = frozenset(self.colours)
+        rows = []
+        for window_values, desc in _inputs(self):
+            allowed = self.allowed_fn(window_values, desc)
+            if not allowed <= known:
+                raise ValueError("allowed set contains unknown colours")
+            rows.append([c in allowed for c in self.colours])
+        table = np.array(rows, dtype=bool)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
-    @property
-    def n_descendants(self) -> int:
-        return len(self.descendants)
-
-    @property
-    def window_radius(self) -> int:
-        return max((w.length for w in self.window), default=0)
+    def allowed_set(self, row: int) -> frozenset[str]:
+        """The colours allowed on table row `row`."""
+        return frozenset(itertools.compress(self.colours, self.table[row]))
 
     def allowed(self, window_values: tuple[int, ...], desc_colours: tuple[str, ...]) -> frozenset[str]:
         if len(window_values) != len(self.window):
             raise ValueError("window value count mismatch")
         if len(desc_colours) != len(self.descendants):
             raise ValueError("descendant colour count mismatch")
-        out = self.allowed_fn(window_values, desc_colours)
-        if not out <= frozenset(self.colours):
-            raise ValueError("allowed set contains unknown colours")
-        return out
+        row = 0
+        for v in window_values:
+            row = 2 * row + (v > 0)
+        for colour in desc_colours:
+            row = len(self.colours) * row + self.colours.index(colour)
+        return self.allowed_set(row)
 
 
 def classify_rank(rule: ColouringRule) -> str:
-    """Exhaust all windows and descendant colourings; rank one iff never empty."""
-    for window_values in itertools.product((-1, 1), repeat=len(rule.window)):
-        for desc in itertools.product(rule.colours, repeat=rule.n_descendants):
-            if not rule.allowed(window_values, desc):
-                return RANK_TWO_OR_HIGHER
-    return RANK_ONE
+    """Rank one iff no input of the compiled table has an empty allowed set."""
+    return RANK_ONE if rule.table.any(axis=1).all() else RANK_TWO_OR_HIGHER
 
 
 class Colouring:
@@ -128,18 +152,11 @@ class Colouring:
         code = int(self.codes[i])
         return None if code < 0 else self.palette[code]
 
-    def colour_of(self, w: ReducedWord) -> str | None:
-        return self.colour_at(self.ball.index_of(w))
-
     def set_colour(self, i: int, colour: str) -> None:
         self.codes[i] = self.palette.index(colour)
 
     def copy(self) -> "Colouring":
         return Colouring(self.ball, self.palette, self.codes.copy(), self.configuration)
-
-    def class_fraction(self, colour: str, vertices: np.ndarray | None = None) -> float:
-        codes = self.codes if vertices is None else self.codes[vertices]
-        return float(np.mean(codes == self.palette.index(colour)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Colouring):
@@ -185,62 +202,58 @@ class ViolationReport:
         }
 
 
-def _reads(rule: ColouringRule, colouring: Colouring):
-    ball = colouring.ball
-    desc_tables = [ball.left_table(d) for d in rule.descendants]
-    window_tables = [ball.left_table(w) for w in rule.window]
+def _window_rows(rule: ColouringRule, colouring: Colouring, vertices: np.ndarray) -> np.ndarray:
+    """The window bits of each vertex's table row; -1 where a window read fails."""
     if rule.window and colouring.configuration is None:
         raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
-    values = colouring.configuration.values if rule.window else None
-    return desc_tables, window_tables, values
+    if colouring.palette != rule.colours:
+        raise ValueError(f"colouring palette differs from the colours of rule {rule.name!r}")
+    rows = np.zeros(len(vertices), dtype=np.int64)
+    for w in rule.window:
+        j = colouring.ball.left_table(w)[vertices]
+        v = np.where(j >= 0, colouring.configuration.values[j], 0)
+        rows = np.where((rows >= 0) & (v != 0), 2 * rows + (v > 0), -1)
+    return rows
 
 
-def _local_inputs(
-    rule: ColouringRule,
-    colouring: Colouring,
-    i: int,
-    desc_tables,
-    window_tables,
-    values,
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    window_values = []
-    for table in window_tables:
-        j = int(table[i])
+def _raise_read_error(rule: ColouringRule, colouring: Colouring, i: int) -> None:
+    """Raise for the first read at vertex i that leaves the ball or finds no value."""
+    ball = colouring.ball
+    for w in rule.window:
+        j = int(ball.left_table(w)[i])
         if j < 0:
             raise ValueError(f"window read leaves the ball at vertex {i}")
-        v = int(values[j])
-        if v == 0:
+        if colouring.configuration.values[j] == 0:
             raise ValueError(f"window read hits an undefined coordinate at vertex {j}")
-        window_values.append(v)
-    desc_colours = []
-    for table in desc_tables:
-        j = int(table[i])
+    for d in rule.descendants:
+        j = int(ball.left_table(d)[i])
         if j < 0:
             raise ValueError(f"descendant read leaves the ball at vertex {i}")
-        colour = colouring.colour_at(j)
-        if colour is None:
+        if colouring.codes[j] < 0:
             raise ValueError(f"descendant at vertex {j} is uncoloured")
-        desc_colours.append(colour)
-    return tuple(window_values), tuple(desc_colours)
 
 
 def check(rule: ColouringRule, colouring: Colouring) -> ViolationReport:
     """Judge every interior vertex exactly; boundary vertices are skipped."""
     interior = colouring.ball.interior_indices(rule.dependency_radius)
-    desc_tables, window_tables, values = _reads(rule, colouring)
-    bad: list[tuple[int, str, frozenset[str]]] = []
-    for i in interior:
-        i = int(i)
-        assigned = colouring.colour_at(i)
-        if assigned is None:
+    rows = _window_rows(rule, colouring, interior)
+    for d in rule.descendants:
+        j = colouring.ball.left_table(d)[interior]
+        c = np.where(j >= 0, colouring.codes[j], -1)
+        rows = np.where((rows >= 0) & (c >= 0), len(rule.colours) * rows + c, -1)
+    assigned = colouring.codes[interior]
+    unreadable = (assigned < 0) | (rows < 0)
+    if unreadable.any():
+        i = int(interior[np.argmax(unreadable)])
+        if colouring.codes[i] < 0:
             raise ValueError(f"interior vertex {i} is uncoloured")
-        window_values, desc_colours = _local_inputs(
-            rule, colouring, i, desc_tables, window_tables, values
-        )
-        allowed = rule.allowed(window_values, desc_colours)
-        if assigned not in allowed:
-            bad.append((i, assigned, allowed))
-    return ViolationReport(interior_size=len(interior), violations=tuple(bad))
+        _raise_read_error(rule, colouring, i)
+    bad = ~rule.table[rows, assigned]
+    violations = tuple(
+        (i, rule.colours[a], rule.allowed_set(row))
+        for i, a, row in zip(interior[bad].tolist(), assigned[bad].tolist(), rows[bad].tolist())
+    )
+    return ViolationReport(interior_size=len(interior), violations=violations)
 
 
 def iterate(
@@ -255,25 +268,30 @@ def iterate(
     """
     colouring = initial.copy()
     if order is None:
-        order = [int(i) for i in colouring.ball.interior_indices(rule.dependency_radius)]
-    desc_tables, window_tables, values = _reads(rule, colouring)
+        order = colouring.ball.interior_indices(rule.dependency_radius)
+    order = np.asarray(order, dtype=np.int64)
+    # Window bits stay fixed; descendant codes are read as the sweep goes.
+    steps = list(zip(order.tolist(), _window_rows(rule, colouring, order).tolist()))
+    reads = [colouring.ball.left_table(d).tolist() for d in rule.descendants]
+    allowed = rule.table.tolist()
+    codes = colouring.codes.tolist()
+    k = len(rule.colours)
     for round_no in range(1, max_rounds + 1):
         changed = False
-        for i in order:
-            window_values, desc_colours = _local_inputs(
-                rule, colouring, i, desc_tables, window_tables, values
-            )
-            allowed = rule.allowed(window_values, desc_colours)
-            if not allowed:
+        for i, row in steps:
+            for table in reads:
+                j = table[i]
+                row = k * row + codes[j] if row >= 0 and j >= 0 and codes[j] >= 0 else -1
+            if row < 0:
+                _raise_read_error(rule, colouring, i)
+            cells = allowed[row]
+            if True not in cells:
                 raise EmptyAllowedSetError(f"empty allowed set at vertex {i}")
-            current = colouring.colour_at(i)
-            if current in allowed:
+            current = codes[i]
+            if current >= 0 and cells[current]:
                 continue
-            for colour in rule.colours:
-                if colour in allowed:
-                    colouring.set_colour(i, colour)
-                    changed = True
-                    break
+            codes[i] = colouring.codes[i] = cells.index(True)
+            changed = True
         if not changed:
             return colouring, True, round_no
     return colouring, False, max_rounds
@@ -306,13 +324,6 @@ class DoubledBall:
 
     def __len__(self) -> int:
         return 2 * len(self.base)
-
-    def vertex(self, tag: int, i: int) -> int:
-        return tag * len(self.base) + i
-
-    def split(self, v: int) -> tuple[int, int]:
-        tag, i = divmod(v, len(self.base))
-        return tag, i
 
     def interior_indices(self, depth: int) -> np.ndarray:
         inner = self.base.interior_indices(depth)
@@ -349,11 +360,8 @@ def double_space(rule: ColouringRule) -> ColouringRule:
     it otherwise.  Any satisfying colouring therefore agrees across copies
     and obeys the base rule on each.
     """
-    if len(rule.colours) < 2:
-        raise ValueError("doubling needs at least two colours")
     if not rule.stationary:
         raise ValueError("doubling is defined here for stationary base rules")
-    base_allowed = rule.allowed_fn
     swap = TaggedWord(rule.descendants[0].presentation.identity(), flip=True)
     here = TaggedWord(rule.descendants[0].presentation.identity(), flip=False)
     descendants = (swap,) + tuple(TaggedWord(d) for d in rule.descendants)
@@ -363,7 +371,7 @@ def double_space(rule: ColouringRule) -> ColouringRule:
         mirrored = desc[0]
         if tag == -1:
             return frozenset({mirrored})
-        base = base_allowed((), desc[1:])
+        base = rule.allowed((), desc[1:])
         if mirrored in base:
             return frozenset({mirrored})
         return frozenset(rule.colours) - {mirrored}
@@ -419,6 +427,11 @@ def split_pair(colour: str) -> tuple[str, str]:
     return first, second
 
 
+def _pair_palette(colours: tuple[str, ...]) -> tuple[str, ...]:
+    """Pair colours in code order: pair code = first code * k + second code."""
+    return tuple(pair_colour(a, b) for a in colours for b in colours)
+
+
 def square_colours(rule: ColouringRule, g: ReducedWord) -> ColouringRule:
     """Track the base colouring and its pull-forward along g as one pair colour.
 
@@ -432,9 +445,6 @@ def square_colours(rule: ColouringRule, g: ReducedWord) -> ColouringRule:
         raise ValueError("g must be one of the rule's descendants")
     if not rule.stationary:
         raise ValueError("colour squaring is defined here for stationary base rules")
-    base_allowed = rule.allowed_fn
-    base_colours = rule.colours
-    colours = tuple(pair_colour(a, b) for a in base_colours for b in base_colours)
     descendants = (g.inverse(), g) + tuple(rule.descendants)
     # One extra g-step of room: lifted pair colours at a descendant are
     # only defined where their own g-step stays inside the ball.
@@ -444,44 +454,36 @@ def square_colours(rule: ColouringRule, g: ReducedWord) -> ColouringRule:
         behind_second = split_pair(desc[0])[1]
         ahead_first = split_pair(desc[1])[0]
         firsts = tuple(split_pair(c)[0] for c in desc[2:])
-        if behind_second in base_allowed((), firsts):
+        if behind_second in rule.allowed((), firsts):
             first_choices = (behind_second,)
         else:
-            first_choices = tuple(c for c in base_colours if c != behind_second)
+            first_choices = tuple(c for c in rule.colours if c != behind_second)
         return frozenset(pair_colour(c, ahead_first) for c in first_choices)
 
     return ColouringRule(
         name=f"squared({rule.name})",
-        colours=colours,
+        colours=_pair_palette(rule.colours),
         descendants=descendants,
         allowed_fn=allowed,
-        window=(),
         dependency_radius=radius,
-        stationary=True,
     )
 
 
 def lift_to_square(colouring: Colouring, g: ReducedWord, palette: tuple[str, ...]) -> Colouring:
     """Pair each vertex's colour with the colour one g-step ahead."""
-    ball = colouring.ball
-    table = ball.left_table(g)
-    codes = np.full(len(ball), -1, dtype=np.int16)
-    pairs = {pc: k for k, pc in enumerate(palette)}
-    for i in range(len(ball)):
-        j = int(table[i])
-        a = colouring.colour_at(i)
-        b = colouring.colour_at(j) if j >= 0 else None
-        if a is not None and b is not None:
-            codes[i] = pairs[pair_colour(a, b)]
-    return Colouring(ball, palette, codes)
+    if palette != _pair_palette(colouring.palette):
+        raise ValueError("palette is not the squared colouring palette")
+    table = colouring.ball.left_table(g)
+    first = colouring.codes.astype(np.int32)
+    second = np.where(table >= 0, first[table], -1)
+    codes = np.where((first >= 0) & (second >= 0), first * len(colouring.palette) + second, -1)
+    return Colouring(colouring.ball, palette, codes)
 
 
 def project_first(colouring: Colouring, base_palette: tuple[str, ...]) -> Colouring:
-    codes = np.full(len(colouring.ball), -1, dtype=np.int16)
-    for i in range(len(colouring.ball)):
-        c = colouring.colour_at(i)
-        if c is not None:
-            codes[i] = base_palette.index(split_pair(c)[0])
+    if colouring.palette != _pair_palette(base_palette):
+        raise ValueError("colouring palette is not the squared base palette")
+    codes = np.where(colouring.codes >= 0, colouring.codes // len(base_palette), -1)
     return Colouring(colouring.ball, base_palette, codes)
 
 
@@ -495,14 +497,16 @@ def register_builtin(name: str, factory: Callable[..., ColouringRule]) -> None:
     BUILTIN_RULES[name] = factory
 
 
+def _json_key(window_values: tuple[int, ...], desc: tuple[str, ...]) -> str:
+    return "".join("+" if v > 0 else "-" for v in window_values) + "|" + ",".join(desc)
+
+
 def rule_to_json(rule: ColouringRule) -> str:
     """Serialize with the allowed table fully enumerated."""
-    table = {}
-    for window_values in itertools.product((-1, 1), repeat=len(rule.window)):
-        for desc in itertools.product(rule.colours, repeat=rule.n_descendants):
-            key_w = "".join("+" if v > 0 else "-" for v in window_values)
-            key = key_w + "|" + ",".join(desc)
-            table[key] = sorted(rule.allowed(window_values, desc))
+    table = {
+        _json_key(window_values, desc): sorted(itertools.compress(rule.colours, cells))
+        for (window_values, desc), cells in zip(_inputs(rule), rule.table)
+    }
     return json.dumps(
         {
             "name": rule.name,
@@ -521,21 +525,13 @@ def rule_from_json(text: str, presentation) -> ColouringRule:
     doc = json.loads(text)
     if "builtin" in doc:
         return BUILTIN_RULES[doc["builtin"]]()
-    colours = tuple(doc["colours"])
-    descendants = tuple(presentation.word(d) for d in doc["descendants"])
-    window = tuple(presentation.word(w) for w in doc["window"])
-    table = {k: frozenset(v) for k, v in doc["allowed"].items()}
-
-    def allowed(window_values: tuple[int, ...], desc: tuple[str, ...]) -> frozenset[str]:
-        key_w = "".join("+" if v > 0 else "-" for v in window_values)
-        return table[key_w + "|" + ",".join(desc)]
-
+    table = doc["allowed"]
     return ColouringRule(
         name=doc["name"],
-        colours=colours,
-        descendants=descendants,
-        allowed_fn=allowed,
-        window=window,
+        colours=tuple(doc["colours"]),
+        descendants=tuple(presentation.word(d) for d in doc["descendants"]),
+        allowed_fn=lambda window_values, desc: frozenset(table[_json_key(window_values, desc)]),
+        window=tuple(presentation.word(w) for w in doc["window"]),
         dependency_radius=doc["dependency_radius"],
         stationary=doc["stationary"],
     )

@@ -144,6 +144,16 @@ class TestSolveCheck:
         )
         assert code == 1 and "iterate" in record["error"]["message"]
 
+    def test_file_rule_with_window_matches_builtin(self, tmp_path):
+        # A file rule that reads a window gets the same sampled configuration.
+        rule_path = tmp_path / "arrow.json"
+        rule_path.write_text(rule_to_json(arrows.arrow_rule()))
+        args = ["check", "--solver", "iterate", "--radius", "6", "--seed", "3", "--rule"]
+        _, builtin = run_json(tmp_path, args + ["arrow"], "builtin.json")
+        _, from_file = run_json(tmp_path, args + [str(rule_path)], "file.json")
+        assert "result" in from_file
+        assert from_file["result"] == builtin["result"]
+
 
 class TestAudits:
     def test_example1_contradiction(self, tmp_path):

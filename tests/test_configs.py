@@ -17,7 +17,7 @@ from cayleycolour.configs import (
     sample_batch,
     shift,
 )
-from cayleycolour.groups import ball, free_group
+from cayleycolour.groups import ball, free_group, reduce_letters, z2_z3
 
 F2 = free_group(2)
 
@@ -60,6 +60,15 @@ def test_coordinate_access():
     x = sample(b, RandomSource(42))
     assert x[F2.identity()] == GOLDEN_SEED42_R2[0]
     assert x[F2.word("a")] == GOLDEN_SEED42_R2[1]
+
+
+@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2500])
+def test_sample_is_its_batch_row(index):
+    # sample draws only the rows up to its own; they are a prefix of the batch.
+    b = ball(F2, 3)
+    src = RandomSource(17)
+    batch = sample_batch(b, src, index // BATCH_SIZE)
+    assert np.array_equal(sample(b, src, index).values, batch[index % BATCH_SIZE])
 
 
 def test_shift_identity():
@@ -222,3 +231,29 @@ def test_density_record_fields():
     assert rec["n"] == 1000
     assert rec["seed"] == 6
     assert rec["algorithm"].startswith("pcg64")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    torsion=st.booleans(),
+    radius=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.sampled_from([0.0, 0.1]),
+)
+def test_shift_action_law_random(data, torsion, radius, seed, holes):
+    # shift(shift(x, g), h) = shift(x, hg) wherever both are defined, and the
+    # two-step domain lies inside the one-step domain.
+    p = z2_z3() if torsion else F2
+    letters = st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=4)
+    g, h = (reduce_letters(data.draw(letters), p) for _ in range(2))
+    b = ball(p, radius)
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(b))
+    values[rng.random(len(b)) < holes] = 0
+    x = Configuration(b, values)
+    two = shift(shift(x, g), h)
+    one = shift(x, h * g)
+    both = two.defined_mask() & one.defined_mask()
+    assert np.array_equal(two.values[both], one.values[both])
+    assert not np.any(two.defined_mask() & ~one.defined_mask())

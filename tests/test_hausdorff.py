@@ -7,6 +7,7 @@ from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.hausdorff import (
     E1_COLOURS,
     H_COLOURS,
+    MOVERS,
     example1_certificates,
     example1_program,
     example1_rule,
@@ -156,6 +157,16 @@ def test_six_piece_movers_verified():
     assert report.copies_disjoint
     # At this radius at least some moved vertices stay inside.
     assert any(total > 0 for _, total in report.into_checks.values())
+
+
+def test_copies_disjoint_fails_on_overlapping_images(monkeypatch):
+    # s sends the P5 piece into A, as P1's mover does: every into-check
+    # still passes, but copy 1 now hits some vertices twice.
+    monkeypatch.setitem(MOVERS, "P5", ("s", "A", 1))
+    report = six_piece_doubling(hausdorff_solve(ball(z2_z3(), 10)))
+    assert all(passed == total for passed, total in report.into_checks.values())
+    assert not report.copies_disjoint
+    assert not report.all_verified
 
 
 def test_six_piece_rejects_bad_classes():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycolour.groups import ball, free_group
 from cayleycolour.measures import (
@@ -179,3 +181,27 @@ def test_flow_requires_constraint():
 def test_constraint_relation_validation():
     with pytest.raises(ValueError):
         Constraint((), Fraction(0), "<", (), Fraction(0), "bad")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_vars=st.integers(1, 4), with_simplex=st.booleans())
+def test_feasible_gives_witness_or_replayable_refutation(data, n_vars, with_simplex):
+    names = tuple(f"x{i}" for i in range(n_vars))
+    side = st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.sampled_from(names)), max_size=3)
+    const = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    rows = data.draw(
+        st.lists(st.tuples(st.sampled_from([le, eq]), side, side, const, const), min_size=1, max_size=6)
+    )
+    constraints = [
+        relation(lhs, rhs, f"c{k}", lhs_const=lc, rhs_const=rc)
+        for k, (relation, lhs, rhs, lc, rc) in enumerate(rows)
+    ]
+    if with_simplex:
+        constraints += simplex_program(names).constraints
+    program = DensityProgram(names, tuple(constraints))
+    result = feasible(program)
+    if result.feasible:
+        assert set(result.witness) == set(names)
+        assert all(c.holds_at(result.witness) for c in program.constraints)
+    else:
+        assert replay_refutation(program, result.refutation)

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleycolour.groups import ball, free_group
+from cayleycolour.configs import Configuration
+from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.rules import (
     RANK_ONE,
     RANK_TWO_OR_HIGHER,
@@ -225,6 +230,39 @@ def test_rule_validation():
         )
 
 
+def test_rule_compiles_once_and_refuses_oversize_tables():
+    calls = []
+
+    def counted(w, d):
+        calls.append((w, d))
+        return frozenset({"Y"} if d[0] == "X" else {"X"})
+
+    rule = ColouringRule(
+        name="counted", colours=("X", "Y"), descendants=(F2.word("a"),), allowed_fn=counted
+    )
+    assert sorted(calls) == [((), ("X",)), ((), ("Y",))]
+    b = ball(F2, 3)
+    iterate(rule, Colouring.uniform(b, rule.colours, "X"), max_rounds=3)
+    check(rule, parity_colouring(b))
+    classify_rank(rule)
+    rule_to_json(rule)
+    assert rule.allowed((), ("X",)) == {"Y"}
+    assert len(calls) == 2  # every reader used the compiled table
+
+    def never(w, d):
+        raise AssertionError("an oversize rule must be refused before it is enumerated")
+
+    with pytest.raises(ValueError, match="cap"):
+        ColouringRule(
+            name="huge", colours=("W", "X", "Y", "Z"), descendants=(F2.word("a"),) * 10, allowed_fn=never
+        )
+    with pytest.raises(ValueError, match="unknown colours"):
+        ColouringRule(
+            name="stray", colours=("X", "Y"), descendants=(F2.word("a"),),
+            allowed_fn=lambda w, d: frozenset({"Q"}),
+        )
+
+
 def test_rule_json_round_trip():
     rule = differ_rule()
     text = rule_to_json(rule)
@@ -240,3 +278,157 @@ def test_rule_json_builtin():
     register_builtin("test-differ", differ_rule)
     back = rule_from_json('{"builtin": "test-differ"}', F2)
     assert back.name == "differ-from-a"
+
+
+# ---------------------------------------------------------------------------
+# The compiled table against a per-vertex reference that calls allowed_fn.
+
+
+def reference_inputs(rule, colouring, i):
+    """Window values and descendant colours at vertex i, read one by one."""
+    ball_ = colouring.ball
+    window_values = []
+    for w in rule.window:
+        j = int(ball_.left_table(w)[i])
+        if j < 0:
+            raise ValueError(f"window read leaves the ball at vertex {i}")
+        v = int(colouring.configuration.values[j])
+        if v == 0:
+            raise ValueError(f"window read hits an undefined coordinate at vertex {j}")
+        window_values.append(v)
+    desc_colours = []
+    for d in rule.descendants:
+        j = int(ball_.left_table(d)[i])
+        if j < 0:
+            raise ValueError(f"descendant read leaves the ball at vertex {i}")
+        colour = colouring.colour_at(j)
+        if colour is None:
+            raise ValueError(f"descendant at vertex {j} is uncoloured")
+        desc_colours.append(colour)
+    return tuple(window_values), tuple(desc_colours)
+
+
+def reference_check(rule, colouring):
+    interior = colouring.ball.interior_indices(rule.dependency_radius)
+    if rule.window and colouring.configuration is None:
+        raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
+    bad = []
+    for i in interior.tolist():
+        assigned = colouring.colour_at(i)
+        if assigned is None:
+            raise ValueError(f"interior vertex {i} is uncoloured")
+        allowed = rule.allowed_fn(*reference_inputs(rule, colouring, i))
+        if assigned not in allowed:
+            bad.append((i, assigned, allowed))
+    return len(interior), tuple(bad)
+
+
+def reference_iterate(rule, initial, max_rounds, order=None):
+    colouring = initial.copy()
+    if order is None:
+        order = colouring.ball.interior_indices(rule.dependency_radius).tolist()
+    if rule.window and colouring.configuration is None:
+        raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
+    for round_no in range(1, max_rounds + 1):
+        changed = False
+        for i in order:
+            allowed = rule.allowed_fn(*reference_inputs(rule, colouring, i))
+            if not allowed:
+                raise EmptyAllowedSetError(f"empty allowed set at vertex {i}")
+            if colouring.colour_at(i) in allowed:
+                continue
+            colouring.set_colour(i, next(c for c in rule.colours if c in allowed))
+            changed = True
+        if not changed:
+            return colouring.codes.tobytes(), True, round_no
+    return colouring.codes.tobytes(), False, max_rounds
+
+
+def outcome(fn, *args):
+    try:
+        return "result", fn(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+SPACES = {"F2": free_group(2), "Z2*Z3": z2_z3()}
+
+
+def all_inputs(window, colours, descendants):
+    return list(
+        itertools.product(
+            itertools.product((-1, 1), repeat=len(window)),
+            itertools.product(colours, repeat=len(descendants)),
+        )
+    )
+
+
+@st.composite
+def random_rules(draw):
+    p = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    near = list(ball(p, 2).words)
+    colours = tuple(f"c{i}" for i in range(draw(st.integers(2, 4))))
+    window = tuple(draw(st.lists(st.sampled_from(near), max_size=2)))
+    descendants = tuple(draw(st.lists(st.sampled_from(near), min_size=1, max_size=3)))
+    inputs = all_inputs(window, colours, descendants)
+    masks = draw(st.lists(st.integers(0, 2 ** len(colours) - 1), min_size=len(inputs), max_size=len(inputs)))
+    sets = {
+        key: frozenset(c for bit, c in enumerate(colours) if mask >> bit & 1)
+        for key, mask in zip(inputs, masks)
+    }
+    rule = ColouringRule(
+        name="random",
+        colours=colours,
+        descendants=descendants,
+        allowed_fn=lambda w, d: sets[(w, d)],
+        window=window,
+        dependency_radius=max([1] + [w.length for w in window + descendants]),
+        stationary=not window,
+    )
+    return p, rule
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=random_rules(),
+    radius=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    uncoloured=st.sampled_from([0.0, 0.01, 0.3]),
+    undefined=st.sampled_from([0.0, 0.05]),
+    attach=st.sampled_from([True, True, True, False]),
+    order_kind=st.sampled_from(["interior", "shuffled", "all"]),
+)
+def test_compiled_rule_matches_reference(drawn, radius, seed, uncoloured, undefined, attach, order_kind):
+    p, rule = drawn
+    b = ball(p, radius)
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, len(rule.colours), size=len(b)).astype(np.int16)
+    codes[rng.random(len(b)) < uncoloured] = -1
+    config = None
+    if attach:
+        values = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(b))
+        values[rng.random(len(b)) < undefined] = 0
+        config = Configuration(b, values)
+    colouring = Colouring(b, rule.colours, codes, config)
+
+    compiled = outcome(check, rule, colouring)
+    if compiled[0] == "result":
+        compiled = ("result", (compiled[1].interior_size, compiled[1].violations))
+    assert compiled == outcome(reference_check, rule, colouring)
+
+    order = None
+    if order_kind == "shuffled":
+        order = rng.permutation(b.interior_indices(rule.dependency_radius)).tolist()
+    elif order_kind == "all":
+        order = list(range(len(b)))
+    compiled = outcome(iterate, rule, colouring, 4, order)
+    if compiled[0] == "result":
+        out, converged, rounds = compiled[1]
+        compiled = ("result", (out.codes.tobytes(), converged, rounds))
+    assert compiled == outcome(reference_iterate, rule, colouring, 4, order)
+
+    inputs = all_inputs(rule.window, rule.colours, rule.descendants)
+    rank_one = all(rule.allowed_fn(*key) for key in inputs)
+    assert classify_rank(rule) == (RANK_ONE if rank_one else RANK_TWO_OR_HIGHER)
+    back = rule_from_json(rule_to_json(rule), p)
+    assert all(back.allowed(*key) == rule.allowed_fn(*key) for key in inputs)
