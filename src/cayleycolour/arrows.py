@@ -94,27 +94,28 @@ def arrow_rule(presentation: Presentation | None = None) -> ColouringRule:
 def neighbour_tables(ball: Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Left-translation tables for T1, T1^-1, T2, T2^-1."""
     _check_rank_two_free(ball.presentation)
-    p = ball.presentation
-    return (
-        ball.left_table(p.generator(0)),
-        ball.left_table(p.generator(0, -1)),
-        ball.left_table(p.generator(1)),
-        ball.left_table(p.generator(1, -1)),
-    )
+    t1, u1, t2, u2 = ball.unit_tables()
+    return t1, u1, t2, u2
+
+
+def candidate_arrays(config: Configuration, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two vertices the arrow at each vertex may target, per its sign bit."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    t1, u1, t2, u2 = (table[vertices] for table in neighbour_tables(config.ball))
+    outside = np.minimum(np.minimum(t1, u1), np.minimum(t2, u2)) < 0
+    if outside.any():
+        raise ValueError(f"vertex {int(vertices[outside][0])} has a neighbour outside the ball")
+    sign = config.values[vertices]
+    if (sign == 0).any():
+        raise ValueError(f"sign bit undefined at vertex {int(vertices[sign == 0][0])}")
+    up = sign == 1
+    return np.where(up, t1, u1), np.where(up, t2, u2)
 
 
 def candidates(config: Configuration, w: int) -> tuple[int, int]:
     """The two vertices the arrow at w may target, per w's sign bit."""
-    ball = config.ball
-    t1, u1, t2, u2 = neighbour_tables(ball)
-    if min(t1[w], u1[w], t2[w], u2[w]) < 0:
-        raise ValueError(f"vertex {w} has a neighbour outside the ball")
-    sign = int(config.values[w])
-    if sign == 1:
-        return int(t1[w]), int(t2[w])
-    if sign == -1:
-        return int(u1[w]), int(u2[w])
-    raise ValueError(f"sign bit undefined at vertex {w}")
+    z1, z2 = candidate_arrays(config, np.array([w]))
+    return int(z1[0]), int(z2[0])
 
 
 def pdegree(config: Configuration, w: int) -> int:

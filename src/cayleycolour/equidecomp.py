@@ -337,6 +337,13 @@ def _check_rank_two_free(p: Presentation) -> None:
         raise ValueError("prefix sets live on the rank-two free group")
 
 
+def _prefix_masks(b: Ball) -> list[np.ndarray]:
+    """Per unit letter of `adjacency_letters()` (s, S, t, T on the rank-two
+    free group), the vertices whose reduced word starts with it."""
+    first, _ = b.first_steps()
+    return [first == i for i in range(len(b.presentation.adjacency_letters()))]
+
+
 def prefix_set(letter: str, b: Ball) -> frozenset[ReducedWord]:
     """All ball words starting (on the left) with the given unit letter,
     written in the presentation's own alphabet (uppercase for inverses)."""
@@ -345,20 +352,8 @@ def prefix_set(letter: str, b: Ball) -> frozenset[ReducedWord]:
     unit = p.word(letter)
     if unit.length != 1 or abs(unit.letters[0][1]) != 1:
         raise ValueError(f"not a unit letter: {letter!r}")
-    gen, exp = unit.letters[0]
-    out = set()
-    for w in b.words:
-        if w.is_identity:
-            continue
-        g0, e0 = w.letters[0]
-        if g0 == gen and (e0 > 0) == (exp > 0):
-            out.add(w)
-    return frozenset(out)
-
-
-def _letter_names(p: Presentation) -> tuple[str, str, str, str]:
-    s, t = p.name(0), p.name(1)
-    return s, s.upper(), t, t.upper()
+    mask = _prefix_masks(b)[p.adjacency_letters().index(unit.letters[0])]
+    return frozenset(b.words[int(i)] for i in np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -388,14 +383,6 @@ class PrefixReport:
         }
 
 
-def _restrict(words: Iterable[ReducedWord], radius: int) -> frozenset[ReducedWord]:
-    return frozenset(w for w in words if w.length <= radius)
-
-
-def _translate(g: ReducedWord, words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
-    return frozenset(g * w for w in words)
-
-
 def verify_prefix_identities(b: Ball) -> PrefixReport:
     """Exact prefix-set identities, truncation-aware.
 
@@ -405,24 +392,29 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
     accumulate the powers of the second generator, and the running
     intersections stabilize toward the inverse-prefix set plus that power
     core, with the tail shrinking at every step.
+
+    Sets are boolean masks over the ball's vertices, translated with
+    `Ball.left_table`.  Products that leave the ball are dropped: every
+    comparison is restricted to length <= radius - 1 first (radius - n at
+    chain step n), and a word of length > radius stays longer than that
+    under the n or fewer left multiplications by t that follow.
     """
     p = b.presentation
     _check_rank_two_free(p)
     if b.radius < 3:
         raise ValueError("need radius at least 3")
-    s_name, s_inv_name, t_name, t_inv_name = _letter_names(p)
-    ws = prefix_set(s_name, b)
-    ws_inv = prefix_set(s_inv_name, b)
-    wt = prefix_set(t_name, b)
-    wt_inv = prefix_set(t_inv_name, b)
-    one = p.identity()
+    ws, ws_inv, wt, wt_inv = _prefix_masks(b)
+    one = np.arange(len(b)) == 0
     s, t = p.generator(0), p.generator(1)
 
-    everything = frozenset(b.words)
-    partition_exact = (
-        {one} | ws | ws_inv | wt | wt_inv == everything
-        and len(ws) + len(ws_inv) + len(wt) + len(wt_inv) + 1 == len(everything)
-    )
+    def translate(g: ReducedWord, mask: np.ndarray) -> np.ndarray:
+        images = b.left_table(g)[mask]
+        out = np.zeros(len(b), dtype=bool)
+        out[images[images >= 0]] = True
+        return out
+
+    parts = (one, ws, ws_inv, wt, wt_inv)
+    partition_exact = bool(np.all(np.logical_or.reduce(parts))) and sum(int(np.count_nonzero(m)) for m in parts) == len(b)
 
     star_exact = []
     star_gap = []
@@ -430,34 +422,38 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
         (s, ws_inv, (ws_inv, wt, wt_inv)),
         (t, wt_inv, (wt_inv, ws, ws_inv)),
     ):
-        inner = b.radius - 1
-        lhs = _restrict(_translate(g, src), inner)
-        corrected = _restrict({one} | others[0] | others[1] | others[2], inner)
-        literal = _restrict(others[0] | others[1] | others[2], inner)
-        star_exact.append(lhs == corrected)
-        star_gap.append(tuple(sorted(w.to_string() for w in lhs - literal)))
+        inner = b.lengths <= b.radius - 1
+        lhs = translate(g, src) & inner
+        literal = (others[0] | others[1] | others[2]) & inner
+        star_exact.append(bool(np.array_equal(lhs, one | literal)))
+        star_gap.append(tuple(sorted(b.words[int(i)].to_string() for i in np.flatnonzero(lhs & ~literal))))
 
     # Chain: j0 is everything off the s-axis including the identity; each
     # step multiplies by t and removes the s-prefixed words.  Closed form
     # at step n: the powers t^0..t^n, the t-inverse prefixes, and the words
     # with at least n+1 leading t's.
     remove = ws | ws_inv
+    t_table = b.left_table(t)
     chain_exact = []
     chain_gap_sizes = []
     tail_sizes = []
-    current = {one} | wt | wt_inv
-    running: frozenset[ReducedWord] | None = None
+    current = one | wt | wt_inv
+    powers = one.copy()
+    power = 0  # the vertex t^n
+    running: np.ndarray | None = None
     for n in range(1, b.radius - 1):
-        inner = b.radius - n
-        current = _translate(t, current) - remove
-        powers = {t**k for k in range(0, n + 1)}
-        closed = _restrict(powers | wt_inv | _translate(t**n, wt), inner)
-        computed = _restrict(current, inner)
-        chain_exact.append(computed == closed)
-        literal = _restrict({t**n} | wt_inv | _translate(t**n, wt), inner)
-        chain_gap_sizes.append(len(computed - literal))
-        running = computed if running is None else (_restrict(running, inner) & computed)
-        tail_sizes.append(len(running - _restrict(wt_inv, inner)))
+        inner = b.lengths <= b.radius - n
+        current = translate(t, current) & ~remove
+        power = int(t_table[power])
+        powers[power] = True
+        shifted = translate(t**n, wt)
+        closed = (powers | wt_inv | shifted) & inner
+        computed = current & inner
+        chain_exact.append(bool(np.array_equal(computed, closed)))
+        literal = ((np.arange(len(b)) == power) | wt_inv | shifted) & inner
+        chain_gap_sizes.append(int(np.count_nonzero(computed & ~literal)))
+        running = computed if running is None else (running & inner & computed)
+        tail_sizes.append(int(np.count_nonzero(running & ~(wt_inv & inner))))
 
     return PrefixReport(
         radius=b.radius,

@@ -444,6 +444,11 @@ class Ball:
             parent[mine] = self._block_table((gen, -exp), "left")[mine]
         return first, parent
 
+    def unit_tables(self) -> list[np.ndarray]:
+        """Left tables of the `adjacency_letters()`, in that order, which is
+        the order `first_steps` indexes."""
+        return [self._block_table(letter, "left") for letter in self.presentation.adjacency_letters()]
+
     def _compose_blocks(self, tables: list[np.ndarray]) -> np.ndarray:
         """The table applying tables[-1] first and tables[0] last."""
         if not tables:

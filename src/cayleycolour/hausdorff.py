@@ -329,20 +329,11 @@ def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
         moved = moved[moved >= 0]
         images[copy].append(moved)
         into_checks[name] = (int(np.count_nonzero(cls[moved] == target_code)), len(moved))
-        inv_table = ball.left_table(mover.inverse())
-        opassed = ototal = 0
-        for i in inner:
-            i = int(i)
-            if cls[i] != target_code:
-                continue
-            j = int(inv_table[i])
-            if j < 0 or piece[j] == 0:
-                remainder += 1
-                continue
-            ototal += 1
-            if piece[j] == k + 1:
-                opassed += 1
-        onto_checks[name] = (opassed, ototal)
+        sources = ball.left_table(mover.inverse())[inner[cls[inner] == target_code]]
+        inside = sources >= 0
+        landed = piece[sources[inside]]
+        remainder += len(sources) - int(np.count_nonzero(landed))
+        onto_checks[name] = (int(np.count_nonzero(landed == k + 1)), int(np.count_nonzero(landed)))
 
     # A copy is disjoint when its three pieces never move onto the same vertex.
     hits = [np.concatenate(parts) for parts in images.values()]

@@ -13,11 +13,11 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arrows import arrow_field, candidates, incoming_counts, neighbour_tables
+from .arrows import arrow_field, candidate_arrays, candidates, incoming_counts, neighbour_tables
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
@@ -142,9 +142,9 @@ class SecondaryGraph:
     def write_csv(self, fileobj: IO[str]) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
-        words = self.ball.words
+        names = [w.to_string() for w in self.ball.words]
         for x, y, _ in self.edges():
-            writer.writerow(("secondary", words[x].to_string(), words[y].to_string()))
+            writer.writerow(("secondary", names[x], names[y]))
 
 
 def secondary_graph(config: Configuration, b: Ball | None = None, depth: int = 2) -> SecondaryGraph:
@@ -210,24 +210,78 @@ def check_proper_list(
     return ViolationReport(interior_size=len(adj), violations=tuple(violations))
 
 
-def apply_left_word(b: Ball, gamma: ReducedWord, indices: np.ndarray) -> np.ndarray:
-    """gamma * (each vertex), walking unit letters through cached tables.
+_BLOCK_ENTRIES = 1 << 16
 
-    Suffixes of a reduced word never overshoot both endpoints in a free
-    group, so intermediate steps cannot leave the ball spuriously.
+
+def _word_images(b: Ball, limit: int, vertices: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """gamma * x for every word gamma of length <= limit and every x in
+    `vertices`, one block of columns at a time.
+
+    Those words are a length-prefix of the ball's vertices, and each is its
+    first unit letter times its parent (`Ball.first_steps`), one sphere
+    shorter, so one gather per sphere fills a block:
+    image[gamma] = unit[first[gamma]][image[parent[gamma]]].  That walks
+    the suffixes of gamma, so an entry is -1 once a suffix times x leaves
+    the ball; in a free group the lengths along that walk fall and then
+    rise, so this happens exactly when gamma * x is outside.  Yields
+    (start, images) with images[gamma, j] = gamma * vertices[start + j];
+    a block holds about _BLOCK_ENTRIES entries, and at least one column.
     """
-    out = np.asarray(indices)
-    for gen, exp in reversed(gamma.unit_letters()):
-        table = b.left_table(b.presentation.generator(gen, exp))
-        out = np.where(out >= 0, table[np.maximum(out, 0)], -1)
-    return out
+    bounds = np.cumsum([0, *b.sphere_sizes[: limit + 1]])
+    first, parent = b.first_steps()
+    units = np.full((len(b.presentation.adjacency_letters()), len(b) + 1), -1, dtype=np.int32)
+    units[:, :-1] = b.unit_tables()  # column -1 sends -1 to -1
+    spheres = [(lo, hi, first[lo:hi, None], parent[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    step = max(1, _BLOCK_ENTRIES // int(bounds[-1]))
+    for start in range(0, len(vertices), step):
+        chunk = vertices[start : start + step]
+        images = np.empty((bounds[-1], len(chunk)), dtype=np.int32)
+        images[0] = chunk
+        for lo, hi, letters, parents in spheres:
+            images[lo:hi] = units[letters, images[parents]]
+        yield start, images
 
 
-def _words_by_parity(b: Ball, limit: int, parity: int) -> list[ReducedWord]:
-    """Nonempty words of length <= limit and the given parity, in canonical
-    order: a length-prefix of the ball, since the ball is ordered by length."""
-    prefix = b.lengths[: sum(b.sphere_sizes[: limit + 1])]
-    return [b.words[i] for i in np.flatnonzero((prefix % 2 == parity) & (prefix > 0))]
+def _edge_blocks(
+    b: Ball,
+    limit: int,
+    parity: int,
+    vertices: np.ndarray,
+    codes: np.ndarray,
+    forbidden: Sequence[np.ndarray] = (),
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block of `_word_images`, the pairs (x, gamma * x) for nonempty
+    words gamma of length <= limit with the given parity, gamma * x in the
+    ball and codes[gamma * x] different from every forbidden[k] at x.
+
+    Yields (word, position, x, image) arrays, word-major within a block;
+    position indexes `vertices`, so (word, position) is the order of a
+    loop over words outside a loop over vertices.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    lengths = b.lengths[: sum(b.sphere_sizes[: limit + 1])]
+    rows = np.flatnonzero((lengths % 2 == parity) & (lengths > 0))
+    for start, images in _word_images(b, limit, vertices):
+        images = images[rows]
+        keep = images >= 0
+        image_codes = codes[images]
+        for colours in forbidden:
+            keep &= image_codes != colours[start : start + images.shape[1]]
+        word, column = np.nonzero(keep)
+        position = start + column
+        yield rows[word], position, vertices[position], images[word, column]
+
+
+def _in_order(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) pairs of all blocks, sorted by (word, position)."""
+    parts = list(blocks)
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    word, position, x, y = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((position, word))
+    return x[order], y[order]
 
 
 @dataclass(frozen=True)
@@ -280,10 +334,8 @@ def calibrate_N(
         if samples is not None and samples < len(eligible):
             eligible = np.sort(rng.choice(eligible, size=samples, replace=False))
         seen = np.zeros((len(eligible), n_colours), dtype=bool)
-        for gamma in _words_by_parity(b, n_odd, 1):
-            images = apply_left_word(b, gamma, eligible)
-            ok = images >= 0
-            seen[np.flatnonzero(ok), base.codes[images[ok]]] = True
+        for _, position, _, images in _edge_blocks(b, n_odd, 1, eligible, base.codes):
+            seen[position, base.codes[images]] = True
         failing = eligible[~seen.all(axis=1)]
         fraction = Fraction(len(failing), len(eligible)) if len(eligible) else Fraction(1)
         trace.append((n_odd, len(eligible), len(failing)))
@@ -299,6 +351,11 @@ class DoubledGraph:
     differently-base-coloured edges on the second, and cross edges gated by
     the base colours of each vertex's candidate pair.  Vertices v < n are
     the first copy; rho(v) = v + n mirrors into the second.
+
+    Cross edges come from the nonempty odd words of length <= odd_limit,
+    copy2 edges from the nonempty even words of length <= even_limit; both
+    limits are clipped at the radius.  The edges are not stored: they are
+    generated from the words, one block of `_word_images` at a time.
     """
 
     ball: Ball
@@ -308,8 +365,8 @@ class DoubledGraph:
     q_proxy: frozenset[int]
     strict: bool
     secondary: SecondaryGraph
-    odd_words: tuple[ReducedWord, ...]
-    even_words: tuple[ReducedWord, ...]
+    odd_limit: int
+    even_limit: int
 
     @property
     def n_first(self) -> int:
@@ -319,40 +376,36 @@ class DoubledGraph:
         return (v + self.n_first) % (2 * self.n_first)
 
     def degree_bound(self) -> int:
-        return 6 + len(self.odd_words) + len(self.even_words)
+        sizes = self.ball.sphere_sizes
+        odd = sum(sizes[1 : self.odd_limit + 1 : 2])
+        even = sum(sizes[2 : self.even_limit + 1 : 2])
+        return 6 + odd + even
+
+    def _cross_blocks(self, vertices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """`_edge_blocks` of the cross family; positions index `vertices`
+        after dropping Q and the last sphere, which keeps their order."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        inside = self.ball.lengths[vertices] <= self.ball.radius - 1
+        eligible = vertices[inside & ~np.isin(vertices, list(self.q_proxy))]
+        z1, z2 = candidate_arrays(self.config, eligible)
+        codes = self.base.codes
+        return _edge_blocks(self.ball, self.odd_limit, 1, eligible, codes, (codes[z1], codes[z2]))
+
+    def _copy2_blocks(self, vertices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        vertices = np.asarray(vertices, dtype=np.int64)
+        codes = self.base.codes
+        return _edge_blocks(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
 
     def cross_pairs(self, vertices: np.ndarray) -> Iterable[tuple[int, int]]:
-        """(x, z) with x in the first copy, rho(z) its cross neighbour."""
-        eligible = np.array(
-            [v for v in vertices if int(self.ball.lengths[v]) <= self.ball.radius - 1 and int(v) not in self.q_proxy],
-            dtype=np.int64,
-        )
-        if not len(eligible):
-            return
-        cand_codes = np.stack(
-            [self.base.codes[list(candidates(self.config, int(x)))] for x in eligible]
-        )
-        for gamma in self.odd_words:
-            if gamma.length > self.N:
-                continue
-            images = apply_left_word(self.ball, gamma, eligible)
-            ok = images >= 0
-            z_codes = self.base.codes[np.maximum(images, 0)]
-            keep = ok & (z_codes != cand_codes[:, 0]) & (z_codes != cand_codes[:, 1])
-            for i in np.flatnonzero(keep):
-                yield int(eligible[i]), int(images[i])
+        """(x, z) with x in the first copy, rho(z) its cross neighbour, in
+        the order (word, x's position in `vertices`)."""
+        xs, zs = _in_order(self._cross_blocks(vertices))
+        return zip(xs.tolist(), zs.tolist())
 
     def copy2_pairs(self, vertices: np.ndarray) -> Iterable[tuple[int, int]]:
         """(x, y) with rho(x) ~ rho(y): even distance, different base colours."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if not len(vertices):
-            return
-        own = self.base.codes[vertices]
-        for gamma in self.even_words:
-            images = apply_left_word(self.ball, gamma, vertices)
-            keep = (images >= 0) & (self.base.codes[np.maximum(images, 0)] != own)
-            for i in np.flatnonzero(keep):
-                yield int(vertices[i]), int(images[i])
+        xs, ys = _in_order(self._copy2_blocks(vertices))
+        return zip(xs.tolist(), ys.tolist())
 
     def write_csv(
         self,
@@ -362,17 +415,17 @@ class DoubledGraph:
     ) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
-        words = self.ball.words
+        names = [w.to_string() for w in self.ball.words]
         q = self.q_proxy
         for x, y, _ in self.secondary.edges():
             if x not in q and y not in q:
-                writer.writerow(("secondary", words[x].to_string(), words[y].to_string()))
+                writer.writerow(("secondary", names[x], names[y]))
         firsts = self.ball.interior_indices(1) if first_vertices is None else first_vertices
         for x, z in self.cross_pairs(firsts):
-            writer.writerow(("cross", words[x].to_string(), f"rho({words[z].to_string()})"))
+            writer.writerow(("cross", names[x], f"rho({names[z]})"))
         seconds = firsts if second_vertices is None else second_vertices
         for x, y in self.copy2_pairs(seconds):
-            writer.writerow(("copy2", f"rho({words[x].to_string()})", f"rho({words[y].to_string()})"))
+            writer.writerow(("copy2", f"rho({names[x]})", f"rho({names[y]})"))
 
 
 def doubled_graph(
@@ -396,8 +449,6 @@ def doubled_graph(
             f"radius {b.radius} cannot hold the edge families for N={N}; "
             "need radius >= 2N+12 or strict=False"
         )
-    odd = tuple(_words_by_parity(b, min(N, b.radius), 1))
-    even = tuple(_words_by_parity(b, min(2 * N + 10, b.radius), 0))
     return DoubledGraph(
         ball=b,
         config=config,
@@ -406,8 +457,8 @@ def doubled_graph(
         q_proxy=q_proxy,
         strict=strict,
         secondary=secondary_graph(config, b, depth=2),
-        odd_words=odd,
-        even_words=even,
+        odd_limit=min(N, b.radius),
+        even_limit=min(2 * N + 10, b.radius),
     )
 
 
@@ -445,6 +496,37 @@ class ProperReport:
         }
 
 
+def _secondary_conflicts(graph: DoubledGraph, codes: np.ndarray) -> tuple[int, list[tuple[str, int, int]]]:
+    """Secondary edges off Q checked, and those whose ends share a colour."""
+    q = graph.q_proxy
+    checked = 0
+    conflicts = []
+    for x, y, _ in graph.secondary.edges():
+        if x in q or y in q:
+            continue
+        checked += 1
+        if codes[x] >= 0 and codes[x] == codes[y]:
+            conflicts.append(("secondary", x, y))
+    return checked, conflicts
+
+
+def _block_conflicts(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    x_codes: np.ndarray,
+    y_codes: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Edges counted over the blocks, and the (x, y) with x_codes[x] =
+    y_codes[y] >= 0, in (word, position) order."""
+    count = 0
+    found = []
+    for word, position, x, y in blocks:
+        count += len(x)
+        cx = x_codes[x]
+        bad = (cx >= 0) & (cx == y_codes[y])
+        found.append((word[bad], position[bad], x[bad], y[bad]))
+    return (count, *_in_order(found))
+
+
 def check_proper(
     graph: DoubledGraph,
     colouring: DoubledColouring,
@@ -454,36 +536,27 @@ def check_proper(
     """Adjacent equal colours across all three edge families.
 
     Uncoloured endpoints are skipped; copy2 edges are checked from a seeded
-    vertex sample by default since that family is the dense one.
+    vertex sample by default since that family is the dense one.  Cross
+    and copy2 edges are counted and checked one block of words x vertices
+    at a time, never as one list; each family's conflicts are listed in
+    the order (word, vertex), words in canonical order outside vertices
+    in ascending order.
     """
     n = graph.n_first
     codes = colouring.codes
-    q = graph.q_proxy
-    checked = {"secondary": 0, "cross": 0, "copy2": 0}
-    conflicts: list[tuple[str, int, int]] = []
+    n_secondary, conflicts = _secondary_conflicts(graph, codes)
 
-    for x, y, _ in graph.secondary.edges():
-        if x in q or y in q:
-            continue
-        checked["secondary"] += 1
-        if codes[x] >= 0 and codes[x] == codes[y]:
-            conflicts.append(("secondary", x, y))
-
-    firsts = graph.ball.interior_indices(1)
-    for x, z in graph.cross_pairs(firsts):
-        checked["cross"] += 1
-        if codes[x] >= 0 and codes[x] == codes[n + z]:
-            conflicts.append(("cross", x, graph.rho(z)))
+    n_cross, xs, zs = _block_conflicts(graph._cross_blocks(graph.ball.interior_indices(1)), codes[:n], codes[n:])
+    conflicts += [("cross", x, graph.rho(z)) for x, z in zip(xs.tolist(), zs.tolist())]
 
     all_seconds = np.arange(n)
     if copy2_sample is not None and copy2_sample < n:
         rng = np.random.default_rng(seed)
         all_seconds = np.sort(rng.choice(all_seconds, size=copy2_sample, replace=False))
-    for x, y in graph.copy2_pairs(all_seconds):
-        checked["copy2"] += 1
-        if codes[n + x] >= 0 and codes[n + x] == codes[n + y]:
-            conflicts.append(("copy2", graph.rho(x), graph.rho(y)))
+    n_copy2, xs, ys = _block_conflicts(graph._copy2_blocks(all_seconds), codes[n:], codes[n:])
+    conflicts += [("copy2", graph.rho(x), graph.rho(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
+    checked = {"secondary": n_secondary, "cross": n_cross, "copy2": n_copy2}
     return ProperReport(checked, tuple(conflicts))
 
 
@@ -536,38 +609,27 @@ def flow_audit_doubled(
     certifies the 15/512 gap.
     """
     config = graph.config if config is None else config
-    spot = check_proper(graph, colouring, copy2_sample=0)
-    if any(family == "secondary" for family, _, _ in spot.conflicts):
-        raise ValueError("colouring is not proper on the secondary edges")
-
     n = graph.n_first
     codes = colouring.codes
+    _, conflicts = _secondary_conflicts(graph, codes)
+    if conflicts:
+        raise ValueError("colouring is not proper on the secondary edges")
+
     eligible = graph.ball.interior_indices(1)
     q = graph.q_proxy
-    arrows = []
-    with_arrow = 0
-    for x in eligible:
-        x = int(x)
-        if x in q:
-            continue
-        z1, z2 = candidates(config, x)
-        cx = codes[x]
-        if cx >= 0 and cx == codes[n + z1]:
-            arrows.append(z1)
-            with_arrow += 1
-        elif cx >= 0 and cx == codes[n + z2]:
-            arrows.append(z2)
-            with_arrow += 1
+    senders = eligible[~np.isin(eligible, list(q))]
+    z1, z2 = candidate_arrays(config, senders)
+    cx = codes[senders]
+    to_first = (cx >= 0) & (cx == codes[n + z1])
+    to_second = ~to_first & (cx >= 0) & (cx == codes[n + z2])
+    with_arrow = int(np.count_nonzero(to_first) + np.count_nonzero(to_second))
     outflow = Fraction(with_arrow, len(eligible)) if len(eligible) else Fraction(0)
-    q_fraction = Fraction(sum(1 for x in eligible if int(x) in q), len(eligible)) if len(eligible) else Fraction(0)
+    q_fraction = Fraction(len(eligible) - len(senders), len(eligible)) if len(eligible) else Fraction(0)
 
-    landed = np.bincount(np.array(arrows, dtype=np.int64), minlength=n) if arrows else np.zeros(n, dtype=np.int64)
+    landed = np.bincount(np.concatenate([z1[to_first], z2[to_second]]), minlength=n)
     crowded = Fraction(int((landed[eligible] >= 2).sum()), len(eligible)) if len(eligible) else Fraction(0)
 
-    touches = 0
-    for clique in graph.secondary.cliques:
-        if any(m in q for m in clique):
-            touches += 1
+    touches = sum(1 for clique in graph.secondary.cliques if not q.isdisjoint(clique))
     touch_fraction = Fraction(touches, len(graph.secondary.cliques)) if graph.secondary.cliques else Fraction(0)
 
     program = doubled_flow_program()

@@ -8,6 +8,7 @@ from cayleycolour.equidecomp import (
     CancellationReport,
     Decomposition,
     LevelSet,
+    PrefixReport,
     _kuhn_matching,
     cancellation_check,
     cancellation_experiment,
@@ -305,7 +306,65 @@ class TestPrefixSets:
         assert P.word("stS") in ws and P.word("stS") in inverted
 
 
+def prefix_reference(b):
+    """verify_prefix_identities on frozensets of words, one product per
+    element, products outside the ball kept: the loop the masks replaced."""
+    p = b.presentation
+    one, s, t = p.identity(), p.generator(0), p.generator(1)
+    starts = {}
+    for w in b.words:
+        if not w.is_identity:
+            gen, exp = w.letters[0]
+            starts.setdefault((gen, exp > 0), set()).add(w)
+    ws, ws_inv, wt, wt_inv = (frozenset(starts[key]) for key in ((0, True), (0, False), (1, True), (1, False)))
+
+    def restrict(words, radius):
+        return frozenset(w for w in words if w.length <= radius)
+
+    def translate(g, words):
+        return frozenset(g * w for w in words)
+
+    everything = frozenset(b.words)
+    sizes = len(ws) + len(ws_inv) + len(wt) + len(wt_inv) + 1
+    partition_exact = {one} | ws | ws_inv | wt | wt_inv == everything and sizes == len(everything)
+    star_exact, star_gap = [], []
+    for g, src, others in ((s, ws_inv, (ws_inv, wt, wt_inv)), (t, wt_inv, (wt_inv, ws, ws_inv))):
+        lhs = restrict(translate(g, src), b.radius - 1)
+        literal = restrict(others[0] | others[1] | others[2], b.radius - 1)
+        star_exact.append(lhs == literal | {one})
+        star_gap.append(tuple(sorted(w.to_string() for w in lhs - literal)))
+    chain_exact, gap_sizes, tail_sizes = [], [], []
+    current = {one} | wt | wt_inv
+    running = None
+    for n in range(1, b.radius - 1):
+        inner = b.radius - n
+        current = translate(t, current) - (ws | ws_inv)
+        shifted = translate(t**n, wt)
+        computed = restrict(current, inner)
+        chain_exact.append(computed == restrict({t**k for k in range(n + 1)} | wt_inv | shifted, inner))
+        gap_sizes.append(len(computed - restrict({t**n} | wt_inv | shifted, inner)))
+        running = computed if running is None else restrict(running, inner) & computed
+        tail_sizes.append(len(running - restrict(wt_inv, inner)))
+    return PrefixReport(
+        radius=b.radius,
+        star_exact=tuple(star_exact),
+        star_literal_gap=tuple(star_gap),
+        chain_exact=tuple(chain_exact),
+        chain_literal_gap_sizes=tuple(gap_sizes),
+        intersection_tail_sizes=tuple(tail_sizes),
+        partition_exact=partition_exact,
+    )
+
+
 class TestPrefixIdentities:
+    @pytest.mark.parametrize("presentation", [P, free_group(2)], ids=["st", "ab"])
+    @pytest.mark.parametrize("radius", [3, 4, 5, 6])
+    def test_masks_match_word_sets(self, presentation, radius):
+        b = ball(presentation, radius)
+        report = verify_prefix_identities(b)
+        assert report == prefix_reference(b)
+        assert json.dumps(report.to_record()) == json.dumps(prefix_reference(b).to_record())
+
     def test_all_verified_on_radius_six(self):
         report = verify_prefix_identities(BALL6)
         assert report.all_verified

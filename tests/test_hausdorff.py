@@ -8,6 +8,7 @@ from cayleycolour.hausdorff import (
     E1_COLOURS,
     H_COLOURS,
     MOVERS,
+    PIECES,
     example1_certificates,
     example1_program,
     example1_rule,
@@ -167,6 +168,50 @@ def test_copies_disjoint_fails_on_overlapping_images(monkeypatch):
     assert all(passed == total for passed, total in report.into_checks.values())
     assert not report.copies_disjoint
     assert not report.all_verified
+
+
+def onto_reference(classes):
+    """Onto-checks and the boundary remainder one interior vertex at a time."""
+    b = classes.ball
+    piece = six_piece_pieces(classes)
+    cls = classes.colouring.codes
+    inner = b.interior_indices(2)
+    remainder = 0
+    onto = {}
+    for k, name in enumerate(PIECES):
+        word_text, target, _ = MOVERS[name]
+        mover = b.presentation.word(word_text)
+        remainder += int(np.count_nonzero(b.left_table(mover)[piece == k + 1] < 0))
+        inv_table = b.left_table(mover.inverse())
+        passed = total = 0
+        for i in inner:
+            if cls[i] != H_COLOURS.index(target):
+                continue
+            j = int(inv_table[i])
+            if j < 0 or piece[j] == 0:
+                remainder += 1
+                continue
+            total += 1
+            passed += int(piece[j] == k + 1)
+        onto[name] = (passed, total)
+    return onto, remainder
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [None, ("P5", ("s", "A", 1)), ("P2", ("t", "A", 2)), ("P4", ("tt", "C", 2))],
+)
+@pytest.mark.parametrize("radius", [6, 10])
+def test_onto_checks_match_per_vertex_loop(monkeypatch, swap, radius):
+    if swap is not None:
+        monkeypatch.setitem(MOVERS, *swap)
+    classes = hausdorff_solve(ball(z2_z3(), radius))
+    report = six_piece_doubling(classes)
+    onto, remainder = onto_reference(classes)
+    assert report.onto_checks == onto
+    assert report.boundary_remainder == remainder
+    if swap is not None:
+        assert any(passed < total for passed, total in onto.values())
 
 
 def test_six_piece_rejects_bad_classes():

@@ -1,17 +1,24 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleycolour.arrows import arrow_rule, constructive_solve, pdegree
+from cayleycolour import proper
+
+from cayleycolour.arrows import arrow_rule, candidates, constructive_solve, pdegree
 from cayleycolour.configs import Configuration, RandomSource, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.proper import (
     PALETTE17,
+    _edge_blocks,
+    _in_order,
+    _word_images,
     Calibration,
     DoubledColouring,
-    apply_left_word,
     arrows_to_list_colouring,
     calibrate_N,
     canonical_doubled_colouring,
@@ -234,14 +241,61 @@ def test_check_proper_list_missing_list():
         check_proper_list(graph, {}, transported)
 
 
-def test_apply_left_word_matches_multiplication():
-    b = ball(F2, 4)
-    gamma = F2.word("abA")
-    out = apply_left_word(b, gamma, np.arange(len(b)))
-    for i in range(0, len(b), 7):
-        product = gamma * b.words[i]
-        expected = b.index_of(product) if product in b else -1
-        assert int(out[i]) == expected
+KERNEL_BALLS = {r: ball(F2, r) for r in range(3, 7)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_word_images_match_multiplication(data):
+    """The blocked kernel against ReducedWord products and `index_of`:
+    every word of length <= L times a random vertex subset (possibly empty,
+    with boundary vertices and repeats), split into blocks of a few
+    columns, and the parity and colour selection of `_edge_blocks`."""
+    radius = data.draw(st.integers(3, 6), label="radius")
+    b = KERNEL_BALLS[radius]
+    limit = data.draw(st.integers(0, radius), label="limit")
+    boundary = np.flatnonzero(b.lengths == radius).tolist()
+    vertices = np.array(
+        data.draw(st.lists(st.integers(0, len(b) - 1), max_size=5), label="vertices")
+        + data.draw(st.lists(st.sampled_from(boundary), max_size=2), label="boundary"),
+        dtype=np.int64,
+    )
+    n_words = sum(b.sphere_sizes[: limit + 1])
+    words = [b.words[g] for g in range(n_words)]
+    expected = np.full((n_words, len(vertices)), -1)
+    for g, gamma in enumerate(words):
+        for j, x in enumerate(vertices):
+            product = gamma * b.words[int(x)]
+            if product in b:
+                expected[g, j] = b.index_of(product)
+
+    columns = data.draw(st.integers(1, 4), label="columns per block")
+    parity = data.draw(st.integers(0, 1), label="parity")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="colour seed"))
+    codes = rng.integers(0, 3, size=len(b))
+    forbidden = rng.integers(0, 3, size=len(vertices))
+    with patch.object(proper, "_BLOCK_ENTRIES", columns * n_words):
+        blocks = list(_word_images(b, limit, vertices))
+        pairs = list(_edge_blocks(b, limit, parity, vertices, codes, (forbidden,)))
+
+    assert [start for start, _ in blocks] == list(range(0, len(vertices), columns))
+    assert all(images.shape == (n_words, min(columns, len(vertices) - start)) for start, images in blocks)
+    got = np.concatenate([images for _, images in blocks], axis=1) if blocks else expected
+    assert np.array_equal(got, expected)
+
+    want = [
+        (g, j, int(x), int(expected[g, j]))
+        for g, gamma in enumerate(words)
+        if gamma.length > 0 and gamma.length % 2 == parity
+        for j, x in enumerate(vertices)
+        if expected[g, j] >= 0 and codes[expected[g, j]] != forbidden[j]
+    ]
+    found = sorted(
+        (int(g), int(j), int(x), int(y)) for block in pairs for g, j, x, y in zip(*block)
+    )
+    assert found == want
+    xs, ys = _in_order(pairs)
+    assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for _, _, x, y in want]
 
 
 def test_calibrate_trivial_epsilon():
@@ -361,3 +415,83 @@ def test_degree_bound_positive():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1, strict=False)
     assert graph.degree_bound() >= 6 + 4
+    odd = np.count_nonzero((b.lengths % 2 == 1) & (b.lengths <= 1))
+    even = np.count_nonzero((b.lengths % 2 == 0) & (b.lengths > 0))
+    assert graph.degree_bound() == 6 + odd + even == 6 + 4 + 12 + 108 + 972
+
+
+def reference_conflicts(graph, colouring, seconds):
+    """Cross and copy2 conflicts one word at a time, each word's image read
+    from its own `left_table`: the loop the blocked kernel replaced."""
+    b = graph.ball
+    n = len(b)
+    base = graph.base.codes
+    codes = colouring.codes
+    firsts = np.array([x for x in b.interior_indices(1) if int(x) not in graph.q_proxy], dtype=np.int64)
+    pairs = np.array([candidates(graph.config, int(x)) for x in firsts], dtype=np.int64).reshape(-1, 2)
+    out = []
+    for g in range(1, sum(b.sphere_sizes[: graph.odd_limit + 1])):
+        if b.lengths[g] % 2 == 1:
+            z = b.left_table(b.words[g])[firsts]
+            keep = (z >= 0) & (base[z] != base[pairs[:, 0]]) & (base[z] != base[pairs[:, 1]])
+            for x, y in zip(firsts[keep], z[keep]):
+                if codes[x] >= 0 and codes[x] == codes[n + y]:
+                    out.append(("cross", int(x), int(n + y)))
+    for g in range(1, sum(b.sphere_sizes[: graph.even_limit + 1])):
+        if b.lengths[g] % 2 == 0:
+            y = b.left_table(b.words[g])[seconds]
+            keep = (y >= 0) & (base[y] != base[seconds])
+            for u, v in zip(seconds[keep], y[keep]):
+                if codes[n + u] >= 0 and codes[n + u] == codes[n + v]:
+                    out.append(("copy2", int(n + u), int(n + v)))
+    return out
+
+
+def test_check_proper_reports_planted_cross_and_copy2_conflicts():
+    b, config, base = setup_r6()
+    n = len(b)
+    graph = doubled_graph(config, base, 3, strict=False)
+    proper_colouring = canonical_doubled_colouring(graph, constructive_solve(config))
+    seconds = np.arange(n)
+    assert check_proper(graph, proper_colouring, copy2_sample=None).satisfied
+    assert reference_conflicts(graph, proper_colouring, seconds) == []
+
+    # Two cross edges listed in the reverse of their vertex order: the last
+    # of the first word and the first of the last word.
+    cross = sorted(
+        (int(g), int(j), int(x), int(z))
+        for block in graph._cross_blocks(b.interior_indices(1))
+        for g, j, x, z in zip(*block)
+    )
+    last_of_first = max(edge for edge in cross if edge[0] == cross[0][0])
+    first_of_last = min(edge for edge in cross if edge[0] == cross[-1][0])
+    assert first_of_last[2] < last_of_first[2]
+    codes = proper_colouring.codes.copy()
+    for _, _, x, z in (last_of_first, first_of_last):
+        codes[n + z] = codes[x]
+    copy2 = list(graph.copy2_pairs(seconds))
+    u, v = copy2[len(copy2) // 3]
+    codes[n + v] = codes[n + u]
+    planted = DoubledColouring(PALETTE17, codes)
+
+    report = check_proper(graph, planted, copy2_sample=None)
+    expected = reference_conflicts(graph, planted, seconds)
+    assert report.conflicts == tuple(expected)
+    with patch.object(proper, "_BLOCK_ENTRIES", 1000):  # a few columns per block
+        assert check_proper(graph, planted, copy2_sample=None) == report
+    for _, _, x, z in (last_of_first, first_of_last):
+        assert ("cross", x, n + z) in report.conflicts
+    assert ("copy2", n + u, n + v) in report.conflicts
+    families = [family for family, _, _ in report.conflicts]
+    assert families.count("cross") >= 2 and families.count("copy2") >= 2
+    assert "secondary" not in families
+    assert not report.satisfied and report.to_record()["n_conflicts"] == len(expected)
+
+    # Only the secondary family blocks the audit: these conflicts are all
+    # cross and copy2, while one equal colour on a secondary edge raises.
+    flow_audit_doubled(planted, graph)
+    sx, sy, _ = next(iter(graph.secondary.edges()))
+    codes = proper_colouring.codes.copy()
+    codes[sy] = codes[sx]
+    with pytest.raises(ValueError, match="secondary"):
+        flow_audit_doubled(DoubledColouring(PALETTE17, codes), graph)
