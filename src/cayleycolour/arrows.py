@@ -120,15 +120,12 @@ def candidates(config: Configuration, w: int) -> tuple[int, int]:
 
 def pdegree(config: Configuration, w: int) -> int:
     """How many neighbours could aim their arrow here, given their sign bits."""
-    ball = config.ball
-    t1, u1, t2, u2 = neighbour_tables(ball)
-    if min(t1[w], u1[w], t2[w], u2[w]) < 0:
+    neighbours = np.array([table[w] for table in neighbour_tables(config.ball)])
+    if neighbours.min() < 0:
         raise ValueError(f"vertex {w} has a neighbour outside the ball")
-    v = config.values
-    spots = (v[t1[w]], v[u1[w]], v[t2[w]], v[u2[w]])
-    if 0 in spots:
+    if (config.values[neighbours] == 0).any():
         raise ValueError(f"a neighbour of vertex {w} has an undefined sign bit")
-    return int(spots[0] == -1) + int(spots[1] == 1) + int(spots[2] == -1) + int(spots[3] == 1)
+    return int(pdegree_profile(config.ball, config.values[None, :], np.array([w]))[0, 0])
 
 
 def pdegree_profile(ball: Ball, values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -287,7 +284,6 @@ def mass_audit(
     colouring: Colouring,
     config: Configuration | None = None,
     ball: Ball | None = None,
-    crowd_tolerance: Fraction = Fraction(0),
     seed: int | None = None,
 ) -> MassAudit:
     """Outflow-vs-capacity accounting for a rule-satisfying arrow colouring.
@@ -315,7 +311,7 @@ def mass_audit(
     hist = np.bincount(deg, minlength=5)
     in_capacity = Fraction(int((deg >= 1).sum()), len(interior)) if len(interior) else Fraction(0)
 
-    vertex_ok = has_arrow if crowded_fraction <= crowd_tolerance else has_arrow & ~crowded
+    vertex_ok = has_arrow & ~crowded
     failures = np.flatnonzero(~vertex_ok)
     certificate = TransportCertificate(
         kind="flow",

@@ -290,7 +290,7 @@ def _run_types(spec: ExperimentSpec, options: RunOptions) -> dict:
         movers.add(p.generator(i, 1))
         movers.add(p.generator(i, -1))
     mover_list = sorted(movers, key=lambda w: w.sort_key())
-    folds = [spec.n_levels] if spec.n_levels else [2, 3]
+    folds = [spec.n_levels] if spec.n_levels is not None else [2, 3]
     experiments = []
     for n in folds:
         report = equidecomp.cancellation_experiment(
@@ -385,11 +385,19 @@ _ENV_CASTS = {
 
 
 def _fill_from_env(args: argparse.Namespace) -> None:
+    """Fill unset options from the environment; a bad value raises SpecError
+    once the rest (an --out among them) are filled."""
+    bad = []
     for attr, cast in _ENV_CASTS.items():
-        if getattr(args, attr, None) is None:
-            raw = os.environ.get(ENV_PREFIX + attr.upper())
-            if raw is not None and hasattr(args, attr):
+        name = ENV_PREFIX + attr.upper()
+        raw = os.environ.get(name)
+        if raw is not None and hasattr(args, attr) and getattr(args, attr) is None:
+            try:
                 setattr(args, attr, cast(raw))
+            except ValueError:
+                bad.append(f"bad {name} {raw!r}")
+    if bad:
+        raise SpecError("; ".join(bad))
 
 
 def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]:
@@ -474,9 +482,9 @@ def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _fill_from_env(args)
     started = time.perf_counter()
     try:
+        _fill_from_env(args)
         spec, options = _resolve_spec(args)
     except SpecError as err:
         record = {

@@ -280,22 +280,12 @@ def six_piece_pieces(classes: HausdorffClasses) -> np.ndarray:
     cls = classes.colouring.codes
     t_s = ball.left_table(sigma)
     t_t = ball.left_table(tau)
+    inner = ball.interior_indices(2)
+    c = cls[inner] % 3  # an uncoloured vertex (-1) splits like C
+    # tau^-1 x = tau^2 x in this torsion group; walk two tau steps.
+    back = np.where(c == 0, inner, np.where(c == 1, t_t[t_t[inner]], t_t[inner]))
     piece = np.zeros(len(ball), dtype=np.int8)
-    for i in ball.interior_indices(2):
-        i = int(i)
-        c = int(cls[i])
-        if c == 0:
-            split = int(cls[t_s[i]])
-            piece[i] = 1 if split == 1 else 2
-        elif c == 1:
-            # tau^-1 x = tau^2 x in this torsion group; walk two tau steps.
-            j = int(t_t[int(t_t[i])])
-            split = int(cls[t_s[j]])
-            piece[i] = 3 if split == 1 else 4
-        else:
-            j = int(t_t[i])
-            split = int(cls[t_s[j]])
-            piece[i] = 5 if split == 1 else 6
+    piece[inner] = 2 * c + np.where(cls[t_s[back]] == 1, 1, 2)
     return piece
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .groups import ReducedWord
 from .rules import Colouring
 
@@ -168,39 +170,31 @@ def certify_transport(
     target: Sequence[str],
     kind: str = "maps-into",
 ) -> TransportCertificate:
-    """Check g(source) ⊆ target on the interior; bijections also check onto."""
+    """Check g(source) ⊆ target on the interior; bijections also check onto.
+    first_failure is the first failing interior vertex, forward check first."""
     ball = colouring.ball
-    failure: list[int | None] = [None]
+    codes = colouring.codes
 
-    def count(word: ReducedWord, src: Sequence[str], tgt: Sequence[str]) -> tuple[int, int]:
-        table = ball.left_table(word)
+    def failures(word: ReducedWord, src: Sequence[str], tgt: Sequence[str]) -> tuple[int, np.ndarray]:
+        src_codes = [i for i, c in enumerate(colouring.palette) if c in src]
+        tgt_codes = [i for i, c in enumerate(colouring.palette) if c in tgt]
         inner = ball.interior_indices(word.length)
-        p = t = 0
-        src_set, tgt_set = set(src), set(tgt)
-        for i in inner:
-            colour = colouring.colour_at(int(i))
-            if colour in src_set:
-                t += 1
-                image = colouring.colour_at(int(table[i]))
-                if image in tgt_set:
-                    p += 1
-                elif failure[0] is None:
-                    failure[0] = int(i)
-        return p, t
+        mine = inner[np.isin(codes[inner], src_codes)]
+        return len(mine), mine[~np.isin(codes[ball.left_table(word)[mine]], tgt_codes)]
 
-    passed, total = count(g, source, target)
+    total, failed = failures(g, source, target)
     if kind == "bijection":
-        p2, t2 = count(g.inverse(), target, source)
-        passed += p2
+        t2, f2 = failures(g.inverse(), target, source)
         total += t2
+        failed = np.concatenate([failed, f2])
     return TransportCertificate(
         kind=kind,
         element=str(g),
         source=tuple(source),
         target=tuple(target),
-        checks_passed=passed,
+        checks_passed=total - len(failed),
         checks_total=total,
-        first_failure=failure[0],
+        first_failure=int(failed[0]) if len(failed) else None,
     )
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arrows import arrow_field, candidate_arrays, candidates, incoming_counts, neighbour_tables
+from .arrows import arrow_field, candidate_arrays, incoming_counts, neighbour_tables
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
@@ -101,68 +100,70 @@ def offset_conflicts(colouring: Colouring, fam: OffsetFamily | None = None) -> i
     return total
 
 
+def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[int]) -> dict[int, tuple[str, str]]:
+    """The base colours of each vertex's two arrow candidates; distinct
+    whenever the base colouring is offset-proper (the candidates differ by
+    a short offset)."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    c1, c2 = (base.codes[z] for z in candidate_arrays(config, vertices))
+    blank = (c1 < 0) | (c2 < 0)
+    if blank.any():
+        raise ValueError(f"candidate of vertex {int(vertices[blank][0])} is uncoloured")
+    names = base.palette
+    return {w: (names[a], names[b]) for w, a, b in zip(vertices.tolist(), c1.tolist(), c2.tolist())}
+
+
 def list_assignment(config: Configuration, base: Colouring, w: int) -> tuple[str, str]:
-    """The base colours of w's two arrow candidates; distinct whenever the
-    base colouring is offset-proper (the candidates differ by a short offset)."""
-    z1, z2 = candidates(config, w)
-    c1, c2 = base.colour_at(z1), base.colour_at(z2)
-    if c1 is None or c2 is None:
-        raise ValueError(f"candidate of vertex {w} is uncoloured")
-    return c1, c2
-
-
-def list_assignments(config: Configuration, base: Colouring, vertices: Iterable[int]) -> dict[int, tuple[str, str]]:
-    return {int(w): list_assignment(config, base, int(w)) for w in vertices}
+    return list_assignments(config, base, [int(w)])[int(w)]
 
 
 @dataclass(frozen=True)
 class SecondaryGraph:
-    """Cliques of potential in-pointers, one per centre vertex."""
+    """Cliques of potential in-pointers, one per centre vertex.
+
+    Row k of `cliques` lists the T1, T1^-1, T2, T2^-1 neighbours of
+    centers[k], with -1 in the slot of each neighbour that cannot aim at it.
+    """
 
     ball: Ball
-    centers: tuple[int, ...]
-    cliques: tuple[tuple[int, ...], ...]
+    centers: np.ndarray
+    cliques: np.ndarray
 
-    def members(self) -> frozenset[int]:
-        return frozenset(m for clique in self.cliques for m in clique)
+    def members(self) -> np.ndarray:
+        """Every vertex of some clique, ascending."""
+        seen = np.zeros(len(self.ball), dtype=bool)
+        seen[self.cliques[self.cliques >= 0]] = True
+        return np.flatnonzero(seen)
 
-    def edges(self) -> Iterable[tuple[int, int, int]]:
-        """(x, y, centre) triples, x < y, one per shared clique."""
-        for z, clique in zip(self.centers, self.cliques):
-            for x, y in combinations(sorted(clique), 2):
-                yield x, y, z
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {m: set() for m in self.members()}
-        for x, y, _ in self.edges():
-            adj[x].add(y)
-            adj[y].add(x)
-        return adj
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, centre) arrays, x < y, one entry per pair of clique-mates:
+        centre by centre, each clique's pairs in sorted lexicographic order."""
+        pad = len(self.ball)
+        rows = np.sort(np.where(self.cliques >= 0, self.cliques, pad), axis=1)
+        i, j = np.triu_indices(4, 1)
+        x, y = rows[:, i], rows[:, j]
+        both = y < pad
+        centre = np.broadcast_to(self.centers[:, None], both.shape)
+        return x[both], y[both], centre[both]
 
     def write_csv(self, fileobj: IO[str]) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
         names = [w.to_string() for w in self.ball.words]
-        for x, y, _ in self.edges():
-            writer.writerow(("secondary", names[x], names[y]))
+        x, y, _ = self.edges()
+        for i, j in zip(x.tolist(), y.tolist()):
+            writer.writerow(("secondary", names[i], names[j]))
 
 
-def secondary_graph(config: Configuration, b: Ball | None = None, depth: int = 2) -> SecondaryGraph:
-    """Clique at z: the neighbours whose own sign bit lets them aim at z."""
+def secondary_graph(config: Configuration, b: Ball | None = None) -> SecondaryGraph:
+    """Clique at z: the neighbours whose own sign bit lets them aim at z.
+    Centres are the vertices two steps from the boundary, so every
+    neighbour is inside the ball."""
     b = config.ball if b is None else b
-    t1, u1, t2, u2 = neighbour_tables(b)
-    v = config.values
-    centers = []
-    cliques = []
-    for z in b.interior_indices(depth):
-        z = int(z)
-        members = []
-        for nb, need in ((t1[z], -1), (u1[z], 1), (t2[z], -1), (u2[z], 1)):
-            if nb >= 0 and v[nb] == need:
-                members.append(int(nb))
-        centers.append(z)
-        cliques.append(tuple(members))
-    return SecondaryGraph(b, tuple(centers), tuple(cliques))
+    centers = b.interior_indices(2)
+    neighbours = np.stack([table[centers] for table in neighbour_tables(b)], axis=1)
+    aims = config.values[neighbours] == np.array([-1, 1, -1, 1])
+    return SecondaryGraph(b, centers, np.where(aims, neighbours, -1))
 
 
 def arrows_to_list_colouring(
@@ -196,18 +197,33 @@ def check_proper_list(
     lists: Mapping[int, tuple[str, str]],
     colouring: Colouring,
 ) -> ViolationReport:
-    """A vertex passes iff its colour is on its list and avoids all clique-mates."""
-    adj = graph.adjacency()
-    violations = []
-    for x in sorted(adj):
-        if x not in lists:
-            raise ValueError(f"vertex {x} has no list")
-        assigned = colouring.colour_at(x)
-        taken = {colouring.colour_at(y) for y in adj[x]}
-        allowed = frozenset(lists[x]) - taken
-        if assigned is None or assigned not in allowed:
-            violations.append((x, assigned or "", allowed))
-    return ViolationReport(interior_size=len(adj), violations=tuple(violations))
+    """A vertex passes iff its colour is on its list and avoids all clique-mates.
+    Members are judged in ascending order; a violation carries the vertex's
+    list less its clique-mates' colours."""
+    members = graph.members()
+    missing = members[~np.isin(members, list(lists))]
+    if len(missing):
+        raise ValueError(f"vertex {int(missing[0])} has no list")
+    codes = colouring.codes
+    names = np.array(colouring.palette, dtype=str)
+    x, y, _ = graph.edges()
+    same = (codes[x] >= 0) & (codes[x] == codes[y])
+    clash = np.isin(members, np.concatenate([x[same], y[same]]))
+    listed = np.array([lists[m] for m in members.tolist()], dtype=str).reshape(len(members), 2)
+    assigned = codes[members]
+    on_list = (assigned >= 0) & (listed == names[assigned][:, None]).any(axis=1)
+    bad = members[clash | ~on_list]
+
+    # The colours each bad vertex's clique-mates take.
+    ends, mates = np.concatenate([x, y]), np.concatenate([y, x])
+    keep = np.isin(ends, bad) & (codes[mates] >= 0)
+    taken = np.zeros((len(bad), len(names)), dtype=bool)
+    taken[np.searchsorted(bad, ends[keep]), codes[mates[keep]]] = True
+    violations = [
+        (v, colouring.colour_at(v) or "", frozenset(lists[v]) - set(names[row]))
+        for v, row in zip(bad.tolist(), taken)
+    ]
+    return ViolationReport(interior_size=len(members), violations=tuple(violations))
 
 
 _BLOCK_ENTRIES = 1 << 16
@@ -312,8 +328,6 @@ def calibrate_N(
     base: Colouring,
     b: Ball | None = None,
     epsilon: Fraction = EPSILON,
-    samples: int | None = None,
-    seed: int = 0,
 ) -> Calibration:
     """Smallest odd N with: all 17 base colours appear among odd-length
     words of length <= N from all but an epsilon fraction of vertices.
@@ -326,13 +340,10 @@ def calibrate_N(
     if not Fraction(0) < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n_colours = len(base.palette)
-    rng = np.random.default_rng(seed)
     trace = []
     last = (None, (), 0, Fraction(1))
     for n_odd in range(1, b.radius + 1, 2):
         eligible = np.flatnonzero(b.lengths <= b.radius - n_odd)
-        if samples is not None and samples < len(eligible):
-            eligible = np.sort(rng.choice(eligible, size=samples, replace=False))
         seen = np.zeros((len(eligible), n_colours), dtype=bool)
         for _, position, _, images in _edge_blocks(b, n_odd, 1, eligible, base.codes):
             seen[position, base.codes[images]] = True
@@ -363,7 +374,6 @@ class DoubledGraph:
     base: Colouring
     N: int
     q_proxy: frozenset[int]
-    strict: bool
     secondary: SecondaryGraph
     odd_limit: int
     even_limit: int
@@ -416,10 +426,8 @@ class DoubledGraph:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
         names = [w.to_string() for w in self.ball.words]
-        q = self.q_proxy
-        for x, y, _ in self.secondary.edges():
-            if x not in q and y not in q:
-                writer.writerow(("secondary", names[x], names[y]))
+        for x, y in zip(*(ends.tolist() for ends in _secondary_off_q(self))):
+            writer.writerow(("secondary", names[x], names[y]))
         firsts = self.ball.interior_indices(1) if first_vertices is None else first_vertices
         for x, z in self.cross_pairs(firsts):
             writer.writerow(("cross", names[x], f"rho({names[z]})"))
@@ -455,8 +463,7 @@ def doubled_graph(
         base=base,
         N=N,
         q_proxy=q_proxy,
-        strict=strict,
-        secondary=secondary_graph(config, b, depth=2),
+        secondary=secondary_graph(config, b),
         odd_limit=min(N, b.radius),
         even_limit=min(2 * N + 10, b.radius),
     )
@@ -496,18 +503,19 @@ class ProperReport:
         }
 
 
+def _secondary_off_q(graph: DoubledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) ends of the secondary edges with neither end in Q."""
+    x, y, _ = graph.secondary.edges()
+    q = list(graph.q_proxy)
+    off_q = ~(np.isin(x, q) | np.isin(y, q))
+    return x[off_q], y[off_q]
+
+
 def _secondary_conflicts(graph: DoubledGraph, codes: np.ndarray) -> tuple[int, list[tuple[str, int, int]]]:
     """Secondary edges off Q checked, and those whose ends share a colour."""
-    q = graph.q_proxy
-    checked = 0
-    conflicts = []
-    for x, y, _ in graph.secondary.edges():
-        if x in q or y in q:
-            continue
-        checked += 1
-        if codes[x] >= 0 and codes[x] == codes[y]:
-            conflicts.append(("secondary", x, y))
-    return checked, conflicts
+    x, y = _secondary_off_q(graph)
+    same = (codes[x] >= 0) & (codes[x] == codes[y])
+    return len(x), [("secondary", a, b) for a, b in zip(x[same].tolist(), y[same].tolist())]
 
 
 def _block_conflicts(
@@ -629,8 +637,9 @@ def flow_audit_doubled(
     landed = np.bincount(np.concatenate([z1[to_first], z2[to_second]]), minlength=n)
     crowded = Fraction(int((landed[eligible] >= 2).sum()), len(eligible)) if len(eligible) else Fraction(0)
 
-    touches = sum(1 for clique in graph.secondary.cliques if not q.isdisjoint(clique))
-    touch_fraction = Fraction(touches, len(graph.secondary.cliques)) if graph.secondary.cliques else Fraction(0)
+    cliques = graph.secondary.cliques
+    touches = int(np.count_nonzero(np.isin(cliques, list(q)).any(axis=1)))
+    touch_fraction = Fraction(touches, len(cliques)) if len(cliques) else Fraction(0)
 
     program = doubled_flow_program()
     return DoubledAudit(

@@ -84,6 +84,20 @@ class TestPlumbing:
         code, record = run_json(tmp_path, ["solve", "--radius", "-2"])
         assert code == 1
 
+    def test_bad_env_value_gives_failure_record(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAYLEYCOLOUR_SEED", "abc")
+        code, record = run_json(tmp_path, ["recursion"])
+        assert code == 1 and record["ok"] is False
+        assert record["error"]["type"] == "SpecError"
+        assert "CAYLEYCOLOUR_SEED" in record["error"]["message"]
+
+    def test_bad_env_value_with_env_out(self, tmp_path, monkeypatch):
+        out = tmp_path / "env.json"
+        monkeypatch.setenv("CAYLEYCOLOUR_SAMPLES", "many")
+        monkeypatch.setenv("CAYLEYCOLOUR_OUT", str(out))
+        assert main(["pdeg"]) == 1
+        assert json.loads(out.read_text())["error"]["type"] == "SpecError"
+
 
 class TestSolveCheck:
     def test_arrow_constructive(self, tmp_path):
@@ -255,6 +269,12 @@ class TestStructureCommands:
         for experiment in record["result"]["experiments"]:
             assert experiment["failures"] == 0
             assert experiment["recovered"] == experiment["witnessed"] == 30
+
+    def test_types_zero_levels_rejected(self, tmp_path):
+        code, record = run_json(tmp_path, ["types", "--n-levels", "0", "--samples", "5"])
+        assert code == 1 and record["ok"] is False
+        assert record["spec"]["n_levels"] == 0
+        assert "n >= 1" in record["error"]["message"]
 
     def test_recursion_miss_fails(self, tmp_path, monkeypatch):
         # Three steps never reach the 1e-6 tolerance, so the run must fail.

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.hausdorff import (
@@ -9,6 +11,7 @@ from cayleycolour.hausdorff import (
     H_COLOURS,
     MOVERS,
     PIECES,
+    HausdorffClasses,
     example1_certificates,
     example1_program,
     example1_rule,
@@ -19,7 +22,7 @@ from cayleycolour.hausdorff import (
     six_piece_pieces,
 )
 from cayleycolour.measures import feasible, replay_refutation
-from cayleycolour.rules import RANK_ONE, RANK_TWO_OR_HIGHER, check, classify_rank
+from cayleycolour.rules import RANK_ONE, RANK_TWO_OR_HIGHER, Colouring, check, classify_rank
 
 
 def test_example1_rule_is_rank_one():
@@ -212,6 +215,43 @@ def test_onto_checks_match_per_vertex_loop(monkeypatch, swap, radius):
     assert report.boundary_remainder == remainder
     if swap is not None:
         assert any(passed < total for passed, total in onto.values())
+
+
+def six_piece_reference(classes):
+    """Piece numbers one interior vertex at a time: the loop the masks
+    replaced."""
+    b = classes.ball
+    cls = classes.colouring.codes
+    t_s = b.left_table(b.presentation.word("s"))
+    t_t = b.left_table(b.presentation.word("t"))
+    piece = np.zeros(len(b), dtype=np.int8)
+    for i in b.interior_indices(2).tolist():
+        c = int(cls[i])
+        if c == 0:
+            piece[i] = 1 if cls[t_s[i]] == 1 else 2
+        elif c == 1:
+            piece[i] = 3 if cls[t_s[t_t[t_t[i]]]] == 1 else 4
+        else:
+            piece[i] = 5 if cls[t_s[t_t[i]]] == 1 else 6
+    return piece
+
+
+SIX_PIECE_CLASSES = {r: hausdorff_solve(ball(z2_z3(), r)) for r in range(1, 10)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_six_piece_pieces_match_reference_loop(data):
+    """The shipped classes, and the same classes with random vertices moved
+    to another class or left uncoloured."""
+    classes = SIX_PIECE_CLASSES[data.draw(st.integers(1, 9), label="radius")]
+    b = classes.ball
+    assert np.array_equal(six_piece_pieces(classes), six_piece_reference(classes))
+    codes = classes.colouring.codes.copy()
+    moved = data.draw(st.lists(st.integers(0, len(b) - 1), max_size=20), label="moved")
+    codes[moved] = data.draw(st.lists(st.integers(-1, 2), min_size=len(moved), max_size=len(moved)))
+    perturbed = HausdorffClasses(Colouring(b, H_COLOURS, codes))
+    assert np.array_equal(six_piece_pieces(perturbed), six_piece_reference(perturbed))
 
 
 def test_six_piece_rejects_bad_classes():

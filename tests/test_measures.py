@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycolour.groups import ball, free_group
+from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import (
     Constraint,
     DensityProgram,
@@ -171,6 +171,62 @@ def test_certify_bijection_counts_both_directions():
     both = certify_transport(col, F2.word("a"), ("even",), ("odd",), kind="bijection")
     assert both.checks_total > one_way.checks_total
     assert both.verified
+
+
+def certify_reference(colouring, g, source, target, kind):
+    """(passed, total, first_failure) one interior vertex at a time, by
+    colour name: the loop the code masks replaced."""
+    ball = colouring.ball
+    failure = [None]
+
+    def count(word, src, tgt):
+        table = ball.left_table(word)
+        p = t = 0
+        for i in ball.interior_indices(word.length):
+            if colouring.colour_at(int(i)) in src:
+                t += 1
+                if colouring.colour_at(int(table[i])) in tgt:
+                    p += 1
+                elif failure[0] is None:
+                    failure[0] = int(i)
+        return p, t
+
+    passed, total = count(g, source, target)
+    if kind == "bijection":
+        p2, t2 = count(g.inverse(), target, source)
+        passed, total = passed + p2, total + t2
+    return passed, total, failure[0]
+
+
+CERT_BALLS = {(name, r): ball(p, r) for name, p in (("f2", F2), ("z2z3", z2_z3())) for r in range(2, 6)}
+
+
+def test_certificate_masks_match_reference_loop():
+    """Random colourings with uncoloured vertices, names outside the palette,
+    words of length 1-3 and both kinds; some draws must fail."""
+    outcomes = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def compare(data):
+        b = data.draw(st.sampled_from(sorted(CERT_BALLS)).map(CERT_BALLS.get))
+        palette = ("A", "B", "C", "D")[: data.draw(st.integers(2, 4))]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        codes = np.random.default_rng(seed).integers(-1, len(palette), size=len(b))
+        colouring = Colouring(b, palette, codes)
+        g = b.words[data.draw(st.sampled_from(np.flatnonzero((b.lengths >= 1) & (b.lengths <= 3)).tolist()))]
+        names = st.sampled_from(palette + ("Z",))
+        source = tuple(data.draw(st.lists(names, min_size=1, max_size=3)))
+        target = tuple(data.draw(st.lists(names, min_size=1, max_size=3)))
+        kind = data.draw(st.sampled_from(["maps-into", "bijection"]))
+        cert = certify_transport(colouring, g, source, target, kind=kind)
+        assert (cert.checks_passed, cert.checks_total, cert.first_failure) == certify_reference(
+            colouring, g, source, target, kind
+        )
+        outcomes.append(cert.checks_passed < cert.checks_total)
+
+    compare()
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_flow_requires_constraint():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cayleycolour import proper
 
-from cayleycolour.arrows import arrow_rule, candidates, constructive_solve, pdegree
+from cayleycolour.arrows import arrow_rule, candidates, constructive_solve, neighbour_tables, pdegree
 from cayleycolour.configs import Configuration, RandomSource, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
@@ -16,6 +17,7 @@ from cayleycolour.proper import (
     PALETTE17,
     _edge_blocks,
     _in_order,
+    _secondary_conflicts,
     _word_images,
     Calibration,
     DoubledColouring,
@@ -33,7 +35,7 @@ from cayleycolour.proper import (
     offsets16,
     secondary_graph,
 )
-from cayleycolour.rules import check
+from cayleycolour.rules import Colouring, ViolationReport, check
 
 F2 = free_group(2)
 
@@ -113,8 +115,9 @@ def test_list_assignment_boundary_error():
 def test_secondary_clique_sizes_are_pdegrees():
     b, config, base = setup_r6()
     graph = secondary_graph(config)
+    assert graph.cliques.shape == (len(graph.centers), 4)
     for z, clique in zip(graph.centers, graph.cliques):
-        assert len(clique) == pdegree(config, z)
+        assert np.count_nonzero(clique >= 0) == pdegree(config, int(z))
 
 
 def test_secondary_edge_offsets():
@@ -133,7 +136,8 @@ def test_secondary_edge_offsets():
 
     graph = secondary_graph(config)
     seen_same = seen_cross = 0
-    for z, clique in zip(graph.centers, graph.cliques):
+    for z, row in zip(graph.centers, graph.cliques):
+        clique = row[row >= 0]
         for i in range(len(clique)):
             for j in range(i + 1, len(clique)):
                 x, y = clique[i], clique[j]
@@ -156,8 +160,8 @@ def test_away_targets_differ_from_centre_by_short_offset():
     checked = 0
     from cayleycolour.arrows import candidates
 
-    for z, clique in zip(graph.centers, graph.cliques):
-        for x in clique:
+    for z, row in zip(graph.centers, graph.cliques):
+        for x in row[row >= 0].tolist():
             if b.lengths[x] > b.radius - 1:
                 continue
             pair = candidates(config, x)
@@ -490,8 +494,89 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     # Only the secondary family blocks the audit: these conflicts are all
     # cross and copy2, while one equal colour on a secondary edge raises.
     flow_audit_doubled(planted, graph)
-    sx, sy, _ = next(iter(graph.secondary.edges()))
+    xs, ys, _ = graph.secondary.edges()
+    sx, sy = int(xs[0]), int(ys[0])
     codes = proper_colouring.codes.copy()
     codes[sy] = codes[sx]
     with pytest.raises(ValueError, match="secondary"):
         flow_audit_doubled(DoubledColouring(PALETTE17, codes), graph)
+
+
+def secondary_reference(config):
+    """Centres and tuple cliques one centre at a time: the form the padded
+    array replaced."""
+    b = config.ball
+    t1, u1, t2, u2 = neighbour_tables(b)
+    v = config.values
+    centers, cliques = [], []
+    for z in b.interior_indices(2).tolist():
+        slots = ((t1[z], -1), (u1[z], 1), (t2[z], -1), (u2[z], 1))
+        centers.append(z)
+        cliques.append(tuple(int(nb) for nb, need in slots if nb >= 0 and v[nb] == need))
+    return centers, cliques
+
+
+def edges_reference(centers, cliques):
+    return [(x, y, z) for z, clique in zip(centers, cliques) for x, y in combinations(sorted(clique), 2)]
+
+
+def check_proper_list_reference(centers, cliques, lists, colouring):
+    """The adjacency-dict loop `check_proper_list` replaced."""
+    adj = {m: set() for clique in cliques for m in clique}
+    for x, y, _ in edges_reference(centers, cliques):
+        adj[x].add(y)
+        adj[y].add(x)
+    violations = []
+    for x in sorted(adj):
+        assigned = colouring.colour_at(x)
+        allowed = frozenset(lists[x]) - {colouring.colour_at(y) for y in adj[x]}
+        if assigned is None or assigned not in allowed:
+            violations.append((x, assigned or "", allowed))
+    return ViolationReport(interior_size=len(adj), violations=tuple(violations))
+
+
+SECONDARY_BALLS = {r: ball(F2, r) for r in range(3, 8)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_secondary_family_matches_reference_loops(data):
+    """Edges, members, lists, the list check, off-Q conflicts and the touch
+    fraction against the tuple cliques and per-vertex loops, on random
+    configurations, base colourings, colourings and Q sets."""
+    b = SECONDARY_BALLS[data.draw(st.integers(3, 7), label="radius")]
+    config = sample(b, RandomSource(data.draw(st.integers(0, 2**16), label="config seed")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="colour seed"))
+    k = data.draw(st.integers(2, 17), label="colours")
+
+    graph = secondary_graph(config)
+    centers, cliques = secondary_reference(config)
+    assert graph.centers.tolist() == centers
+    assert graph.cliques.shape == (len(centers), 4)
+    assert [tuple(row[row >= 0].tolist()) for row in graph.cliques] == cliques
+    x, y, z = graph.edges()
+    edges = edges_reference(centers, cliques)
+    assert list(zip(x.tolist(), y.tolist(), z.tolist())) == edges
+    members = graph.members()
+    assert members.tolist() == sorted({m for clique in cliques for m in clique})
+
+    base = Colouring(b, PALETTE17, rng.integers(0, k, size=len(b)))
+    lists = list_assignments(config, base, members)
+    for w in members.tolist():
+        z1, z2 = candidates(config, w)
+        assert lists[w] == (base.colour_at(z1), base.colour_at(z2)) == list_assignment(config, base, w)
+    colouring = Colouring(b, PALETTE17, rng.integers(-1, k, size=len(b)))
+    report = check_proper_list(graph, lists, colouring)
+    assert report == check_proper_list_reference(centers, cliques, lists, colouring)
+
+    q = frozenset(rng.choice(len(b), size=data.draw(st.integers(0, 40), label="|Q|")).tolist())
+    doubled = doubled_graph(config, base, 1, q_proxy=q, strict=False)
+    codes = np.concatenate([colouring.codes, base.codes])
+    off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
+    conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
+    assert _secondary_conflicts(doubled, codes) == (len(off_q), conflicts)
+    blank = DoubledColouring(PALETTE17, np.full(2 * len(b), -1, dtype=np.int16))
+    touches = sum(1 for clique in cliques if not q.isdisjoint(clique))
+    expected = Fraction(touches, len(cliques)) if cliques else Fraction(0)
+    assert flow_audit_doubled(blank, doubled).clique_touches_q_fraction == expected
+
