@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("solve", "check"):
             sp.add_argument("--solver", choices=("constructive", "iterate"))
         if name in ("offsets", "doubled"):
-            sp.add_argument("--choice", choices=("min", "random"))
+            sp.add_argument("--choice", choices=proper.GREEDY_CHOICES)
         if name == "pdeg":
             sp.add_argument("--conditional", action="store_true", default=None)
     return parser
@@ -433,6 +433,9 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]
             raise SpecError(f"bad epsilon {epsilon!r}: {err}")
         if not 0 < parsed <= 1:
             raise SpecError("epsilon must be in (0, 1]")
+    choice = value("choice", "min")
+    if choice not in proper.GREEDY_CHOICES:
+        raise SpecError(f"unknown choice {choice!r}: use one of {proper.GREEDY_CHOICES}")
     spec = ExperimentSpec(
         command=args.command,
         presentation=presentation,
@@ -442,7 +445,7 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]
         rule=rule,
         epsilon=epsilon,
         n_levels=value("n_levels", None),
-        choice=value("choice", "min"),
+        choice=choice,
         solver=value("solver", "constructive"),
         conditional=bool(value("conditional", False)),
     )

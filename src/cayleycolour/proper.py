@@ -23,6 +23,7 @@ from .measures import DensityProgram, FeasibilityResult, feasible, le
 from .rules import Colouring, ViolationReport
 
 PALETTE17 = tuple(f"c{i}" for i in range(17))
+GREEDY_CHOICES = ("min", "random")
 
 OUTFLOW_BOUND = Fraction(511, 512)
 INFLOW_BOUND = Fraction(31, 32)
@@ -73,19 +74,131 @@ def greedy_base_colouring(
     order: Sequence[int] | None = None,
 ) -> Colouring:
     """17 colours, proper for all 16 offsets; each vertex has at most 16
-    offset-neighbours so a free colour always exists."""
+    offset-neighbours so a free colour always exists.
+
+    Vertices are coloured one by one in `order` (vertex order by default),
+    each with the smallest colour its earlier offset-neighbours left free
+    (`min`) or with `rng.choice` of those colours (`random`).  That greedy
+    is computed layer by layer over the DAG of earlier neighbours: a
+    vertex's colour depends only on vertices in lower layers, so each layer
+    is one array pass."""
+    if choice not in GREEDY_CHOICES:
+        raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
     if b.radius < 5:
         raise ValueError("need radius at least 5 so the offsets act inside the ball")
-    fam = offsets16(b.presentation)
-    tables = [b.left_table(g) for g in fam.elements]
-    codes = np.full(len(b), -1, dtype=np.int16)
+    n = len(b)
+    rank = None if order is None else _rank_of(order, n)
+    tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
+    codes = _layered_greedy(tables, rank, choice, seed)
+    if codes is None:
+        codes = _random_greedy_loop(tables, range(n) if order is None else order, seed)
+    return Colouring(b, PALETTE17, codes)
+
+
+def _rank_of(order: Sequence[int], n: int) -> np.ndarray:
+    """Position of each vertex in `order`, which must be a permutation of range(n)."""
+    order = np.asarray(order)
+    if order.shape != (n,) or order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order must be a permutation of range({n})")
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    return rank
+
+
+_CHUNK = 1 << 13
+_ALL_COLOURS = np.int32((1 << len(PALETTE17)) - 1)
+
+
+def _layered_greedy(tables: Sequence[np.ndarray], rank: np.ndarray | None, choice: str, seed: int) -> np.ndarray | None:
+    """Greedy codes computed one DAG layer at a time; None when the random
+    draws cannot be replayed from the word stream (see _choice_draws)."""
+    n = len(tables[0])
+    later = np.arange(n, dtype=np.int32) if rank is None else rank
+    # Per offset table t, the vertices whose neighbour through t is coloured first.
+    dsts = []
+    for t in tables:
+        earlier = t if rank is None else rank[t]
+        dsts.append(np.flatnonzero((t >= 0) & (earlier < later)).astype(np.int32))
+    del later
+    # Layer of a vertex: the longest chain of earlier neighbours ending at it.
+    depth = np.zeros(n, dtype=np.int32)
+    changed = True
+    while changed:
+        changed = False
+        for t, dst in zip(tables, dsts):
+            step = depth[t[dst]] + 1
+            grow = step > depth[dst]
+            if grow.any():
+                depth[dst[grow]] = step[grow]
+                changed = True
+    n_layers = int(depth.max()) + 1
+    for i, dst in enumerate(dsts):
+        key = depth[dst]
+        by_key = np.argsort(key, kind="stable")
+        dsts[i] = (dst[by_key], np.searchsorted(key[by_key], np.arange(n_layers + 1)))
+    by_layer = np.argsort(depth, kind="stable").astype(np.int32)
+    layer_starts = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+    del depth
+    words = _choice_words(seed, n) if choice == "random" else None
+    codes = np.full(n, -1, dtype=np.int16)
+    used = np.zeros(n, dtype=np.int32)
+    for layer in range(n_layers):
+        for t, (dst, bounds) in zip(tables, dsts):
+            into = dst[bounds[layer] : bounds[layer + 1]]
+            used[into] |= np.int32(1) << codes[t[into]]
+        # Chunks bound the temporaries on the two large bottom layers.
+        end = layer_starts[layer + 1]
+        for lo in range(layer_starts[layer], end, _CHUNK):
+            part = by_layer[lo : min(lo + _CHUNK, end)]
+            free = ~used[part] & _ALL_COLOURS
+            if words is None:
+                codes[part] = np.bitwise_count((free & -free) - 1)
+                continue
+            picks = _choice_draws(words[part if rank is None else rank[part]], np.bitwise_count(free))
+            if picks is None:
+                return None
+            codes[part] = _nth_set_bit(free, picks)
+    return codes
+
+
+def _choice_words(seed: int, n: int) -> np.ndarray:
+    """The first n 32-bit words that bounded draws of
+    `np.random.default_rng(seed)` read: the low half of each 64-bit output,
+    then its high half."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw((n + 1) // 2)
+    return raw.astype("<u8", copy=False).view("<u4")[:n]
+
+
+def _choice_draws(words: np.ndarray, k: np.ndarray) -> np.ndarray | None:
+    """Index that `Generator.choice` of k items returns when it reads each
+    word u: Lemire's (u * k) >> 32.  None if some draw reads no word
+    (k == 1) or rejects its word (low half of u * k below 2**32 mod k),
+    since the stream then shifts."""
+    k = k.astype(np.uint64)
+    product = words.astype(np.uint64) * k
+    if (k == 1).any() or ((product & np.uint64(0xFFFFFFFF)) < np.uint64(1 << 32) % k).any():
+        return None
+    return product >> np.uint64(32)
+
+
+def _nth_set_bit(masks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Position of the n-th (0-based) set bit of each 17-bit mask: the
+    number of shorter prefixes holding at most n set bits."""
+    position = np.zeros(len(masks), dtype=np.int16)
+    for width in range(1, len(PALETTE17)):
+        position += np.bitwise_count(masks & ((1 << width) - 1)) <= n
+    return position
+
+
+def _random_greedy_loop(tables: Sequence[np.ndarray], sequence: Iterable[int], seed: int) -> np.ndarray:
+    """Vertex-by-vertex `random` greedy, for streams _choice_draws cannot replay."""
+    codes = np.full(len(tables[0]), -1, dtype=np.int16)
     rng = np.random.default_rng(seed)
-    sequence: Iterable[int] = range(len(b)) if order is None else order
     for w in sequence:
         used = {int(codes[t[w]]) for t in tables if t[w] >= 0}
         free = [c for c in range(len(PALETTE17)) if c not in used]
-        codes[w] = free[0] if choice == "min" else int(rng.choice(free))
-    return Colouring(b, PALETTE17, codes)
+        codes[w] = int(rng.choice(free))
+    return codes
 
 
 def offset_conflicts(colouring: Colouring, fam: OffsetFamily | None = None) -> int:
@@ -473,10 +586,6 @@ def doubled_graph(
 class DoubledColouring:
     palette: tuple[str, ...]
     codes: np.ndarray
-
-    def colour_at(self, v: int) -> str | None:
-        code = int(self.codes[v])
-        return None if code < 0 else self.palette[code]
 
 
 def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring) -> DoubledColouring:

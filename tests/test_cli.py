@@ -91,6 +91,13 @@ class TestPlumbing:
         assert record["error"]["type"] == "SpecError"
         assert "CAYLEYCOLOUR_SEED" in record["error"]["message"]
 
+    def test_bad_env_choice_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAYLEYCOLOUR_CHOICE", "mni")
+        code, record = run_json(tmp_path, ["offsets", "--radius", "5"])
+        assert code == 1 and record["ok"] is False
+        assert record["error"]["type"] == "SpecError"
+        assert "mni" in record["error"]["message"]
+
     def test_bad_env_value_with_env_out(self, tmp_path, monkeypatch):
         out = tmp_path / "env.json"
         monkeypatch.setenv("CAYLEYCOLOUR_SAMPLES", "many")

@@ -14,9 +14,13 @@ from cayleycolour.configs import Configuration, RandomSource, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.proper import (
+    GREEDY_CHOICES,
     PALETTE17,
+    _choice_draws,
+    _choice_words,
     _edge_blocks,
     _in_order,
+    _nth_set_bit,
     _secondary_conflicts,
     _word_images,
     Calibration,
@@ -95,6 +99,25 @@ def test_greedy_random_choice_proper():
 def test_greedy_needs_room():
     with pytest.raises(ValueError):
         greedy_base_colouring(ball(F2, 4))
+
+
+def test_greedy_rejects_unknown_choice():
+    with pytest.raises(ValueError, match="mni"):
+        greedy_base_colouring(ball(F2, 5), choice="mni")
+
+
+def test_greedy_rejects_order_that_is_not_a_permutation():
+    b = ball(F2, 5)
+    n = len(b)
+    for order in (
+        [0, 1, 2],
+        [0, 0] + list(range(2, n)),
+        list(range(1, n + 1)),
+        [float(i) for i in range(n)],
+        np.arange(n).reshape(1, n),
+    ):
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_base_colouring(b, order=order)
 
 
 def test_list_assignment_distinct():
@@ -580,3 +603,108 @@ def test_secondary_family_matches_reference_loops(data):
     expected = Fraction(touches, len(cliques)) if cliques else Fraction(0)
     assert flow_audit_doubled(blank, doubled).clique_touches_q_fraction == expected
 
+
+
+def greedy_reference(b, choice, seed, order=None):
+    """The vertex-by-vertex greedy the layered one replaced."""
+    tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
+    codes = np.full(len(b), -1, dtype=np.int16)
+    rng = np.random.default_rng(seed)
+    for w in range(len(b)) if order is None else order:
+        used = {int(codes[t[w]]) for t in tables if t[w] >= 0}
+        free = [c for c in range(len(PALETTE17)) if c not in used]
+        codes[w] = free[0] if choice == "min" else int(rng.choice(free))
+    return codes
+
+
+GREEDY_BALLS = {r: ball(F2, r) for r in range(5, 9)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    radius=st.integers(5, 8),
+    choice=st.sampled_from(GREEDY_CHOICES),
+    seed=st.integers(0, 2**63),
+    shuffle=st.none() | st.integers(0, 2**16),
+)
+def test_layered_greedy_matches_reference_loop(radius, choice, seed, shuffle):
+    b = GREEDY_BALLS[radius]
+    order = None if shuffle is None else np.random.default_rng(shuffle).permutation(len(b)).tolist()
+    codes = greedy_base_colouring(b, choice, seed, order).codes
+    assert codes.dtype == np.int16
+    assert np.array_equal(codes, greedy_reference(b, choice, seed, order))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29, 2**40 + 3])
+def test_choice_words_replay_generator_choice(seed):
+    """The random fast path replays `Generator.choice` from the raw stream:
+    one word per draw, (u * k) >> 32, and no word when k == 1.  A numpy
+    release that draws differently fails here, not in an artifact."""
+    for k in range(1, len(PALETTE17) + 1):
+        rng = np.random.default_rng(seed)
+        drawn = [int(rng.choice(list(range(k)))) for _ in range(300)]
+        if k == 1:
+            assert drawn == [0] * 300
+            assert _choice_draws(np.zeros(1, dtype=np.uint32), np.array([1])) is None
+            assert rng.bit_generator.random_raw() == np.random.default_rng(seed).bit_generator.random_raw()
+        else:
+            assert _choice_draws(_choice_words(seed, 300), np.full(300, k)).tolist() == drawn
+    # Mixed list sizes, as the greedy meets them: k == 1 reads no word.
+    ks = np.random.default_rng(seed + 1).integers(1, len(PALETTE17) + 1, size=2000)
+    rng = np.random.default_rng(seed)
+    drawn = np.array([rng.choice(list(range(k))) for k in ks.tolist()])
+    reads = ks > 1
+    assert not drawn[~reads].any()
+    assert np.array_equal(_choice_draws(_choice_words(seed, int(reads.sum())), ks[reads]), drawn[reads])
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def zero_start_generator(seed=None):
+    """A PCG64 generator whose first 64-bit output is 0.  PCG64 steps its
+    state to s * M + inc before mixing the two halves of the new state, and
+    the mix of a zero state is 0, so start from the preimage of zero."""
+    bits = np.random.PCG64(seed)
+    inc = bits.state["state"]["inc"]
+    start = -inc * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def test_lemire_rejection_matches_generator_choice():
+    """2**32 % 3 == 1, so the word 0 is rejected for k = 3 (and accepted
+    for k = 2): `choice` then reads on, past both zero halves of the first
+    output, to the low half of the second."""
+    assert _choice_draws(np.zeros(1, dtype=np.uint32), np.array([3])) is None
+    assert _choice_draws(np.zeros(1, dtype=np.uint32), np.array([2])).tolist() == [0]
+    first, second = zero_start_generator(4).bit_generator.random_raw(2)
+    assert first == 0
+    settled = _choice_draws(np.array([second & 0xFFFFFFFF], dtype=np.uint32), np.array([3]))
+    assert int(zero_start_generator(4).choice([0, 1, 2])) == int(settled[0])
+
+
+def test_random_greedy_falls_back_to_loop_when_a_word_is_rejected(monkeypatch):
+    """Vertex 0 draws from all 17 colours, and 2**32 % 17 == 1 rejects the
+    word 0: the stream shifts, so the loop must produce the colouring."""
+    b = GREEDY_BALLS[6]
+    monkeypatch.setattr(np.random, "default_rng", zero_start_generator)
+    with patch.object(proper, "_random_greedy_loop", wraps=proper._random_greedy_loop) as loop:
+        codes = greedy_base_colouring(b, "random", 3).codes
+    loop.assert_called_once()
+    assert np.array_equal(codes, greedy_reference(b, "random", 3))
+    assert offset_conflicts(Colouring(b, PALETTE17, codes)) == 0
+
+
+def test_random_greedy_default_path_runs_no_loop():
+    with patch.object(proper, "_random_greedy_loop", wraps=proper._random_greedy_loop) as loop:
+        greedy_base_colouring(GREEDY_BALLS[8], "random", 0)
+    loop.assert_not_called()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.integers(1, 2 ** len(PALETTE17) - 1), data=st.data())
+def test_nth_set_bit_matches_list_of_free_colours(mask, data):
+    free = [c for c in range(len(PALETTE17)) if mask >> c & 1]
+    n = data.draw(st.integers(0, len(free) - 1))
+    assert _nth_set_bit(np.array([mask], dtype=np.int32), np.array([n])).tolist() == [free[n]]
