@@ -128,14 +128,21 @@ def pdegree(config: Configuration, w: int) -> int:
     return int(pdegree_profile(config.ball, config.values[None, :], np.array([w]))[0, 0])
 
 
+# The sign bit with which the T1, T1^-1, T2, T2^-1 neighbour of a vertex
+# could aim its arrow at that vertex.
+_IN_SIGNS = np.array([-1, 1, -1, 1], dtype=np.int8)
+
+
+def _pdegrees(values: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Per row of values, how many of the neighbour columns (last axis:
+    T1, T1^-1, T2, T2^-1) hold a sign that aims back."""
+    return np.count_nonzero(values[:, neighbours] == _IN_SIGNS, axis=-1)
+
+
 def pdegree_profile(ball: Ball, values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """p-degrees for a batch: values (B, |ball|) against interior vertices (m,)."""
-    t1, u1, t2, u2 = neighbour_tables(ball)
-    deg = (values[:, t1[vertices]] == -1).astype(np.int8)
-    deg += values[:, u1[vertices]] == 1
-    deg += values[:, t2[vertices]] == -1
-    deg += values[:, u2[vertices]] == 1
-    return deg
+    neighbours = np.stack([table[vertices] for table in neighbour_tables(ball)], axis=-1)
+    return _pdegrees(values, neighbours).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,10 @@ class PdegreeReport:
 
 
 def _root_pdegree(ball: Ball):
-    root = np.array([0])
-    return lambda values: pdegree_profile(ball, values, root)[:, 0]
+    """Per-sample root p-degree of a batch: the root's four neighbour
+    columns are looked up once, not per batch."""
+    neighbours = np.array([table[0] for table in neighbour_tables(ball)])
+    return lambda values: _pdegrees(values, neighbours)
 
 
 def pdegree_histogram(ball: Ball, source: RandomSource, n: int, workers: int = 1) -> PdegreeReport:

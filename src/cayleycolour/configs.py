@@ -12,6 +12,15 @@ cut at exactly n kept samples.  Every sampler and estimator here and in
 ``arrows`` reads that one walk, so an estimate never depends on how many
 workers draw the batches: one worker runs on the calling thread, more run in
 a thread pool and are still consumed in index order.
+
+The v1 stream (``pcg64-seedseq/batch1024/v1``): batch k is read from PCG64
+seeded by ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Its raw 64-bit
+outputs are taken as little-endian bytes, and byte i gives coordinate i of
+the batch, in row-major order over (row, vertex): +1 when the byte's top bit
+is set, -1 otherwise.  This is the stream that
+``Generator.integers(0, 2, size=(rows, |ball|), dtype=int8)`` draws: its
+bounded uint8 draw maps a byte u to (2u) >> 8, the top bit, and rejects no
+byte when the range is two values.
 """
 
 from __future__ import annotations
@@ -44,9 +53,9 @@ class RandomSource:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
-    def batch_rng(self, batch: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(batch,))
-        return np.random.Generator(np.random.PCG64(ss))
+    def batch_bits(self, batch: int) -> np.random.PCG64:
+        """The bit generator whose raw output is batch `batch`."""
+        return np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=(batch,)))
 
 
 class Configuration:
@@ -92,11 +101,18 @@ class Configuration:
 
 
 def sample_batch(ball: Ball, source: RandomSource, batch: int, rows: int = BATCH_SIZE) -> np.ndarray:
-    """Rows of ±1 values, one per sample; the first `rows` of the batch, since
-    PCG64 fills rows in order.  int8, shape (rows, |ball|)."""
-    rng = source.batch_rng(batch)
-    values = rng.integers(0, 2, size=(rows, len(ball)), dtype=np.int8)
-    values *= 2  # in place: one batch-sized allocation per draw
+    """Rows of ±1 values, one per sample: int8, shape (rows, |ball|).
+
+    Coordinate i, counted row-major, is +1 when the top bit of byte i of the
+    batch's raw PCG64 output (little-endian 64-bit words) is set and -1
+    otherwise; see the module docstring.  The bytes are read in order, so
+    the first `rows` rows are those of the whole batch."""
+    size = rows * len(ball)
+    raw = source.batch_bits(batch).random_raw(-(-size // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8)[:size]
+    bits >>= 7
+    values = bits.view(np.int8).reshape(rows, len(ball))
+    values *= 2  # in place: the raw words are the one batch-sized allocation
     values -= 1
     return values
 

@@ -120,17 +120,7 @@ def _layered_greedy(tables: Sequence[np.ndarray], rank: np.ndarray | None, choic
         earlier = t if rank is None else rank[t]
         dsts.append(np.flatnonzero((t >= 0) & (earlier < later)).astype(np.int32))
     del later
-    # Layer of a vertex: the longest chain of earlier neighbours ending at it.
-    depth = np.zeros(n, dtype=np.int32)
-    changed = True
-    while changed:
-        changed = False
-        for t, dst in zip(tables, dsts):
-            step = depth[t[dst]] + 1
-            grow = step > depth[dst]
-            if grow.any():
-                depth[dst[grow]] = step[grow]
-                changed = True
+    depth = _depths([(t[dst], dst) for t, dst in zip(tables, dsts)], n)
     n_layers = int(depth.max()) + 1
     for i, dst in enumerate(dsts):
         key = depth[dst]
@@ -159,6 +149,39 @@ def _layered_greedy(tables: Sequence[np.ndarray], rank: np.ndarray | None, choic
                 return None
             codes[part] = _nth_set_bit(free, picks)
     return codes
+
+
+def _depths(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """Layer of each vertex: the longest chain of earlier neighbours ending
+    at it, as the fixpoint of depth[dst] >= depth[src] + 1 over the (src,
+    dst) pair lists, each of which holds a dst at most once.
+
+    The lists are relaxed in turn, one pass each, round after round.  After
+    the first round a list rereads only the pairs whose source grew since
+    its own previous pass: no other pair can raise its target.  Once k
+    passes in a row (one per list) raise nothing, the fixpoint is reached."""
+    k = len(pairs)
+    depth = np.zeros(n, dtype=np.int32)
+    # The pass, mod 256, in which each depth last grew.  A stale stamp can
+    # only look recent, which rereads a pair for nothing but skips none.
+    stamp = np.zeros(n, dtype=np.uint8)
+    p = quiet = 0
+    while quiet < k:
+        src, dst = pairs[p % k]
+        if p >= k:
+            # Sources stamped in passes p - k .. p - 1: since this list's
+            # previous pass, which read its sources before raising them.
+            hit = np.flatnonzero(np.uint8((p - 1) % 256) - stamp[src] < k)
+            src, dst = src[hit], dst[hit]
+        step = depth[src]
+        step += 1
+        up = step > depth[dst]
+        raised = dst[up]
+        depth[raised] = step[up]
+        stamp[raised] = p % 256
+        quiet = 0 if len(raised) else quiet + 1
+        p += 1
+    return depth
 
 
 def _choice_words(seed: int, n: int) -> np.ndarray:

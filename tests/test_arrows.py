@@ -164,6 +164,24 @@ def test_conditional_pdegree_three_eighths_and_one_eighth():
     assert report.histogram[0] == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_root_histograms_match_pdegree_profile(workers):
+    # The histograms read the root's four neighbour columns directly; they
+    # must count what pdegree_profile gives at the root, sample by sample.
+    b = small_ball(2)
+    source = RandomSource(31)
+    j = int(neighbour_tables(b)[0][0])
+
+    def at_root(rows):
+        return pdegree_profile(b, rows, np.array([0]))[:, 0]
+
+    n = 2500  # three batches, the last one cut
+    plain = histogram(b, source, n, at_root, 5)
+    assert pdegree_histogram(b, source, n, workers).histogram == tuple(plain)
+    conditioned = histogram(b, source, n, at_root, 5, keep=lambda rows: rows[:, j] == -1)
+    assert conditional_pdegree(b, source, n, workers).histogram == tuple(conditioned)
+
+
 def test_constructive_solution_satisfies_rule():
     config, colouring = solved()
     report = check(arrow_rule(), colouring)

@@ -47,6 +47,41 @@ def test_sample_values_are_pm1():
     assert set(np.unique(block)) == {-1, 1}
 
 
+def generator_rows(seed, batch, rows, width):
+    """The batch as `Generator.integers` draws it, mapped to ±1."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(batch,))
+    bits = np.random.Generator(np.random.PCG64(ss)).integers(0, 2, size=(rows, width), dtype=np.int8)
+    return bits * 2 - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    torsion=st.booleans(),
+    radius=st.integers(0, 4),
+    seed=st.integers(0, 2**64 - 1),
+    batch=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, BATCH_SIZE),
+)
+def test_sample_batch_replays_generator_integers(torsion, radius, seed, batch, rows):
+    # sample_batch reads the top bit of each raw byte; this pins that to the
+    # numpy draw it replaces, so a numpy change fails here instead of
+    # silently changing every sampled record.
+    b = ball(z2_z3() if torsion else F2, radius)
+    drawn = sample_batch(b, RandomSource(seed), batch, rows)
+    assert drawn.dtype == np.int8
+    assert np.array_equal(drawn, generator_rows(seed, batch, rows, len(b)))
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_sample_batch_stream_every_tail_length(rows):
+    # rows * 5 runs through every residue mod 8, so the last raw word is
+    # read with 0 to 7 bytes left over; widths 14 and 8 (Z2*Z3) are even.
+    seed = 2**64 - 1
+    for p, radius in ((F2, 1), (z2_z3(), 3), (z2_z3(), 2)):
+        b = ball(p, radius)
+        assert np.array_equal(sample_batch(b, RandomSource(seed), 3, rows), generator_rows(seed, 3, rows, len(b)))
+
+
 def test_configuration_validation():
     b = ball(F2, 1)
     with pytest.raises(ValueError):

@@ -635,6 +635,24 @@ def test_layered_greedy_matches_reference_loop(radius, choice, seed, shuffle):
     assert np.array_equal(codes, greedy_reference(b, choice, seed, order))
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 80), lists=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_depths_is_the_longest_earlier_chain(n, lists, seed):
+    # Random pair lists, each holding a target at most once (as an offset
+    # table does), every pair from an earlier to a later vertex.
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(lists):
+        dst = rng.permutation(n)[: rng.integers(0, n + 1)]
+        dst = dst[dst > 0].astype(np.int32)
+        src = (rng.random(len(dst)) * dst).astype(np.int32)
+        pairs.append((src, dst))
+    expected = np.zeros(n, dtype=np.int32)
+    for v in range(n):  # every source precedes its target
+        expected[v] = np.concatenate([expected[src[dst == v]] + 1 for src, dst in pairs]).max(initial=0)
+    assert np.array_equal(proper._depths(pairs, n), expected)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 29, 2**40 + 3])
 def test_choice_words_replay_generator_choice(seed):
     """The random fast path replays `Generator.choice` from the raw stream:
