@@ -3,6 +3,9 @@
 Primary artifacts are byte-stable: keys sorted, rationals as "p/q" strings,
 timestamps, worker count and output paths segregated into a ``.meta.json``
 sidecar.  Worker count never changes results, only wall time.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
+it: no code here calls BLAS, and numpy's idle OpenBLAS pool only burns CPU.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+
+# Must run before numpy loads OpenBLAS, which reads it once at start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -206,7 +212,7 @@ def _run_pdeg(spec: ExperimentSpec, options: RunOptions) -> dict:
     report = estimate(b, RandomSource(spec.seed), spec.samples, workers=options.workers)
     record = report.to_record()
     record["algorithm"] = ALGORITHM
-    record["ok"] = True
+    record["ok"] = len(report.histogram) == 5 and sum(report.histogram) == spec.samples
     return record
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator
@@ -151,8 +150,15 @@ def batches(
             rows = rows[keep(rows)]
         return rows if statistic is None else statistic(rows)
 
+    if workers > 1:
+        # Imported here so that a one-worker run never loads concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
+        context = ThreadPoolExecutor(workers)
+    else:
+        context = nullcontext()
     total = first = 0
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with context as pool:
         apply = map if pool is None else pool.map
         while total < n:
             for out in apply(draw, range(first, first + workers)):

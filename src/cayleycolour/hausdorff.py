@@ -44,7 +44,7 @@ def _bfs_colour(ball: Ball, root: int, child_colour: Callable[[Letter, int], int
         for i, letter in enumerate(letters):
             mine = lo + np.flatnonzero(first[lo : lo + size] == i)
             parent_codes = codes[parent[mine]]
-            for code in np.unique(parent_codes):
+            for code in np.flatnonzero(np.bincount(parent_codes)):
                 codes[mine[parent_codes == code]] = child_colour(letter, int(code))
     return codes
 
@@ -327,7 +327,7 @@ def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
 
     # A copy is disjoint when its three pieces never move onto the same vertex.
     hits = [np.concatenate(parts) for parts in images.values()]
-    copies_disjoint = all(len(np.unique(h)) == len(h) for h in hits)
+    copies_disjoint = not any(np.any(np.diff(np.sort(h)) == 0) for h in hits)
     return DoublingReport(
         interior_size=len(inner),
         piece_sizes=piece_sizes,

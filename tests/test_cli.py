@@ -1,8 +1,14 @@
+import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayleycolour
 from cayleycolour import arrows
 from cayleycolour.cli import ExperimentSpec, main, presentation_named, run
 from cayleycolour.groups import free_group
@@ -236,6 +242,21 @@ class TestMonteCarlo:
         expected = pdegree_histogram(ball(free_group(2), 3), RandomSource(13), 4000)
         assert tuple(record["result"]["histogram"]) == expected.histogram
 
+    @pytest.mark.parametrize(
+        "estimator, flags", [("pdegree_histogram", []), ("conditional_pdegree", ["--conditional"])]
+    )
+    def test_lost_sample_fails(self, tmp_path, monkeypatch, estimator, flags):
+        real = getattr(arrows, estimator)
+
+        def drops_one(ball, source, n, workers=1):
+            return dataclasses.replace(real(ball, source, n - 1, workers=workers), samples=n)
+
+        monkeypatch.setattr(arrows, estimator, drops_one)
+        code, record = run_json(tmp_path, ["pdeg", "--samples", "2000", "--seed", "9", *flags])
+        assert record["result"]["samples"] == 2000
+        assert sum(record["result"]["histogram"]) == 1999
+        assert record["ok"] is False and code == 1
+
 
 class TestStructureCommands:
     def test_offsets(self, tmp_path):
@@ -296,6 +317,52 @@ class TestStructureCommands:
         assert code == 0
         assert record["result"]["all_verified"] is True
         assert record["result"]["star_literal_gap"] == [["1"], ["1"]]
+
+
+# Runs in a fresh interpreter: what the CLI costs before it does any work.
+STARTUP_PROBE = """
+import contextlib, io, json, os, sys
+import cayleycolour.cli as cli
+state = {"blas": os.environ.get("OPENBLAS_NUM_THREADS")}
+if sys.platform == "linux":
+    state["threads"] = len(os.listdir("/proc/self/task"))
+with contextlib.redirect_stdout(io.StringIO()):
+    state["audit"] = cli.main(["audit", "--rule", "hausdorff", "--radius", "6"])
+    state["numpy.ma"] = "numpy.ma" in sys.modules
+    state["pdeg"] = cli.main(["pdeg", "--samples", "2000", "--workers", "1"])
+    state["concurrent.futures"] = "concurrent.futures" in sys.modules
+print(json.dumps(state))
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_fresh_process(self, tmp_path, preset):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS" and not k.startswith("CAYLEYCOLOUR_")
+        }
+        src = str(Path(cayleycolour.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        state = json.loads(proc.stdout)
+        # A value the caller set wins; otherwise no idle BLAS threads start.
+        assert state["blas"] == (preset or "1")
+        if preset is None and sys.platform == "linux":
+            assert state["threads"] == 1
+        assert state["audit"] == 0 and state["pdeg"] == 0
+        assert state["numpy.ma"] is False
+        assert state["concurrent.futures"] is False
 
 
 class TestRunApi:
