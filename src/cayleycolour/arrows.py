@@ -18,7 +18,7 @@ from typing import IO
 import numpy as np
 
 from .configs import Configuration, RandomSource, histogram, sample_stream
-from .groups import Ball, Presentation, free_group
+from .groups import Ball, Presentation, check_rank_two_free, free_group
 from .measures import (
     DensityProgram,
     FeasibilityResult,
@@ -42,9 +42,7 @@ def passive_part(colour: str) -> str:
     return colour[2]
 
 
-def _check_rank_two_free(p: Presentation) -> None:
-    if p.n_generators != 2 or p.order(0) is not None or p.order(1) is not None:
-        raise ValueError("the arrow rule lives on the rank-two free group")
+_RANK_TWO_FREE = "the arrow rule lives on the rank-two free group"
 
 
 def arrow_rule(presentation: Presentation | None = None) -> ColouringRule:
@@ -56,7 +54,7 @@ def arrow_rule(presentation: Presentation | None = None) -> ColouringRule:
     more neighbours aim their own arrows here.
     """
     p = free_group(2) if presentation is None else presentation
-    _check_rank_two_free(p)
+    check_rank_two_free(p, _RANK_TWO_FREE)
     t1, t2 = p.generator(0), p.generator(1)
     u1, u2 = p.generator(0, -1), p.generator(1, -1)
     window = (p.identity(), t1, u1, t2, u2)
@@ -93,7 +91,7 @@ def arrow_rule(presentation: Presentation | None = None) -> ColouringRule:
 
 def neighbour_tables(ball: Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Left-translation tables for T1, T1^-1, T2, T2^-1."""
-    _check_rank_two_free(ball.presentation)
+    check_rank_two_free(ball.presentation, _RANK_TWO_FREE)
     t1, u1, t2, u2 = ball.unit_tables()
     return t1, u1, t2, u2
 
@@ -289,25 +287,18 @@ def flow_constraint():
     return le([], [], "outflow 1 against in-capacity 15/16", lhs_const=1, rhs_const=IN_CAPACITY)
 
 
-def mass_audit(
-    colouring: Colouring,
-    config: Configuration | None = None,
-    ball: Ball | None = None,
-    seed: int | None = None,
-) -> MassAudit:
-    """Outflow-vs-capacity accounting for a rule-satisfying arrow colouring.
+def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
+    """Outflow-vs-capacity accounting for a rule-satisfying arrow colouring,
+    read off its ball and the configuration it carries.
 
     Every interior vertex must send exactly one arrow; arrows can only land
     on vertices some neighbour aims at, and crowd-free landings are
     injective.  The certified constraint 1 <= 15/16 is then handed to the
     density pipeline, which rejects it.
     """
-    config = colouring.configuration if config is None else config
-    ball = colouring.ball if ball is None else ball
+    config, ball = colouring.configuration, colouring.ball
     if config is None:
         raise ValueError("mass audit needs the underlying sign bits")
-    if config.ball is not ball or colouring.ball is not ball:
-        raise ValueError("colouring, configuration and ball must agree")
     interior = ball.interior_indices(2)
     field = arrow_field(colouring)
     incoming = incoming_counts(field)

@@ -11,7 +11,6 @@ it: no code here calls BLAS, and numpy's idle OpenBLAS pool only burns CPU.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -106,7 +105,7 @@ def _solve_colouring(spec: ExperimentSpec, p: Presentation, b: Ball):
     elif name in _HAUSDORFF_NAMES:
         rule = hausdorff.hausdorff_rule(p)
         if spec.solver == "constructive":
-            colouring = hausdorff.hausdorff_solve(b).colouring
+            colouring = hausdorff.hausdorff_solve(b)
     else:
         path = Path(name) if name else None
         if path is None or path.suffix != ".json" or not path.exists():
@@ -126,14 +125,6 @@ def _solve_colouring(spec: ExperimentSpec, p: Presentation, b: Ball):
     return rule, colouring, extra
 
 
-def _write_colour_csv(colouring: Colouring, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("word", "colour"))
-        for i, w in enumerate(colouring.ball.words):
-            writer.writerow((w.to_string(), colouring.colour_at(i) or ""))
-
-
 def _run_solve(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
@@ -144,7 +135,8 @@ def _run_solve(spec: ExperimentSpec, options: RunOptions) -> dict:
         for i, colour in enumerate(colouring.palette)
     }
     if options.csv:
-        _write_colour_csv(colouring, options.csv)
+        with open(options.csv, "w", newline="") as fh:
+            colouring.write_csv(fh)
     return {
         "rule": rule.name,
         "interior_checked": report.interior_size,
@@ -174,7 +166,7 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
     if name in _ARROW_NAMES:
         config = sample(b, RandomSource(spec.seed))
         colouring = arrows.constructive_solve(config)
-        audit = arrows.mass_audit(colouring, config, b, seed=spec.seed)
+        audit = arrows.mass_audit(colouring, seed=spec.seed)
         ok = (
             audit.certificate.verified
             and audit.feasibility is not None
@@ -195,8 +187,7 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
             "ok": ok,
         }
     if name in _HAUSDORFF_NAMES:
-        classes = hausdorff.hausdorff_solve(b)
-        report = hausdorff.six_piece_doubling(classes)
+        report = hausdorff.six_piece_doubling(hausdorff.hausdorff_solve(b))
         return {"rule": "hausdorff", "doubling": report.to_record(), "ok": report.all_verified}
     raise SpecError(f"no audit for rule {name!r}")
 
@@ -256,7 +247,7 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     q_proxy: frozenset[int] = frozenset()
     n = spec.n_levels
     if n is None:
-        calibration = proper.calibrate_N(base, b, epsilon=Fraction(spec.epsilon))
+        calibration = proper.calibrate_N(base, epsilon=Fraction(spec.epsilon))
         result["calibration"] = calibration.to_record()
         if not calibration.succeeded:
             result["note"] = (
@@ -270,10 +261,10 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     elif n % 2 == 0:
         raise SpecError("--n-levels must be odd")
 
-    graph = proper.doubled_graph(config, base, n, b, q_proxy=q_proxy, strict=False)
+    graph = proper.doubled_graph(config, base, n, q_proxy=q_proxy)
     colouring = proper.canonical_doubled_colouring(graph, arrow_colouring)
     properness = proper.check_proper(graph, colouring, seed=spec.seed)
-    audit = proper.flow_audit_doubled(colouring, graph, config)
+    audit = proper.flow_audit_doubled(colouring, graph)
     if options.csv:
         with open(options.csv, "w", newline="") as fh:
             graph.write_csv(fh)

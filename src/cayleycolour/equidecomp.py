@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import Ball, Presentation, ReducedWord, free_group
+from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
 
 Element = tuple[ReducedWord, int]
 
@@ -122,8 +122,6 @@ def _kuhn_matching(n_left: int, adjacency: list[list[int]], n_right: int) -> lis
                         old = match_left[u2]
                         match_left[u2] = v2
                         match_right[v2] = u2
-                        if old == -1 and u2 == start:
-                            return True
                         if u2 == start:
                             return True
                         v = old
@@ -331,10 +329,7 @@ def cancellation_experiment(
 # ---------------------------------------------------------------------------
 # Prefix sets on the rank-two free group.
 
-
-def _check_rank_two_free(p: Presentation) -> None:
-    if p.n_generators != 2 or p.order(0) is not None or p.order(1) is not None:
-        raise ValueError("prefix sets live on the rank-two free group")
+_RANK_TWO_FREE = "prefix sets live on the rank-two free group"
 
 
 def _prefix_masks(b: Ball) -> list[np.ndarray]:
@@ -348,7 +343,7 @@ def prefix_set(letter: str, b: Ball) -> frozenset[ReducedWord]:
     """All ball words starting (on the left) with the given unit letter,
     written in the presentation's own alphabet (uppercase for inverses)."""
     p = b.presentation
-    _check_rank_two_free(p)
+    check_rank_two_free(p, _RANK_TWO_FREE)
     unit = p.word(letter)
     if unit.length != 1 or abs(unit.letters[0][1]) != 1:
         raise ValueError(f"not a unit letter: {letter!r}")
@@ -400,7 +395,7 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
     under the n or fewer left multiplications by t that follow.
     """
     p = b.presentation
-    _check_rank_two_free(p)
+    check_rank_two_free(p, _RANK_TWO_FREE)
     if b.radius < 3:
         raise ValueError("need radius at least 3")
     ws, ws_inv, wt, wt_inv = _prefix_masks(b)

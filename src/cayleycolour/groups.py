@@ -102,6 +102,12 @@ def z2_z3() -> Presentation:
     return Presentation((("s", 2), ("t", 3)))
 
 
+def check_rank_two_free(p: Presentation, message: str) -> None:
+    """Raise ValueError(message) unless p has two generators, both of infinite order."""
+    if p.n_generators != 2 or p.order(0) is not None or p.order(1) is not None:
+        raise ValueError(message)
+
+
 def _block_length(gen: int, exp: int, p: Presentation) -> int:
     order = p.order(gen)
     if order is None:

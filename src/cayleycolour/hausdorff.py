@@ -9,15 +9,15 @@ too big and too small for any invariant finitely additive measure.
 
 Both solvers walk the ball outward from the identity, each vertex coloured
 from its unique shorter neighbour; torsion triangles close consistently.
+Each returns a plain `Colouring`, and the six-piece functions take it.
 The six-piece report rebuilds two full copies of the space from pieces of
 one, with every set membership and every moved vertex checked exactly.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -181,28 +181,9 @@ def hausdorff_rule(presentation: Presentation | None = None) -> ColouringRule:
     )
 
 
-@dataclass
-class HausdorffClasses:
-    """A/B/C assignment on a Z2 * Z3 ball."""
-
-    colouring: Colouring
-
-    @property
-    def ball(self) -> Ball:
-        return self.colouring.ball
-
-    def members(self, cls: str) -> np.ndarray:
-        return np.nonzero(self.colouring.codes == H_COLOURS.index(cls))[0]
-
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["word", "class"])
-        for i, w in enumerate(self.ball.words):
-            writer.writerow([w.to_string(), self.colouring.colour_at(i)])
-
-
-def hausdorff_solve(ball: Ball) -> HausdorffClasses:
-    """Identity in A; tau steps cycle forward, sigma swaps A with B."""
+def hausdorff_solve(ball: Ball) -> Colouring:
+    """A/B/C classes on a Z2 * Z3 ball: identity in A; tau steps cycle
+    forward, sigma swaps A with B."""
     s_idx, t_idx = _check_z2_z3(ball.presentation)
 
     def child_colour(letter: Letter, parent: int) -> int:
@@ -212,7 +193,7 @@ def hausdorff_solve(ball: Ball) -> HausdorffClasses:
         return 1 if parent == 0 else 0
 
     codes = _bfs_colour(ball, root=0, child_colour=child_colour)
-    return HausdorffClasses(Colouring(ball, H_COLOURS, codes))
+    return Colouring(ball, H_COLOURS, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +247,7 @@ class DoublingReport:
         }
 
 
-def six_piece_pieces(classes: HausdorffClasses) -> np.ndarray:
+def six_piece_pieces(classes: Colouring) -> np.ndarray:
     """Piece number 1..6 per vertex (0 where the reads leave the ball).
 
     A vertex in A splits by where sigma sends it (to B: piece 1, to C:
@@ -277,7 +258,7 @@ def six_piece_pieces(classes: HausdorffClasses) -> np.ndarray:
     s_idx, t_idx = _check_z2_z3(ball.presentation)
     sigma = ball.presentation.generator(s_idx, 1)
     tau = ball.presentation.generator(t_idx, 1)
-    cls = classes.colouring.codes
+    cls = classes.codes
     t_s = ball.left_table(sigma)
     t_t = ball.left_table(tau)
     inner = ball.interior_indices(2)
@@ -289,12 +270,12 @@ def six_piece_pieces(classes: HausdorffClasses) -> np.ndarray:
     return piece
 
 
-def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
+def six_piece_doubling(classes: Colouring) -> DoublingReport:
     """Check that the six pieces tile the interior and that the designated
     movers rebuild two disjoint copies of the A/B/C partition."""
     ball = classes.ball
     rule = hausdorff_rule(ball.presentation)
-    report = check(rule, classes.colouring)
+    report = check(rule, classes)
     if report.interior_size > 0 and not report.satisfied:
         raise ValueError("classes do not satisfy the congruence rule on the interior")
     piece = six_piece_pieces(classes)
@@ -302,7 +283,7 @@ def six_piece_doubling(classes: HausdorffClasses) -> DoublingReport:
     piece_sizes = {name: int(np.sum(piece == k + 1)) for k, name in enumerate(PIECES)}
     partition_exact = bool(np.all(piece[inner] > 0)) and sum(piece_sizes.values()) == len(inner)
 
-    cls = classes.colouring.codes
+    cls = classes.codes
     into_checks: dict[str, tuple[int, int]] = {}
     onto_checks: dict[str, tuple[int, int]] = {}
     mover_words: dict[str, str] = {}

@@ -5,6 +5,11 @@ two-colour list (the colours of its two arrow candidates).  Proper list
 colourings of the secondary graph correspond to uncrowded arrow fields,
 and a doubled construction turns any proper colouring back into an arrow
 field whose mass accounting is exactly infeasible.
+
+Each function reads the ball and sign bits from the objects it is given:
+the graphs from their configuration, the calibration from the base
+colouring, the list transport from the arrow colouring.  Lists are held
+as base-colour codes; palette names appear only in reported violations.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .arrows import arrow_field, candidate_arrays, incoming_counts, neighbour_tables
 from .configs import Configuration
-from .groups import Ball, Presentation, ReducedWord, free_group
+from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
 from .rules import Colouring, ViolationReport
 
@@ -48,8 +53,7 @@ class OffsetFamily:
 def offsets16(presentation: Presentation | None = None) -> OffsetFamily:
     """Four mixed-sign length-2 elements and their twelve length-4 products."""
     p = free_group(2) if presentation is None else presentation
-    if p.n_generators != 2 or p.order(0) is not None or p.order(1) is not None:
-        raise ValueError("offsets live on the rank-two free group")
+    check_rank_two_free(p, "offsets live on the rank-two free group")
     short = tuple(p.word(text) for text in ("aB", "Ab", "bA", "Ba"))
     long: list[ReducedWord] = []
     dropped = 0
@@ -236,21 +240,16 @@ def offset_conflicts(colouring: Colouring, fam: OffsetFamily | None = None) -> i
     return total
 
 
-def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[int]) -> dict[int, tuple[str, str]]:
-    """The base colours of each vertex's two arrow candidates; distinct
-    whenever the base colouring is offset-proper (the candidates differ by
-    a short offset)."""
+def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[int]) -> np.ndarray:
+    """(m, 2) base-colour codes of each vertex's two arrow candidates;
+    distinct whenever the base colouring is offset-proper (the candidates
+    differ by a short offset)."""
     vertices = np.asarray(vertices, dtype=np.int64)
-    c1, c2 = (base.codes[z] for z in candidate_arrays(config, vertices))
-    blank = (c1 < 0) | (c2 < 0)
+    lists = np.stack([base.codes[z] for z in candidate_arrays(config, vertices)], axis=1)
+    blank = (lists < 0).any(axis=1)
     if blank.any():
         raise ValueError(f"candidate of vertex {int(vertices[blank][0])} is uncoloured")
-    names = base.palette
-    return {w: (names[a], names[b]) for w, a, b in zip(vertices.tolist(), c1.tolist(), c2.tolist())}
-
-
-def list_assignment(config: Configuration, base: Colouring, w: int) -> tuple[str, str]:
-    return list_assignments(config, base, [int(w)])[int(w)]
+    return lists
 
 
 @dataclass(frozen=True)
@@ -258,12 +257,17 @@ class SecondaryGraph:
     """Cliques of potential in-pointers, one per centre vertex.
 
     Row k of `cliques` lists the T1, T1^-1, T2, T2^-1 neighbours of
-    centers[k], with -1 in the slot of each neighbour that cannot aim at it.
+    centers[k], with -1 in the slot of each neighbour whose sign bit in
+    `config` cannot aim at it.
     """
 
-    ball: Ball
+    config: Configuration
     centers: np.ndarray
     cliques: np.ndarray
+
+    @property
+    def ball(self) -> Ball:
+        return self.config.ball
 
     def members(self) -> np.ndarray:
         """Every vertex of some clique, ascending."""
@@ -282,35 +286,21 @@ class SecondaryGraph:
         centre = np.broadcast_to(self.centers[:, None], both.shape)
         return x[both], y[both], centre[both]
 
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(("family", "from", "to"))
-        names = [w.to_string() for w in self.ball.words]
-        x, y, _ = self.edges()
-        for i, j in zip(x.tolist(), y.tolist()):
-            writer.writerow(("secondary", names[i], names[j]))
 
-
-def secondary_graph(config: Configuration, b: Ball | None = None) -> SecondaryGraph:
+def secondary_graph(config: Configuration) -> SecondaryGraph:
     """Clique at z: the neighbours whose own sign bit lets them aim at z.
     Centres are the vertices two steps from the boundary, so every
     neighbour is inside the ball."""
-    b = config.ball if b is None else b
-    centers = b.interior_indices(2)
-    neighbours = np.stack([table[centers] for table in neighbour_tables(b)], axis=1)
+    centers = config.ball.interior_indices(2)
+    neighbours = np.stack([table[centers] for table in neighbour_tables(config.ball)], axis=1)
     aims = config.values[neighbours] == np.array([-1, 1, -1, 1])
-    return SecondaryGraph(b, centers, np.where(aims, neighbours, -1))
+    return SecondaryGraph(config, centers, np.where(aims, neighbours, -1))
 
 
-def arrows_to_list_colouring(
-    arrow_colouring: Colouring,
-    base: Colouring,
-    config: Configuration | None = None,
-    b: Ball | None = None,
-) -> Colouring:
-    """Colour each vertex by the base colour of its arrow target."""
-    b = arrow_colouring.ball if b is None else b
-    config = arrow_colouring.configuration if config is None else config
+def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Colouring:
+    """Colour each vertex by the base colour of its arrow target; the
+    result carries the arrow colouring's configuration."""
+    b = arrow_colouring.ball
     if base.ball is not b:
         raise ValueError("base colouring lives on a different ball")
     field = arrow_field(arrow_colouring)
@@ -325,39 +315,34 @@ def arrows_to_list_colouring(
         base.codes[np.maximum(targets, 0)],
         -1,
     ).astype(np.int16)
-    return Colouring(b, base.palette, codes, configuration=config)
+    return Colouring(b, base.palette, codes, configuration=arrow_colouring.configuration)
 
 
-def check_proper_list(
-    graph: SecondaryGraph,
-    lists: Mapping[int, tuple[str, str]],
-    colouring: Colouring,
-) -> ViolationReport:
-    """A vertex passes iff its colour is on its list and avoids all clique-mates.
-    Members are judged in ascending order; a violation carries the vertex's
-    list less its clique-mates' colours."""
+def check_proper_list(graph: SecondaryGraph, base: Colouring, colouring: Colouring) -> ViolationReport:
+    """A vertex passes iff its colour is on its list (the base colours of
+    its two arrow candidates) and avoids all clique-mates.  Members are
+    judged in ascending order; a violation carries the vertex's list less
+    its clique-mates' colours."""
+    if colouring.palette != base.palette:
+        raise ValueError("colouring and base colouring use different palettes")
     members = graph.members()
-    missing = members[~np.isin(members, list(lists))]
-    if len(missing):
-        raise ValueError(f"vertex {int(missing[0])} has no list")
+    lists = list_assignments(graph.config, base, members)
     codes = colouring.codes
-    names = np.array(colouring.palette, dtype=str)
     x, y, _ = graph.edges()
     same = (codes[x] >= 0) & (codes[x] == codes[y])
     clash = np.isin(members, np.concatenate([x[same], y[same]]))
-    listed = np.array([lists[m] for m in members.tolist()], dtype=str).reshape(len(members), 2)
-    assigned = codes[members]
-    on_list = (assigned >= 0) & (listed == names[assigned][:, None]).any(axis=1)
-    bad = members[clash | ~on_list]
+    on_list = (lists == codes[members][:, None]).any(axis=1)  # list codes are never -1
+    bad_rows = np.flatnonzero(clash | ~on_list)
+    bad = members[bad_rows]
 
     # The colours each bad vertex's clique-mates take.
     ends, mates = np.concatenate([x, y]), np.concatenate([y, x])
     keep = np.isin(ends, bad) & (codes[mates] >= 0)
-    taken = np.zeros((len(bad), len(names)), dtype=bool)
+    taken = np.zeros((len(bad), len(base.palette)), dtype=bool)
     taken[np.searchsorted(bad, ends[keep]), codes[mates[keep]]] = True
     violations = [
-        (v, colouring.colour_at(v) or "", frozenset(lists[v]) - set(names[row]))
-        for v, row in zip(bad.tolist(), taken)
+        (v, colouring.colour_at(v) or "", frozenset(base.palette[c] for c in pair if not row[c]))
+        for v, pair, row in zip(bad.tolist(), lists[bad_rows].tolist(), taken)
     ]
     return ViolationReport(interior_size=len(members), violations=tuple(violations))
 
@@ -460,11 +445,7 @@ class Calibration:
         }
 
 
-def calibrate_N(
-    base: Colouring,
-    b: Ball | None = None,
-    epsilon: Fraction = EPSILON,
-) -> Calibration:
+def calibrate_N(base: Colouring, epsilon: Fraction = EPSILON) -> Calibration:
     """Smallest odd N with: all 17 base colours appear among odd-length
     words of length <= N from all but an epsilon fraction of vertices.
 
@@ -472,7 +453,7 @@ def calibrate_N(
     eligible, so the reachable-colour sets are never clipped.  The failing
     vertices are returned as the Q-proxy.
     """
-    b = base.ball if b is None else b
+    b = base.ball
     if not Fraction(0) < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n_colours = len(base.palette)
@@ -505,7 +486,6 @@ class DoubledGraph:
     generated from the words, one block of `_word_images` at a time.
     """
 
-    ball: Ball
     config: Configuration
     base: Colouring
     N: int
@@ -513,6 +493,10 @@ class DoubledGraph:
     secondary: SecondaryGraph
     odd_limit: int
     even_limit: int
+
+    @property
+    def ball(self) -> Ball:
+        return self.config.ball
 
     @property
     def n_first(self) -> int:
@@ -576,30 +560,21 @@ def doubled_graph(
     config: Configuration,
     base: Colouring,
     N: int,
-    b: Ball | None = None,
     q_proxy: frozenset[int] = frozenset(),
-    strict: bool = True,
 ) -> DoubledGraph:
-    """The paired-copy graph; strict mode insists the ball can hold every
-    edge family (radius >= 2N+12), otherwise word reach is clipped at the
-    boundary and the truncation is the caller's stated choice."""
-    b = config.ball if b is None else b
-    if base.ball is not b or config.ball is not b:
-        raise ValueError("base colouring, configuration and ball must agree")
+    """The paired-copy graph on the configuration's ball.  Word reach is
+    clipped at the boundary: the full edge families need radius >= 2N+12."""
+    b = config.ball
+    if base.ball is not b:
+        raise ValueError("base colouring and configuration must live on the same ball")
     if N < 1 or N % 2 == 0:
         raise ValueError("N must be odd and positive")
-    if strict and b.radius < 2 * N + 12:
-        raise ValueError(
-            f"radius {b.radius} cannot hold the edge families for N={N}; "
-            "need radius >= 2N+12 or strict=False"
-        )
     return DoubledGraph(
-        ball=b,
         config=config,
         base=base,
         N=N,
         q_proxy=q_proxy,
-        secondary=secondary_graph(config, b),
+        secondary=secondary_graph(config),
         odd_limit=min(N, b.radius),
         even_limit=min(2 * N + 10, b.radius),
     )
@@ -736,11 +711,7 @@ def doubled_flow_program() -> DensityProgram:
     return DensityProgram((mass,), constraints)
 
 
-def flow_audit_doubled(
-    colouring: DoubledColouring,
-    graph: DoubledGraph,
-    config: Configuration | None = None,
-) -> DoubledAudit:
+def flow_audit_doubled(colouring: DoubledColouring, graph: DoubledGraph) -> DoubledAudit:
     """Read induced arrows off the doubled colouring and account for them.
 
     Every first-copy vertex outside Q whose colour matches a mirrored
@@ -748,7 +719,6 @@ def flow_audit_doubled(
     outflow and inflow bounds simultaneously, and the translated program
     certifies the 15/512 gap.
     """
-    config = graph.config if config is None else config
     n = graph.n_first
     codes = colouring.codes
     _, conflicts = _secondary_conflicts(graph, codes)
@@ -758,7 +728,7 @@ def flow_audit_doubled(
     eligible = graph.ball.interior_indices(1)
     q = graph.q_proxy
     senders = eligible[~np.isin(eligible, list(q))]
-    z1, z2 = candidate_arrays(config, senders)
+    z1, z2 = candidate_arrays(graph.config, senders)
     cx = codes[senders]
     to_first = (cx >= 0) & (cx == codes[n + z1])
     to_second = ~to_first & (cx >= 0) & (cx == codes[n + z2])

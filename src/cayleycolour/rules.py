@@ -21,10 +21,11 @@ satisfying colourings restrict or project onto base-rule solutions.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,7 +122,8 @@ def classify_rank(rule: ColouringRule) -> str:
 class Colouring:
     """Partial colour assignment on ball vertices; -1 codes mean uncoloured.
 
-    May carry the ±1 configuration that position-dependent rules read.
+    May carry the ±1 configuration that position-dependent rules read; it
+    must live on the same ball, so readers take both from the colouring.
     """
 
     def __init__(
@@ -140,6 +142,8 @@ class Colouring:
             raise ValueError("codes must cover every ball vertex")
         if codes.max(initial=-1) >= len(palette) or codes.min(initial=0) < -1:
             raise ValueError("colour code out of range")
+        if configuration is not None and configuration.ball is not ball:
+            raise ValueError("configuration lives on a different ball")
         self.codes = codes
         self.configuration = configuration
 
@@ -151,6 +155,13 @@ class Colouring:
     def colour_at(self, i: int) -> str | None:
         code = int(self.codes[i])
         return None if code < 0 else self.palette[code]
+
+    def write_csv(self, fileobj: IO[str]) -> None:
+        """One `word,colour` row per vertex in ball order; "" if uncoloured."""
+        writer = csv.writer(fileobj)
+        writer.writerow(("word", "colour"))
+        for i, w in enumerate(self.ball.words):
+            writer.writerow((w.to_string(), self.colour_at(i) or ""))
 
     def set_colour(self, i: int, colour: str) -> None:
         self.codes[i] = self.palette.index(colour)

@@ -90,7 +90,7 @@ def test_05_arrow_constructive_mass_audit(ball8):
     colouring = arrows.constructive_solve(config)
     report = check(arrows.arrow_rule(F2), colouring)
     assert report.n_violations == 0
-    audit = arrows.mass_audit(colouring, config, ball8, seed=5)
+    audit = arrows.mass_audit(colouring, seed=5)
     assert audit.crowded_fraction == 0
     assert audit.outflow_per_vertex == 1
     assert audit.in_capacity_estimate <= Fraction(15, 16) + Fraction(2, 100)
@@ -134,10 +134,9 @@ def test_08_list_transport_fifty_configs(ball8):
     for seed in range(50):
         config = sample(ball8, RandomSource(seed))
         colouring = arrows.constructive_solve(config)
-        graph = proper.secondary_graph(config, ball8)
-        lists = proper.list_assignments(config, base, graph.members())
-        transported = proper.arrows_to_list_colouring(colouring, base, config, ball8)
-        report = proper.check_proper_list(graph, lists, transported)
+        graph = proper.secondary_graph(config)
+        transported = proper.arrows_to_list_colouring(colouring, base)
+        report = proper.check_proper_list(graph, base, transported)
         total_violations += report.n_violations
     assert total_violations == 0
 
@@ -153,21 +152,19 @@ def test_09_doubled_space_audit():
 
     # Randomized greedy base: calibration succeeds and the doubled audit runs.
     base = proper.greedy_base_colouring(b7, choice="random", seed=2)
-    calibration = proper.calibrate_N(base, b7)
+    calibration = proper.calibrate_N(base)
     assert calibration.succeeded
-    graph = proper.doubled_graph(
-        config, base, calibration.N, b7, q_proxy=frozenset(calibration.failing), strict=False
-    )
+    graph = proper.doubled_graph(config, base, calibration.N, q_proxy=frozenset(calibration.failing))
     colouring = proper.canonical_doubled_colouring(graph, arrow_colouring)
     assert not proper.check_proper(graph, colouring, seed=2).conflicts
-    audit = proper.flow_audit_doubled(colouring, graph, config)
+    audit = proper.flow_audit_doubled(colouring, graph)
     assert not audit.feasibility.feasible
     assert audit.clique_touches_q_fraction <= Fraction(1, 128) + Fraction(1, 100)
 
     # Deterministic greedy base reuses too few colours; the run must say
     # calibration failed rather than silently passing.
     canonical = proper.greedy_base_colouring(b7, choice="min", seed=0)
-    failed = proper.calibrate_N(canonical, b7)
+    failed = proper.calibrate_N(canonical)
     assert not failed.succeeded
     assert failed.N is None and failed.failure_fraction > failed.epsilon
 

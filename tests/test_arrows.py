@@ -25,7 +25,7 @@ from cayleycolour.arrows import (
 from cayleycolour.configs import Configuration, RandomSource, histogram, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
-from cayleycolour.rules import RANK_ONE, check, classify_rank
+from cayleycolour.rules import RANK_ONE, Colouring, check, classify_rank
 
 F2 = free_group(2)
 
@@ -215,6 +215,13 @@ def test_mass_audit_verified_and_infeasible():
     assert ref.display == "1 <= 15/16"
     assert ref.gap == Fraction(1, 16)
     assert replay_refutation(audit.program, ref)
+
+
+def test_mass_audit_needs_the_sign_bits():
+    config, colouring = solved(radius=5)
+    bare = Colouring(colouring.ball, ARROW_COLOURS, colouring.codes)
+    with pytest.raises(ValueError, match="sign bits"):
+        mass_audit(bare)
 
 
 def test_mass_audit_capacity_near_fifteen_sixteenths():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,23 @@ class TestSolveCheck:
         code, record = run_json(tmp_path, ["solve", "--rule", "hausdorff", "--radius", "6"])
         assert code == 0
         assert record["spec"]["presentation"] == "z2z3"
+
+    @pytest.mark.parametrize(
+        "rule, radius, digest",
+        [
+            ("hausdorff", "8", "506dd4114cf15b32c62604fafc1df59e4c8045ebc3ddd309bc16f06f1ebf5420"),
+            ("arrow", "6", "58710bfd5bf61c2ba9d315328a5f741bfef0d78123c42fe0814beeb32a4f0292"),
+        ],
+    )
+    def test_solve_csv_golden_digest(self, tmp_path, rule, radius, digest):
+        csv_path = tmp_path / "colours.csv"
+        code, _ = run_json(tmp_path, ["solve", "--rule", rule, "--radius", radius, "--csv", str(csv_path)])
+        assert code == 0
+        data = csv_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if rule == "arrow":
+            # Boundary vertices send no arrow: their colour field is empty.
+            assert b"\r\nababab,\r\n" in data
 
     def test_file_rule_iterate(self, tmp_path):
         p = free_group(1)

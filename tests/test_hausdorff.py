@@ -11,7 +11,6 @@ from cayleycolour.hausdorff import (
     H_COLOURS,
     MOVERS,
     PIECES,
-    HausdorffClasses,
     example1_certificates,
     example1_program,
     example1_rule,
@@ -124,8 +123,8 @@ def test_hausdorff_rule_needs_right_group():
 def test_hausdorff_solver_satisfies():
     b = ball(z2_z3(), 9)
     classes = hausdorff_solve(b)
-    assert classes.colouring.colour_at(0) == "A"
-    report = check(hausdorff_rule(), classes.colouring)
+    assert classes.colour_at(0) == "A"
+    report = check(hausdorff_rule(), classes)
     assert report.satisfied
 
 
@@ -134,7 +133,7 @@ def test_hausdorff_tau_moves_a_to_b():
     classes = hausdorff_solve(b)
     tau = b.presentation.word("t")
     table = b.left_table(tau)
-    cls = classes.colouring.codes
+    cls = classes.codes
     for i in b.interior_indices(1):
         if cls[int(i)] == 0:
             assert cls[int(table[int(i)])] == 1
@@ -177,7 +176,7 @@ def onto_reference(classes):
     """Onto-checks and the boundary remainder one interior vertex at a time."""
     b = classes.ball
     piece = six_piece_pieces(classes)
-    cls = classes.colouring.codes
+    cls = classes.codes
     inner = b.interior_indices(2)
     remainder = 0
     onto = {}
@@ -221,7 +220,7 @@ def six_piece_reference(classes):
     """Piece numbers one interior vertex at a time: the loop the masks
     replaced."""
     b = classes.ball
-    cls = classes.colouring.codes
+    cls = classes.codes
     t_s = b.left_table(b.presentation.word("s"))
     t_t = b.left_table(b.presentation.word("t"))
     piece = np.zeros(len(b), dtype=np.int8)
@@ -247,17 +246,17 @@ def test_six_piece_pieces_match_reference_loop(data):
     classes = SIX_PIECE_CLASSES[data.draw(st.integers(1, 9), label="radius")]
     b = classes.ball
     assert np.array_equal(six_piece_pieces(classes), six_piece_reference(classes))
-    codes = classes.colouring.codes.copy()
+    codes = classes.codes.copy()
     moved = data.draw(st.lists(st.integers(0, len(b) - 1), max_size=20), label="moved")
     codes[moved] = data.draw(st.lists(st.integers(-1, 2), min_size=len(moved), max_size=len(moved)))
-    perturbed = HausdorffClasses(Colouring(b, H_COLOURS, codes))
+    perturbed = Colouring(b, H_COLOURS, codes)
     assert np.array_equal(six_piece_pieces(perturbed), six_piece_reference(perturbed))
 
 
 def test_six_piece_rejects_bad_classes():
     b = ball(z2_z3(), 6)
     classes = hausdorff_solve(b)
-    classes.colouring.codes[0] = (classes.colouring.codes[0] + 1) % 3
+    classes.codes[0] = (classes.codes[0] + 1) % 3
     with pytest.raises(ValueError):
         six_piece_doubling(classes)
 
@@ -269,7 +268,7 @@ def test_classes_csv(tmp_path):
     with open(path, "w") as fh:
         classes.write_csv(fh)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "word,class"
+    assert lines[0] == "word,colour"
     assert len(lines) == len(b) + 1
 
 

@@ -33,7 +33,6 @@ from cayleycolour.proper import (
     doubled_graph,
     flow_audit_doubled,
     greedy_base_colouring,
-    list_assignment,
     list_assignments,
     offset_conflicts,
     offsets16,
@@ -123,8 +122,9 @@ def test_greedy_rejects_order_that_is_not_a_permutation():
 def test_list_assignment_distinct():
     b, config, base = setup_r6()
     interior = b.interior_indices(1)
-    for w in interior[:300]:
-        c1, c2 = list_assignment(config, base, int(w))
+    lists = list_assignments(config, base, interior[:300])
+    assert lists.shape == (300, 2)
+    for c1, c2 in lists.tolist():
         assert c1 != c2
 
 
@@ -132,7 +132,7 @@ def test_list_assignment_boundary_error():
     b, config, base = setup_r6()
     edge = int(np.flatnonzero(b.lengths == b.radius)[0])
     with pytest.raises(ValueError):
-        list_assignment(config, base, edge)
+        list_assignments(config, base, [edge])
 
 
 def test_secondary_clique_sizes_are_pdegrees():
@@ -204,14 +204,13 @@ def test_list_transport_proper():
     lists = list_assignments(config, base, lists_cover)
     transported = arrows_to_list_colouring(colouring, base)
     graph = secondary_graph(config)
-    report = check_proper_list(graph, lists, transported)
+    report = check_proper_list(graph, base, transported)
     assert report.satisfied
     # every transported colour sits on the vertex's own list
-    for w in lists_cover:
-        w = int(w)
-        got = transported.colour_at(w)
-        if got is not None:
-            assert got in lists[w]
+    for w, pair in zip(lists_cover.tolist(), lists.tolist()):
+        got = int(transported.codes[w])
+        if got >= 0:
+            assert got in pair
 
 
 def test_list_transport_many_seeds():
@@ -220,8 +219,7 @@ def test_list_transport_many_seeds():
     for seed in range(6):
         config = sample(b, RandomSource(seed))
         transported = arrows_to_list_colouring(constructive_solve(config), base)
-        lists = list_assignments(config, base, b.interior_indices(1))
-        assert check_proper_list(secondary_graph(config), lists, transported).satisfied
+        assert check_proper_list(secondary_graph(config), base, transported).satisfied
 
 
 def test_list_transport_rejects_crowding():
@@ -252,20 +250,28 @@ def test_list_transport_rejects_crowding():
 def test_check_proper_list_flags_constant_clique():
     b, config, base = setup_r6()
     graph = secondary_graph(config)
-    lists = list_assignments(config, base, b.interior_indices(1))
-    from cayleycolour.rules import Colouring
-
     constant = Colouring.uniform(b, PALETTE17, "c3")
-    report = check_proper_list(graph, lists, constant)
+    report = check_proper_list(graph, base, constant)
     assert not report.satisfied
 
 
-def test_check_proper_list_missing_list():
+def test_check_proper_list_uncoloured_candidate():
     b, config, base = setup_r6()
     graph = secondary_graph(config)
     transported = arrows_to_list_colouring(constructive_solve(config), base)
-    with pytest.raises(ValueError):
-        check_proper_list(graph, {}, transported)
+    member = int(graph.members()[0])
+    holed = base.copy()
+    holed.codes[candidates(config, member)[1]] = -1
+    with pytest.raises(ValueError, match="uncoloured"):
+        check_proper_list(graph, holed, transported)
+
+
+def test_check_proper_list_needs_the_base_palette():
+    b, config, base = setup_r6()
+    graph = secondary_graph(config)
+    renamed = Colouring(b, tuple(reversed(PALETTE17)), base.codes)
+    with pytest.raises(ValueError, match="palettes"):
+        check_proper_list(graph, renamed, arrows_to_list_colouring(constructive_solve(config), base))
 
 
 KERNEL_BALLS = {r: ball(F2, r) for r in range(3, 7)}
@@ -351,17 +357,18 @@ def test_calibrate_reports_q_proxy():
         assert cal.failure_fraction > Fraction(1, 512)
 
 
-def test_doubled_graph_strict_radius_guard():
+def test_doubled_graph_clips_limits_at_radius():
     b, config, base = setup_r6()
-    with pytest.raises(ValueError):
-        doubled_graph(config, base, 1, strict=True)
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     assert graph.N == 1
+    assert (graph.odd_limit, graph.even_limit) == (1, 6)
+    graph = doubled_graph(config, base, 7)
+    assert (graph.odd_limit, graph.even_limit) == (6, 6)
 
 
 def test_rho_involution():
     b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     for v in (0, 5, len(b) - 1, len(b), 2 * len(b) - 1):
         assert graph.rho(graph.rho(v)) == v
 
@@ -369,7 +376,7 @@ def test_rho_involution():
 def test_q_vertices_have_no_first_copy_edges():
     b, config, base = setup_r6()
     qv = int(b.interior_indices(2)[10])
-    graph = doubled_graph(config, base, 1, q_proxy=frozenset({qv}), strict=False)
+    graph = doubled_graph(config, base, 1, q_proxy=frozenset({qv}))
     colouring = canonical_doubled_colouring(graph, constructive_solve(config))
     report = check_proper(graph, colouring, copy2_sample=8)
     assert report.satisfied
@@ -379,7 +386,7 @@ def test_q_vertices_have_no_first_copy_edges():
 
 def test_canonical_doubled_colouring_proper():
     b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 3, strict=False)
+    graph = doubled_graph(config, base, 3)
     colouring = canonical_doubled_colouring(graph, constructive_solve(config))
     report = check_proper(graph, colouring, copy2_sample=48)
     assert report.satisfied
@@ -390,7 +397,7 @@ def test_canonical_doubled_colouring_proper():
 
 def test_flow_audit_exact_gap():
     b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     colouring = canonical_doubled_colouring(graph, constructive_solve(config))
     audit = flow_audit_doubled(colouring, graph)
     assert audit.outflow_bound == Fraction(511, 512)
@@ -407,7 +414,7 @@ def test_flow_audit_exact_gap():
 def test_flow_audit_counts_q():
     b, config, base = setup_r6()
     qv = {int(v) for v in b.interior_indices(2)[:3]}
-    graph = doubled_graph(config, base, 1, q_proxy=frozenset(qv), strict=False)
+    graph = doubled_graph(config, base, 1, q_proxy=frozenset(qv))
     colouring = canonical_doubled_colouring(graph, constructive_solve(config))
     audit = flow_audit_doubled(colouring, graph)
     assert audit.q_fraction == Fraction(3, len(b.interior_indices(1)))
@@ -417,7 +424,7 @@ def test_flow_audit_counts_q():
 
 def test_flow_audit_rejects_improper():
     b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     flat = DoubledColouring(PALETTE17, np.zeros(2 * len(b), dtype=np.int16))
     with pytest.raises(ValueError):
         flow_audit_doubled(flat, graph)
@@ -427,7 +434,7 @@ def test_doubled_csv(tmp_path):
     b = ball(F2, 5)
     config = sample(b, RandomSource(2))
     base = greedy_base_colouring(b)
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     path = tmp_path / "doubled.csv"
     with open(path, "w") as fh:
         graph.write_csv(fh, first_vertices=b.interior_indices(1)[:20], second_vertices=np.arange(10))
@@ -440,7 +447,7 @@ def test_doubled_csv(tmp_path):
 
 def test_degree_bound_positive():
     b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1, strict=False)
+    graph = doubled_graph(config, base, 1)
     assert graph.degree_bound() >= 6 + 4
     odd = np.count_nonzero((b.lengths % 2 == 1) & (b.lengths <= 1))
     even = np.count_nonzero((b.lengths % 2 == 0) & (b.lengths > 0))
@@ -477,7 +484,7 @@ def reference_conflicts(graph, colouring, seconds):
 def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     b, config, base = setup_r6()
     n = len(b)
-    graph = doubled_graph(config, base, 3, strict=False)
+    graph = doubled_graph(config, base, 3)
     proper_colouring = canonical_doubled_colouring(graph, constructive_solve(config))
     seconds = np.arange(n)
     assert check_proper(graph, proper_colouring, copy2_sample=None).satisfied
@@ -585,15 +592,17 @@ def test_secondary_family_matches_reference_loops(data):
 
     base = Colouring(b, PALETTE17, rng.integers(0, k, size=len(b)))
     lists = list_assignments(config, base, members)
-    for w in members.tolist():
+    assert lists.shape == (len(members), 2)
+    for w, pair in zip(members.tolist(), lists.tolist()):
         z1, z2 = candidates(config, w)
-        assert lists[w] == (base.colour_at(z1), base.colour_at(z2)) == list_assignment(config, base, w)
+        assert pair == [base.codes[z1], base.codes[z2]] == list_assignments(config, base, [w])[0].tolist()
+    names = {w: (PALETTE17[c1], PALETTE17[c2]) for w, (c1, c2) in zip(members.tolist(), lists.tolist())}
     colouring = Colouring(b, PALETTE17, rng.integers(-1, k, size=len(b)))
-    report = check_proper_list(graph, lists, colouring)
-    assert report == check_proper_list_reference(centers, cliques, lists, colouring)
+    report = check_proper_list(graph, base, colouring)
+    assert report == check_proper_list_reference(centers, cliques, names, colouring)
 
     q = frozenset(rng.choice(len(b), size=data.draw(st.integers(0, 40), label="|Q|")).tolist())
-    doubled = doubled_graph(config, base, 1, q_proxy=q, strict=False)
+    doubled = doubled_graph(config, base, 1, q_proxy=q)
     codes = np.concatenate([colouring.codes, base.codes])
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]

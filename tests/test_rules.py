@@ -88,6 +88,13 @@ def test_check_uncoloured_interior_raises():
         check(differ_rule(), col)
 
 
+def test_colouring_configuration_must_share_the_ball():
+    b, other = ball(F2, 2), ball(F2, 2)
+    with pytest.raises(ValueError, match="different ball"):
+        Colouring(b, ("X", "Y"), configuration=Configuration(other, np.ones(len(other))))
+    assert Colouring(b, ("X", "Y"), configuration=Configuration(b, np.ones(len(b)))).configuration.ball is b
+
+
 def test_check_empty_interior():
     b = ball(F2, 0)
     col = Colouring.uniform(b, ("X", "Y"), "X")
