@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n-levels", type=int, dest="n_levels")
         sp.add_argument("--workers", type=int)
         sp.add_argument("--out", help="primary JSON path (stdout when omitted)")
-        sp.add_argument("--csv", help="optional CSV table path")
+        if name in ("solve", "doubled"):
+            sp.add_argument("--csv", help="optional CSV table path")
         if name in ("solve", "check"):
             sp.add_argument("--solver", choices=("constructive", "iterate"))
         if name in ("offsets", "doubled"):

@@ -3,10 +3,11 @@
 Observed transport facts (a generator maps one colour class into or onto
 another, or a counting bound on arrow flow) become linear constraints on
 the class densities any invariant finitely additive measure would have to
-assign.  Feasibility is decided by exact rational elimination, so an
-infeasible program yields a replayable refutation: a nonnegative
-combination of the stated constraints with all variables cancelled and a
-false constant comparison left over.
+assign.  Feasibility is decided exactly: Gaussian pivoting on the
+equalities, then a Phase-I simplex with Bland's rule on the inequalities.
+An infeasible program yields a replayable refutation: a nonnegative
+combination of the stated constraints (the simplex's Farkas multipliers)
+with all variables cancelled and a false constant comparison left over.
 
 No floating point enters any decision here.
 """
@@ -28,10 +29,6 @@ Terms = tuple[tuple[Fraction, str], ...]
 
 class UnverifiedCertificateError(ValueError):
     """A certificate without a completed empirical record entered translation."""
-
-
-class VariableBudgetError(ValueError):
-    """The program exceeds the supported variable count."""
 
 
 def _terms(pairs: Iterable[tuple[int | str | Fraction, str]]) -> Terms:
@@ -253,7 +250,7 @@ def translate(certificates: Sequence[TransportCertificate], classes: Sequence[st
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility by Gaussian elimination on equalities, then projection.
+# Exact feasibility by Gaussian elimination on equalities, then Phase-I simplex.
 
 
 @dataclass(frozen=True)
@@ -345,13 +342,7 @@ class _Row:
     def subtract_multiple(self, other: "_Row", factor: Fraction) -> "_Row":
         # other must be an equality row; any sign of factor is sound.
         assert other.relation == "=="
-        scaled = _Row(
-            {v: -factor * c for v, c in other.coeffs.items()},
-            -factor * other.const,
-            "==",
-            {i: -factor * m for i, m in other.prov.items()},
-        )
-        merged = self.plus(scaled)
+        merged = self.plus(other.scaled(-factor))
         return _Row(merged.coeffs, merged.const, self.relation, merged.prov)
 
 
@@ -417,16 +408,78 @@ def replay_refutation(program: DensityProgram, refutation: Refutation) -> bool:
     return const != 0 if relation == "==" else const > 0
 
 
+def _contradiction(program: DensityProgram, row: _Row, steps: list[RefutationStep]) -> FeasibilityResult:
+    """Refute a combined row with no variables left and a false constant."""
+    labels = tuple(program.constraints[j].label for j in sorted(row.prov))
+    steps.append(RefutationStep("combine", labels, _render_row(row)))
+    return FeasibilityResult(feasible=False, refutation=_refute(program, row, steps, None, None))
+
+
+def _phase_one(rows: list[_Row], names: list[str]) -> dict[str, Fraction] | _Row:
+    """Phase-I simplex with Bland's rule on the rows a.x + c <= 0, x free.
+
+    Columns: x+ and x- per variable, one slack per row, and one artificial
+    per row with b = -c < 0 (that row is negated); the artificials cost 1.
+    Returns the basic solution's x, or the Farkas combination: the slack
+    columns' reduced costs y >= 0 give sum(y_i * row_i) with no variables
+    left and the positive Phase-I optimum as its constant.
+    """
+    n, m = len(names), len(rows)
+    negated = [i for i, r in enumerate(rows) if r.const > 0]
+    width = 2 * n + m + len(negated)
+    table: list[list[Fraction]] = []
+    for i, r in enumerate(rows):
+        sign = -1 if r.const > 0 else 1
+        line = [Fraction(0)] * (width + 1)
+        for j, v in enumerate(names):
+            line[2 * j] = sign * r.coeffs.get(v, Fraction(0))
+            line[2 * j + 1] = -line[2 * j]
+        line[2 * n + i] = Fraction(sign)
+        line[width] = -sign * r.const
+        table.append(line)
+    basis = list(range(2 * n, 2 * n + m))
+    cost = [Fraction(0)] * (2 * n + m) + [Fraction(1)] * len(negated) + [Fraction(0)]
+    for k, i in enumerate(negated):
+        table[i][2 * n + m + k] = Fraction(1)
+        basis[i] = 2 * n + m + k
+        cost = [c - t for c, t in zip(cost, table[i])]
+    # cost holds the reduced costs, then minus the sum of the artificials.
+    while (enter := next((j for j in range(width) if cost[j] < 0), None)) is not None:
+        # Phase I is bounded below by 0, so some entry of the column is positive.
+        leave = min(
+            (i for i in range(m) if table[i][enter] > 0),
+            key=lambda i: (table[i][width] / table[i][enter], basis[i]),
+        )
+        pivot = table[leave][enter]
+        table[leave] = [t / pivot for t in table[leave]]
+        nonzero = [(j, t) for j, t in enumerate(table[leave]) if t]
+        for line in table[:leave] + table[leave + 1:] + [cost]:
+            f = line[enter]
+            if f:
+                for j, t in nonzero:
+                    line[j] -= f * t
+        basis[leave] = enter
+    if cost[width] == 0:
+        value = [Fraction(0)] * width
+        for i, col in enumerate(basis):
+            value[col] = table[i][width]
+        return {v: value[2 * j] - value[2 * j + 1] for j, v in enumerate(names)}
+    combined = _Row({}, Fraction(0), "<=")
+    for i, r in enumerate(rows):
+        if cost[2 * n + i]:
+            combined = combined.plus(r.scaled(cost[2 * n + i]))
+    assert not combined.coeffs and combined.const > 0, "Farkas multipliers do not refute"
+    return combined
+
+
 def feasible(program: DensityProgram) -> FeasibilityResult:
     """Exact feasibility: witness point or replayable refutation.
 
     Tries the barycentre first (it decides the plain simplex in one step),
-    then eliminates equalities by Gaussian pivoting and the remaining
-    variables by pairwise projection.
+    then eliminates equalities by Gaussian pivoting, substitutes them into
+    the inequalities, and decides those by an exact Phase-I simplex whose
+    Farkas multipliers refute an infeasible remainder.
     """
-    if len(program.variables) > 32:
-        raise VariableBudgetError(f"{len(program.variables)} variables exceed the 32-variable budget")
-
     n = len(program.variables)
     if n > 0:
         barycentre = {v: Fraction(1, n) for v in program.variables}
@@ -462,16 +515,7 @@ def feasible(program: DensityProgram) -> FeasibilityResult:
         target = next((v for v in program.variables if row.coeffs.get(v)), None)
         if target is None:
             if row.const != 0:
-                steps.append(
-                    RefutationStep(
-                        "combine",
-                        tuple(program.constraints[j].label for j in sorted(row.prov)),
-                        _render_row(row),
-                    )
-                )
-                return FeasibilityResult(
-                    feasible=False, refutation=_refute(program, row, steps, None, None)
-                )
+                return _contradiction(program, row, steps)
             continue
         row = row.scaled(Fraction(1) / row.coeffs[target])
         for v in pivot_order:
@@ -519,58 +563,10 @@ def feasible(program: DensityProgram) -> FeasibilityResult:
         if reduced.coeffs or reduced.const > 0:
             ineqs.append(reduced)
 
-    # Pairwise projection of the remaining variables, recording bounds for
-    # the witness walk-back.
-    bounds_stack: list[tuple[str, list[_Row], list[_Row]]] = []
-    for v in free_vars:
-        pos = [r for r in ineqs if r.coeffs.get(v, 0) > 0]
-        neg = [r for r in ineqs if r.coeffs.get(v, 0) < 0]
-        rest = [r for r in ineqs if not r.coeffs.get(v)]
-        new_rows: list[_Row] = []
-        for p in pos:
-            for q in neg:
-                combined = p.scaled(Fraction(1) / p.coeffs[v]).plus(
-                    q.scaled(Fraction(1) / -q.coeffs[v])
-                )
-                if not combined.coeffs:
-                    if combined.const > 0:
-                        steps.append(
-                            RefutationStep(
-                                "combine",
-                                tuple(program.constraints[j].label for j in sorted(combined.prov)),
-                                _render_row(combined),
-                            )
-                        )
-                        return FeasibilityResult(
-                            feasible=False,
-                            refutation=_refute(program, combined, steps, None, None),
-                        )
-                    continue
-                new_rows.append(combined)
-        bounds_stack.append((v, pos, neg))
-        ineqs = rest + new_rows
-
-    # Feasible: constant leftovers were checked as they appeared.
-    witness: dict[str, Fraction] = {}
-    for v, pos, neg in reversed(bounds_stack):
-        uppers = []
-        for r in pos:
-            c = r.coeffs[v]
-            value = -r.const - sum(r.coeffs[u] * witness[u] for u in r.coeffs if u != v)
-            uppers.append(value / c)
-        lowers = []
-        for r in neg:
-            c = r.coeffs[v]
-            value = -r.const - sum(r.coeffs[u] * witness[u] for u in r.coeffs if u != v)
-            lowers.append(value / c)
-        if uppers and lowers:
-            witness[v] = (max(lowers) + min(uppers)) / 2
-        elif uppers:
-            witness[v] = min(uppers)
-        elif lowers:
-            witness[v] = max(lowers)
-        else:
-            witness[v] = Fraction(0)
+    found = _phase_one(ineqs, free_vars)
+    if isinstance(found, _Row):
+        return _contradiction(program, found, steps)
+    witness = found
     for v in reversed(pivot_order):
         row = pivots[v]
         witness[v] = -row.const - sum(row.coeffs[u] * witness[u] for u in row.coeffs if u != v)

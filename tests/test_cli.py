@@ -57,12 +57,25 @@ class TestPlumbing:
         blobs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            args = ["pdeg", "--samples", "2000", "--seed", "9", "--csv", str(out) + ".csv"]
-            assert main(args + ["--out", str(out)]) == 0
+            assert main(["pdeg", "--samples", "2000", "--seed", "9", "--out", str(out)]) == 0
             blobs.append(out.read_bytes())
             meta = json.loads((tmp_path / (name + ".meta.json")).read_text())
-            assert meta["out"] == str(out) and meta["csv"] == str(out) + ".csv"
+            assert meta["out"] == str(out)
         assert blobs[0] == blobs[1]
+
+    def test_sidecar_records_csv_path(self, tmp_path):
+        out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+        assert main(["solve", "--rule", "example1", "--radius", "4", "--csv", str(csv_path), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "s.json.meta.json").read_text())
+        assert meta["out"] == str(out) and meta["csv"] == str(csv_path)
+        assert csv_path.read_text().startswith("word,colour")
+
+    def test_csv_only_where_a_csv_is_written(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--rule", "example1", "--radius", "6", "--csv", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAYLEYCOLOUR_RADIUS", "4")
@@ -221,6 +234,22 @@ class TestAudits:
         code, record = run_json(tmp_path, ["audit", "--rule", "hausdorff", "--radius", "6"])
         assert code == 0
         assert record["result"]["doubling"]["all_verified"] is True
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("audit --rule example1 --radius 8", "52c37d16467839801ae74401a17455e3361069b5577a09237bb24745e69aac74"),
+            ("audit --rule arrow --radius 8", "6932f439c535a4f0978028212e229766252bd775ef57a467842cd2f30fd36eb3"),
+            ("doubled --radius 7", "192fde2fd5f7e9aaf67ad0cb08ac40cb46ae337576c3440cad739653e2b7c8e9"),
+        ],
+    )
+    def test_result_golden_digest(self, tmp_path, args, digest):
+        """SHA-256 of the canonical result body (as perfbench/gate.py hashes
+        it) for records that no benchmark workload pins."""
+        code, record = run_json(tmp_path, args.split())
+        assert code == 0 and record["ok"] is True
+        body = json.dumps(record["result"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 class TestMonteCarlo:

@@ -9,9 +9,10 @@ from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import (
     Constraint,
     DensityProgram,
+    FeasibilityResult,
+    RefutationStep,
     TransportCertificate,
     UnverifiedCertificateError,
-    VariableBudgetError,
     certify_transport,
     eq,
     feasible,
@@ -21,6 +22,7 @@ from cayleycolour.measures import (
     simplex_program,
     translate,
 )
+from cayleycolour.measures import _render_row, _refute, _row_of, _Row
 from cayleycolour.rules import Colouring
 
 F2 = free_group(2)
@@ -93,10 +95,40 @@ def test_undeclared_class_rejected():
         translate([cert], ("A1", "A2"))
 
 
-def test_variable_budget():
-    names = tuple(f"c{i}" for i in range(33))
-    with pytest.raises(VariableBudgetError):
-        feasible(simplex_program(names))
+def chain_program(closing: Constraint) -> DensityProgram:
+    # Forty densities of mass 1 with c0 <= c1 <= ... <= c39, then one closing row.
+    names = tuple(f"c{i}" for i in range(40))
+    chain = tuple(le([(1, u)], [(1, v)], f"{u} fits in {v}") for u, v in zip(names, names[1:]))
+    return DensityProgram(names, simplex_program(names).constraints + chain + (closing,))
+
+
+def test_forty_variables_decided_both_ways():
+    wide = chain_program(le([(1, "c0"), (1, "c1")], [(1, "c39")], "c0 + c1 fits in c39"))
+    result = feasible(wide)
+    assert result.feasible
+    assert all(c.holds_at(result.witness) for c in wide.constraints)
+
+    # c39 <= c0 / 2 forces every density to 0 against the total mass of 1.
+    tight = chain_program(le([(1, "c39")], [("1/2", "c0")], "c39 at most half of c0"))
+    result = feasible(tight)
+    assert not result.feasible
+    assert result.refutation.steps[-2].operation == "combine"
+    assert replay_refutation(tight, result.refutation)
+
+
+@pytest.mark.parametrize("extra, expect", [((), True), ((le([], [(1, "b")], "b at least 1/4", lhs_const="1/4"),), False)])
+def test_degenerate_program_terminates(extra, expect):
+    # Repeated rows: the first entering column ties five rows in the ratio test.
+    rows = [le([(1, "a"), (1, "b")], [], f"mass {k}", rhs_const=1) for k in range(3)]
+    rows += [le([], [(1, v)], f"{v} nonneg {k}") for v in ("a", "b") for k in range(2)]
+    rows += [le([], [(1, "a")], f"a at least 1 {k}", lhs_const=1) for k in range(2)]
+    program = DensityProgram(("a", "b"), tuple(rows) + extra * 2)
+    result = feasible(program)
+    assert result.feasible == expect == feasible_reference(program).feasible
+    if expect:
+        assert result.witness == {"a": 1, "b": 0}
+    else:
+        assert replay_refutation(program, result.refutation)
 
 
 def test_witness_satisfies_all_constraints():
@@ -239,6 +271,165 @@ def test_constraint_relation_validation():
         Constraint((), Fraction(0), "<", (), Fraction(0), "bad")
 
 
+def feasible_reference(program: DensityProgram) -> FeasibilityResult:
+    """The Fourier-Motzkin eliminator that `feasible` used before its
+    Phase-I simplex: Gaussian pivoting, then pairwise projection of the
+    remaining variables (exponential; small programs only).
+    """
+    n = len(program.variables)
+    if n > 0:
+        barycentre = {v: Fraction(1, n) for v in program.variables}
+        if all(c.holds_at(barycentre) for c in program.constraints):
+            return FeasibilityResult(feasible=True, witness=barycentre)
+
+    rows = [_row_of(c, i) for i, c in enumerate(program.constraints)]
+    steps: list[RefutationStep] = []
+
+    # Constant rows need no elimination at all.
+    for i, row in enumerate(rows):
+        if not row.coeffs:
+            bad = row.const > 0 if row.relation == "<=" else row.const != 0
+            if bad:
+                c = program.constraints[i]
+                steps.append(
+                    RefutationStep("evaluate", (c.label,), c.render())
+                )
+                return FeasibilityResult(
+                    feasible=False, refutation=_refute(program, row, steps, c, {})
+                )
+
+    # Gaussian elimination on equality rows, kept fully reduced.
+    pivots: dict[str, _Row] = {}
+    pivot_order: list[str] = []
+    for i, row in enumerate(rows):
+        if row.relation != "==":
+            continue
+        for v in pivot_order:
+            c = row.coeffs.get(v)
+            if c:
+                row = row.subtract_multiple(pivots[v], c)
+        target = next((v for v in program.variables if row.coeffs.get(v)), None)
+        if target is None:
+            if row.const != 0:
+                steps.append(
+                    RefutationStep(
+                        "combine",
+                        tuple(program.constraints[j].label for j in sorted(row.prov)),
+                        _render_row(row),
+                    )
+                )
+                return FeasibilityResult(
+                    feasible=False, refutation=_refute(program, row, steps, None, None)
+                )
+            continue
+        row = row.scaled(Fraction(1) / row.coeffs[target])
+        for v in pivot_order:
+            c = pivots[v].coeffs.get(target)
+            if c:
+                pivots[v] = pivots[v].subtract_multiple(row, c)
+        pivots[target] = row
+        pivot_order.append(target)
+        steps.append(
+            RefutationStep(
+                "pivot",
+                tuple(program.constraints[j].label for j in sorted(row.prov)),
+                f"{target} solved: {_render_row(row)}",
+            )
+        )
+
+    free_vars = [v for v in program.variables if v not in pivots]
+
+    # Substitute the solved variables into every inequality.
+    ineqs: list[_Row] = []
+    for i, row in enumerate(rows):
+        if row.relation != "<=":
+            continue
+        reduced = row
+        for v in pivot_order:
+            c = reduced.coeffs.get(v)
+            if c:
+                reduced = reduced.subtract_multiple(pivots[v], c)
+        if not reduced.coeffs and reduced.const > 0:
+            source = program.constraints[i]
+            point: dict[str, Fraction] = {}
+            for v in pivot_order:
+                if not any(u in free_vars for u in pivots[v].coeffs if u != v):
+                    point[v] = -pivots[v].const
+            steps.append(
+                RefutationStep(
+                    "substitute",
+                    (source.label,),
+                    f"substituted equality solution into: {source.render()}",
+                )
+            )
+            return FeasibilityResult(
+                feasible=False, refutation=_refute(program, reduced, steps, source, point)
+            )
+        if reduced.coeffs or reduced.const > 0:
+            ineqs.append(reduced)
+
+    # Pairwise projection of the remaining variables, recording bounds for
+    # the witness walk-back.
+    bounds_stack: list[tuple[str, list[_Row], list[_Row]]] = []
+    for v in free_vars:
+        pos = [r for r in ineqs if r.coeffs.get(v, 0) > 0]
+        neg = [r for r in ineqs if r.coeffs.get(v, 0) < 0]
+        rest = [r for r in ineqs if not r.coeffs.get(v)]
+        new_rows: list[_Row] = []
+        for p in pos:
+            for q in neg:
+                combined = p.scaled(Fraction(1) / p.coeffs[v]).plus(
+                    q.scaled(Fraction(1) / -q.coeffs[v])
+                )
+                if not combined.coeffs:
+                    if combined.const > 0:
+                        steps.append(
+                            RefutationStep(
+                                "combine",
+                                tuple(program.constraints[j].label for j in sorted(combined.prov)),
+                                _render_row(combined),
+                            )
+                        )
+                        return FeasibilityResult(
+                            feasible=False,
+                            refutation=_refute(program, combined, steps, None, None),
+                        )
+                    continue
+                new_rows.append(combined)
+        bounds_stack.append((v, pos, neg))
+        ineqs = rest + new_rows
+
+    # Feasible: constant leftovers were checked as they appeared.
+    witness: dict[str, Fraction] = {}
+    for v, pos, neg in reversed(bounds_stack):
+        uppers = []
+        for r in pos:
+            c = r.coeffs[v]
+            value = -r.const - sum(r.coeffs[u] * witness[u] for u in r.coeffs if u != v)
+            uppers.append(value / c)
+        lowers = []
+        for r in neg:
+            c = r.coeffs[v]
+            value = -r.const - sum(r.coeffs[u] * witness[u] for u in r.coeffs if u != v)
+            lowers.append(value / c)
+        if uppers and lowers:
+            witness[v] = (max(lowers) + min(uppers)) / 2
+        elif uppers:
+            witness[v] = min(uppers)
+        elif lowers:
+            witness[v] = max(lowers)
+        else:
+            witness[v] = Fraction(0)
+    for v in reversed(pivot_order):
+        row = pivots[v]
+        witness[v] = -row.const - sum(row.coeffs[u] * witness[u] for u in row.coeffs if u != v)
+    witness = {v: witness[v] for v in program.variables}
+    for c in program.constraints:
+        if not c.holds_at(witness):
+            raise AssertionError(f"witness fails {c.label!r}; elimination is buggy")
+    return FeasibilityResult(feasible=True, witness=witness)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n_vars=st.integers(1, 4), with_simplex=st.booleans())
 def test_feasible_gives_witness_or_replayable_refutation(data, n_vars, with_simplex):
@@ -256,6 +447,7 @@ def test_feasible_gives_witness_or_replayable_refutation(data, n_vars, with_simp
         constraints += simplex_program(names).constraints
     program = DensityProgram(names, tuple(constraints))
     result = feasible(program)
+    assert result.feasible == feasible_reference(program).feasible
     if result.feasible:
         assert set(result.witness) == set(names)
         assert all(c.holds_at(result.witness) for c in program.constraints)
