@@ -10,10 +10,8 @@ capacity is at most 15/16.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
 
 import numpy as np
 
@@ -198,13 +196,6 @@ class ArrowField:
 
     ball: Ball
     targets: np.ndarray
-
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(("from", "to"))
-        for w, t in enumerate(self.targets):
-            if t >= 0:
-                writer.writerow((self.ball.words[w].to_string(), self.ball.words[t].to_string()))
 
 
 def arrow_field(colouring: Colouring) -> ArrowField:

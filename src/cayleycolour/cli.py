@@ -348,12 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--presentation", help="f1..f9, st, or z2z3")
         sp.add_argument("--radius", type=int)
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--rule", help="builtin name or .json rule file")
-        sp.add_argument("--epsilon", help="rational like 1/512")
-        sp.add_argument("--n-levels", type=int, dest="n_levels")
         sp.add_argument("--workers", type=int)
         sp.add_argument("--out", help="primary JSON path (stdout when omitted)")
+        if name in ("pdeg", "types"):
+            sp.add_argument("--samples", type=int)
+        if name in ("solve", "check", "audit"):
+            sp.add_argument("--rule", help="builtin name or .json rule file")
+        if name == "doubled":
+            sp.add_argument("--epsilon", help="rational like 1/512")
+        if name in ("doubled", "types"):
+            sp.add_argument("--n-levels", type=int, dest="n_levels")
         if name in ("solve", "doubled"):
             sp.add_argument("--csv", help="optional CSV table path")
         if name in ("solve", "check"):
@@ -383,8 +387,8 @@ _ENV_CASTS = {
 
 
 def _fill_from_env(args: argparse.Namespace) -> None:
-    """Fill unset options from the environment; a bad value raises SpecError
-    once the rest (an --out among them) are filled."""
+    """Fill unset options the command offers from the environment; a bad
+    value raises SpecError once the rest (an --out among them) are filled."""
     bad = []
     for attr, cast in _ENV_CASTS.items():
         name = ENV_PREFIX + attr.upper()

@@ -25,11 +25,10 @@ byte when the range is two values.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -90,13 +89,6 @@ class Configuration:
 
     def __hash__(self):
         return hash((id(self.ball), self.values.tobytes()))
-
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["word", "value"])
-        for i, w in enumerate(self.ball.words):
-            if self.values[i] != 0:
-                writer.writerow([w.to_string(), int(self.values[i])])
 
 
 def sample_batch(ball: Ball, source: RandomSource, batch: int, rows: int = BATCH_SIZE) -> np.ndarray:

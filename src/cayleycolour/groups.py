@@ -8,11 +8,10 @@ a ball is by left multiplication with generator letters.
 
 from __future__ import annotations
 
-import csv
 import functools
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -266,7 +265,8 @@ class Ball:
     the word (first_gen[i], first_exp[i]) * rest[i]: its first block, then
     the vertex index of what is left after removing that block.  The
     identity is vertex 0, with first_gen -1 and rest -1.  `lengths` holds
-    word lengths; `words` builds `ReducedWord` objects only when read.
+    word lengths; `words` builds `ReducedWord` objects only when read, and
+    `names()` spells every word at once without them.
 
     The order is `ReducedWord.sort_key`: by length, then by the blocks'
     keys (gen, sign, |exp|) from the left.  Words of one length that share
@@ -450,6 +450,18 @@ class Ball:
             parent[mine] = self._block_table((gen, -exp), "left")[mine]
         return first, parent
 
+    def names(self) -> list[str]:
+        """Each vertex's word as `ReducedWord.to_string` spells it, in vertex
+        order: its first unit letter (`first_steps`), then its parent's name."""
+        p = self.presentation
+        labels = [p.name(gen) if exp > 0 else p.name(gen).upper() for gen, exp in p.adjacency_letters()]
+        first, parent = self.first_steps()
+        names = [""]
+        for letter, rest in zip(first[1:].tolist(), parent[1:].tolist()):
+            names.append(labels[letter] + names[rest])
+        names[0] = "1"
+        return names
+
     def unit_tables(self) -> list[np.ndarray]:
         """Left tables of the `adjacency_letters()`, in that order, which is
         the order `first_steps` indexes."""
@@ -481,24 +493,6 @@ class Ball:
     def interior_indices(self, depth: int) -> np.ndarray:
         """Vertices whose whole depth-neighbourhood stays inside the ball."""
         return np.nonzero(self.lengths <= self.radius - depth)[0]
-
-    def edges(self) -> Iterator[tuple[int, str, int]]:
-        for letter in self.presentation.adjacency_letters():
-            gen, exp = letter
-            name = self.presentation.name(gen)
-            label = name if exp > 0 else name.upper()
-            table = self._block_table(letter, "left")
-            for i in range(len(self)):
-                j = int(table[i])
-                if j >= 0:
-                    yield i, label, j
-
-    def write_edges_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["from", "generator", "to"])
-        names = [w.to_string() for w in self.words]
-        for i, label, j in self.edges():
-            writer.writerow([names[i], label, names[j]])
 
 
 def ball(presentation: Presentation, radius: int) -> Ball:

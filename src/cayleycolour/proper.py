@@ -526,34 +526,35 @@ class DoubledGraph:
         codes = self.base.codes
         return _edge_blocks(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
 
-    def cross_pairs(self, vertices: np.ndarray) -> Iterable[tuple[int, int]]:
-        """(x, z) with x in the first copy, rho(z) its cross neighbour, in
-        the order (word, x's position in `vertices`)."""
-        xs, zs = _in_order(self._cross_blocks(vertices))
-        return zip(xs.tolist(), zs.tolist())
+    def cross_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (x, z) with x in the first copy, rho(z) its cross neighbour,
+        in the order (word, x's position in `vertices`)."""
+        return _in_order(self._cross_blocks(vertices))
 
-    def copy2_pairs(self, vertices: np.ndarray) -> Iterable[tuple[int, int]]:
-        """(x, y) with rho(x) ~ rho(y): even distance, different base colours."""
-        xs, ys = _in_order(self._copy2_blocks(vertices))
-        return zip(xs.tolist(), ys.tolist())
+    def copy2_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (x, y) with rho(x) ~ rho(y): even distance, different base colours."""
+        return _in_order(self._copy2_blocks(vertices))
 
-    def write_csv(
-        self,
-        fileobj: IO[str],
-        first_vertices: np.ndarray | None = None,
-        second_vertices: np.ndarray | None = None,
-    ) -> None:
+    def write_csv(self, fileobj: IO[str]) -> None:
+        """`family,from,to` rows: the secondary edges off Q, then the cross
+        and copy2 edges from the interior, each family in (word, vertex) order."""
+        names = self.ball.names()
+        interior = self.ball.interior_indices(1)
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
-        names = [w.to_string() for w in self.ball.words]
-        for x, y in zip(*(ends.tolist() for ends in _secondary_off_q(self))):
-            writer.writerow(("secondary", names[x], names[y]))
-        firsts = self.ball.interior_indices(1) if first_vertices is None else first_vertices
-        for x, z in self.cross_pairs(firsts):
-            writer.writerow(("cross", names[x], f"rho({names[z]})"))
-        seconds = firsts if second_vertices is None else second_vertices
-        for x, y in self.copy2_pairs(seconds):
-            writer.writerow(("copy2", f"rho({names[x]})", f"rho({names[y]})"))
+        writer.writerows(("secondary", names[x], names[y]) for x, y in _int_pairs(_secondary_off_q(self)))
+        writer.writerows(("cross", names[x], f"rho({names[z]})") for x, z in _int_pairs(self.cross_pairs(interior)))
+        writer.writerows(
+            ("copy2", f"rho({names[x]})", f"rho({names[y]})") for x, y in _int_pairs(self.copy2_pairs(interior))
+        )
+
+
+def _int_pairs(ends: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, int]]:
+    """The pairs of two end arrays as Python ints, _BLOCK_ENTRIES at a time:
+    a whole family as int lists would be most of `doubled --csv`'s memory."""
+    x, y = ends
+    for lo in range(0, len(x), _BLOCK_ENTRIES):
+        yield from zip(x[lo : lo + _BLOCK_ENTRIES].tolist(), y[lo : lo + _BLOCK_ENTRIES].tolist())
 
 
 def doubled_graph(

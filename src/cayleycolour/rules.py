@@ -158,10 +158,10 @@ class Colouring:
 
     def write_csv(self, fileobj: IO[str]) -> None:
         """One `word,colour` row per vertex in ball order; "" if uncoloured."""
+        colours = [*self.palette, ""]  # code -1 reads the last entry
         writer = csv.writer(fileobj)
         writer.writerow(("word", "colour"))
-        for i, w in enumerate(self.ball.words):
-            writer.writerow((w.to_string(), self.colour_at(i) or ""))
+        writer.writerows(zip(self.ball.names(), [colours[c] for c in self.codes.tolist()]))
 
     def set_colour(self, i: int, colour: str) -> None:
         self.codes[i] = self.palette.index(colour)

@@ -264,16 +264,6 @@ def test_arrow_experiment_aggregates():
     assert sum(exp.pdegree_histogram) == 5 * len(b.interior_indices(2))
 
 
-def test_arrow_field_csv(tmp_path):
-    config, colouring = solved()
-    path = tmp_path / "arrows.csv"
-    with open(path, "w") as fh:
-        arrow_field(colouring).write_csv(fh)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "from,to"
-    assert len(lines) == 1 + int((arrow_field(colouring).targets >= 0).sum())
-
-
 def test_survival_map_exact_head():
     assert survival_map(Fraction(1)) == Fraction(1, 2)
     assert survival_map(Fraction(1, 2)) == Fraction(5, 32)

@@ -77,6 +77,25 @@ class TestPlumbing:
         assert "unrecognized arguments: --csv" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("audit", "--samples 7"), ("audit", "--epsilon 1/4"), ("audit", "--n-levels 3"), ("pdeg", "--rule arrow")],
+    )
+    def test_spec_flags_only_where_read(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, *flag.split(), "--out", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_env_skips_flags_the_command_does_not_read(self, tmp_path, monkeypatch):
+        for name, value in (("SAMPLES", "7"), ("EPSILON", "1/4"), ("N_LEVELS", "3")):
+            monkeypatch.setenv("CAYLEYCOLOUR_" + name, value)
+        code, record = run_json(tmp_path, ["audit", "--rule", "example1", "--radius", "4"])
+        assert code == 0
+        assert record["spec"]["samples"] is None
+        assert record["spec"]["epsilon"] is None and record["spec"]["n_levels"] is None
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAYLEYCOLOUR_RADIUS", "4")
         monkeypatch.setenv("CAYLEYCOLOUR_SEED", "17")
@@ -156,6 +175,7 @@ class TestSolveCheck:
         [
             ("hausdorff", "8", "506dd4114cf15b32c62604fafc1df59e4c8045ebc3ddd309bc16f06f1ebf5420"),
             ("arrow", "6", "58710bfd5bf61c2ba9d315328a5f741bfef0d78123c42fe0814beeb32a4f0292"),
+            ("arrow", "10", "07c81b8e5e83c4e3198151c1584f1ed1d8b6f37e897f285fec41a00acc1d1473"),
         ],
     )
     def test_solve_csv_golden_digest(self, tmp_path, rule, radius, digest):
@@ -166,7 +186,20 @@ class TestSolveCheck:
         assert hashlib.sha256(data).hexdigest() == digest
         if rule == "arrow":
             # Boundary vertices send no arrow: their colour field is empty.
-            assert b"\r\nababab,\r\n" in data
+            assert f"\r\n{'ab' * (int(radius) // 2)},\r\n".encode() in data
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--radius 7", "58db55aa0ec2f164ad626ab4d3d824be3debaced2e33a3cf8a024839eb2d3e8c"),
+            ("--radius 5 --n-levels 3 --seed 4", "44fd73b08b8dca44e2627eb09a6f27a5b7a8da0b76244fbbf365e8edd4270342"),
+        ],
+    )
+    def test_doubled_csv_golden_digest(self, tmp_path, args, digest):
+        csv_path = tmp_path / "edges.csv"
+        code, _ = run_json(tmp_path, ["doubled", *args.split(), "--csv", str(csv_path)])
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
     def test_file_rule_iterate(self, tmp_path):
         p = free_group(1)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,16 +239,6 @@ def test_shift_preserves_density():
     d1 = empirical_density(pred_shifted, b, n, src)
     sigma = max(d0.stderr, d1.stderr)
     assert abs(d0.estimate - d1.estimate) <= 4 * sigma
-
-
-def test_csv_export():
-    b = ball(F2, 1)
-    x = sample(b, RandomSource(42))
-    buf = io.StringIO()
-    x.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "word,value"
-    assert len(lines) == len(b) + 1
 
 
 def test_random_source_rejects_unknown_algorithm():

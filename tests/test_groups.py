@@ -1,4 +1,3 @@
-import io
 import random
 
 import numpy as np
@@ -192,16 +191,6 @@ def test_sphere_order_is_deterministic():
     assert w1[0] == "1"
 
 
-def test_edges_csv():
-    b = ball(z2_z3(), 1)
-    buf = io.StringIO()
-    b.write_edges_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "from,generator,to"
-    # s, t, T all act on 4 vertices; entries only where the product stays in.
-    assert len(lines) > 1
-
-
 def test_pow():
     p = z2_z3()
     t = p.word("t")
@@ -305,6 +294,10 @@ def test_array_ball_matches_reference(p, radius):
     b = ball(p, radius)
     assert list(b.words) == words
     assert [b.words[i] for i in range(len(b))] == words
+    names = b.names()
+    assert names == [w.to_string() for w in words]
+    for i in range(0, len(words), 5):
+        assert b.index_of(p.word(names[i])) == i
     assert list(b.lengths) == [w.length for w in words]
     assert sum(b.sphere_sizes) == len(words)
     for i in range(0, len(words), 7):
