@@ -25,7 +25,7 @@ from .measures import (
     le,
     translate,
 )
-from .rules import Colouring, ColouringRule, check, register_builtin
+from .rules import Colouring, ColouringRule, check
 
 ARROW_COLOURS = ("a1u", "a1c", "a2u", "a2c")
 
@@ -457,6 +457,3 @@ def chain_recursion(steps: int = 60, tolerance: float = 1e-6) -> RecursionAnalys
             "discriminant, so crowded chains die out"
         ),
     )
-
-
-register_builtin("arrow-orientation", arrow_rule)

@@ -4,6 +4,10 @@ Primary artifacts are byte-stable: keys sorted, rationals as "p/q" strings,
 timestamps, worker count and output paths segregated into a ``.meta.json``
 sidecar.  Worker count never changes results, only wall time.
 
+Flags are the only inputs.  ``_COMMANDS`` declares, for each command, the
+flags it reads and their defaults, so a record's ``spec`` echoes only what
+the command read (other fields keep ``ExperimentSpec``'s defaults).
+
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
 it: no code here calls BLAS, and numpy's idle OpenBLAS pool only burns CPU.
 """
@@ -32,7 +36,6 @@ from .measures import feasible
 from .rules import Colouring, check, iterate, rule_from_json
 
 SCHEMA = "cayleycolour/v1"
-ENV_PREFIX = "CAYLEYCOLOUR_"
 
 _ARROW_NAMES = frozenset({"arrow", "arrow-orientation"})
 _EXAMPLE1_NAMES = frozenset({"example1", "mod3-cycling-k2"})
@@ -312,28 +315,42 @@ def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
 # ---------------------------------------------------------------------------
 # Argument plumbing.
 
-_COMMANDS = {
-    "solve": "run a constructive solver and report rule satisfaction",
-    "check": "check a solver's output against its rule, with violations",
-    "audit": "transport certificates and exact density feasibility",
-    "pdeg": "Monte Carlo p-degree histograms at the root",
-    "recursion": "survival chain fixed-point analysis",
-    "offsets": "offset family and greedy base colouring",
-    "doubled": "doubled-graph build, properness, and flow audit",
-    "types": "level-set cancellation experiments",
-    "prefix": "exact prefix-set identity verification",
+_FLAGS: dict[str, dict] = {
+    "presentation": {"help": "f1..f9, st, or z2z3"},
+    "radius": {"type": int},
+    "seed": {"type": int},
+    "samples": {"type": int},
+    "rule": {"help": "builtin name or .json rule file"},
+    "solver": {"choices": ("constructive", "iterate")},
+    "epsilon": {"help": "rational like 1/512"},
+    "n-levels": {"type": int},
+    "choice": {"choices": proper.GREEDY_CHOICES},
+    "conditional": {"action": "store_true"},
+    "csv": {"help": "optional CSV table path"},
+    "workers": {"type": int},
+    "out": {"help": "primary JSON path (stdout when omitted)"},
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "solve": {"rule": "arrow", "radius": 6},
-    "check": {"rule": "arrow", "radius": 8},
-    "audit": {"rule": "example1", "radius": 8},
-    "pdeg": {"radius": 3, "samples": 10000},
-    "recursion": {},
-    "offsets": {"radius": 10},
-    "doubled": {"radius": 7, "epsilon": "1/512", "choice": "random"},
-    "types": {"radius": 3, "samples": 100},
-    "prefix": {"radius": 6},
+# Each command: its runner, its help, and the flags it reads with their
+# defaults.  Every command also takes --workers and --out.
+_COMMANDS: dict[str, tuple] = {
+    "solve": (_run_solve, "run a constructive solver and report rule satisfaction",
+              {"presentation": None, "radius": 6, "seed": 0, "rule": "arrow", "solver": "constructive", "csv": None}),
+    "check": (_run_check, "check a solver's output against its rule, with violations",
+              {"presentation": None, "radius": 8, "seed": 0, "rule": "arrow", "solver": "constructive"}),
+    "audit": (_run_audit, "transport certificates and exact density feasibility",
+              {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}),
+    "pdeg": (_run_pdeg, "Monte Carlo p-degree histograms at the root",
+             {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False}),
+    "recursion": (_run_recursion, "survival chain fixed-point analysis", {}),
+    "offsets": (_run_offsets, "offset family and greedy base colouring",
+                {"presentation": None, "radius": 10, "seed": 0, "choice": "min"}),
+    "doubled": (_run_doubled, "doubled-graph build, properness, and flow audit",
+                {"presentation": None, "radius": 7, "seed": 0, "epsilon": "1/512", "n-levels": None,
+                 "choice": "random", "csv": None}),
+    "types": (_run_types, "level-set cancellation experiments",
+              {"presentation": None, "radius": 3, "seed": 0, "samples": 100, "n-levels": None}),
+    "prefix": (_run_prefix, "exact prefix-set identity verification", {"presentation": None, "radius": 6}),
 }
 
 
@@ -343,91 +360,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducible colouring-rule experiments on Cayley balls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _COMMANDS.items():
+    for name, (_, blurb, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--presentation", help="f1..f9, st, or z2z3")
-        sp.add_argument("--radius", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--workers", type=int)
-        sp.add_argument("--out", help="primary JSON path (stdout when omitted)")
-        if name in ("pdeg", "types"):
-            sp.add_argument("--samples", type=int)
-        if name in ("solve", "check", "audit"):
-            sp.add_argument("--rule", help="builtin name or .json rule file")
-        if name == "doubled":
-            sp.add_argument("--epsilon", help="rational like 1/512")
-        if name in ("doubled", "types"):
-            sp.add_argument("--n-levels", type=int, dest="n_levels")
-        if name in ("solve", "doubled"):
-            sp.add_argument("--csv", help="optional CSV table path")
-        if name in ("solve", "check"):
-            sp.add_argument("--solver", choices=("constructive", "iterate"))
-        if name in ("offsets", "doubled"):
-            sp.add_argument("--choice", choices=proper.GREEDY_CHOICES)
-        if name == "pdeg":
-            sp.add_argument("--conditional", action="store_true", default=None)
+        for flag, default in {**flags, "workers": 1, "out": None}.items():
+            sp.add_argument("--" + flag, default=default, **_FLAGS[flag])
     return parser
 
 
-_ENV_CASTS = {
-    "presentation": str,
-    "radius": int,
-    "seed": int,
-    "samples": int,
-    "rule": str,
-    "epsilon": str,
-    "n_levels": int,
-    "workers": int,
-    "out": str,
-    "csv": str,
-    "solver": str,
-    "choice": str,
-    "conditional": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _fill_from_env(args: argparse.Namespace) -> None:
-    """Fill unset options the command offers from the environment; a bad
-    value raises SpecError once the rest (an --out among them) are filled."""
-    bad = []
-    for attr, cast in _ENV_CASTS.items():
-        name = ENV_PREFIX + attr.upper()
-        raw = os.environ.get(name)
-        if raw is not None and hasattr(args, attr) and getattr(args, attr) is None:
-            try:
-                setattr(args, attr, cast(raw))
-            except ValueError:
-                bad.append(f"bad {name} {raw!r}")
-    if bad:
-        raise SpecError("; ".join(bad))
-
-
 def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]:
-    defaults = _DEFAULTS[args.command]
-
-    def value(attr, fallback):
-        given = getattr(args, attr, None)
-        return given if given is not None else defaults.get(attr, fallback)
-
-    rule = value("rule", None)
-    if args.presentation is not None:
-        presentation = args.presentation
-    elif rule in _HAUSDORFF_NAMES:
-        presentation = "z2z3"
-    elif args.command in ("types", "prefix"):
-        presentation = "st"
-    else:
-        presentation = "f2"
-    radius = value("radius", None)
-    samples = value("samples", None)
-    workers = value("workers", 1)
-    if radius is not None and radius < 1:
+    given = dict(vars(args))
+    options = RunOptions(given.pop("workers"), given.pop("out"), given.pop("csv", None))
+    if given.get("presentation") is None:
+        if given.get("rule") in _HAUSDORFF_NAMES:
+            given["presentation"] = "z2z3"
+        elif args.command in ("types", "prefix"):
+            given["presentation"] = "st"
+        else:
+            given["presentation"] = "f2"
+    if given.get("radius", 1) < 1:
         raise SpecError("radius must be positive")
-    if samples is not None and samples < 1:
+    if given.get("samples", 1) < 1:
         raise SpecError("samples must be positive")
-    if workers < 1:
+    if not 0 <= given.get("seed", 0) < 2**64:
+        raise SpecError("seed must be in [0, 2**64)")
+    if options.workers < 1:
         raise SpecError("workers must be at least 1")
-    epsilon = value("epsilon", None)
+    epsilon = given.get("epsilon")
     if epsilon is not None:
         try:
             parsed = Fraction(epsilon)
@@ -435,23 +393,7 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]
             raise SpecError(f"bad epsilon {epsilon!r}: {err}")
         if not 0 < parsed <= 1:
             raise SpecError("epsilon must be in (0, 1]")
-    choice = value("choice", "min")
-    if choice not in proper.GREEDY_CHOICES:
-        raise SpecError(f"unknown choice {choice!r}: use one of {proper.GREEDY_CHOICES}")
-    spec = ExperimentSpec(
-        command=args.command,
-        presentation=presentation,
-        radius=radius,
-        seed=value("seed", 0),
-        samples=samples,
-        rule=rule,
-        epsilon=epsilon,
-        n_levels=value("n_levels", None),
-        choice=choice,
-        solver=value("solver", "constructive"),
-        conditional=bool(value("conditional", False)),
-    )
-    return spec, RunOptions(workers, value("out", None), value("csv", None))
+    return ExperimentSpec(**given), options
 
 
 def _emit(record: dict, options: RunOptions, elapsed: float | None) -> None:
@@ -470,18 +412,7 @@ def _emit(record: dict, options: RunOptions, elapsed: float | None) -> None:
 
 def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
     """Dispatch to the command implementation, returning the result body."""
-    dispatch = {
-        "solve": _run_solve,
-        "check": _run_check,
-        "audit": _run_audit,
-        "pdeg": _run_pdeg,
-        "recursion": _run_recursion,
-        "offsets": _run_offsets,
-        "doubled": _run_doubled,
-        "types": _run_types,
-        "prefix": _run_prefix,
-    }
-    return dispatch[spec.command](spec, options)
+    return _COMMANDS[spec.command][0](spec, options)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -489,7 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _fill_from_env(args)
         spec, options = _resolve_spec(args)
     except SpecError as err:
         record = {
@@ -497,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
             "error": {"type": "SpecError", "message": str(err)},
             "ok": False,
         }
-        _emit(record, RunOptions(out=getattr(args, "out", None)), None)
+        _emit(record, RunOptions(out=args.out), None)
         return 1
     try:
         result = run(spec, options)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import Ball, Letter, Presentation, free_group, z2_z3
 from .measures import DensityProgram, TransportCertificate, certify_transport, translate
-from .rules import Colouring, ColouringRule, check, register_builtin
+from .rules import Colouring, ColouringRule, check
 
 E1_COLOURS = ("A1", "A2", "A3")
 H_COLOURS = ("A", "B", "C")
@@ -319,7 +319,3 @@ def six_piece_doubling(classes: Colouring) -> DoublingReport:
         boundary_remainder=remainder,
         copies_disjoint=copies_disjoint,
     )
-
-
-register_builtin("mod3-cycling-k2", example1_rule)
-register_builtin("three-class-congruence", hausdorff_rule)

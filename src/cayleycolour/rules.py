@@ -501,13 +501,6 @@ def project_first(colouring: Colouring, base_palette: tuple[str, ...]) -> Colour
 # ---------------------------------------------------------------------------
 # JSON rule declarations.
 
-BUILTIN_RULES: dict[str, Callable[..., ColouringRule]] = {}
-
-
-def register_builtin(name: str, factory: Callable[..., ColouringRule]) -> None:
-    BUILTIN_RULES[name] = factory
-
-
 def _json_key(window_values: tuple[int, ...], desc: tuple[str, ...]) -> str:
     return "".join("+" if v > 0 else "-" for v in window_values) + "|" + ",".join(desc)
 
@@ -534,8 +527,6 @@ def rule_to_json(rule: ColouringRule) -> str:
 
 def rule_from_json(text: str, presentation) -> ColouringRule:
     doc = json.loads(text)
-    if "builtin" in doc:
-        return BUILTIN_RULES[doc["builtin"]]()
     table = doc["allowed"]
     return ColouringRule(
         name=doc["name"],

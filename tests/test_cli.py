@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 
 import cayleycolour
 from cayleycolour import arrows
-from cayleycolour.cli import ExperimentSpec, main, presentation_named, run
+from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
 
@@ -79,7 +80,16 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("audit", "--samples 7"), ("audit", "--epsilon 1/4"), ("audit", "--n-levels 3"), ("pdeg", "--rule arrow")],
+        [
+            ("audit", "--samples 7"),
+            ("audit", "--epsilon 1/4"),
+            ("audit", "--n-levels 3"),
+            ("pdeg", "--rule arrow"),
+            ("recursion", "--seed 9"),
+            ("recursion", "--radius 4"),
+            ("recursion", "--presentation z2z3"),
+            ("prefix", "--seed 9"),
+        ],
     )
     def test_spec_flags_only_where_read(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as err:
@@ -88,26 +98,34 @@ class TestPlumbing:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    def test_env_skips_flags_the_command_does_not_read(self, tmp_path, monkeypatch):
-        for name, value in (("SAMPLES", "7"), ("EPSILON", "1/4"), ("N_LEVELS", "3")):
-            monkeypatch.setenv("CAYLEYCOLOUR_" + name, value)
-        code, record = run_json(tmp_path, ["audit", "--rule", "example1", "--radius", "4"])
-        assert code == 0
-        assert record["spec"]["samples"] is None
-        assert record["spec"]["epsilon"] is None and record["spec"]["n_levels"] is None
+    def test_parser_surface(self):
+        expected = {
+            "solve": "presentation radius seed rule solver csv",
+            "check": "presentation radius seed rule solver",
+            "audit": "presentation radius seed rule",
+            "pdeg": "presentation radius seed samples conditional",
+            "recursion": "",
+            "offsets": "presentation radius seed choice",
+            "doubled": "presentation radius seed epsilon n-levels choice csv",
+            "types": "presentation radius seed samples n-levels",
+            "prefix": "presentation radius",
+        }
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(expected)
+        for name, flags in expected.items():
+            offered = {s for a in sub.choices[name]._actions for s in a.option_strings}
+            assert offered == {"--" + f for f in flags.split()} | {"--workers", "--out", "-h", "--help"}, name
 
-    def test_env_override(self, tmp_path, monkeypatch):
+    def test_environment_is_not_an_input(self, tmp_path, monkeypatch):
+        for name in [k for k in os.environ if k.startswith("CAYLEYCOLOUR_")]:
+            monkeypatch.delenv(name)
+        args = ["solve", "--rule", "example1"]
+        assert main(args + ["--out", str(tmp_path / "clean.json")]) == 0
         monkeypatch.setenv("CAYLEYCOLOUR_RADIUS", "4")
         monkeypatch.setenv("CAYLEYCOLOUR_SEED", "17")
-        code, record = run_json(tmp_path, ["solve", "--rule", "example1"])
-        assert code == 0
-        assert record["spec"]["radius"] == 4
-        assert record["spec"]["seed"] == 17
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAYLEYCOLOUR_RADIUS", "4")
-        code, record = run_json(tmp_path, ["solve", "--rule", "example1", "--radius", "5"])
-        assert record["spec"]["radius"] == 5
+        assert main(args + ["--out", str(tmp_path / "env.json")]) == 0
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
 
     def test_failure_record_and_exit(self, tmp_path):
         code, record = run_json(tmp_path, ["audit", "--rule", "nosuch"])
@@ -119,30 +137,36 @@ class TestPlumbing:
         code, record = run_json(tmp_path, ["doubled", "--epsilon", "3/2"])
         assert code == 1 and record["error"]["type"] == "SpecError"
 
+    @pytest.mark.parametrize("args", ["types --samples 5", "offsets --radius 5", "pdeg --samples 5"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_rejected(self, tmp_path, args, seed):
+        code, record = run_json(tmp_path, [*args.split(), "--seed", seed])
+        assert code == 1 and record["ok"] is False
+        assert record["error"]["type"] == "SpecError"
+        assert "seed" in record["error"]["message"]
+
     def test_bad_radius_rejected(self, tmp_path):
         code, record = run_json(tmp_path, ["solve", "--radius", "-2"])
         assert code == 1
 
-    def test_bad_env_value_gives_failure_record(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAYLEYCOLOUR_SEED", "abc")
-        code, record = run_json(tmp_path, ["recursion"])
-        assert code == 1 and record["ok"] is False
-        assert record["error"]["type"] == "SpecError"
-        assert "CAYLEYCOLOUR_SEED" in record["error"]["message"]
-
-    def test_bad_env_choice_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAYLEYCOLOUR_CHOICE", "mni")
-        code, record = run_json(tmp_path, ["offsets", "--radius", "5"])
-        assert code == 1 and record["ok"] is False
-        assert record["error"]["type"] == "SpecError"
-        assert "mni" in record["error"]["message"]
-
-    def test_bad_env_value_with_env_out(self, tmp_path, monkeypatch):
-        out = tmp_path / "env.json"
-        monkeypatch.setenv("CAYLEYCOLOUR_SAMPLES", "many")
-        monkeypatch.setenv("CAYLEYCOLOUR_OUT", str(out))
-        assert main(["pdeg"]) == 1
-        assert json.loads(out.read_text())["error"]["type"] == "SpecError"
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("recursion", "ef99527119c1ee9d3cc22872014421de4c5584aa9f6cd6e8c5132aa1f360d1d6"),
+            ("prefix --radius 5", "dc3396c9cca9f1fa8ac02c55e5c6d3c1d00f20dac4e060e5f32a0fe0dbe4a4a3"),
+            ("audit --rule hausdorff --radius 5", "c95c4892edac98a987319c2e3cccab6f86a80cc158690cd1162b44c0f1f8364c"),
+            ("types --samples 20 --seed 1", "298b25e51beef2c5ff6a2cc3ef8b54e0d96b5150a86916686c1e67f44451c182"),
+            ("pdeg --samples 3000 --seed 5", "3fa80c937a67761fd7aea55e7abd42ac9b480c35e24feb543ed9e4aec041a3cb"),
+            ("doubled --radius 5 --n-levels 3 --seed 4", "0a93062de1724a1777a635903e6fd6d43a8cd4c722915d74822af33d4ad9ffe2"),
+            ("solve --rule example1 --radius 5", "25ac6fcf1d526db8fc9b55547311768feb805098a698a216bff05befa606b2d1"),
+        ],
+    )
+    def test_record_golden_digest(self, tmp_path, args, digest):
+        """SHA-256 of the whole primary record, so the spec's bytes (each
+        command's defaults and presentation) are pinned with the result."""
+        out = tmp_path / "record.json"
+        assert main([*args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSolveCheck:
@@ -234,6 +258,15 @@ class TestSolveCheck:
             tmp_path, ["check", "--rule", str(rule_path), "--presentation", "f1", "--radius", "4"]
         )
         assert code == 1 and "iterate" in record["error"]["message"]
+
+    def test_builtin_declaration_is_not_a_rule(self, tmp_path):
+        # Rule files hold a full table; a {"builtin": ...} stub names no letters
+        # of the run's presentation, so it must not run as a Z2*Z3 rule.
+        rule_path = tmp_path / "stub.json"
+        rule_path.write_text('{"builtin": "three-class-congruence"}')
+        code, record = run_json(tmp_path, ["check", "--solver", "iterate", "--radius", "4", "--rule", str(rule_path)])
+        assert code == 1 and record["ok"] is False and "result" not in record
+        assert record["error"] == {"type": "KeyError", "message": "'allowed'"}
 
     def test_file_rule_with_window_matches_builtin(self, tmp_path):
         # A file rule that reads a window gets the same sampled configuration.
@@ -418,11 +451,7 @@ print(json.dumps(state))
 class TestStartup:
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_fresh_process(self, tmp_path, preset):
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k != "OPENBLAS_NUM_THREADS" and not k.startswith("CAYLEYCOLOUR_")
-        }
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         src = str(Path(cayleycolour.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if preset is not None:

@@ -21,7 +21,6 @@ from cayleycolour.rules import (
     lift_to_double,
     lift_to_square,
     project_first,
-    register_builtin,
     restrict_copy,
     rule_from_json,
     rule_to_json,
@@ -279,12 +278,6 @@ def test_rule_json_round_trip():
     for d in (("X",), ("Y",)):
         assert back.allowed((), d) == rule.allowed((), d)
     assert classify_rank(back) == RANK_ONE
-
-
-def test_rule_json_builtin():
-    register_builtin("test-differ", differ_rule)
-    back = rule_from_json('{"builtin": "test-differ"}', F2)
-    assert back.name == "differ-from-a"
 
 
 # ---------------------------------------------------------------------------
