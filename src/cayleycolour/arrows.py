@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configs import Configuration, RandomSource, histogram, sample_stream
+from .configs import Configuration, RandomSource, histogram
 from .groups import Ball, Presentation, check_rank_two_free, free_group
 from .measures import (
     DensityProgram,
@@ -25,7 +25,7 @@ from .measures import (
     le,
     translate,
 )
-from .rules import Colouring, ColouringRule, check
+from .rules import Colouring, ColouringRule
 
 ARROW_COLOURS = ("a1u", "a1c", "a2u", "a2c")
 
@@ -329,63 +329,6 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
         program=program,
         feasibility=feasibility,
         seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class ArrowExperiment:
-    """Aggregate of constructive solves and audits over sampled sign bits."""
-
-    radius: int
-    n_configs: int
-    seed: int
-    total_violations: int
-    max_crowded_fraction: Fraction
-    mean_in_capacity: Fraction
-    pdegree_histogram: tuple[int, int, int, int, int]
-    feasibility: FeasibilityResult
-
-    def to_record(self) -> dict:
-        return {
-            "radius": self.radius,
-            "n_configs": self.n_configs,
-            "seed": self.seed,
-            "total_violations": self.total_violations,
-            "max_crowded_fraction": str(self.max_crowded_fraction),
-            "mean_in_capacity": str(self.mean_in_capacity),
-            "pdegree_histogram": list(self.pdegree_histogram),
-            "feasibility": self.feasibility.to_record(),
-        }
-
-
-def arrow_experiment(ball: Ball, source: RandomSource, n_configs: int) -> ArrowExperiment:
-    rule = arrow_rule(ball.presentation)
-    total_violations = 0
-    max_crowded = Fraction(0)
-    capacity_sum = Fraction(0)
-    hist = np.zeros(5, dtype=np.int64)
-    feasibility = None
-    for config in sample_stream(ball, source, n_configs):
-        colouring = constructive_solve(config)
-        report = check(rule, colouring)
-        total_violations += report.n_violations
-        audit = mass_audit(colouring, seed=source.seed)
-        max_crowded = max(max_crowded, audit.crowded_fraction)
-        capacity_sum += audit.in_capacity_estimate
-        hist += np.array(audit.pdegree_histogram, dtype=np.int64)
-        if feasibility is None:
-            feasibility = audit.feasibility
-    if feasibility is None:
-        raise ValueError("need at least one configuration")
-    return ArrowExperiment(
-        radius=ball.radius,
-        n_configs=n_configs,
-        seed=source.seed,
-        total_violations=total_violations,
-        max_crowded_fraction=max_crowded,
-        mean_in_capacity=capacity_sum / n_configs,
-        pdegree_histogram=tuple(int(c) for c in hist),
-        feasibility=feasibility,
     )
 
 

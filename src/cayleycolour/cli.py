@@ -37,11 +37,6 @@ from .rules import Colouring, check, iterate, rule_from_json
 
 SCHEMA = "cayleycolour/v1"
 
-_ARROW_NAMES = frozenset({"arrow", "arrow-orientation"})
-_EXAMPLE1_NAMES = frozenset({"example1", "mod3-cycling-k2"})
-_HAUSDORFF_NAMES = frozenset({"hausdorff", "three-class-congruence"})
-
-
 class SpecError(ValueError):
     """Bad or inconsistent experiment parameters."""
 
@@ -96,16 +91,16 @@ def _solve_colouring(spec: ExperimentSpec, p: Presentation, b: Ball):
     name = spec.rule
     rule = colouring = None
     extra: dict = {"solver": spec.solver}
-    if name in _ARROW_NAMES:
+    if name == "arrow":
         rule = arrows.arrow_rule(p)
         if spec.solver == "constructive":
             config = sample(b, RandomSource(spec.seed))
             colouring = arrows.constructive_solve(config)
-    elif name in _EXAMPLE1_NAMES:
+    elif name == "example1":
         rule = hausdorff.example1_rule(2, p)
         if spec.solver == "constructive":
             colouring = hausdorff.example1_solve(b)
-    elif name in _HAUSDORFF_NAMES:
+    elif name == "hausdorff":
         rule = hausdorff.hausdorff_rule(p)
         if spec.solver == "constructive":
             colouring = hausdorff.hausdorff_solve(b)
@@ -166,7 +161,7 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
     name = spec.rule
-    if name in _ARROW_NAMES:
+    if name == "arrow":
         config = sample(b, RandomSource(spec.seed))
         colouring = arrows.constructive_solve(config)
         audit = arrows.mass_audit(colouring, seed=spec.seed)
@@ -176,7 +171,7 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
             and not audit.feasibility.feasible
         )
         return {"rule": "arrow", "audit": audit.to_record(), "ok": ok}
-    if name in _EXAMPLE1_NAMES:
+    if name == "example1":
         colouring = hausdorff.example1_solve(b)
         certificates = hausdorff.example1_certificates(colouring)
         program = hausdorff.example1_program(colouring)
@@ -189,7 +184,7 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
             "feasibility": outcome.to_record(),
             "ok": ok,
         }
-    if name in _HAUSDORFF_NAMES:
+    if name == "hausdorff":
         report = hausdorff.six_piece_doubling(hausdorff.hausdorff_solve(b))
         return {"rule": "hausdorff", "doubling": report.to_record(), "ok": report.all_verified}
     raise SpecError(f"no audit for rule {name!r}")
@@ -320,7 +315,7 @@ _FLAGS: dict[str, dict] = {
     "radius": {"type": int},
     "seed": {"type": int},
     "samples": {"type": int},
-    "rule": {"help": "builtin name or .json rule file"},
+    "rule": {"help": "arrow, example1, hausdorff, or a .json rule file"},
     "solver": {"choices": ("constructive", "iterate")},
     "epsilon": {"help": "rational like 1/512"},
     "n-levels": {"type": int},
@@ -371,7 +366,7 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]
     given = dict(vars(args))
     options = RunOptions(given.pop("workers"), given.pop("out"), given.pop("csv", None))
     if given.get("presentation") is None:
-        if given.get("rule") in _HAUSDORFF_NAMES:
+        if given.get("rule") == "hausdorff":
             given["presentation"] = "z2z3"
         elif args.command in ("types", "prefix"):
             given["presentation"] = "st"

@@ -178,12 +178,6 @@ def histogram(
     return counts
 
 
-def sample_stream(ball: Ball, source: RandomSource, n: int) -> Iterator[Configuration]:
-    for rows in batches(ball, source, n):
-        for row in rows:
-            yield Configuration(ball, row)
-
-
 def shift(x: Configuration, g: ReducedWord) -> Configuration:
     """(g.x)(w) = x(wg); coordinates pulled from outside the ball go undefined.
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
+from .groups import Ball, ReducedWord, check_rank_two_free
 
 Element = tuple[ReducedWord, int]
 
@@ -219,29 +219,6 @@ def strongly_paradoxical(
 ) -> bool:
     """Two copies map bijectively onto one."""
     return verify_decomposition(witness, n_fold(2, e), e, movers, bijection=True)
-
-
-def schroeder_bernstein(
-    a: LevelSet,
-    b: LevelSet,
-    into_b: Decomposition,
-    into_a: Decomposition,
-) -> Decomposition:
-    """Combine injections a->b and b->a into a bijection a<->b.
-
-    On finite sets two injections force |a| = |b|, so the first one is
-    already a bijection: no element of b escapes it, and the alternating
-    chains of the general proof never reach the second injection.  Both
-    witnesses are still checked, and the result is `into_b`, sorted.
-    """
-    if not verify_decomposition(into_b, a, b):
-        raise ValueError("first witness is not an injection of a into b")
-    if not verify_decomposition(into_a, b, a):
-        raise ValueError("second witness is not an injection of b into a")
-    witness = Decomposition(tuple(sorted(into_b.pairs, key=lambda p: (p[0][1],) + p[0][0].sort_key())))
-    if not verify_decomposition(witness, a, b, bijection=True):
-        raise ValueError("the injections do not combine into a bijection")
-    return witness
 
 
 @dataclass(frozen=True)
@@ -459,8 +436,3 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
         intersection_tail_sizes=tuple(tail_sizes),
         partition_exact=partition_exact,
     )
-
-
-def st_group() -> Presentation:
-    """The rank-two free group in the s, t alphabet."""
-    return free_group(2, "st")

@@ -279,15 +279,18 @@ class Ball:
     The same argument makes the integer key (length, block code, rest) of
     each vertex strictly increasing in vertex index, so the vertex of any
     (block, rest) pair is one `searchsorted` away.  The left unit tables
-    are built that way during construction; right tables go through the
-    inverse permutation, w*l = (l^-1 * w^-1)^-1.  Tables of other words
-    are composed block by block, lazily, and cached; entries falling
-    outside the ball are -1.  Composing by blocks, not unit letters, never
-    drops an entry spuriously: along the blocks of g, the length of the
-    partial product falls while blocks cancel, changes once where a block
-    merges, then only grows.  A unit spelling of one block can overshoot:
-    in Z4 at radius 1, a^2 * a = a^3 = A is inside, but a * (a * a) passes
-    through a^2, which is not.
+    are built that way during construction.  Tables of other words are
+    composed block by block, lazily, and cached; entries falling outside
+    the ball are -1.  Composing by blocks, not unit letters, never drops an
+    entry spuriously: along the blocks of g, the length of the partial
+    product falls while blocks cancel, changes once where a block merges,
+    then only grows.  A unit spelling of one block can overshoot: in Z4 at
+    radius 1, a^2 * a = a^3 = A is inside, but a * (a * a) passes through
+    a^2, which is not.
+
+    A right table is the left table of g^-1 read through the inverse
+    permutation, w*g = (g^-1 * w^-1)^-1.  A word and its inverse have the
+    same length, so one leaves the ball exactly when the other does.
     """
 
     def __init__(self, presentation: Presentation, radius: int):
@@ -329,9 +332,8 @@ class Ball:
         self._keys[1:] = self._key(self.first_gen[1:], self.first_exp[1:], self.rest[1:], self.lengths[1:])
 
         self._left_block: dict[Letter, np.ndarray] = {}
-        self._right_block: dict[Letter, np.ndarray] = {}
         for letter in presentation.adjacency_letters():
-            self._block_table(letter, "left")
+            self._block_table(letter)
         self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
         self._right: dict[tuple[Letter, ...], np.ndarray] = {}
@@ -421,18 +423,11 @@ class Ball:
             raise KeyError(f"word {w} not in ball of radius {self.radius}")
         return i
 
-    def _block_table(self, block: Letter, side: str) -> np.ndarray:
-        """Table of one block, cached; right tables use w*l = (l^-1 * w^-1)^-1."""
-        if side == "left":
-            table = self._left_block.get(block)
-            if table is None:
-                table = self._left_block[block] = self._left_block_table(*block)
-            return table
-        table = self._right_block.get(block)
+    def _block_table(self, block: Letter) -> np.ndarray:
+        """Left table of one block, cached."""
+        table = self._left_block.get(block)
         if table is None:
-            inverse = self._inverses()
-            table = _compose(inverse, self._block_table((block[0], -block[1]), "left")[inverse])
-            self._right_block[block] = table
+            table = self._left_block[block] = self._left_block_table(*block)
         return table
 
     def first_steps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +442,7 @@ class Ball:
             sign = np.sign(e) if order is None else np.where(e <= order - e, 1, -1)
             mine = (self.first_gen == gen) & (sign == exp)
             first[mine] = i
-            parent[mine] = self._block_table((gen, -exp), "left")[mine]
+            parent[mine] = self._block_table((gen, -exp))[mine]
         return first, parent
 
     def names(self) -> list[str]:
@@ -465,19 +460,15 @@ class Ball:
     def unit_tables(self) -> list[np.ndarray]:
         """Left tables of the `adjacency_letters()`, in that order, which is
         the order `first_steps` indexes."""
-        return [self._block_table(letter, "left") for letter in self.presentation.adjacency_letters()]
-
-    def _compose_blocks(self, tables: list[np.ndarray]) -> np.ndarray:
-        """The table applying tables[-1] first and tables[0] last."""
-        if not tables:
-            return np.arange(len(self), dtype=np.int32)
-        return functools.reduce(_compose, tables)
+        return [self._block_table(letter) for letter in self.presentation.adjacency_letters()]
 
     def left_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of g*w per vertex w; -1 where g*w leaves the ball."""
         table = self._left.get(g.letters)
         if table is None:
-            table = self._compose_blocks([self._block_table(block, "left") for block in g.letters])
+            # Applies the last block first and the first block last.
+            blocks = [self._block_table(block) for block in g.letters]
+            table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
             self._left[g.letters] = table
         return table
 
@@ -485,9 +476,8 @@ class Ball:
         """Vertex index of w*g per vertex w; -1 where w*g leaves the ball."""
         table = self._right.get(g.letters)
         if table is None:
-            tables = [self._block_table(block, "right") for block in g.letters]
-            table = self._compose_blocks(tables[::-1])
-            self._right[g.letters] = table
+            inverse = self._inverses()
+            table = self._right[g.letters] = _compose(inverse, self.left_table(g.inverse())[inverse])
         return table
 
     def interior_indices(self, depth: int) -> np.ndarray:

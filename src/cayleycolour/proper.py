@@ -25,7 +25,7 @@ from .arrows import arrow_field, candidate_arrays, incoming_counts, neighbour_ta
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
-from .rules import Colouring, ViolationReport
+from .rules import Colouring, ViolationReport, doubled_colouring
 
 PALETTE17 = tuple(f"c{i}" for i in range(17))
 GREEDY_CHOICES = ("min", "random")
@@ -71,59 +71,38 @@ def offsets16(presentation: Presentation | None = None) -> OffsetFamily:
     return OffsetFamily(p, short, tuple(long))
 
 
-def greedy_base_colouring(
-    b: Ball,
-    choice: str = "min",
-    seed: int = 0,
-    order: Sequence[int] | None = None,
-) -> Colouring:
+def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colouring:
     """17 colours, proper for all 16 offsets; each vertex has at most 16
     offset-neighbours so a free colour always exists.
 
-    Vertices are coloured one by one in `order` (vertex order by default),
-    each with the smallest colour its earlier offset-neighbours left free
-    (`min`) or with `rng.choice` of those colours (`random`).  That greedy
-    is computed layer by layer over the DAG of earlier neighbours: a
-    vertex's colour depends only on vertices in lower layers, so each layer
-    is one array pass."""
+    Vertices are coloured one by one in vertex order, each with the
+    smallest colour its earlier offset-neighbours left free (`min`) or with
+    `rng.choice` of those colours (`random`).  That greedy is computed layer
+    by layer over the DAG of earlier neighbours: a vertex's colour depends
+    only on vertices in lower layers, so each layer is one array pass."""
     if choice not in GREEDY_CHOICES:
         raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
     if b.radius < 5:
         raise ValueError("need radius at least 5 so the offsets act inside the ball")
-    n = len(b)
-    rank = None if order is None else _rank_of(order, n)
     tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
-    codes = _layered_greedy(tables, rank, choice, seed)
+    codes = _layered_greedy(tables, choice, seed)
     if codes is None:
-        codes = _random_greedy_loop(tables, range(n) if order is None else order, seed)
+        codes = _random_greedy_loop(tables, seed)
     return Colouring(b, PALETTE17, codes)
-
-
-def _rank_of(order: Sequence[int], n: int) -> np.ndarray:
-    """Position of each vertex in `order`, which must be a permutation of range(n)."""
-    order = np.asarray(order)
-    if order.shape != (n,) or order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError(f"order must be a permutation of range({n})")
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    return rank
 
 
 _CHUNK = 1 << 13
 _ALL_COLOURS = np.int32((1 << len(PALETTE17)) - 1)
 
 
-def _layered_greedy(tables: Sequence[np.ndarray], rank: np.ndarray | None, choice: str, seed: int) -> np.ndarray | None:
+def _layered_greedy(tables: Sequence[np.ndarray], choice: str, seed: int) -> np.ndarray | None:
     """Greedy codes computed one DAG layer at a time; None when the random
     draws cannot be replayed from the word stream (see _choice_draws)."""
     n = len(tables[0])
-    later = np.arange(n, dtype=np.int32) if rank is None else rank
     # Per offset table t, the vertices whose neighbour through t is coloured first.
-    dsts = []
-    for t in tables:
-        earlier = t if rank is None else rank[t]
-        dsts.append(np.flatnonzero((t >= 0) & (earlier < later)).astype(np.int32))
-    del later
+    vertex = np.arange(n, dtype=np.int32)
+    dsts = [np.flatnonzero((t >= 0) & (t < vertex)).astype(np.int32) for t in tables]
+    del vertex
     depth = _depths([(t[dst], dst) for t, dst in zip(tables, dsts)], n)
     n_layers = int(depth.max()) + 1
     for i, dst in enumerate(dsts):
@@ -148,7 +127,7 @@ def _layered_greedy(tables: Sequence[np.ndarray], rank: np.ndarray | None, choic
             if words is None:
                 codes[part] = np.bitwise_count((free & -free) - 1)
                 continue
-            picks = _choice_draws(words[part if rank is None else rank[part]], np.bitwise_count(free))
+            picks = _choice_draws(words[part], np.bitwise_count(free))
             if picks is None:
                 return None
             codes[part] = _nth_set_bit(free, picks)
@@ -217,11 +196,11 @@ def _nth_set_bit(masks: np.ndarray, n: np.ndarray) -> np.ndarray:
     return position
 
 
-def _random_greedy_loop(tables: Sequence[np.ndarray], sequence: Iterable[int], seed: int) -> np.ndarray:
+def _random_greedy_loop(tables: Sequence[np.ndarray], seed: int) -> np.ndarray:
     """Vertex-by-vertex `random` greedy, for streams _choice_draws cannot replay."""
     codes = np.full(len(tables[0]), -1, dtype=np.int16)
     rng = np.random.default_rng(seed)
-    for w in sequence:
+    for w in range(len(codes)):
         used = {int(codes[t[w]]) for t in tables if t[w] >= 0}
         free = [c for c in range(len(PALETTE17)) if c not in used]
         codes[w] = int(rng.choice(free))
@@ -581,17 +560,11 @@ def doubled_graph(
     )
 
 
-@dataclass(frozen=True)
-class DoubledColouring:
-    palette: tuple[str, ...]
-    codes: np.ndarray
-
-
-def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring) -> DoubledColouring:
-    """First copy: base colour of each arrow target.  Second copy: the base."""
+def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring) -> Colouring:
+    """First copy: base colour of each arrow target.  Second copy: the base.
+    Copy t of vertex i is vertex t*|ball| + i, as `DoubledGraph.rho` mirrors."""
     first = arrows_to_list_colouring(arrow_colouring, graph.base)
-    codes = np.concatenate([first.codes, graph.base.codes]).astype(np.int16)
-    return DoubledColouring(graph.base.palette, codes)
+    return doubled_colouring(graph.ball, graph.base.palette, first.codes, graph.base.codes)
 
 
 @dataclass(frozen=True)
@@ -645,7 +618,7 @@ def _block_conflicts(
 
 def check_proper(
     graph: DoubledGraph,
-    colouring: DoubledColouring,
+    colouring: Colouring,
     copy2_sample: int | None = 64,
     seed: int = 0,
 ) -> ProperReport:
@@ -712,7 +685,7 @@ def doubled_flow_program() -> DensityProgram:
     return DensityProgram((mass,), constraints)
 
 
-def flow_audit_doubled(colouring: DoubledColouring, graph: DoubledGraph) -> DoubledAudit:
+def flow_audit_doubled(colouring: Colouring, graph: DoubledGraph) -> DoubledAudit:
     """Read induced arrows off the doubled colouring and account for them.
 
     Every first-copy vertex outside Q whose colour matches a mirrored

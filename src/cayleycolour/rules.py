@@ -25,7 +25,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -267,22 +267,16 @@ def check(rule: ColouringRule, colouring: Colouring) -> ViolationReport:
     return ViolationReport(interior_size=len(interior), violations=violations)
 
 
-def iterate(
-    rule: ColouringRule,
-    initial: Colouring,
-    max_rounds: int,
-    order: Sequence[int] | None = None,
-) -> tuple[Colouring, bool, int]:
-    """Round-robin sweeps: keep a vertex's colour if allowed, else take the
-    first allowed colour in declared order.  Converged when a sweep is a
-    no-op.  Raises EmptyAllowedSetError for rules that are not rank one.
+def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[Colouring, bool, int]:
+    """Round-robin sweeps over the interior in vertex order: keep a vertex's
+    colour if allowed, else take the first allowed colour in declared order.
+    Converged when a sweep is a no-op.  Raises EmptyAllowedSetError for
+    rules that are not rank one.
     """
     colouring = initial.copy()
-    if order is None:
-        order = colouring.ball.interior_indices(rule.dependency_radius)
-    order = np.asarray(order, dtype=np.int64)
+    interior = colouring.ball.interior_indices(rule.dependency_radius)
     # Window bits stay fixed; descendant codes are read as the sweep goes.
-    steps = list(zip(order.tolist(), _window_rows(rule, colouring, order).tolist()))
+    steps = list(zip(interior.tolist(), _window_rows(rule, colouring, interior).tolist()))
     reads = [colouring.ball.left_table(d).tolist() for d in rule.descendants]
     allowed = rule.table.tolist()
     codes = colouring.codes.tolist()
@@ -525,14 +519,45 @@ def rule_to_json(rule: ColouringRule) -> str:
     )
 
 
+# The keys `rule_to_json` writes, each with the type of its JSON value.
+_RULE_KEYS = {
+    "name": (str, "string"),
+    "colours": (list, "array of strings"),
+    "descendants": (list, "array of strings"),
+    "window": (list, "array of strings"),
+    "stationary": (bool, "boolean"),
+    "dependency_radius": (int, "integer"),
+    "allowed": (dict, "object"),
+}
+
+
 def rule_from_json(text: str, presentation) -> ColouringRule:
+    """The rule a `rule_to_json` declaration describes.  Raises ValueError
+    for a file that is not one: a missing or unknown key, a value of the
+    wrong JSON type, or an input with no allowed list."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError("a rule declaration is a JSON object")
+    missing, unknown = sorted(_RULE_KEYS.keys() - doc.keys()), sorted(doc.keys() - _RULE_KEYS.keys())
+    if missing or unknown:
+        raise ValueError(f"not a rule declaration: missing keys {missing}, unknown keys {unknown}")
+    for key, (kind, name) in _RULE_KEYS.items():
+        value = doc[key]
+        if type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
+            raise ValueError(f"rule key {key!r} must hold a JSON {name}")
     table = doc["allowed"]
+
+    def allowed(window_values: tuple[int, ...], desc: tuple[str, ...]) -> frozenset[str]:
+        key = _json_key(window_values, desc)
+        if type(table.get(key)) is not list:
+            raise ValueError(f"rule declaration has no allowed list for input {key!r}")
+        return frozenset(table[key])
+
     return ColouringRule(
         name=doc["name"],
         colours=tuple(doc["colours"]),
         descendants=tuple(presentation.word(d) for d in doc["descendants"]),
-        allowed_fn=lambda window_values, desc: frozenset(table[_json_key(window_values, desc)]),
+        allowed_fn=allowed,
         window=tuple(presentation.word(w) for w in doc["window"]),
         dependency_radius=doc["dependency_radius"],
         stationary=doc["stationary"],

@@ -7,7 +7,6 @@ from scipy import stats
 
 from cayleycolour.arrows import (
     ARROW_COLOURS,
-    arrow_experiment,
     arrow_field,
     arrow_rule,
     candidates,
@@ -252,16 +251,6 @@ def test_mass_audit_detects_crowding():
     assert not audit.certificate.verified
     assert audit.feasibility is None
     assert audit.certificate.first_failure is not None
-
-
-def test_arrow_experiment_aggregates():
-    b = small_ball(4)
-    exp = arrow_experiment(b, RandomSource(5), 5)
-    assert exp.total_violations == 0
-    assert exp.max_crowded_fraction == 0
-    assert not exp.feasibility.feasible
-    assert abs(exp.mean_in_capacity - Fraction(15, 16)) < Fraction(6, 100)
-    assert sum(exp.pdegree_histogram) == 5 * len(b.interior_indices(2))
 
 
 def test_survival_map_exact_head():

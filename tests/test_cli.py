@@ -23,6 +23,16 @@ def run_json(tmp_path, args, name="out.json"):
     return code, json.loads(out.read_text())
 
 
+def alternate_rule():
+    """On F1: each vertex takes the colour its a-neighbour does not."""
+    return ColouringRule(
+        name="alternate",
+        colours=("red", "blue"),
+        descendants=(free_group(1).word("a"),),
+        allowed_fn=lambda w, d: frozenset({"red", "blue"} - set(d)),
+    )
+
+
 class TestPlumbing:
     def test_presentation_names(self):
         assert presentation_named("f2").n_generators == 2
@@ -159,6 +169,7 @@ class TestPlumbing:
             ("pdeg --samples 3000 --seed 5", "3fa80c937a67761fd7aea55e7abd42ac9b480c35e24feb543ed9e4aec041a3cb"),
             ("doubled --radius 5 --n-levels 3 --seed 4", "0a93062de1724a1777a635903e6fd6d43a8cd4c722915d74822af33d4ad9ffe2"),
             ("solve --rule example1 --radius 5", "25ac6fcf1d526db8fc9b55547311768feb805098a698a216bff05befa606b2d1"),
+            ("offsets --radius 8 --choice random --seed 3", "159cde45a528ff47830c9a2ce0c5d3ef23b665f8d22db75fa47676de8c3a3d37"),
         ],
     )
     def test_record_golden_digest(self, tmp_path, args, digest):
@@ -166,6 +177,19 @@ class TestPlumbing:
         command's defaults and presentation) are pinned with the result."""
         out = tmp_path / "record.json"
         assert main([*args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("check --solver iterate --rule example1 --radius 6", "a489b2ed536da13aa436003339e3a727017f63c4465aa010efb469c1056a2127"),
+            ("check --solver iterate --radius 6 --seed 3 --rule arrow", "61e2d49499477c23907c3376a0243a809ac9e045a9c7fdff7895f250358f5da3"),
+        ],
+    )
+    def test_failing_record_golden_digest(self, tmp_path, args, digest):
+        """Whole-record SHA-256 of iterate runs that end with violations."""
+        out = tmp_path / "record.json"
+        assert main([*args.split(), "--out", str(out)]) == 1
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -226,15 +250,8 @@ class TestSolveCheck:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
     def test_file_rule_iterate(self, tmp_path):
-        p = free_group(1)
-        rule = ColouringRule(
-            name="alternate",
-            colours=("red", "blue"),
-            descendants=(p.word("a"),),
-            allowed_fn=lambda w, d: frozenset({"red", "blue"} - set(d)),
-        )
         rule_path = tmp_path / "alt.json"
-        rule_path.write_text(rule_to_json(rule))
+        rule_path.write_text(rule_to_json(alternate_rule()))
         code, record = run_json(
             tmp_path,
             ["check", "--rule", str(rule_path), "--presentation", "f1",
@@ -246,14 +263,7 @@ class TestSolveCheck:
 
     def test_file_rule_needs_iterate(self, tmp_path):
         rule_path = tmp_path / "alt.json"
-        p = free_group(1)
-        rule = ColouringRule(
-            name="alternate",
-            colours=("red", "blue"),
-            descendants=(p.word("a"),),
-            allowed_fn=lambda w, d: frozenset({"red", "blue"} - set(d)),
-        )
-        rule_path.write_text(rule_to_json(rule))
+        rule_path.write_text(rule_to_json(alternate_rule()))
         code, record = run_json(
             tmp_path, ["check", "--rule", str(rule_path), "--presentation", "f1", "--radius", "4"]
         )
@@ -266,7 +276,38 @@ class TestSolveCheck:
         rule_path.write_text('{"builtin": "three-class-congruence"}')
         code, record = run_json(tmp_path, ["check", "--solver", "iterate", "--radius", "4", "--rule", str(rule_path)])
         assert code == 1 and record["ok"] is False and "result" not in record
-        assert record["error"] == {"type": "KeyError", "message": "'allowed'"}
+        assert record["error"] == {
+            "type": "ValueError",
+            "message": "not a rule declaration: missing keys ['allowed', 'colours', 'dependency_radius', "
+            "'descendants', 'name', 'stationary', 'window'], unknown keys ['builtin']",
+        }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [], "a rule declaration is a JSON object"),
+            (lambda doc: {**doc, "dependency_radius": "two"}, "'dependency_radius' must hold a JSON integer"),
+            (lambda doc: {**doc, "stationary": 1}, "'stationary' must hold a JSON boolean"),
+            (lambda doc: {**doc, "colours": ["red", 2]}, "'colours' must hold a JSON array of strings"),
+            (lambda doc: {**doc, "extra": 1}, "unknown keys ['extra']"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "window"}, "missing keys ['window']"),
+            (lambda doc: {**doc, "allowed": {"|red": ["blue"]}}, "no allowed list for input '|blue'"),
+        ],
+        ids=["not-object", "radius-type", "bool-type", "array-items", "unknown-key", "missing-key", "missing-input"],
+    )
+    def test_malformed_rule_file_fails_with_a_record(self, tmp_path, edit, message):
+        rule_path = tmp_path / "bad.json"
+        rule_path.write_text(json.dumps(edit(json.loads(rule_to_json(alternate_rule())))))
+        code, record = run_json(
+            tmp_path, ["check", "--solver", "iterate", "--presentation", "f1", "--rule", str(rule_path)]
+        )
+        assert code == 1 and record["ok"] is False and "result" not in record
+        assert record["error"]["type"] == "ValueError"
+        assert message in record["error"]["message"]
+
+    def test_long_rule_names_are_gone(self, tmp_path):
+        code, record = run_json(tmp_path, ["check", "--rule", "arrow-orientation"])
+        assert code == 1 and "unknown rule" in record["error"]["message"]
 
     def test_file_rule_with_window_matches_builtin(self, tmp_path):
         # A file rule that reads a window gets the same sampled configuration.

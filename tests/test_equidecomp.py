@@ -15,8 +15,6 @@ from cayleycolour.equidecomp import (
     equidecomposable,
     n_fold,
     prefix_set,
-    schroeder_bernstein,
-    st_group,
     strongly_paradoxical,
     type_add,
     verify_decomposition,
@@ -26,7 +24,7 @@ from cayleycolour.equidecomp import (
 from cayleycolour.groups import ball, free_group, z2_z3
 
 
-P = st_group()
+P = free_group(2, "st")
 S_UNIT = [P.identity(), P.word("s"), P.word("S"), P.word("t"), P.word("T")]
 
 
@@ -196,42 +194,6 @@ class TestParadoxPredicates:
         forged = Decomposition((((P.word("1"), 0), P.identity(), (P.word("1"), 0)),))
         assert not strongly_paradoxical(e, forged)
         assert not weakly_paradoxical(e, forged, 1)
-
-
-class TestSchroederBernstein:
-    def test_combines_two_injections(self):
-        a = lset("1", "s", "t", "st")
-        t = P.word("t")
-        b = LevelSet.from_words([t * w for w in words("1", "s", "t", "st")])
-        f = equidecomposable(a, b, [t])
-        g = equidecomposable(b, a, [t.inverse()])
-        combined = schroeder_bernstein(a, b, f, g)
-        assert verify_decomposition(combined, a, b, bijection=True)
-
-    def test_overlapping_sets(self):
-        t = P.word("t")
-        a = lset("1", "t")
-        b = lset("t", "tt")
-        f = equidecomposable(a, b, [t])
-        g = equidecomposable(b, a, [t.inverse()])
-        combined = schroeder_bernstein(a, b, f, g)
-        assert verify_decomposition(combined, a, b, bijection=True)
-
-    def test_rejects_wrong_domains(self):
-        a = lset("1", "t")
-        b = lset("t", "tt")
-        f = equidecomposable(a, b, [P.word("t")])
-        with pytest.raises(ValueError):
-            schroeder_bernstein(a, b, f, f)
-
-    def test_rejects_non_injective_second_witness(self):
-        t, one = P.word("t"), (P.word("1"), 0)
-        a = lset("1", "t")
-        b = lset("t", "tt")
-        f = equidecomposable(a, b, [t])
-        g = Decomposition((((t, 0), t.inverse(), one), ((P.word("tt"), 0), P.word("TT"), one)))
-        with pytest.raises(ValueError):
-            schroeder_bernstein(a, b, f, g)
 
 
 class TestCancellation:

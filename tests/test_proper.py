@@ -24,7 +24,6 @@ from cayleycolour.proper import (
     _secondary_conflicts,
     _word_images,
     Calibration,
-    DoubledColouring,
     arrows_to_list_colouring,
     calibrate_N,
     canonical_doubled_colouring,
@@ -38,9 +37,14 @@ from cayleycolour.proper import (
     offsets16,
     secondary_graph,
 )
-from cayleycolour.rules import Colouring, ViolationReport, check
+from cayleycolour.rules import Colouring, ViolationReport, check, doubled_colouring, restrict_copy
 
 F2 = free_group(2)
+
+
+def as_doubled(b, codes):
+    """The doubled colouring whose copy t of vertex i has codes[t * |b| + i]."""
+    return doubled_colouring(b, PALETTE17, codes[: len(b)], codes[len(b) :])
 
 
 def setup_r6(seed=7):
@@ -81,14 +85,6 @@ def test_greedy_base_proper():
     assert int(base.codes.min()) >= 0
 
 
-def test_greedy_shuffled_order_still_proper():
-    b = ball(F2, 5)
-    rng = np.random.default_rng(3)
-    order = rng.permutation(len(b))
-    base = greedy_base_colouring(b, order=[int(i) for i in order])
-    assert offset_conflicts(base) == 0
-
-
 def test_greedy_random_choice_proper():
     b = ball(F2, 5)
     base = greedy_base_colouring(b, choice="random", seed=11)
@@ -103,20 +99,6 @@ def test_greedy_needs_room():
 def test_greedy_rejects_unknown_choice():
     with pytest.raises(ValueError, match="mni"):
         greedy_base_colouring(ball(F2, 5), choice="mni")
-
-
-def test_greedy_rejects_order_that_is_not_a_permutation():
-    b = ball(F2, 5)
-    n = len(b)
-    for order in (
-        [0, 1, 2],
-        [0, 0] + list(range(2, n)),
-        list(range(1, n + 1)),
-        [float(i) for i in range(n)],
-        np.arange(n).reshape(1, n),
-    ):
-        with pytest.raises(ValueError, match="permutation"):
-            greedy_base_colouring(b, order=order)
 
 
 def test_list_assignment_distinct():
@@ -387,7 +369,12 @@ def test_q_vertices_have_no_first_copy_edges():
 def test_canonical_doubled_colouring_proper():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 3)
-    colouring = canonical_doubled_colouring(graph, constructive_solve(config))
+    arrow_colouring = constructive_solve(config)
+    colouring = canonical_doubled_colouring(graph, arrow_colouring)
+    # Copy t of vertex v is vertex t * |ball| + v, so rho(v) is v's second copy.
+    assert restrict_copy(colouring, 0) == arrows_to_list_colouring(arrow_colouring, base)
+    assert restrict_copy(colouring, 1) == base
+    assert colouring.codes[graph.rho(5)] == base.codes[5]
     report = check_proper(graph, colouring, copy2_sample=48)
     assert report.satisfied
     assert report.edges_checked["secondary"] > 0
@@ -425,7 +412,7 @@ def test_flow_audit_counts_q():
 def test_flow_audit_rejects_improper():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1)
-    flat = DoubledColouring(PALETTE17, np.zeros(2 * len(b), dtype=np.int16))
+    flat = as_doubled(b, np.zeros(2 * len(b), dtype=np.int16))
     with pytest.raises(ValueError):
         flow_audit_doubled(flat, graph)
 
@@ -506,7 +493,7 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     us, vs = graph.copy2_pairs(seconds)
     u, v = int(us[len(us) // 3]), int(vs[len(vs) // 3])
     codes[n + v] = codes[n + u]
-    planted = DoubledColouring(PALETTE17, codes)
+    planted = as_doubled(b, codes)
 
     report = check_proper(graph, planted, copy2_sample=None)
     expected = reference_conflicts(graph, planted, seconds)
@@ -529,7 +516,7 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     codes = proper_colouring.codes.copy()
     codes[sy] = codes[sx]
     with pytest.raises(ValueError, match="secondary"):
-        flow_audit_doubled(DoubledColouring(PALETTE17, codes), graph)
+        flow_audit_doubled(as_doubled(b, codes), graph)
 
 
 def secondary_reference(config):
@@ -607,19 +594,19 @@ def test_secondary_family_matches_reference_loops(data):
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
     assert _secondary_conflicts(doubled, codes) == (len(off_q), conflicts)
-    blank = DoubledColouring(PALETTE17, np.full(2 * len(b), -1, dtype=np.int16))
+    blank = as_doubled(b, np.full(2 * len(b), -1, dtype=np.int16))
     touches = sum(1 for clique in cliques if not q.isdisjoint(clique))
     expected = Fraction(touches, len(cliques)) if cliques else Fraction(0)
     assert flow_audit_doubled(blank, doubled).clique_touches_q_fraction == expected
 
 
 
-def greedy_reference(b, choice, seed, order=None):
+def greedy_reference(b, choice, seed):
     """The vertex-by-vertex greedy the layered one replaced."""
     tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
     codes = np.full(len(b), -1, dtype=np.int16)
     rng = np.random.default_rng(seed)
-    for w in range(len(b)) if order is None else order:
+    for w in range(len(b)):
         used = {int(codes[t[w]]) for t in tables if t[w] >= 0}
         free = [c for c in range(len(PALETTE17)) if c not in used]
         codes[w] = free[0] if choice == "min" else int(rng.choice(free))
@@ -634,14 +621,12 @@ GREEDY_BALLS = {r: ball(F2, r) for r in range(5, 9)}
     radius=st.integers(5, 8),
     choice=st.sampled_from(GREEDY_CHOICES),
     seed=st.integers(0, 2**63),
-    shuffle=st.none() | st.integers(0, 2**16),
 )
-def test_layered_greedy_matches_reference_loop(radius, choice, seed, shuffle):
+def test_layered_greedy_matches_reference_loop(radius, choice, seed):
     b = GREEDY_BALLS[radius]
-    order = None if shuffle is None else np.random.default_rng(shuffle).permutation(len(b)).tolist()
-    codes = greedy_base_colouring(b, choice, seed, order).codes
+    codes = greedy_base_colouring(b, choice, seed).codes
     assert codes.dtype == np.int16
-    assert np.array_equal(codes, greedy_reference(b, choice, seed, order))
+    assert np.array_equal(codes, greedy_reference(b, choice, seed))
 
 
 @settings(max_examples=50, deadline=None)
