@@ -31,6 +31,11 @@ ARROW_COLOURS = ("a1u", "a1c", "a2u", "a2c")
 
 IN_CAPACITY = Fraction(15, 16)
 
+# The sign bit with which the T1, T1^-1, T2, T2^-1 neighbour of w can aim
+# at w: w is in the inverse pair of T1 w and in the forward pair of T1^-1 w.
+IN_SIGNS = np.array([-1, 1, -1, 1], dtype=np.int8)
+IN_SIGNS.setflags(write=False)
+
 
 def active_part(colour: str) -> int:
     return int(colour[1])
@@ -57,14 +62,15 @@ def arrow_rule(presentation: Presentation | None = None) -> ColouringRule:
     u1, u2 = p.generator(0, -1), p.generator(1, -1)
     window = (p.identity(), t1, u1, t2, u2)
     descendants = (t1, u1, t2, u2)
+    in_t1, in_u1, in_t2, in_u2 = (int(s) for s in IN_SIGNS)
 
     def allowed(window_values: tuple[int, ...], desc: tuple[str, ...]) -> frozenset[str]:
         sign, via_t1, via_u1, via_t2, via_u2 = window_values
         incoming = (
-            int(via_t1 == -1 and active_part(desc[0]) == 1)
-            + int(via_u1 == 1 and active_part(desc[1]) == 1)
-            + int(via_t2 == -1 and active_part(desc[2]) == 2)
-            + int(via_u2 == 1 and active_part(desc[3]) == 2)
+            int(via_t1 == in_t1 and active_part(desc[0]) == 1)
+            + int(via_u1 == in_u1 and active_part(desc[1]) == 1)
+            + int(via_t2 == in_t2 and active_part(desc[2]) == 2)
+            + int(via_u2 == in_u2 and active_part(desc[3]) == 2)
         )
         passive = "c" if incoming >= 2 else "u"
         first, second = (desc[0], desc[2]) if sign == 1 else (desc[1], desc[3])
@@ -108,31 +114,10 @@ def candidate_arrays(config: Configuration, vertices: np.ndarray) -> tuple[np.nd
     return np.where(up, t1, u1), np.where(up, t2, u2)
 
 
-def candidates(config: Configuration, w: int) -> tuple[int, int]:
-    """The two vertices the arrow at w may target, per w's sign bit."""
-    z1, z2 = candidate_arrays(config, np.array([w]))
-    return int(z1[0]), int(z2[0])
-
-
-def pdegree(config: Configuration, w: int) -> int:
-    """How many neighbours could aim their arrow here, given their sign bits."""
-    neighbours = np.array([table[w] for table in neighbour_tables(config.ball)])
-    if neighbours.min() < 0:
-        raise ValueError(f"vertex {w} has a neighbour outside the ball")
-    if (config.values[neighbours] == 0).any():
-        raise ValueError(f"a neighbour of vertex {w} has an undefined sign bit")
-    return int(pdegree_profile(config.ball, config.values[None, :], np.array([w]))[0, 0])
-
-
-# The sign bit with which the T1, T1^-1, T2, T2^-1 neighbour of a vertex
-# could aim its arrow at that vertex.
-_IN_SIGNS = np.array([-1, 1, -1, 1], dtype=np.int8)
-
-
 def _pdegrees(values: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
     """Per row of values, how many of the neighbour columns (last axis:
     T1, T1^-1, T2, T2^-1) hold a sign that aims back."""
-    return np.count_nonzero(values[:, neighbours] == _IN_SIGNS, axis=-1)
+    return np.count_nonzero(values[:, neighbours] == IN_SIGNS, axis=-1)
 
 
 def pdegree_profile(ball: Ball, values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -185,21 +170,14 @@ def conditional_pdegree(ball: Ball, source: RandomSource, n: int, workers: int =
     """
     j = int(neighbour_tables(ball)[0][0])
     counts = histogram(
-        ball, source, n, _root_pdegree(ball), 5, keep=lambda values: values[:, j] == -1, workers=workers
+        ball, source, n, _root_pdegree(ball), 5, keep=lambda values: values[:, j] == IN_SIGNS[0], workers=workers
     )
     return PdegreeReport(n, tuple(int(c) for c in counts), source.seed, conditioned_on="T1-neighbour sign bit -1")
 
 
-@dataclass(frozen=True)
-class ArrowField:
-    """Arrow target per vertex; -1 where no arrow is defined."""
-
-    ball: Ball
-    targets: np.ndarray
-
-
-def arrow_field(colouring: Colouring) -> ArrowField:
-    """Read each vertex's target off its active colour and sign bit."""
+def arrow_field(colouring: Colouring) -> np.ndarray:
+    """Arrow target per vertex (int32, in ball order), read off its active
+    colour and sign bit; -1 where no arrow is defined."""
     if colouring.palette != ARROW_COLOURS:
         raise ValueError("not an arrow colouring")
     if colouring.configuration is None:
@@ -212,13 +190,12 @@ def arrow_field(colouring: Colouring) -> ArrowField:
     forward = np.where(second, t2, t1)
     backward = np.where(second, u2, u1)
     targets = np.where(signs == 1, forward, np.where(signs == -1, backward, -1))
-    targets = np.where(codes >= 0, targets, -1).astype(np.int32)
-    return ArrowField(ball, targets)
+    return np.where(codes >= 0, targets, -1).astype(np.int32)
 
 
-def incoming_counts(field: ArrowField) -> np.ndarray:
-    landed = field.targets[field.targets >= 0]
-    return np.bincount(landed, minlength=len(field.ball))
+def incoming_counts(targets: np.ndarray) -> np.ndarray:
+    """How many arrows land on each vertex, given ``arrow_field`` targets."""
+    return np.bincount(targets[targets >= 0], minlength=len(targets))
 
 
 def constructive_solve(config: Configuration) -> Colouring:
@@ -291,10 +268,10 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
     if config is None:
         raise ValueError("mass audit needs the underlying sign bits")
     interior = ball.interior_indices(2)
-    field = arrow_field(colouring)
-    incoming = incoming_counts(field)
+    targets = arrow_field(colouring)
+    incoming = incoming_counts(targets)
 
-    has_arrow = field.targets[interior] >= 0
+    has_arrow = targets[interior] >= 0
     crowded = incoming[interior] >= 2
     crowded_fraction = Fraction(int(crowded.sum()), len(interior)) if len(interior) else Fraction(0)
 

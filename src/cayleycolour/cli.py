@@ -32,7 +32,7 @@ import numpy as np
 from . import arrows, equidecomp, hausdorff, proper
 from .configs import ALGORITHM, RandomSource, sample
 from .groups import Ball, Presentation, ball, free_group, z2_z3
-from .measures import feasible
+from .measures import DensityProgram, FeasibilityResult, feasible, replay_refutation
 from .rules import Colouring, check, iterate, rule_from_json
 
 SCHEMA = "cayleycolour/v1"
@@ -157,6 +157,11 @@ def _run_check(spec: ExperimentSpec, options: RunOptions) -> dict:
 # Audits.
 
 
+def _refuted(program: DensityProgram, outcome: FeasibilityResult) -> bool:
+    """Infeasible, with a refutation that replays against the program."""
+    return not outcome.feasible and replay_refutation(program, outcome.refutation)
+
+
 def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     b = ball(p, spec.radius)
@@ -168,15 +173,15 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
         ok = (
             audit.certificate.verified
             and audit.feasibility is not None
-            and not audit.feasibility.feasible
+            and _refuted(audit.program, audit.feasibility)
         )
         return {"rule": "arrow", "audit": audit.to_record(), "ok": ok}
     if name == "example1":
         colouring = hausdorff.example1_solve(b)
         certificates = hausdorff.example1_certificates(colouring)
-        program = hausdorff.example1_program(colouring)
+        program = hausdorff.example1_program(certificates)
         outcome = feasible(program)
-        ok = all(c.verified for c in certificates) and not outcome.feasible
+        ok = all(c.verified for c in certificates) and _refuted(program, outcome)
         return {
             "rule": "example1",
             "certificates": [c.to_record() for c in certificates],
@@ -238,9 +243,10 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     arrow_colouring = arrows.constructive_solve(config)
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
 
-    exact = feasible(proper.doubled_flow_program())
+    exact_program = proper.doubled_flow_program()
+    exact = feasible(exact_program)
     result: dict = {"exact_program": exact.to_record()}
-    ok = not exact.feasible
+    ok = _refuted(exact_program, exact)
 
     q_proxy: frozenset[int] = frozenset()
     n = spec.n_levels
@@ -271,7 +277,7 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
             "n": n,
             "proper": properness.to_record(),
             "audit": audit.to_record(),
-            "ok": ok and not properness.conflicts and not audit.feasibility.feasible,
+            "ok": ok and not properness.conflicts and _refuted(audit.program, audit.feasibility),
         }
     )
     return result
@@ -327,7 +333,7 @@ _FLAGS: dict[str, dict] = {
 }
 
 # Each command: its runner, its help, and the flags it reads with their
-# defaults.  Every command also takes --workers and --out.
+# defaults.  Every command also takes --out.
 _COMMANDS: dict[str, tuple] = {
     "solve": (_run_solve, "run a constructive solver and report rule satisfaction",
               {"presentation": None, "radius": 6, "seed": 0, "rule": "arrow", "solver": "constructive", "csv": None}),
@@ -336,7 +342,7 @@ _COMMANDS: dict[str, tuple] = {
     "audit": (_run_audit, "transport certificates and exact density feasibility",
               {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}),
     "pdeg": (_run_pdeg, "Monte Carlo p-degree histograms at the root",
-             {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False}),
+             {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False, "workers": 1}),
     "recursion": (_run_recursion, "survival chain fixed-point analysis", {}),
     "offsets": (_run_offsets, "offset family and greedy base colouring",
                 {"presentation": None, "radius": 10, "seed": 0, "choice": "min"}),
@@ -357,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, blurb, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=blurb)
-        for flag, default in {**flags, "workers": 1, "out": None}.items():
+        for flag, default in {**flags, "out": None}.items():
             sp.add_argument("--" + flag, default=default, **_FLAGS[flag])
     return parser
 
 
 def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]:
     given = dict(vars(args))
-    options = RunOptions(given.pop("workers"), given.pop("out"), given.pop("csv", None))
+    options = RunOptions(given.pop("workers", 1), given.pop("out"), given.pop("csv", None))
     if given.get("presentation") is None:
         if given.get("rule") == "hausdorff":
             given["presentation"] = "z2z3"

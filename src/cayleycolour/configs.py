@@ -8,10 +8,12 @@ undefined (stored as 0) rather than silently defaulted.
 Sampling is batched and seeded per batch.  One engine, ``batches``, walks
 the batch indices: it draws batch k = 0, 1, 2, ..., optionally filters its
 rows, applies a per-sample statistic and yields the results in batch order,
-cut at exactly n kept samples.  Every sampler and estimator here and in
-``arrows`` reads that one walk, so an estimate never depends on how many
-workers draw the batches: one worker runs on the calling thread, more run in
-a thread pool and are still consumed in index order.
+cut at exactly n kept samples.  ``histogram`` counts an integer statistic
+over that one walk, and the p-degree histograms in ``arrows`` are built on
+it, so a count never depends on how many workers draw the batches: one
+worker runs on the calling thread, more run in a thread pool and are still
+consumed in index order.  A single configuration, ``sample``, is row 0 of
+batch 0.
 
 The v1 stream (``pcg64-seedseq/batch1024/v1``): batch k is read from PCG64
 seeded by ``SeedSequence(entropy=seed, spawn_key=(k,))``.  Its raw 64-bit
@@ -25,7 +27,6 @@ byte when the range is two values.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -108,11 +109,8 @@ def sample_batch(ball: Ball, source: RandomSource, batch: int, rows: int = BATCH
     return values
 
 
-def sample(ball: Ball, source: RandomSource, index: int = 0) -> Configuration:
-    if index < 0:
-        raise ValueError("sample index must be nonnegative")
-    batch, row = divmod(index, BATCH_SIZE)
-    return Configuration(ball, sample_batch(ball, source, batch, row + 1)[row])
+def sample(ball: Ball, source: RandomSource) -> Configuration:
+    return Configuration(ball, sample_batch(ball, source, 0, 1)[0])
 
 
 def batches(
@@ -187,80 +185,3 @@ def shift(x: Configuration, g: ReducedWord) -> Configuration:
     table = x.ball.right_table(g)
     out = np.where(table >= 0, x.values[np.maximum(table, 0)], 0).astype(np.int8)
     return Configuration(x.ball, out)
-
-
-# A window predicate maps a value matrix (n_samples, |ball|) to a boolean
-# row per sample, reading only coordinates within `window` of the root.
-WindowPredicate = Callable[[np.ndarray, Ball], np.ndarray]
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    predicate: str
-    n: int
-    count: int
-    estimate: float
-    stderr: float
-    seed: int
-    algorithm: str = ALGORITHM
-
-    def to_record(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "n": self.n,
-            "count": self.count,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-        }
-
-
-def empirical_density(
-    predicate: WindowPredicate,
-    ball: Ball,
-    n: int,
-    source: RandomSource,
-    window: int = 0,
-    name: str | None = None,
-    workers: int = 1,
-) -> DensityEstimate:
-    """Monte Carlo frequency of a local event at the root.
-
-    The result depends only on (seed, ball, n), never on `workers`.
-    """
-    if n <= 0:
-        raise ValueError("need a positive sample count")
-    if window > ball.radius:
-        raise ValueError(f"window {window} exceeds ball radius {ball.radius}")
-
-    def hits(rows: np.ndarray) -> np.ndarray:
-        return np.asarray(predicate(rows, ball), dtype=bool)
-
-    count = int(histogram(ball, source, n, hits, 2, workers=workers)[1])
-    p = count / n
-    return DensityEstimate(
-        predicate=name or getattr(predicate, "__name__", "predicate"),
-        n=n,
-        count=count,
-        estimate=p,
-        stderr=math.sqrt(p * (1 - p) / n),
-        seed=source.seed,
-    )
-
-
-def empirical_covariance(
-    pred_a: WindowPredicate,
-    pred_b: WindowPredicate,
-    ball: Ball,
-    n: int,
-    source: RandomSource,
-) -> float:
-    """Sample covariance of two ±1 window observables (predicates as indicators)."""
-
-    def joint(rows: np.ndarray) -> np.ndarray:
-        a = np.asarray(pred_a(rows, ball), dtype=np.int8)
-        return a + 2 * np.asarray(pred_b(rows, ball), dtype=np.int8)
-
-    _, only_a, only_b, both = (int(c) for c in histogram(ball, source, n, joint, 4))
-    return both / n - ((only_a + both) / n) * ((only_b + both) / n)

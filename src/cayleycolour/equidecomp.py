@@ -269,8 +269,10 @@ def cancellation_experiment(
     A nonzero failure count would indict the matching oracle."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
     pool = list(pool)
+    if len(pool) < max_size:
+        raise ValueError(f"pool holds {len(pool)} words, fewer than max_size {max_size}")
+    rng = np.random.default_rng(seed)
     movers = list(movers)
     witnessed = recovered = skipped = failures = 0
     for _ in range(trials):

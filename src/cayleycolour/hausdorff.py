@@ -140,8 +140,8 @@ def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
     return certs
 
 
-def example1_program(colouring: Colouring) -> DensityProgram:
-    return translate(example1_certificates(colouring), E1_COLOURS)
+def example1_program(certificates: list[TransportCertificate]) -> DensityProgram:
+    return translate(certificates, E1_COLOURS)
 
 
 # ---------------------------------------------------------------------------

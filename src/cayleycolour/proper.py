@@ -21,7 +21,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arrows import arrow_field, candidate_arrays, incoming_counts, neighbour_tables
+from .arrows import IN_SIGNS, arrow_field, candidate_arrays, incoming_counts, neighbour_tables
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
@@ -272,7 +272,7 @@ def secondary_graph(config: Configuration) -> SecondaryGraph:
     neighbour is inside the ball."""
     centers = config.ball.interior_indices(2)
     neighbours = np.stack([table[centers] for table in neighbour_tables(config.ball)], axis=1)
-    aims = config.values[neighbours] == np.array([-1, 1, -1, 1])
+    aims = config.values[neighbours] == IN_SIGNS
     return SecondaryGraph(config, centers, np.where(aims, neighbours, -1))
 
 
@@ -282,13 +282,12 @@ def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Col
     b = arrow_colouring.ball
     if base.ball is not b:
         raise ValueError("base colouring lives on a different ball")
-    field = arrow_field(arrow_colouring)
-    incoming = incoming_counts(field)
+    targets = arrow_field(arrow_colouring)
+    incoming = incoming_counts(targets)
     interior = b.interior_indices(2)
     crowded = np.flatnonzero(incoming[interior] >= 2)
     if len(crowded):
         raise ValueError(f"crowded interior vertex {int(interior[crowded[0]])}: list transport undefined")
-    targets = field.targets
     codes = np.where(
         (targets >= 0) & (base.codes[np.maximum(targets, 0)] >= 0),
         base.codes[np.maximum(targets, 0)],

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cayleycolour
-from cayleycolour import arrows
+from cayleycolour import arrows, cli, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -99,6 +99,7 @@ class TestPlumbing:
             ("recursion", "--radius 4"),
             ("recursion", "--presentation z2z3"),
             ("prefix", "--seed 9"),
+            ("offsets", "--workers 2"),
         ],
     )
     def test_spec_flags_only_where_read(self, tmp_path, capsys, command, flag):
@@ -113,7 +114,7 @@ class TestPlumbing:
             "solve": "presentation radius seed rule solver csv",
             "check": "presentation radius seed rule solver",
             "audit": "presentation radius seed rule",
-            "pdeg": "presentation radius seed samples conditional",
+            "pdeg": "presentation radius seed samples conditional workers",
             "recursion": "",
             "offsets": "presentation radius seed choice",
             "doubled": "presentation radius seed epsilon n-levels choice csv",
@@ -125,7 +126,7 @@ class TestPlumbing:
         assert list(sub.choices) == list(expected)
         for name, flags in expected.items():
             offered = {s for a in sub.choices[name]._actions for s in a.option_strings}
-            assert offered == {"--" + f for f in flags.split()} | {"--workers", "--out", "-h", "--help"}, name
+            assert offered == {"--" + f for f in flags.split()} | {"--out", "-h", "--help"}, name
 
     def test_environment_is_not_an_input(self, tmp_path, monkeypatch):
         for name in [k for k in os.environ if k.startswith("CAYLEYCOLOUR_")]:
@@ -343,6 +344,30 @@ class TestAudits:
         assert record["result"]["doubling"]["all_verified"] is True
 
     @pytest.mark.parametrize(
+        "module, args, feasibility",
+        [
+            (arrows, "audit --rule arrow --radius 6", "audit.feasibility"),
+            (cli, "audit --rule example1 --radius 6", "feasibility"),
+            (proper, "doubled --radius 5 --n-levels 3 --seed 4", "audit.feasibility"),
+        ],
+    )
+    def test_unreplayable_refutation_fails(self, tmp_path, monkeypatch, module, args, feasibility):
+        real = module.feasible
+
+        def drops_a_multiplier(program):
+            outcome = real(program)
+            refutation = outcome.refutation
+            return dataclasses.replace(
+                outcome, refutation=dataclasses.replace(refutation, multipliers=refutation.multipliers[:-1])
+            )
+
+        monkeypatch.setattr(module, "feasible", drops_a_multiplier)
+        code, record = run_json(tmp_path, args.split())
+        reported = functools.reduce(dict.__getitem__, feasibility.split("."), record["result"])
+        assert reported["feasible"] is False
+        assert record["ok"] is False and code == 1
+
+    @pytest.mark.parametrize(
         "args, digest",
         [
             ("audit --rule example1 --radius 8", "52c37d16467839801ae74401a17455e3361069b5577a09237bb24745e69aac74"),
@@ -451,6 +476,11 @@ class TestStructureCommands:
         for experiment in record["result"]["experiments"]:
             assert experiment["failures"] == 0
             assert experiment["recovered"] == experiment["witnessed"] == 30
+
+    def test_types_pool_smaller_than_a_draw_rejected(self, tmp_path):
+        code, record = run_json(tmp_path, ["types", "--presentation", "z2z3", "--radius", "2"])
+        assert code == 1 and record["ok"] is False
+        assert record["error"] == {"type": "ValueError", "message": "pool holds 8 words, fewer than max_size 12"}
 
     def test_types_zero_levels_rejected(self, tmp_path):
         code, record = run_json(tmp_path, ["types", "--n-levels", "0", "--samples", "5"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from cayleycolour.configs import (
     Configuration,
     RandomSource,
     batches,
-    empirical_covariance,
-    empirical_density,
     histogram,
     sample,
     sample_batch,
@@ -32,10 +32,10 @@ def test_golden_sample():
 
 def test_sampling_deterministic():
     b = ball(F2, 3)
-    a = sample(b, RandomSource(7), index=5)
-    c = sample(b, RandomSource(7), index=5)
+    a = sample(b, RandomSource(7))
+    c = sample(b, RandomSource(7))
     assert a == c
-    assert a != sample(b, RandomSource(8), index=5)
+    assert a != sample(b, RandomSource(8))
 
 
 def test_sample_values_are_pm1():
@@ -95,15 +95,6 @@ def test_coordinate_access():
     assert x[F2.word("a")] == GOLDEN_SEED42_R2[1]
 
 
-@pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2500])
-def test_sample_is_its_batch_row(index):
-    # sample draws only the rows up to its own; they are a prefix of the batch.
-    b = ball(F2, 3)
-    src = RandomSource(17)
-    batch = sample_batch(b, src, index // BATCH_SIZE)
-    assert np.array_equal(sample(b, src, index).values, batch[index % BATCH_SIZE])
-
-
 def test_shift_identity():
     b = ball(F2, 2)
     x = sample(b, RandomSource(3))
@@ -146,34 +137,19 @@ def test_shift_composition_law():
 
 
 def test_mean_and_covariance_near_zero():
+    # Joint histogram of the root and a-coordinates being +1: cell
+    # root + 2 * a, so cells 1 and 3 hold the root's +1s, 2 and 3 a's.
     b = ball(F2, 1)
-    src = RandomSource(2024)
-
-    def root_is_one(block, _ball):
-        return block[:, 0] == 1
-
-    est = empirical_density(root_is_one, b, 100_000, src)
-    assert abs(est.estimate - 0.5) <= 3 * est.stderr
-
+    n = 100_000
     i_a = b.index_of(F2.word("a"))
 
-    def a_is_one(block, _ball):
-        return block[:, i_a] == 1
+    def joint(rows):
+        return (rows[:, 0] == 1) + 2 * (rows[:, i_a] == 1)
 
-    cov = empirical_covariance(root_is_one, a_is_one, b, 100_000, src)
-    assert abs(cov) <= 0.02
-
-
-def test_density_worker_invariance():
-    b = ball(F2, 1)
-
-    def root_is_one(block, _ball):
-        return block[:, 0] == 1
-
-    runs = [
-        empirical_density(root_is_one, b, 5000, RandomSource(5), workers=w) for w in (1, 2, 4)
-    ]
-    assert runs[0].count == runs[1].count == runs[2].count
+    _, only_root, only_a, both = histogram(b, RandomSource(2024), n, joint, 4) / n
+    p = only_root + both
+    assert abs(p - 0.5) <= 3 * math.sqrt(p * (1 - p) / n)
+    assert abs(both - p * (only_a + both)) <= 0.02
 
 
 def reference_rows(b, source, n, keep):
@@ -213,12 +189,6 @@ def test_engine_rejects_zero_workers():
         next(batches(ball(F2, 1), RandomSource(1), 10, workers=0))
 
 
-def test_density_window_check():
-    b = ball(F2, 1)
-    with pytest.raises(ValueError):
-        empirical_density(lambda m, _b: m[:, 0] == 1, b, 10, RandomSource(1), window=2)
-
-
 def test_shift_preserves_density():
     # Radius-1 window predicate density is shift invariant up to noise.
     b = ball(F2, 2)
@@ -226,34 +196,22 @@ def test_shift_preserves_density():
     n = 100_000
     i_a = b.index_of(F2.word("a"))
 
-    def pred(block, _ball):
+    def pred(block):
         return (block[:, 0] == 1) & (block[:, i_a] == -1)
 
     table = b.right_table(F2.word("b"))
 
-    def pred_shifted(block, _ball):
-        moved = block[:, np.maximum(table, 0)]
-        return (moved[:, 0] == 1) & (moved[:, i_a] == -1)
+    def pred_shifted(block):
+        return pred(block[:, np.maximum(table, 0)])
 
-    d0 = empirical_density(pred, b, n, src)
-    d1 = empirical_density(pred_shifted, b, n, src)
-    sigma = max(d0.stderr, d1.stderr)
-    assert abs(d0.estimate - d1.estimate) <= 4 * sigma
+    d0, d1 = (histogram(b, src, n, p, 2)[1] / n for p in (pred, pred_shifted))
+    sigma = max(math.sqrt(d * (1 - d) / n) for d in (d0, d1))
+    assert abs(d0 - d1) <= 4 * sigma
 
 
 def test_random_source_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         RandomSource(1, algorithm="mt19937/v0")
-
-
-def test_density_record_fields():
-    b = ball(F2, 1)
-    est = empirical_density(lambda m, _b: m[:, 0] == 1, b, 1000, RandomSource(6), name="root+")
-    rec = est.to_record()
-    assert rec["predicate"] == "root+"
-    assert rec["n"] == 1000
-    assert rec["seed"] == 6
-    assert rec["algorithm"].startswith("pcg64")
 
 
 @settings(max_examples=80, deadline=None)

@@ -220,6 +220,12 @@ class TestCancellation:
         assert report.failures == 0
         assert report.witnessed + report.skipped == 60
 
+    def test_pool_smaller_than_a_draw_rejected(self):
+        pool = list(ball(P, 1).words)
+        with pytest.raises(ValueError, match="pool holds 5 words, fewer than max_size 12"):
+            cancellation_experiment(2, pool, S_UNIT, trials=10)
+        assert cancellation_experiment(2, pool, S_UNIT, trials=10, max_size=5).failures == 0
+
     def test_record(self):
         rec = CancellationReport(2, 10, 8, 8, 2, 0).to_record()
         json.dumps(rec)

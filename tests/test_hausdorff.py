@@ -99,7 +99,7 @@ def test_example1_certificates_detect_breakage():
 
 def test_example1_program_infeasible():
     b = ball(free_group(2), 6)
-    program = example1_program(example1_solve(b))
+    program = example1_program(example1_certificates(example1_solve(b)))
     result = feasible(program)
     assert not result.feasible
     assert result.refutation.display == "2/3 <= 1/3"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cayleycolour import proper
 
-from cayleycolour.arrows import arrow_rule, candidates, constructive_solve, neighbour_tables, pdegree
+from cayleycolour.arrows import arrow_rule, candidate_arrays, constructive_solve, neighbour_tables, pdegree_profile
 from cayleycolour.configs import Configuration, RandomSource, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
@@ -38,6 +38,11 @@ from cayleycolour.proper import (
     secondary_graph,
 )
 from cayleycolour.rules import Colouring, ViolationReport, check, doubled_colouring, restrict_copy
+
+
+def candidate_pair(config, w):
+    z1, z2 = candidate_arrays(config, np.array([w]))
+    return int(z1[0]), int(z2[0])
 
 F2 = free_group(2)
 
@@ -121,8 +126,8 @@ def test_secondary_clique_sizes_are_pdegrees():
     b, config, base = setup_r6()
     graph = secondary_graph(config)
     assert graph.cliques.shape == (len(graph.centers), 4)
-    for z, clique in zip(graph.centers, graph.cliques):
-        assert np.count_nonzero(clique >= 0) == pdegree(config, int(z))
+    sizes = np.count_nonzero(graph.cliques >= 0, axis=1)
+    assert np.array_equal(sizes, pdegree_profile(b, config.values[None, :], graph.centers)[0])
 
 
 def test_secondary_edge_offsets():
@@ -163,13 +168,11 @@ def test_away_targets_differ_from_centre_by_short_offset():
     short = {g.letters for g in fam.short}
     graph = secondary_graph(config)
     checked = 0
-    from cayleycolour.arrows import candidates
-
     for z, row in zip(graph.centers, graph.cliques):
         for x in row[row >= 0].tolist():
             if b.lengths[x] > b.radius - 1:
                 continue
-            pair = candidates(config, x)
+            pair = candidate_pair(config, x)
             assert z in pair
             other = pair[0] if pair[1] == z else pair[1]
             offset = b.words[other] * b.words[z].inverse()
@@ -210,8 +213,8 @@ def test_list_transport_rejects_crowding():
     # aim a second arrow at an already-hit interior vertex
     from cayleycolour.arrows import arrow_field, incoming_counts, neighbour_tables
 
-    field = arrow_field(colouring)
-    incoming = incoming_counts(field)
+    targets = arrow_field(colouring)
+    incoming = incoming_counts(targets)
     interior = set(int(i) for i in b.interior_indices(2))
     victim = next(int(w) for w in np.flatnonzero(incoming == 1) if int(w) in interior)
     t1, u1, t2, u2 = neighbour_tables(b)
@@ -222,7 +225,7 @@ def test_list_transport_rejects_crowding():
         (int(t2[victim]), -1, 2),
         (int(u2[victim]), 1, 2),
     ):
-        if field.targets[sender] != victim and config.values[sender] == need:
+        if targets[sender] != victim and config.values[sender] == need:
             broken.set_colour(sender, f"a{active}u")
             break
     with pytest.raises(ValueError):
@@ -243,7 +246,7 @@ def test_check_proper_list_uncoloured_candidate():
     transported = arrows_to_list_colouring(constructive_solve(config), base)
     member = int(graph.members()[0])
     holed = base.copy()
-    holed.codes[candidates(config, member)[1]] = -1
+    holed.codes[candidate_pair(config, member)[1]] = -1
     with pytest.raises(ValueError, match="uncoloured"):
         check_proper_list(graph, holed, transported)
 
@@ -449,7 +452,7 @@ def reference_conflicts(graph, colouring, seconds):
     base = graph.base.codes
     codes = colouring.codes
     firsts = np.array([x for x in b.interior_indices(1) if int(x) not in graph.q_proxy], dtype=np.int64)
-    pairs = np.array([candidates(graph.config, int(x)) for x in firsts], dtype=np.int64).reshape(-1, 2)
+    pairs = np.stack(candidate_arrays(graph.config, firsts), axis=1)
     out = []
     for g in range(1, sum(b.sphere_sizes[: graph.odd_limit + 1])):
         if b.lengths[g] % 2 == 1:
@@ -581,7 +584,7 @@ def test_secondary_family_matches_reference_loops(data):
     lists = list_assignments(config, base, members)
     assert lists.shape == (len(members), 2)
     for w, pair in zip(members.tolist(), lists.tolist()):
-        z1, z2 = candidates(config, w)
+        z1, z2 = candidate_pair(config, w)
         assert pair == [base.codes[z1], base.codes[z2]] == list_assignments(config, base, [w])[0].tolist()
     names = {w: (PALETTE17[c1], PALETTE17[c2]) for w, (c1, c2) in zip(members.tolist(), lists.tolist())}
     colouring = Colouring(b, PALETTE17, rng.integers(-1, k, size=len(b)))
