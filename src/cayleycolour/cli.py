@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import arrows, equidecomp, hausdorff, proper
+from . import arrows, hausdorff, proper
 from .configs import ALGORITHM, RandomSource, sample
 from .groups import Ball, Presentation, ball, free_group, z2_z3
 from .measures import DensityProgram, FeasibilityResult, feasible, replay_refutation
@@ -284,6 +284,10 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
 
 
 def _run_types(spec: ExperimentSpec, options: RunOptions) -> dict:
+    # Imported here, as in _run_prefix: no other command reads equidecomp,
+    # so no other command pays to import it.
+    from . import equidecomp
+
     p = presentation_named(spec.presentation)
     pool = list(ball(p, spec.radius).words)
     movers = {p.identity()}
@@ -306,6 +310,8 @@ def _run_types(spec: ExperimentSpec, options: RunOptions) -> dict:
 
 
 def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
+    from . import equidecomp
+
     p = presentation_named(spec.presentation)
     report = equidecomp.verify_prefix_identities(ball(p, spec.radius))
     record = report.to_record()

@@ -21,7 +21,7 @@ from cayleycolour.arrows import (
     pdegree_profile,
     survival_map,
 )
-from cayleycolour.configs import Configuration, RandomSource, histogram, sample
+from cayleycolour.configs import BATCH_SIZE, RUN_BYTES, Configuration, RandomSource, histogram, sample
 from cayleycolour.groups import ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.rules import RANK_ONE, Colouring, check, classify_rank, rule_to_json
@@ -162,10 +162,22 @@ def test_conditional_pdegree_three_eighths_and_one_eighth():
     assert report.histogram[0] == 0
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_root_histograms_match_pdegree_profile(workers):
-    # The histograms read the root's four neighbour columns directly; they
-    # must count what pdegree_profile gives at the root, sample by sample.
+# Batches per run when only the root's four neighbour columns are drawn.
+ROOT_RUN = RUN_BYTES // (BATCH_SIZE * 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n",
+    [2500, 3 * ROOT_RUN * BATCH_SIZE, 5 * ROOT_RUN * BATCH_SIZE + 700],
+    ids=["mid_batch", "run_boundary", "several_runs"],
+)
+def test_root_histograms_match_pdegree_profile(n, workers):
+    # The histograms draw only the root's four neighbour columns, in runs
+    # of batches; they must count what pdegree_profile gives at the root on
+    # whole batches, sample by sample.  n = 3 runs ends on a run boundary
+    # for 1, 2 and 3 workers alike; the plain reference draws all columns,
+    # so its runs are shorter.
     b = small_ball(2)
     source = RandomSource(31)
     j = int(neighbour_tables(b)[0][0])
@@ -173,7 +185,6 @@ def test_root_histograms_match_pdegree_profile(workers):
     def at_root(rows):
         return pdegree_profile(b, rows, np.array([0]))[:, 0]
 
-    n = 2500  # three batches, the last one cut
     plain = histogram(b, source, n, at_root, 5)
     assert pdegree_histogram(b, source, n, workers).histogram == tuple(plain)
     conditioned = histogram(b, source, n, at_root, 5, keep=lambda rows: rows[:, j] == -1)

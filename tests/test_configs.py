@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cayleycolour import configs
 from cayleycolour.configs import (
     BATCH_SIZE,
     Configuration,
     RandomSource,
+    batch_streams,
     batches,
     histogram,
     sample,
@@ -52,22 +54,76 @@ def generator_rows(seed, batch, rows, width):
     return bits * 2 - 1
 
 
+def with_seeding_examples(test):
+    """Seeds and batch indices at the 32-bit word boundaries of the
+    SeedSequence entropy: 2^32 and up take two words, and k >= 2^32 gives
+    a two-word spawn key."""
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+        for first in (0, 2**32 - 1, 2**32):
+            test = example(seed=seed, first=first, count=3)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@with_seeding_examples
+@example(seed=5, first=configs.SEED_BLOCK - 1, count=3)
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**64 - 1), count=st.integers(1, 3))
+def test_bulk_seeding_replays_seed_sequence(seed, first, count):
+    # The seeds are hashed over whole blocks of batch indices and set on one
+    # reused PCG64; each batch must read what a PCG64 built from its own
+    # SeedSequence reads.  count may cross a block boundary.
+    first = min(first, 2**64 - count)
+    streams = batch_streams(RandomSource(seed), first, count)
+    for k, bits in zip(range(first, first + count), streams, strict=True):
+        own = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        assert np.array_equal(bits.random_raw(9), own.random_raw(9))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
+    data=st.data(),
     torsion=st.booleans(),
     radius=st.integers(0, 4),
     seed=st.integers(0, 2**64 - 1),
     batch=st.integers(0, 2**32 - 1),
     rows=st.integers(1, BATCH_SIZE),
 )
-def test_sample_batch_replays_generator_integers(torsion, radius, seed, batch, rows):
+def test_sample_batch_replays_generator_integers(data, torsion, radius, seed, batch, rows):
     # sample_batch reads the top bit of each raw byte; this pins that to the
     # numpy draw it replaces, so a numpy change fails here instead of
-    # silently changing every sampled record.
+    # silently changing every sampled record.  A column subset (in any
+    # order, repeats allowed) is the same columns of the whole draw.
     b = ball(z2_z3() if torsion else F2, radius)
+    expected = generator_rows(seed, batch, rows, len(b))
     drawn = sample_batch(b, RandomSource(seed), batch, rows)
     assert drawn.dtype == np.int8
-    assert np.array_equal(drawn, generator_rows(seed, batch, rows, len(b)))
+    assert np.array_equal(drawn, expected)
+    columns = data.draw(st.lists(st.integers(0, len(b) - 1), max_size=6), label="columns")
+    picked = sample_batch(b, RandomSource(seed), batch, rows, columns=columns)
+    assert picked.dtype == np.int8
+    assert np.array_equal(picked, expected[:, columns])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), batch=st.integers(0, 2**32), run=st.integers(1, 4), rows=st.integers(1, 40))
+def test_sample_batch_run_stacks_batches(seed, batch, run, rows):
+    # A run is its batches' rows stacked in batch order.
+    b = ball(F2, 2)
+    drawn = sample_batch(b, RandomSource(seed), batch, rows, columns=[4, 0], run=run)
+    expected = np.concatenate([generator_rows(seed, batch + i, rows, len(b)) for i in range(run)])
+    assert np.array_equal(drawn, expected[:, [4, 0]])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 16, 23, 40])
+def test_sample_batch_slices_are_invisible(monkeypatch, rows):
+    # With a slice budget below one row, each raw read is the minimum of
+    # 8 rows; the slices must join into the batch's stream.
+    monkeypatch.setattr(configs, "SLICE_BYTES", 1)
+    for p, radius in ((F2, 1), (z2_z3(), 3)):
+        b = ball(p, radius)
+        expected = generator_rows(7, 5, rows, len(b))
+        assert np.array_equal(sample_batch(b, RandomSource(7), 5, rows), expected)
+        assert np.array_equal(sample_batch(b, RandomSource(7), 5, rows, columns=[2, 1]), expected[:, [2, 1]])
 
 
 @pytest.mark.parametrize("rows", range(1, 9))
@@ -168,19 +224,27 @@ def root_code(rows):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(1, 5000),
+    n=st.integers(1, 40_000),
     workers=st.integers(1, 4),
     conditioned=st.booleans(),
+    gathered=st.booleans(),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_engine_matches_reference_loop(n, workers, conditioned, seed):
+def test_engine_matches_reference_loop(n, workers, conditioned, gathered, seed):
+    # The engine draws runs of batches; the reference draws one whole batch
+    # at a time.  With columns, keep and statistic see only those columns:
+    # column 3 of the ball is column 0 of the gathered rows.
     b = ball(F2, 1)
     source = RandomSource(seed)
-    keep = (lambda rows: rows[:, 3] == -1) if conditioned else None
-    expected = reference_rows(b, source, n, keep)
-    drawn = np.concatenate(list(batches(b, source, n, keep=keep, workers=workers)))
+    columns = [3, 0, 2, 1] if gathered else None
+    column = 0 if gathered else 3
+    keep = (lambda rows: rows[:, column] == -1) if conditioned else None
+    expected = reference_rows(b, source, n, (lambda rows: rows[:, 3] == -1) if conditioned else None)
+    if gathered:
+        expected = expected[:, columns]
+    drawn = np.concatenate(list(batches(b, source, n, keep=keep, workers=workers, columns=columns)))
     assert np.array_equal(drawn, expected)
-    counts = histogram(b, source, n, root_code, 8, keep, workers)
+    counts = histogram(b, source, n, root_code, 8, keep, workers, columns)
     assert np.array_equal(counts, np.bincount(root_code(expected), minlength=8))
 
 
