@@ -208,8 +208,22 @@ class ReducedWord:
 
 
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    out = np.where(inner >= 0, outer[np.maximum(inner, 0)], -1)
-    return out.astype(np.int32)
+    """outer[inner] as an int32 table, -1 wherever inner is -1: one gather
+    from outer with a trailing -1, which index -1 reads."""
+    padded = np.empty(len(outer) + 1, dtype=np.int32)
+    padded[:-1] = outer
+    padded[-1] = -1
+    return padded[inner]
+
+
+def _partial_inverse(table: np.ndarray) -> np.ndarray:
+    """The table of l^-1 from the table of l, by one scatter: each vertex
+    the table of l hits goes back to its source, and every other vertex
+    leaves the ball under l^-1 (see `Ball`)."""
+    out = np.full(len(table), -1, dtype=np.int32)
+    src = np.flatnonzero(table >= 0)
+    out[table[src]] = src
+    return out
 
 
 def _blocks(p: Presentation, radius: int) -> list[tuple[int, int, int]]:
@@ -278,15 +292,33 @@ class Ball:
 
     The same argument makes the integer key (length, block code, rest) of
     each vertex strictly increasing in vertex index, so the vertex of any
-    (block, rest) pair is one `searchsorted` away.  The left unit tables
-    are built that way during construction.  Tables of other words are
-    composed block by block, lazily, and cached; entries falling outside
-    the ball are -1.  Composing by blocks, not unit letters, never drops an
-    entry spuriously: along the blocks of g, the length of the partial
-    product falls while blocks cancel, changes once where a block merges,
-    then only grows.  A unit spelling of one block can overshoot: in Z4 at
-    radius 1, a^2 * a = a^3 = A is inside, but a * (a * a) passes through
-    a^2, which is not.
+    (block, rest) pair is one `searchsorted` away.  Tables are built
+    lazily and cached, with -1 for entries falling outside the ball, one
+    per group element: a block's exponent is reduced modulo its
+    generator's order first.  A block's table is built the first way that
+    applies:
+
+    - the scatter of its inverse's table, when that is cached: w -> l*w
+      maps {w : l*w in the ball} one-to-one onto {v : l^-1*v in the ball},
+      in any group.  Construction binary-searches the positive unit letters
+      and scatters the inverse ones (a torsion unit's inverse is a power
+      of it, so Z3's t^-1 = t^2 is a scatter too);
+    - for a power a^e (|e| >= 2) of an infinite-order generator, the table
+      of a^(e-1) (for e > 0; a^(e+1) for e < 0) followed by that of the
+      unit a (or A): if a^(e-1)*w leaves the ball, its merged first block
+      is longer than w's, so a^e*w is longer still;
+    - one `searchsorted` per vertex, as for the unit letters.
+
+    Tables of other words are composed block by block, one gather each,
+    or, when the word splits between two blocks into two words whose
+    tables are cached (the offsets aBaB = aB * aB), one gather of those.
+    Composing by blocks, not unit letters, never drops an entry
+    spuriously: along the blocks of g, the length of the partial product
+    falls while blocks cancel, changes once where a block merges, then
+    only grows, so no partial product is longer than both w and g*w.
+    A unit spelling of one torsion block can overshoot, which is why
+    torsion powers are searched: in Z4 at radius 1, a^2 * a = a^3 = A is
+    inside, but a * (a * a) passes through a^2, which is not.
 
     A right table is the left table of g^-1 read through the inverse
     permutation, w*g = (g^-1 * w^-1)^-1.  A word and its inverse have the
@@ -424,10 +456,23 @@ class Ball:
         return i
 
     def _block_table(self, block: Letter) -> np.ndarray:
-        """Left table of one block, cached."""
-        table = self._left_block.get(block)
+        """Left table of one block, cached under its exponent reduced modulo
+        the generator's order, so each group element has one table."""
+        gen, exp = block
+        order = self.presentation.order(gen)
+        if order is not None:
+            exp %= order
+        table = self._left_block.get((gen, exp))
         if table is None:
-            table = self._left_block[block] = self._left_block_table(*block)
+            inverse = self._left_block.get((gen, -exp % order if order else -exp))
+            if inverse is not None:
+                table = _partial_inverse(inverse)
+            elif order is None and abs(exp) >= 2:
+                unit = 1 if exp > 0 else -1
+                table = _compose(self._block_table((gen, unit)), self._block_table((gen, exp - unit)))
+            else:
+                table = self._left_block_table(gen, exp)
+            self._left_block[gen, exp] = table
         return table
 
     def first_steps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -466,10 +511,17 @@ class Ball:
         """Vertex index of g*w per vertex w; -1 where g*w leaves the ball."""
         table = self._left.get(g.letters)
         if table is None:
-            # Applies the last block first and the first block last.
-            blocks = [self._block_table(block) for block in g.letters]
-            table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
-            self._left[g.letters] = table
+            letters = g.letters
+            for k in range(1, len(letters)):
+                head, tail = self._left.get(letters[:k]), self._left.get(letters[k:])
+                if head is not None and tail is not None:
+                    table = _compose(head, tail)
+                    break
+            else:
+                # Applies the last block first and the first block last.
+                blocks = [self._block_table(block) for block in letters]
+                table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
+            self._left[letters] = table
         return table
 
     def right_table(self, g: ReducedWord) -> np.ndarray:

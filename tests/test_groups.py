@@ -9,11 +9,13 @@ from cayleycolour.groups import (
     Ball,
     Presentation,
     ReducedWord,
+    _compose,
     ball,
     free_group,
     reduce_letters,
     z2_z3,
 )
+from cayleycolour.hausdorff import hausdorff_solve, six_piece_doubling
 
 
 def test_free_group_sphere_sizes():
@@ -315,9 +317,70 @@ def test_array_ball_matches_reference(p, radius):
 @given(data=st.data(), p=PRESENTATIONS, radius=st.integers(0, 4))
 def test_word_tables_match_reference(data, p, radius):
     # Exponents run past the radius and past every order, so block tables
-    # meet blocks that leave the ball or wrap around.
+    # meet blocks that leave the ball or wrap around.  A product comes after
+    # its factors, so its table may be one gather of theirs.
     words, index = reference_ball(p, radius)
     b = ball(p, radius)
-    g = data.draw(raw_words(p, 4))
-    assert np.array_equal(b.left_table(g), reference_table(words, index, g, "left"))
-    assert np.array_equal(b.right_table(g), reference_table(words, index, g, "right"))
+    g, h = data.draw(raw_words(p, 4)), data.draw(raw_words(p, 4))
+    for w in (g, h, g * h):
+        assert np.array_equal(b.left_table(w), reference_table(words, index, w, "left")), w
+        assert np.array_equal(b.right_table(w), reference_table(words, index, w, "right")), w
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PRESENTATIONS, radius=st.integers(0, 4))
+@example(p=NAMED["F1"], radius=6)
+@example(p=NAMED["F2"], radius=4)
+@example(p=NAMED["F3"], radius=2)
+@example(p=NAMED["Z2*Z3"], radius=7)
+@example(p=NAMED["Z4*Z5"], radius=5)
+@example(p=NAMED["<a, s^2>"], radius=5)
+def test_block_and_inverse_tables_match_reference(p, radius):
+    # A block's table may be binary-searched, composed from unit tables or
+    # scattered from its inverse's table, depending on which was built
+    # first; each route must give the oracle's table.  Exponents run past
+    # the radius and, unreduced, past every order.
+    words, index = reference_ball(p, radius)
+    for gen in range(p.n_generators):
+        for exp in range(-radius - 2, radius + 3):
+            if p.generator(gen, exp).is_identity:
+                continue
+            expected = {e: reference_table(words, index, p.generator(gen, e), "left") for e in (exp, -exp)}
+            for order in ((exp, -exp), (-exp, exp)):
+                b = ball(p, radius)
+                for e in order:
+                    assert np.array_equal(b._block_table((gen, e)), expected[e]), (gen, e, order)
+
+
+def test_compose_reads_minus_one_through():
+    outer = np.array([2, -1, 0, 1], dtype=np.int32)
+    inner = np.array([-1, 3, 1, -1], dtype=np.int32)
+    out = _compose(outer, inner)
+    assert out.dtype == np.int32
+    assert out.tolist() == [-1, 1, -1, -1]
+    assert _compose(outer, np.full(4, -1, dtype=np.int32)).tolist() == [-1, -1, -1, -1]
+    assert _compose(np.array([-1], dtype=np.int32), np.array([0], dtype=np.int32)).tolist() == [-1]
+    assert _compose(np.array([0], dtype=np.int32), np.array([-1], dtype=np.int32)).tolist() == [-1]
+
+
+def test_radius_zero_ball_tables():
+    for p in (free_group(2), z2_z3()):
+        b = ball(p, 0)
+        assert len(b) == 1
+        assert b.left_table(p.identity()).tolist() == [0]
+        for text in ("ab", "A", "aab") if p.order(0) is None else ("s", "tt", "st"):
+            g = p.word(text)
+            assert b.left_table(g).tolist() == [-1]
+            assert b.right_table(g).tolist() == [-1]
+
+
+def test_one_block_table_per_element_after_hausdorff_audit():
+    # first_steps asks for (s, -1), the inverse of (t, 1) and the inverse
+    # of (t, -1); the audit's movers need (t, 2).  Each names an element
+    # that already has a table.
+    p = z2_z3()
+    b = ball(p, 10)
+    assert six_piece_doubling(hausdorff_solve(b)).all_verified
+    b.names()
+    b.left_table(p.word("T"))
+    assert sorted(b._left_block) == [(0, 1), (1, 1), (1, 2)]
