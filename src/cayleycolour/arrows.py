@@ -5,7 +5,9 @@ own sign bit; the passive half of each colour records whether two or more
 arrows land on the vertex.  A satisfying colouring exists at every finite
 radius (point all arrows outward), yet the arrow mass cannot balance under
 any invariant density: outflow is exactly 1 per vertex while receiving
-capacity is at most 15/16.
+capacity is at most 15/16.  Crowding cannot persist either: an infinite
+crowded chain survives with a probability p = (3p^2 - p^3)/4, and after
+dividing by p the residual p^2 - 3p + 4 has discriminant -7, so p = 0.
 """
 
 from __future__ import annotations
@@ -315,74 +317,4 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
         program=program,
         feasibility=feasibility,
         seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class RecursionAnalysis:
-    """Fixed-point analysis of the crowded-chain survival map.
-
-    The survival probability of an infinite crowded chain obeys
-    p = (3p^2 - p^3)/4.  Dividing the fixed-point cubic by p leaves
-    p^2 - 3p + 4, whose discriminant is negative, so 0 is the only real
-    fixed point and iteration from 1 collapses to it.
-    """
-
-    update_map: str
-    fixed_point_equation: str
-    residual_quadratic: tuple[int, int, int]
-    discriminant: int
-    real_fixed_points: tuple[Fraction, ...]
-    exact_head: tuple[Fraction, ...]
-    iterates: tuple[float, ...]
-    first_below_tolerance: int | None  # None when the tolerance is never reached
-    tolerance: float
-    conclusion: str
-
-    def to_record(self) -> dict:
-        return {
-            "update_map": self.update_map,
-            "fixed_point_equation": self.fixed_point_equation,
-            "residual_quadratic": list(self.residual_quadratic),
-            "discriminant": self.discriminant,
-            "real_fixed_points": [str(p) for p in self.real_fixed_points],
-            "exact_head": [str(p) for p in self.exact_head],
-            "iterates": list(self.iterates),
-            "first_below_tolerance": self.first_below_tolerance,
-            "tolerance": self.tolerance,
-            "conclusion": self.conclusion,
-        }
-
-
-def survival_map(p: Fraction) -> Fraction:
-    return (3 * p * p - p * p * p) / 4
-
-
-def chain_recursion(steps: int = 60, tolerance: float = 1e-6) -> RecursionAnalysis:
-    a, b, c = 1, -3, 4
-    discriminant = b * b - 4 * a * c
-    head = [Fraction(1)]
-    while len(head) < 7:
-        head.append(survival_map(head[-1]))
-    trace = [1.0]
-    first_below = None
-    for k in range(steps):
-        p = trace[-1]
-        trace.append((3 * p * p - p * p * p) / 4)
-        if first_below is None and trace[-1] < tolerance:
-            first_below = k + 1
-    return RecursionAnalysis(
-        update_map="p -> (3*p**2 - p**3)/4",
-        fixed_point_equation="p**3 - 3*p**2 + 4*p == 0",
-        residual_quadratic=(a, b, c),
-        discriminant=discriminant,
-        real_fixed_points=(Fraction(0),),
-        exact_head=tuple(head),
-        iterates=tuple(trace),
-        first_below_tolerance=first_below,
-        tolerance=tolerance,
-        conclusion=(
-            "no real fixed point in (0, 1]: the residual quadratic has negative "
-            "discriminant, so crowded chains die out"
-        ),
     )

@@ -210,13 +210,6 @@ def _run_pdeg(spec: ExperimentSpec, options: RunOptions) -> dict:
     return record
 
 
-def _run_recursion(spec: ExperimentSpec, options: RunOptions) -> dict:
-    analysis = arrows.chain_recursion()
-    record = analysis.to_record()
-    record["ok"] = analysis.first_below_tolerance is not None
-    return record
-
-
 def _run_offsets(spec: ExperimentSpec, options: RunOptions) -> dict:
     p = presentation_named(spec.presentation)
     family = proper.offsets16(p)
@@ -268,48 +261,30 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     graph = proper.doubled_graph(config, base, n, q_proxy=q_proxy)
     colouring = proper.canonical_doubled_colouring(graph, arrow_colouring)
     properness = proper.check_proper(graph, colouring, seed=spec.seed)
+    # check_proper compares equal colours only; the first copy must also take
+    # every secondary-graph vertex's colour from its list.
+    first = Colouring(b, colouring.palette, colouring.codes[: graph.n_first])
+    listed = proper.check_proper_list(graph.secondary, base, first)
     audit = proper.flow_audit_doubled(colouring, graph)
     if options.csv:
         with open(options.csv, "w", newline="") as fh:
             graph.write_csv(fh)
+    if not listed.satisfied:
+        result["list_colouring"] = listed.to_record()
     result.update(
         {
             "n": n,
             "proper": properness.to_record(),
             "audit": audit.to_record(),
-            "ok": ok and not properness.conflicts and _refuted(audit.program, audit.feasibility),
+            "ok": ok and not properness.conflicts and listed.satisfied and _refuted(audit.program, audit.feasibility),
         }
     )
     return result
 
 
-def _run_types(spec: ExperimentSpec, options: RunOptions) -> dict:
-    # Imported here, as in _run_prefix: no other command reads equidecomp,
-    # so no other command pays to import it.
-    from . import equidecomp
-
-    p = presentation_named(spec.presentation)
-    pool = list(ball(p, spec.radius).words)
-    movers = {p.identity()}
-    for i in range(p.n_generators):
-        movers.add(p.generator(i, 1))
-        movers.add(p.generator(i, -1))
-    mover_list = sorted(movers, key=lambda w: w.sort_key())
-    folds = [spec.n_levels] if spec.n_levels is not None else [2, 3]
-    experiments = []
-    for n in folds:
-        report = equidecomp.cancellation_experiment(
-            n, pool, mover_list, trials=spec.samples, seed=spec.seed + n
-        )
-        experiments.append(report.to_record())
-    return {
-        "movers": [w.to_string() for w in mover_list],
-        "experiments": experiments,
-        "ok": all(e["failures"] == 0 for e in experiments),
-    }
-
-
 def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
+    # Imported here: no other command reads equidecomp, so no other command
+    # pays to import it.
     from . import equidecomp
 
     p = presentation_named(spec.presentation)
@@ -349,14 +324,11 @@ _COMMANDS: dict[str, tuple] = {
               {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}),
     "pdeg": (_run_pdeg, "Monte Carlo p-degree histograms at the root",
              {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False, "workers": 1}),
-    "recursion": (_run_recursion, "survival chain fixed-point analysis", {}),
     "offsets": (_run_offsets, "offset family and greedy base colouring",
                 {"presentation": None, "radius": 10, "seed": 0, "choice": "min"}),
     "doubled": (_run_doubled, "doubled-graph build, properness, and flow audit",
                 {"presentation": None, "radius": 7, "seed": 0, "epsilon": "1/512", "n-levels": None,
                  "choice": "random", "csv": None}),
-    "types": (_run_types, "level-set cancellation experiments",
-              {"presentation": None, "radius": 3, "seed": 0, "samples": 100, "n-levels": None}),
     "prefix": (_run_prefix, "exact prefix-set identity verification", {"presentation": None, "radius": 6}),
 }
 
@@ -380,7 +352,7 @@ def _resolve_spec(args: argparse.Namespace) -> tuple[ExperimentSpec, RunOptions]
     if given.get("presentation") is None:
         if given.get("rule") == "hausdorff":
             given["presentation"] = "z2z3"
-        elif args.command in ("types", "prefix"):
+        elif args.command == "prefix":
             given["presentation"] = "st"
         else:
             given["presentation"] = "f2"

@@ -188,9 +188,6 @@ class Configuration:
     def is_total(self) -> bool:
         return bool(np.all(self.values != 0))
 
-    def defined_mask(self) -> np.ndarray:
-        return self.values != 0
-
     def __getitem__(self, w: ReducedWord) -> int:
         v = int(self.values[self.ball.index_of(w)])
         if v == 0:

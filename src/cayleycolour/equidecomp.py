@@ -1,7 +1,16 @@
-"""Finite-scale type arithmetic: bounded level-sets over a group orbit,
-addition by disjoint-level union, equidecomposability as bipartite
-matching, cancellation experiments, and exact prefix-set identities on
-the rank-two free group.
+"""Finite-scale type arithmetic and exact prefix-set identities on the
+rank-two free group.
+
+Level sets are finitely many (point, level) pairs over a group orbit;
+addition is the union after relabelling levels apart, and
+equidecomposability under a finite mover set is a bipartite matching.
+
+The prefix sets W(s), W(S), W(t), W(T) (words starting with s, s^-1, t,
+t^-1) and the identity partition the group, and s * W(S) is everything
+outside W(s): the classical paradoxical decomposition of F2.  On a finite
+ball these identities hold only away from the boundary;
+`verify_prefix_identities` checks them there, with the chain identities
+that t accumulates, as boolean masks over the ball's vertices.
 """
 
 from __future__ import annotations
@@ -221,90 +230,6 @@ def strongly_paradoxical(
     return verify_decomposition(witness, n_fold(2, e), e, movers, bijection=True)
 
 
-@dataclass(frozen=True)
-class CancellationReport:
-    n: int
-    trials: int
-    witnessed: int
-    recovered: int
-    skipped: int
-    failures: int
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "witnessed": self.witnessed,
-            "recovered": self.recovered,
-            "skipped": self.skipped,
-            "failures": self.failures,
-        }
-
-
-def cancellation_check(
-    n: int,
-    a: LevelSet,
-    b: LevelSet,
-    movers: Sequence[ReducedWord],
-) -> tuple[Decomposition | None, Decomposition | None]:
-    """(witness for n copies into n copies, witness for one into one)."""
-    lifted = equidecomposable(n_fold(n, a), n_fold(n, b), movers)
-    base = equidecomposable(a, b, movers) if lifted is not None else None
-    return lifted, base
-
-
-def cancellation_experiment(
-    n: int,
-    pool: Sequence[ReducedWord],
-    movers: Sequence[ReducedWord],
-    trials: int,
-    seed: int = 0,
-    max_size: int = 12,
-    forced: bool = True,
-) -> CancellationReport:
-    """Random instances of n-fold domination checked against the base
-    relation.  Forced instances build b to contain a mover-translate of
-    every a-point, so the n-fold witness exists by construction; free
-    instances may be skipped when n copies already fail to embed.
-    A nonzero failure count would indict the matching oracle."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    pool = list(pool)
-    if len(pool) < max_size:
-        raise ValueError(f"pool holds {len(pool)} words, fewer than max_size {max_size}")
-    rng = np.random.default_rng(seed)
-    movers = list(movers)
-    witnessed = recovered = skipped = failures = 0
-    for _ in range(trials):
-        size_a = int(rng.integers(1, max_size + 1))
-        idx = rng.choice(len(pool), size=size_a, replace=False)
-        a = LevelSet.from_words([pool[i] for i in idx])
-        if forced:
-            # One common mover keeps the translate injective, so the n-fold
-            # witness exists by construction; extras give the matching room
-            # to route differently.
-            g = movers[int(rng.integers(0, len(movers)))]
-            points = [g * w for w, _ in a.elements]
-            extra = int(rng.integers(0, max(1, max_size - size_a + 1)))
-            for i in rng.choice(len(pool), size=extra, replace=False):
-                points.append(pool[i])
-            b = LevelSet.from_words(points)
-        else:
-            size_b = int(rng.integers(1, max_size + 1))
-            idx_b = rng.choice(len(pool), size=size_b, replace=False)
-            b = LevelSet.from_words([pool[i] for i in idx_b])
-        lifted, base = cancellation_check(n, a, b, movers)
-        if lifted is None:
-            skipped += 1
-            continue
-        witnessed += 1
-        if base is None:
-            failures += 1
-        else:
-            recovered += 1
-    return CancellationReport(n, trials, witnessed, recovered, skipped, failures)
-
-
 # ---------------------------------------------------------------------------
 # Prefix sets on the rank-two free group.
 
@@ -316,18 +241,6 @@ def _prefix_masks(b: Ball) -> list[np.ndarray]:
     free group), the vertices whose reduced word starts with it."""
     first, _ = b.first_steps()
     return [first == i for i in range(len(b.presentation.adjacency_letters()))]
-
-
-def prefix_set(letter: str, b: Ball) -> frozenset[ReducedWord]:
-    """All ball words starting (on the left) with the given unit letter,
-    written in the presentation's own alphabet (uppercase for inverses)."""
-    p = b.presentation
-    check_rank_two_free(p, _RANK_TWO_FREE)
-    unit = p.word(letter)
-    if unit.length != 1 or abs(unit.letters[0][1]) != 1:
-        raise ValueError(f"not a unit letter: {letter!r}")
-    mask = _prefix_masks(b)[p.adjacency_letters().index(unit.letters[0])]
-    return frozenset(b.words[int(i)] for i in np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)

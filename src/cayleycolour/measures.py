@@ -224,10 +224,6 @@ def simplex_constraints(classes: Sequence[str]) -> list[Constraint]:
     return out
 
 
-def simplex_program(classes: Sequence[str]) -> DensityProgram:
-    return DensityProgram(tuple(classes), tuple(simplex_constraints(classes)))
-
-
 def translate(certificates: Sequence[TransportCertificate], classes: Sequence[str]) -> DensityProgram:
     """One density constraint per verified certificate, plus the simplex."""
     constraints = simplex_constraints(classes)
@@ -575,12 +571,3 @@ def feasible(program: DensityProgram) -> FeasibilityResult:
         if not c.holds_at(witness):
             raise AssertionError(f"witness fails {c.label!r}; elimination is buggy")
     return FeasibilityResult(feasible=True, witness=witness)
-
-
-def render_refutation(refutation: Refutation) -> str:
-    lines = ["infeasible:"]
-    for step in refutation.steps:
-        lines.append(f"  [{step.operation}] {'; '.join(step.labels)}")
-        lines.append(f"      {step.detail}")
-    lines.append(f"  final: {refutation.display} (gap {refutation.gap})")
-    return "\n".join(lines)

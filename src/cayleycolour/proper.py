@@ -483,12 +483,6 @@ class DoubledGraph:
     def rho(self, v: int) -> int:
         return (v + self.n_first) % (2 * self.n_first)
 
-    def degree_bound(self) -> int:
-        sizes = self.ball.sphere_sizes
-        odd = sum(sizes[1 : self.odd_limit + 1 : 2])
-        even = sum(sizes[2 : self.even_limit + 1 : 2])
-        return 6 + odd + even
-
     def _cross_blocks(self, vertices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """`_edge_blocks` of the cross family; positions index `vertices`
         after dropping Q and the last sphere, which keeps their order."""

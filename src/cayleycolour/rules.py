@@ -10,13 +10,6 @@ read that table, and a rule whose table exceeds ``MAX_TABLE_CELLS`` cells
 is refused.  Rank one means no input has an empty allowed set.  Checking
 is exact on the interior of a ball (every read stays inside); boundary
 vertices are never judged.
-
-Two rule transformers are provided: doubling the space with a tag bit
-(the second copy must mirror the first, and the first copy mirrors back
-only when the mirrored colour obeys the base rule), and squaring the
-colour set along an invertible descendant (second colour tracks the first
-colour one step ahead).  Both turn a rule into a rank-one rule whose
-satisfying colourings restrict or project onto base-rule solutions.
 """
 
 from __future__ import annotations
@@ -30,12 +23,13 @@ from typing import IO, Callable, Iterator
 import numpy as np
 
 from .configs import Configuration
-from .groups import Ball, ReducedWord
+from .groups import Ball
 
 RANK_ONE = "rank-one"
 RANK_TWO_OR_HIGHER = "rank-two-or-higher"
 
-# In (input, colour) cells; the largest shipped rule, squared(example1), has 9^6.
+# In (input, colour) cells.  The largest shipped table, the arrow rule's, has
+# 8,192 inputs x 4 colours = 32,768; the cap guards rules read from JSON.
 MAX_TABLE_CELLS = 2**20
 
 
@@ -162,9 +156,6 @@ class Colouring:
         writer = csv.writer(fileobj)
         writer.writerow(("word", "colour"))
         writer.writerows(zip(self.ball.names(), [colours[c] for c in self.codes.tolist()]))
-
-    def set_colour(self, i: int, colour: str) -> None:
-        self.codes[i] = self.palette.index(colour)
 
     def copy(self) -> "Colouring":
         return Colouring(self.ball, self.palette, self.codes.copy(), self.configuration)
@@ -303,20 +294,7 @@ def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[C
 
 
 # ---------------------------------------------------------------------------
-# Doubled space: two tagged copies of the ball, the tag visible as a ±1
-# window coordinate (+1 on the primary copy).
-
-
-@dataclass(frozen=True)
-class TaggedWord:
-    """Group element paired with an optional copy swap; the swap is free."""
-
-    word: ReducedWord
-    flip: bool = False
-
-    @property
-    def length(self) -> int:
-        return self.word.length
+# Doubled space: two copies of a ball.
 
 
 class DoubledBall:
@@ -325,78 +303,9 @@ class DoubledBall:
     def __init__(self, base: Ball):
         self.base = base
         self.radius = base.radius
-        self._left: dict[TaggedWord, np.ndarray] = {}
 
     def __len__(self) -> int:
         return 2 * len(self.base)
-
-    def interior_indices(self, depth: int) -> np.ndarray:
-        inner = self.base.interior_indices(depth)
-        return np.concatenate([inner, inner + len(self.base)])
-
-    def left_table(self, d: TaggedWord) -> np.ndarray:
-        table = self._left.get(d)
-        if table is None:
-            v = len(self.base)
-            base_table = self.base.left_table(d.word)
-            halves = []
-            for tag in (0, 1):
-                out_tag = (tag ^ 1) if d.flip else tag
-                half = np.where(base_table >= 0, base_table + out_tag * v, -1)
-                halves.append(half)
-            table = np.concatenate(halves).astype(np.int32)
-            self._left[d] = table
-        return table
-
-
-def tag_configuration(doubled: DoubledBall) -> Configuration:
-    """+1 across the primary copy, -1 across the mirror copy."""
-    v = len(doubled.base)
-    values = np.concatenate([np.ones(v, dtype=np.int8), -np.ones(v, dtype=np.int8)])
-    return Configuration(doubled, values)
-
-
-def double_space(rule: ColouringRule) -> ColouringRule:
-    """Mirror rule on two tagged copies of the space.
-
-    The mirror copy of a point must repeat the primary copy's colour.  The
-    primary copy repeats the mirror's colour when that colour obeys the
-    base rule against the primary-copy descendants, and must differ from
-    it otherwise.  Any satisfying colouring therefore agrees across copies
-    and obeys the base rule on each.
-    """
-    if not rule.stationary:
-        raise ValueError("doubling is defined here for stationary base rules")
-    swap = TaggedWord(rule.descendants[0].presentation.identity(), flip=True)
-    here = TaggedWord(rule.descendants[0].presentation.identity(), flip=False)
-    descendants = (swap,) + tuple(TaggedWord(d) for d in rule.descendants)
-
-    def allowed(window_values: tuple[int, ...], desc: tuple[str, ...]) -> frozenset[str]:
-        tag = window_values[0]
-        mirrored = desc[0]
-        if tag == -1:
-            return frozenset({mirrored})
-        base = rule.allowed((), desc[1:])
-        if mirrored in base:
-            return frozenset({mirrored})
-        return frozenset(rule.colours) - {mirrored}
-
-    return ColouringRule(
-        name=f"doubled({rule.name})",
-        colours=rule.colours,
-        descendants=descendants,
-        allowed_fn=allowed,
-        window=(here,),
-        dependency_radius=rule.dependency_radius,
-        stationary=False,
-    )
-
-
-def lift_to_double(colouring: Colouring) -> Colouring:
-    """Copy a base colouring onto both tagged copies."""
-    doubled = DoubledBall(colouring.ball)
-    codes = np.concatenate([colouring.codes, colouring.codes])
-    return Colouring(doubled, colouring.palette, codes, tag_configuration(doubled))
 
 
 def doubled_colouring(
@@ -405,91 +314,8 @@ def doubled_colouring(
     codes_primary: np.ndarray,
     codes_mirror: np.ndarray,
 ) -> Colouring:
-    doubled = DoubledBall(base)
     codes = np.concatenate([codes_primary, codes_mirror]).astype(np.int16)
-    return Colouring(doubled, palette, codes, tag_configuration(doubled))
-
-
-def restrict_copy(colouring: Colouring, tag: int) -> Colouring:
-    """Pull one tagged copy back to a colouring of the base ball."""
-    doubled = colouring.ball
-    if not isinstance(doubled, DoubledBall):
-        raise ValueError("not a doubled-space colouring")
-    v = len(doubled.base)
-    return Colouring(doubled.base, colouring.palette, colouring.codes[tag * v : (tag + 1) * v])
-
-
-# ---------------------------------------------------------------------------
-# Squared colours along an invertible descendant.
-
-
-def pair_colour(first: str, second: str) -> str:
-    return f"{first}|{second}"
-
-
-def split_pair(colour: str) -> tuple[str, str]:
-    first, second = colour.split("|")
-    return first, second
-
-
-def _pair_palette(colours: tuple[str, ...]) -> tuple[str, ...]:
-    """Pair colours in code order: pair code = first code * k + second code."""
-    return tuple(pair_colour(a, b) for a in colours for b in colours)
-
-
-def square_colours(rule: ColouringRule, g: ReducedWord) -> ColouringRule:
-    """Track the base colouring and its pull-forward along g as one pair colour.
-
-    The second colour of a point copies the first colour one g-step ahead;
-    the first colour repeats the second colour one g-step behind exactly
-    when that colour obeys the base rule on the descendants' first colours,
-    and must differ from it otherwise.  Projecting a satisfying colouring
-    to first colours satisfies the base rule.
-    """
-    if g not in rule.descendants:
-        raise ValueError("g must be one of the rule's descendants")
-    if not rule.stationary:
-        raise ValueError("colour squaring is defined here for stationary base rules")
-    descendants = (g.inverse(), g) + tuple(rule.descendants)
-    # One extra g-step of room: lifted pair colours at a descendant are
-    # only defined where their own g-step stays inside the ball.
-    radius = rule.dependency_radius + g.length
-
-    def allowed(_window: tuple[int, ...], desc: tuple[str, ...]) -> frozenset[str]:
-        behind_second = split_pair(desc[0])[1]
-        ahead_first = split_pair(desc[1])[0]
-        firsts = tuple(split_pair(c)[0] for c in desc[2:])
-        if behind_second in rule.allowed((), firsts):
-            first_choices = (behind_second,)
-        else:
-            first_choices = tuple(c for c in rule.colours if c != behind_second)
-        return frozenset(pair_colour(c, ahead_first) for c in first_choices)
-
-    return ColouringRule(
-        name=f"squared({rule.name})",
-        colours=_pair_palette(rule.colours),
-        descendants=descendants,
-        allowed_fn=allowed,
-        dependency_radius=radius,
-    )
-
-
-def lift_to_square(colouring: Colouring, g: ReducedWord, palette: tuple[str, ...]) -> Colouring:
-    """Pair each vertex's colour with the colour one g-step ahead."""
-    if palette != _pair_palette(colouring.palette):
-        raise ValueError("palette is not the squared colouring palette")
-    table = colouring.ball.left_table(g)
-    first = colouring.codes.astype(np.int32)
-    second = np.where(table >= 0, first[table], -1)
-    codes = np.where((first >= 0) & (second >= 0), first * len(colouring.palette) + second, -1)
-    return Colouring(colouring.ball, palette, codes)
-
-
-def project_first(colouring: Colouring, base_palette: tuple[str, ...]) -> Colouring:
-    if colouring.palette != _pair_palette(base_palette):
-        raise ValueError("colouring palette is not the squared base palette")
-    codes = np.where(colouring.codes >= 0, colouring.codes // len(base_palette), -1)
-    return Colouring(colouring.ball, base_palette, codes)
+    return Colouring(DoubledBall(base), palette, codes)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,7 @@ from cayleycolour.cli import main
 from cayleycolour.configs import RandomSource, sample
 from cayleycolour.groups import ball, free_group
 from cayleycolour.measures import feasible
-from cayleycolour.rules import (
-    check,
-    double_space,
-    lift_to_double,
-    lift_to_square,
-    project_first,
-    restrict_copy,
-    square_colours,
-)
+from cayleycolour.rules import check
 
 F2 = free_group(2)
 ST = free_group(2, "st")
@@ -70,18 +62,6 @@ def test_03_conditional_pdegree(ball3):
     assert abs(report.histogram[3] / n - 3 / 8) <= 0.015
     assert abs(report.histogram[4] / n - 1 / 8) <= 0.015
     assert time.perf_counter() - started < 30.0
-
-
-def test_04_chain_recursion():
-    analysis = arrows.chain_recursion(steps=60, tolerance=1e-6)
-    assert analysis.update_map == "p -> (3*p**2 - p**3)/4"
-    assert analysis.residual_quadratic == (1, -3, 4)
-    assert analysis.discriminant == -7
-    assert analysis.real_fixed_points == (Fraction(0),)
-    assert analysis.iterates[0] == 1.0
-    assert analysis.first_below_tolerance is not None
-    assert analysis.first_below_tolerance <= 60
-    assert analysis.iterates[analysis.first_below_tolerance] < 1e-6
 
 
 def test_05_arrow_constructive_mass_audit(ball8):
@@ -169,15 +149,8 @@ def test_09_doubled_space_audit():
     assert failed.N is None and failed.failure_fraction > failed.epsilon
 
 
-def test_10_cancellation_and_prefix_identities():
+def test_10_prefix_identities():
     started = time.perf_counter()
-    pool = list(ball(ST, 3).words)
-    movers = [ST.identity(), ST.word("s"), ST.word("S"), ST.word("t"), ST.word("T")]
-    for n in (2, 3):
-        report = equidecomp.cancellation_experiment(n, pool, movers, trials=100, seed=n)
-        assert report.witnessed == 100
-        assert report.recovered == 100
-        assert report.failures == 0
     prefix = equidecomp.verify_prefix_identities(ball(ST, 6))
     assert prefix.star_exact == (True, True)
     assert prefix.chain_exact[0] is True
@@ -186,30 +159,8 @@ def test_10_cancellation_and_prefix_identities():
     assert time.perf_counter() - started < 30.0
 
 
-def test_11_lifts_and_restrictions():
-    b = ball(F2, 6)
-    rule = hausdorff.example1_rule(2, F2)
-    solution = hausdorff.example1_solve(b)
-
-    doubled = double_space(rule)
-    lifted = lift_to_double(solution)
-    assert check(doubled, lifted).satisfied
-    for tag in (0, 1):
-        assert check(rule, restrict_copy(lifted, tag)).satisfied
-
-    g = F2.word("a")
-    squared = square_colours(rule, g)
-    lifted_sq = lift_to_square(solution, g, squared.colours)
-    assert check(squared, lifted_sq).satisfied
-    projected = project_first(lifted_sq, rule.colours)
-    assert check(rule, solution).satisfied
-    for i in b.interior_indices(squared.dependency_radius):
-        assert projected.colour_at(int(i)) == solution.colour_at(int(i))
-
-
 def test_12_cli_determinism(tmp_path):
     runs = [
-        ["recursion"],
         ["pdeg", "--samples", "3000", "--seed", "5"],
         ["solve", "--rule", "example1", "--radius", "5"],
         ["audit", "--rule", "example1", "--radius", "6"],
@@ -217,7 +168,6 @@ def test_12_cli_determinism(tmp_path):
         ["audit", "--rule", "hausdorff", "--radius", "5"],
         ["offsets", "--radius", "6"],
         ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"],
-        ["types", "--samples", "20", "--seed", "1"],
         ["prefix", "--radius", "5"],
     ]
     out = tmp_path / "artifact.json"

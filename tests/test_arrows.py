@@ -11,7 +11,6 @@ from cayleycolour.arrows import (
     arrow_field,
     arrow_rule,
     candidate_arrays,
-    chain_recursion,
     conditional_pdegree,
     constructive_solve,
     incoming_counts,
@@ -19,7 +18,6 @@ from cayleycolour.arrows import (
     neighbour_tables,
     pdegree_histogram,
     pdegree_profile,
-    survival_map,
 )
 from cayleycolour.configs import BATCH_SIZE, RUN_BYTES, Configuration, RandomSource, histogram, sample
 from cayleycolour.groups import ball, free_group, z2_z3
@@ -253,42 +251,10 @@ def test_mass_audit_detects_crowding():
     for sender, (need_sign, active) in senders.items():
         here = arrow_field(broken)[sender] == victim
         if not here and config.values[sender] == need_sign:
-            broken.set_colour(sender, f"a{active}u")
+            broken.codes[sender] = ARROW_COLOURS.index(f"a{active}u")
             break
     audit = mass_audit(broken)
     assert audit.crowded_fraction > 0
     assert not audit.certificate.verified
     assert audit.feasibility is None
     assert audit.certificate.first_failure is not None
-
-
-def test_survival_map_exact_head():
-    assert survival_map(Fraction(1)) == Fraction(1, 2)
-    assert survival_map(Fraction(1, 2)) == Fraction(5, 32)
-    assert survival_map(Fraction(5, 32)) == Fraction(2275, 131072)
-    assert survival_map(Fraction(0)) == 0
-
-
-def test_chain_recursion_record():
-    analysis = chain_recursion()
-    assert analysis.residual_quadratic == (1, -3, 4)
-    assert analysis.discriminant == -7
-    assert analysis.real_fixed_points == (Fraction(0),)
-    assert analysis.exact_head[:3] == (Fraction(1), Fraction(1, 2), Fraction(5, 32))
-    assert 0 < analysis.first_below_tolerance <= 60
-    assert analysis.iterates[analysis.first_below_tolerance] < 1e-6
-    rec = analysis.to_record()
-    assert rec["exact_head"][2] == "5/32"
-
-
-def test_chain_recursion_reports_a_miss():
-    analysis = chain_recursion(steps=3)
-    assert analysis.first_below_tolerance is None
-    assert analysis.to_record()["first_below_tolerance"] is None
-
-
-def test_iterates_monotone_to_zero():
-    analysis = chain_recursion(steps=30)
-    xs = analysis.iterates
-    assert all(xs[i + 1] <= xs[i] for i in range(len(xs) - 1))
-    assert xs[-1] < 1e-12

@@ -44,15 +44,15 @@ class TestPlumbing:
             presentation_named("banana")
 
     def test_schema_and_spec_echo(self, tmp_path):
-        code, record = run_json(tmp_path, ["recursion"])
+        code, record = run_json(tmp_path, ["prefix", "--radius", "4"])
         assert code == 0
         assert record["schema"] == "cayleycolour/v1"
-        assert record["spec"]["command"] == "recursion"
+        assert record["spec"]["command"] == "prefix"
         assert "workers" not in record["spec"]
 
     def test_sidecar_holds_timestamp(self, tmp_path):
         out = tmp_path / "r.json"
-        main(["recursion", "--out", str(out)])
+        main(["prefix", "--radius", "4", "--out", str(out)])
         meta = json.loads((tmp_path / "r.json.meta.json").read_text())
         assert "written_at" in meta and "elapsed_seconds" in meta
         assert "written_at" not in out.read_text()
@@ -95,9 +95,6 @@ class TestPlumbing:
             ("audit", "--epsilon 1/4"),
             ("audit", "--n-levels 3"),
             ("pdeg", "--rule arrow"),
-            ("recursion", "--seed 9"),
-            ("recursion", "--radius 4"),
-            ("recursion", "--presentation z2z3"),
             ("prefix", "--seed 9"),
             ("offsets", "--workers 2"),
         ],
@@ -115,10 +112,8 @@ class TestPlumbing:
             "check": "presentation radius seed rule solver",
             "audit": "presentation radius seed rule",
             "pdeg": "presentation radius seed samples conditional workers",
-            "recursion": "",
             "offsets": "presentation radius seed choice",
             "doubled": "presentation radius seed epsilon n-levels choice csv",
-            "types": "presentation radius seed samples n-levels",
             "prefix": "presentation radius",
         }
         parser = build_parser()
@@ -148,7 +143,7 @@ class TestPlumbing:
         code, record = run_json(tmp_path, ["doubled", "--epsilon", "3/2"])
         assert code == 1 and record["error"]["type"] == "SpecError"
 
-    @pytest.mark.parametrize("args", ["types --samples 5", "offsets --radius 5", "pdeg --samples 5"])
+    @pytest.mark.parametrize("args", ["doubled --radius 5", "offsets --radius 5", "pdeg --samples 5"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed_rejected(self, tmp_path, args, seed):
         code, record = run_json(tmp_path, [*args.split(), "--seed", seed])
@@ -163,10 +158,8 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ("recursion", "ef99527119c1ee9d3cc22872014421de4c5584aa9f6cd6e8c5132aa1f360d1d6"),
             ("prefix --radius 5", "dc3396c9cca9f1fa8ac02c55e5c6d3c1d00f20dac4e060e5f32a0fe0dbe4a4a3"),
             ("audit --rule hausdorff --radius 5", "c95c4892edac98a987319c2e3cccab6f86a80cc158690cd1162b44c0f1f8364c"),
-            ("types --samples 20 --seed 1", "298b25e51beef2c5ff6a2cc3ef8b54e0d96b5150a86916686c1e67f44451c182"),
             ("pdeg --samples 3000 --seed 5", "3fa80c937a67761fd7aea55e7abd42ac9b480c35e24feb543ed9e4aec041a3cb"),
             ("doubled --radius 5 --n-levels 3 --seed 4", "0a93062de1724a1777a635903e6fd6d43a8cd4c722915d74822af33d4ad9ffe2"),
             ("solve --rule example1 --radius 5", "25ac6fcf1d526db8fc9b55547311768feb805098a698a216bff05befa606b2d1"),
@@ -446,6 +439,20 @@ class TestStructureCommands:
         assert len(result["short"]) == 4 and len(result["long"]) == 12
         assert result["conflicts"] == 0 and result["inverse_closed"] is True
 
+    def test_offset_conflict_fails(self, tmp_path, monkeypatch):
+        real = proper.greedy_base_colouring
+
+        def one_conflict(b, choice="min", seed=0):
+            base = real(b, choice=choice, seed=seed)
+            # The root takes the colour of its neighbour through one offset.
+            base.codes[0] = base.codes[b.left_table(proper.offsets16(b.presentation).short[0])[0]]
+            return base
+
+        monkeypatch.setattr(proper, "greedy_base_colouring", one_conflict)
+        code, record = run_json(tmp_path, ["offsets", "--radius", "6"])
+        assert record["result"]["conflicts"] > 0
+        assert record["ok"] is False and code == 1
+
     def test_doubled_explicit_levels(self, tmp_path):
         code, record = run_json(
             tmp_path, ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"]
@@ -470,30 +477,24 @@ class TestStructureCommands:
         assert "infeasible" in result["note"]
         assert result["exact_program"]["feasible"] is False
 
-    def test_types(self, tmp_path):
-        code, record = run_json(tmp_path, ["types", "--samples", "30", "--seed", "3"])
-        assert code == 0
-        for experiment in record["result"]["experiments"]:
-            assert experiment["failures"] == 0
-            assert experiment["recovered"] == experiment["witnessed"] == 30
+    def test_doubled_off_list_vertex_fails(self, tmp_path, monkeypatch):
+        real = proper.canonical_doubled_colouring
 
-    def test_types_pool_smaller_than_a_draw_rejected(self, tmp_path):
-        code, record = run_json(tmp_path, ["types", "--presentation", "z2z3", "--radius", "2"])
-        assert code == 1 and record["ok"] is False
-        assert record["error"] == {"type": "ValueError", "message": "pool holds 8 words, fewer than max_size 12"}
+        def planted(graph, arrow_colouring):
+            colouring = real(graph, arrow_colouring)
+            # The root is a secondary-graph member with list {c16, c8}; c4 is
+            # off that list, yet no edge of the doubled graph sees it.
+            assert graph.secondary.members()[0] == 0
+            assert 4 not in proper.list_assignments(graph.config, graph.base, [0])[0]
+            colouring.codes[0] = 4
+            return colouring
 
-    def test_types_zero_levels_rejected(self, tmp_path):
-        code, record = run_json(tmp_path, ["types", "--n-levels", "0", "--samples", "5"])
-        assert code == 1 and record["ok"] is False
-        assert record["spec"]["n_levels"] == 0
-        assert "n >= 1" in record["error"]["message"]
-
-    def test_recursion_miss_fails(self, tmp_path, monkeypatch):
-        # Three steps never reach the 1e-6 tolerance, so the run must fail.
-        short = functools.partial(arrows.chain_recursion, steps=3)
-        monkeypatch.setattr(arrows, "chain_recursion", short)
-        code, record = run_json(tmp_path, ["recursion"])
-        assert record["result"]["first_below_tolerance"] is None
+        monkeypatch.setattr(proper, "canonical_doubled_colouring", planted)
+        code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"])
+        result = record["result"]
+        assert result["proper"]["n_conflicts"] == 0
+        assert result["list_colouring"]["n_violations"] == 1
+        assert result["list_colouring"]["violations"][0]["vertex"] == 0
         assert record["ok"] is False and code == 1
 
     def test_prefix(self, tmp_path):
@@ -501,6 +502,21 @@ class TestStructureCommands:
         assert code == 0
         assert record["result"]["all_verified"] is True
         assert record["result"]["star_literal_gap"] == [["1"], ["1"]]
+
+    def test_prefix_broken_mask_fails(self, tmp_path, monkeypatch):
+        from cayleycolour import equidecomp
+
+        real = equidecomp._prefix_masks
+
+        def one_vertex_moved(b):
+            masks = real(b)
+            masks[0][1] = not masks[0][1]  # vertex 1 joins or leaves the s-prefix set
+            return masks
+
+        monkeypatch.setattr(equidecomp, "_prefix_masks", one_vertex_moved)
+        code, record = run_json(tmp_path, ["prefix", "--radius", "5"])
+        assert record["result"]["partition_exact"] is False
+        assert record["ok"] is False and code == 1
 
 
 # Runs in a fresh interpreter: what the CLI costs before it does any work.

@@ -1,20 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycolour.equidecomp import (
-    CancellationReport,
     Decomposition,
     LevelSet,
     PrefixReport,
     _kuhn_matching,
-    cancellation_check,
-    cancellation_experiment,
+    _prefix_masks,
     equidecomposable,
     n_fold,
-    prefix_set,
     strongly_paradoxical,
     type_add,
     verify_decomposition,
@@ -25,6 +23,7 @@ from cayleycolour.groups import ball, free_group, z2_z3
 
 
 P = free_group(2, "st")
+BALL6 = ball(P, 6)
 S_UNIT = [P.identity(), P.word("s"), P.word("S"), P.word("t"), P.word("T")]
 
 
@@ -196,75 +195,37 @@ class TestParadoxPredicates:
         assert not weakly_paradoxical(e, forged, 1)
 
 
-class TestCancellation:
-    def test_single_instance(self):
-        a = lset("1", "s")
-        b = lset("t", "ts", "tt")
-        lifted, base = cancellation_check(3, a, b, S_UNIT)
-        assert lifted is not None
-        assert base is not None
-        assert verify_decomposition(base, a, b, movers=S_UNIT)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_forced_instances_always_cancel(self, n):
-        pool = list(ball(P, 3).words)
-        report = cancellation_experiment(n, pool, S_UNIT, trials=100, seed=11 * n)
-        assert isinstance(report, CancellationReport)
-        assert report.witnessed == 100
-        assert report.recovered == 100
-        assert report.failures == 0
-
-    def test_free_instances_never_fail(self):
-        pool = list(ball(P, 3).words)
-        report = cancellation_experiment(2, pool, S_UNIT, trials=60, seed=5, forced=False)
-        assert report.failures == 0
-        assert report.witnessed + report.skipped == 60
-
-    def test_pool_smaller_than_a_draw_rejected(self):
-        pool = list(ball(P, 1).words)
-        with pytest.raises(ValueError, match="pool holds 5 words, fewer than max_size 12"):
-            cancellation_experiment(2, pool, S_UNIT, trials=10)
-        assert cancellation_experiment(2, pool, S_UNIT, trials=10, max_size=5).failures == 0
-
-    def test_record(self):
-        rec = CancellationReport(2, 10, 8, 8, 2, 0).to_record()
-        json.dumps(rec)
-        assert rec["failures"] == 0
 
 
-BALL6 = ball(P, 6)
+def prefix_words(letter, b):
+    """The ball words whose reduced form starts with the unit letter, read
+    off `_prefix_masks` (masks in s, S, t, T order)."""
+    mask = _prefix_masks(b)["sStT".index(letter)]
+    return frozenset(b.words[int(i)] for i in np.flatnonzero(mask))
 
 
 class TestPrefixSets:
     def test_sphere_count_at_radius_three(self):
-        assert len(prefix_set("s", ball(P, 3))) == 13
+        assert len(prefix_words("s", ball(P, 3))) == 13
 
     def test_counts_split_evenly(self):
         for letter in ("s", "S", "t", "T"):
-            assert len(prefix_set(letter, BALL6)) == (len(BALL6.words) - 1) // 4
+            assert len(prefix_words(letter, BALL6)) == (len(BALL6.words) - 1) // 4
 
     def test_partition(self):
-        parts = [prefix_set(x, BALL6) for x in ("s", "S", "t", "T")]
+        parts = [prefix_words(x, BALL6) for x in ("s", "S", "t", "T")]
         union = frozenset({P.identity()}).union(*parts)
         assert union == frozenset(BALL6.words)
         assert sum(map(len, parts)) + 1 == len(BALL6.words)
 
-    def test_unknown_letter(self):
-        with pytest.raises(KeyError):
-            prefix_set("x", BALL6)
-
-    def test_non_unit_word(self):
-        with pytest.raises(ValueError):
-            prefix_set("st", BALL6)
-
     def test_needs_free_rank_two(self):
         with pytest.raises(ValueError):
-            prefix_set("s", ball(z2_z3(), 3))
+            verify_prefix_identities(ball(z2_z3(), 3))
         with pytest.raises(ValueError):
-            prefix_set("a", ball(free_group(1), 3))
+            verify_prefix_identities(ball(free_group(1), 3))
 
     def test_inverse_set_is_suffix_set(self):
-        ws = prefix_set("s", BALL6)
+        ws = prefix_words("s", BALL6)
         inverted = {w.inverse() for w in ws}
         by_suffix = {
             w for w in BALL6.words if not w.is_identity and w.unit_letters()[-1] == (0, -1)

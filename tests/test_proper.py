@@ -37,7 +37,7 @@ from cayleycolour.proper import (
     offsets16,
     secondary_graph,
 )
-from cayleycolour.rules import Colouring, ViolationReport, check, doubled_colouring, restrict_copy
+from cayleycolour.rules import Colouring, ViolationReport, check, doubled_colouring
 
 
 def candidate_pair(config, w):
@@ -211,7 +211,7 @@ def test_list_transport_rejects_crowding():
     b, config, base = setup_r6()
     colouring = constructive_solve(config)
     # aim a second arrow at an already-hit interior vertex
-    from cayleycolour.arrows import arrow_field, incoming_counts, neighbour_tables
+    from cayleycolour.arrows import ARROW_COLOURS, arrow_field, incoming_counts, neighbour_tables
 
     targets = arrow_field(colouring)
     incoming = incoming_counts(targets)
@@ -226,7 +226,7 @@ def test_list_transport_rejects_crowding():
         (int(u2[victim]), 1, 2),
     ):
         if targets[sender] != victim and config.values[sender] == need:
-            broken.set_colour(sender, f"a{active}u")
+            broken.codes[sender] = ARROW_COLOURS.index(f"a{active}u")
             break
     with pytest.raises(ValueError):
         arrows_to_list_colouring(broken, base)
@@ -375,8 +375,9 @@ def test_canonical_doubled_colouring_proper():
     arrow_colouring = constructive_solve(config)
     colouring = canonical_doubled_colouring(graph, arrow_colouring)
     # Copy t of vertex v is vertex t * |ball| + v, so rho(v) is v's second copy.
-    assert restrict_copy(colouring, 0) == arrows_to_list_colouring(arrow_colouring, base)
-    assert restrict_copy(colouring, 1) == base
+    n = len(b)
+    assert np.array_equal(colouring.codes[:n], arrows_to_list_colouring(arrow_colouring, base).codes)
+    assert np.array_equal(colouring.codes[n:], base.codes)
     assert colouring.codes[graph.rho(5)] == base.codes[5]
     report = check_proper(graph, colouring, copy2_sample=48)
     assert report.satisfied
@@ -433,15 +434,6 @@ def test_doubled_csv(tmp_path):
     families = {line.split(",")[0] for line in lines[1:]}
     assert families <= {"secondary", "cross", "copy2"}
     assert "secondary" in families
-
-
-def test_degree_bound_positive():
-    b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1)
-    assert graph.degree_bound() >= 6 + 4
-    odd = np.count_nonzero((b.lengths % 2 == 1) & (b.lengths <= 1))
-    even = np.count_nonzero((b.lengths % 2 == 0) & (b.lengths > 0))
-    assert graph.degree_bound() == 6 + odd + even == 6 + 4 + 12 + 108 + 972
 
 
 def reference_conflicts(graph, colouring, seconds):

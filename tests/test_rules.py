@@ -15,16 +15,9 @@ from cayleycolour.rules import (
     EmptyAllowedSetError,
     check,
     classify_rank,
-    double_space,
-    doubled_colouring,
     iterate,
-    lift_to_double,
-    lift_to_square,
-    project_first,
-    restrict_copy,
     rule_from_json,
     rule_to_json,
-    square_colours,
 )
 
 F2 = free_group(2)
@@ -146,78 +139,6 @@ def test_iterate_empty_allowed_raises():
         iterate(blocked_rule(), col, max_rounds=3)
 
 
-def test_double_space_rank_and_lift():
-    rule = differ_rule()
-    doubled = double_space(rule)
-    assert classify_rank(doubled) == RANK_ONE
-    b = ball(F2, 4)
-    lifted = lift_to_double(parity_colouring(b))
-    assert check(doubled, lifted).satisfied
-
-
-def test_double_space_mismatch_is_violation():
-    rule = differ_rule()
-    doubled = double_space(rule)
-    b = ball(F2, 4)
-    col = parity_colouring(b)
-    mirror = col.codes.copy()
-    mirror[0] = 1 - mirror[0]
-    bad = doubled_colouring(b, col.palette, col.codes, mirror)
-    report = check(doubled, bad)
-    assert not report.satisfied
-    v = len(b)
-    assert any(vtx == v + 0 for vtx, _, _ in report.violations)
-
-
-def test_double_space_restriction_satisfies_base():
-    rule = differ_rule()
-    doubled = double_space(rule)
-    b = ball(F2, 4)
-    lifted = lift_to_double(parity_colouring(b))
-    assert check(doubled, lifted).satisfied
-    for tag in (0, 1):
-        restr = restrict_copy(lifted, tag)
-        assert check(rule, restr).satisfied
-
-
-def test_square_colours_rank_lift_project():
-    rule = differ_rule()
-    g = F2.word("a")
-    squared = square_colours(rule, g)
-    assert classify_rank(squared) == RANK_ONE
-    b = ball(F2, 5)
-    base_col = parity_colouring(b)
-    lifted = lift_to_square(base_col, g, squared.colours)
-    report = check(squared, lifted)
-    assert report.satisfied
-    projected = project_first(lifted, rule.colours)
-    # Project is partial at the rim; judge on the squared interior.
-    inner = b.interior_indices(squared.dependency_radius)
-    rep_base = check(rule, base_col)
-    assert rep_base.satisfied
-    for i in inner:
-        assert projected.colour_at(int(i)) == base_col.colour_at(int(i))
-
-
-def test_square_colours_mismatch_is_violation():
-    rule = differ_rule()
-    g = F2.word("a")
-    squared = square_colours(rule, g)
-    b = ball(F2, 5)
-    lifted = lift_to_square(parity_colouring(b), g, squared.colours)
-    # Break the forced second colour at the root.
-    first, second = lifted.colour_at(0).split("|")
-    wrong = f"{first}|{'X' if second == 'Y' else 'Y'}"
-    lifted.set_colour(0, wrong)
-    report = check(squared, lifted)
-    assert any(v == 0 for v, _, _ in report.violations)
-
-
-def test_square_requires_descendant():
-    with pytest.raises(ValueError):
-        square_colours(differ_rule(), F2.word("b"))
-
-
 def test_rule_validation():
     with pytest.raises(ValueError):
         ColouringRule(
@@ -336,7 +257,7 @@ def reference_iterate(rule, initial, max_rounds):
                 raise EmptyAllowedSetError(f"empty allowed set at vertex {i}")
             if colouring.colour_at(i) in allowed:
                 continue
-            colouring.set_colour(i, next(c for c in rule.colours if c in allowed))
+            colouring.codes[i] = next(k for k, c in enumerate(rule.colours) if c in allowed)
             changed = True
         if not changed:
             return colouring.codes.tobytes(), True, round_no
