@@ -334,8 +334,8 @@ class Ball:
         self._modulus = np.array([o or 0 for o in orders], dtype=np.int64)
         self._exp_span = max([radius, *(o for o in orders if o is not None)]) + 1
 
-        # Per sphere: first generators, first exponents, rests.
-        spheres = [(np.array([-1]), np.array([0]), np.array([-1]))]
+        # Per sphere: first generators, first exponents, rests, all int32.
+        spheres = [tuple(np.array([v], dtype=np.int32) for v in (-1, 0, -1))]
         starts = [0, 1]
         rests_for: dict[tuple[int, int], np.ndarray] = {}  # (length, gen) -> vertices not starting with gen
         blocks = _blocks(presentation, radius)
@@ -346,14 +346,16 @@ class Ball:
                     continue
                 key = (ell - size, gen)
                 if key not in rests_for:
-                    rests_for[key] = starts[ell - size] + np.flatnonzero(spheres[ell - size][0] != gen)
+                    rests_for[key] = np.flatnonzero(spheres[ell - size][0] != gen).astype(np.int32) + starts[ell - size]
                 tail = rests_for[key]
-                parts.append((np.full(len(tail), gen), np.full(len(tail), exp), tail))
+                parts.append((np.full(len(tail), gen, dtype=np.int32), np.full(len(tail), exp, dtype=np.int32), tail))
             spheres.append(tuple(np.concatenate(column) for column in zip(*parts)))
             starts.append(starts[-1] + len(spheres[-1][0]))
-        columns = (np.concatenate(column).astype(np.int32) for column in zip(*spheres))
-        self.first_gen, self.first_exp, self.rest = columns
+            del parts
+        self.first_gen, self.first_exp, self.rest = (np.concatenate(column) for column in zip(*spheres))
         self.sphere_sizes: list[int] = [len(sphere[0]) for sphere in spheres]
+        # The sphere scratch would otherwise live through the keys and tables.
+        del spheres, rests_for
         self.lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), self.sphere_sizes)
         self._starts = starts
 

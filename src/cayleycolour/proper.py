@@ -49,6 +49,23 @@ class OffsetFamily:
         seen = {g.letters for g in self.elements}
         return all(g.inverse().letters in seen for g in self.elements)
 
+    def representatives(self) -> tuple[ReducedWord, ...]:
+        """The first element of each inverse pair {g, g^-1}, in `elements`
+        order.  No offset may be its own inverse (in a free group only the
+        identity is), or the pairs would not split the family in two."""
+        if not self.closed_under_inverse():
+            raise ValueError("offset family is not closed under inverse")
+        reps: list[ReducedWord] = []
+        taken: set[tuple] = set()
+        for g in self.elements:
+            inverse = g.inverse().letters
+            if inverse == g.letters:
+                raise ValueError(f"offset {g} is its own inverse")
+            if g.letters not in taken:
+                reps.append(g)
+                taken.update((g.letters, inverse))
+        return tuple(reps)
+
 
 def offsets16(presentation: Presentation | None = None) -> OffsetFamily:
     """Four mixed-sign length-2 elements and their twelve length-4 products."""
@@ -79,15 +96,20 @@ def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colour
     smallest colour its earlier offset-neighbours left free (`min`) or with
     `rng.choice` of those colours (`random`).  That greedy is computed layer
     by layer over the DAG of earlier neighbours: a vertex's colour depends
-    only on vertices in lower layers, so each layer is one array pass."""
+    only on vertices in lower layers, so each layer is one array pass.
+
+    The DAG is read from one left table per inverse pair {g, g^-1} of the
+    family (`OffsetFamily.representatives`): v = g*w exactly when
+    w = g^-1*v, so the table t of g gives both the edges of g, (t[w], w)
+    where t[w] < w, and those of g^-1, (w, t[w]) where t[w] > w."""
     if choice not in GREEDY_CHOICES:
         raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
     if b.radius < 5:
         raise ValueError("need radius at least 5 so the offsets act inside the ball")
-    tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
-    codes = _layered_greedy(tables, choice, seed)
+    pairs = _earlier_pairs([b.left_table(g) for g in offsets16(b.presentation).representatives()])
+    codes = _layered_greedy(pairs, len(b), choice, seed)
     if codes is None:
-        codes = _random_greedy_loop(tables, seed)
+        codes = _random_greedy_loop(pairs, len(b), seed)
     return Colouring(b, PALETTE17, codes)
 
 
@@ -95,43 +117,66 @@ _CHUNK = 1 << 13
 _ALL_COLOURS = np.int32((1 << len(PALETTE17)) - 1)
 
 
-def _layered_greedy(tables: Sequence[np.ndarray], choice: str, seed: int) -> np.ndarray | None:
+def _earlier_pairs(tables: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(src, dst) int32 lists of the earlier-neighbour DAG, two per table t
+    of g: src = g*dst for g, dst = g*src for g^-1, each with src < dst.
+    A table is one-to-one where it is defined, so a list holds each dst at
+    most once."""
+    vertex = np.arange(len(tables[0]), dtype=np.int32)
+    pairs = []
+    for t in tables:
+        dst = np.flatnonzero((t >= 0) & (t < vertex)).astype(np.int32)
+        pairs.append((t[dst], dst))
+        src = np.flatnonzero(t > vertex).astype(np.int32)
+        pairs.append((src, t[src]))
+    return pairs
+
+
+def _layered_greedy(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int, choice: str, seed: int
+) -> np.ndarray | None:
     """Greedy codes computed one DAG layer at a time; None when the random
-    draws cannot be replayed from the word stream (see _choice_draws)."""
-    n = len(tables[0])
-    # Per offset table t, the vertices whose neighbour through t is coloured first.
-    vertex = np.arange(n, dtype=np.int32)
-    dsts = [np.flatnonzero((t >= 0) & (t < vertex)).astype(np.int32) for t in tables]
-    del vertex
-    depth = _depths([(t[dst], dst) for t, dst in zip(tables, dsts)], n)
+    draws cannot be replayed from the word stream (see _choice_draws).
+    Sorts each pair list in place by the layer of its dst."""
+    depth = _depths(pairs, n)
     n_layers = int(depth.max()) + 1
-    for i, dst in enumerate(dsts):
+    if n_layers <= 256:  # one byte a vertex for the scans below
+        depth = depth.astype(np.uint8)
+    bounds = []
+    for src, dst in pairs:
         key = depth[dst]
         by_key = np.argsort(key, kind="stable")
-        dsts[i] = (dst[by_key], np.searchsorted(key[by_key], np.arange(n_layers + 1)))
-    by_layer = np.argsort(depth, kind="stable").astype(np.int32)
-    layer_starts = np.concatenate(([0], np.cumsum(np.bincount(depth))))
-    del depth
+        src[:] = src[by_key]
+        dst[:] = dst[by_key]
+        bounds.append(np.searchsorted(key[by_key], np.arange(n_layers + 1)))
     words = _choice_words(seed, n) if choice == "random" else None
     codes = np.full(n, -1, dtype=np.int16)
     used = np.zeros(n, dtype=np.int32)
     for layer in range(n_layers):
-        for t, (dst, bounds) in zip(tables, dsts):
-            into = dst[bounds[layer] : bounds[layer + 1]]
-            used[into] |= np.int32(1) << codes[t[into]]
-        # Chunks bound the temporaries on the two large bottom layers.
-        end = layer_starts[layer + 1]
-        for lo in range(layer_starts[layer], end, _CHUNK):
-            part = by_layer[lo : min(lo + _CHUNK, end)]
-            free = ~used[part] & _ALL_COLOURS
-            if words is None:
-                codes[part] = np.bitwise_count((free & -free) - 1)
-                continue
-            picks = _choice_draws(words[part], np.bitwise_count(free))
-            if picks is None:
-                return None
-            codes[part] = _nth_set_bit(free, picks)
+        for (src, dst), bound in zip(pairs, bounds):
+            lo, hi = bound[layer], bound[layer + 1]
+            used[dst[lo:hi]] |= np.int32(1) << codes[src[lo:hi]]
+        # Each layer's vertices are found when it is coloured and freed after.
+        if not _colour_layer(np.flatnonzero(depth == layer), used, codes, words):
+            return None
     return codes
+
+
+def _colour_layer(members: np.ndarray, used: np.ndarray, codes: np.ndarray, words: np.ndarray | None) -> bool:
+    """Codes of one layer's vertices (ascending) from their used-colour
+    masks; False when the random draws cannot be replayed.  Chunks bound
+    the temporaries on the two large bottom layers."""
+    for lo in range(0, len(members), _CHUNK):
+        part = members[lo : lo + _CHUNK]
+        free = ~used[part] & _ALL_COLOURS
+        if words is None:
+            codes[part] = np.bitwise_count((free & -free) - 1)
+            continue
+        picks = _choice_draws(words[part], np.bitwise_count(free))
+        if picks is None:
+            return False
+        codes[part] = _nth_set_bit(free, picks)
+    return True
 
 
 def _depths(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
@@ -154,7 +199,7 @@ def _depths(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarra
         if p >= k:
             # Sources stamped in passes p - k .. p - 1: since this list's
             # previous pass, which read its sources before raising them.
-            hit = np.flatnonzero(np.uint8((p - 1) % 256) - stamp[src] < k)
+            hit = np.uint8((p - 1) % 256) - stamp[src] < k
             src, dst = src[hit], dst[hit]
         step = depth[src]
         step += 1
@@ -196,27 +241,38 @@ def _nth_set_bit(masks: np.ndarray, n: np.ndarray) -> np.ndarray:
     return position
 
 
-def _random_greedy_loop(tables: Sequence[np.ndarray], seed: int) -> np.ndarray:
-    """Vertex-by-vertex `random` greedy, for streams _choice_draws cannot replay."""
-    codes = np.full(len(tables[0]), -1, dtype=np.int16)
+def _random_greedy_loop(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int, seed: int) -> np.ndarray:
+    """Vertex-by-vertex `random` greedy, for streams _choice_draws cannot
+    replay: each vertex's earlier neighbours are gathered from the pair
+    lists, grouped by dst."""
+    src, dst = (np.concatenate(column) for column in zip(*pairs))
+    by_dst = np.argsort(dst, kind="stable")
+    sources = src[by_dst].tolist()
+    bounds = np.searchsorted(dst[by_dst], np.arange(n + 1)).tolist()
+    codes = [-1] * n
     rng = np.random.default_rng(seed)
-    for w in range(len(codes)):
-        used = {int(codes[t[w]]) for t in tables if t[w] >= 0}
+    for w in range(n):
+        used = {codes[v] for v in sources[bounds[w] : bounds[w + 1]]}
         free = [c for c in range(len(PALETTE17)) if c not in used]
         codes[w] = int(rng.choice(free))
-    return codes
+    return np.array(codes, dtype=np.int16)
 
 
 def offset_conflicts(colouring: Colouring, fam: OffsetFamily | None = None) -> int:
+    """Pairs (g, w), g in the family, with g*w in the ball and coloured as w
+    (two blanks count as equal).  w -> g*w maps {w : g*w in the ball}
+    one-to-one onto {v : g^-1*v in the ball}, and equal colour is
+    symmetric, so g^-1 has exactly as many as g: the count reads one table
+    per inverse pair (`OffsetFamily.representatives`) and doubles."""
     b = colouring.ball
     fam = offsets16(b.presentation) if fam is None else fam
     codes = colouring.codes
     total = 0
-    for g in fam.elements:
+    for g in fam.representatives():
         table = b.left_table(g)
         mask = table >= 0
         total += int(np.count_nonzero(codes[mask] == codes[table[mask]]))
-    return total
+    return 2 * total
 
 
 def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[int]) -> np.ndarray:

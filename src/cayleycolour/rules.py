@@ -302,7 +302,6 @@ class DoubledBall:
 
     def __init__(self, base: Ball):
         self.base = base
-        self.radius = base.radius
 
     def __len__(self) -> int:
         return 2 * len(self.base)
@@ -314,8 +313,7 @@ def doubled_colouring(
     codes_primary: np.ndarray,
     codes_mirror: np.ndarray,
 ) -> Colouring:
-    codes = np.concatenate([codes_primary, codes_mirror]).astype(np.int16)
-    return Colouring(DoubledBall(base), palette, codes)
+    return Colouring(DoubledBall(base), palette, np.concatenate([codes_primary, codes_mirror]))
 
 
 # ---------------------------------------------------------------------------

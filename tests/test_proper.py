@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
@@ -11,7 +12,7 @@ from cayleycolour import proper
 
 from cayleycolour.arrows import arrow_rule, candidate_arrays, constructive_solve, neighbour_tables, pdegree_profile
 from cayleycolour.configs import Configuration, RandomSource, sample
-from cayleycolour.groups import ball, free_group, z2_z3
+from cayleycolour.groups import Ball, ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.proper import (
     GREEDY_CHOICES,
@@ -24,6 +25,7 @@ from cayleycolour.proper import (
     _secondary_conflicts,
     _word_images,
     Calibration,
+    OffsetFamily,
     arrows_to_list_colouring,
     calibrate_N,
     canonical_doubled_colouring,
@@ -94,6 +96,103 @@ def test_greedy_random_choice_proper():
     b = ball(F2, 5)
     base = greedy_base_colouring(b, choice="random", seed=11)
     assert offset_conflicts(base) == 0
+
+
+def test_representatives_take_one_of_each_inverse_pair():
+    fam = offsets16()
+    reps = fam.representatives()
+    assert len(reps) == 8
+    words = {g.letters for g in reps}
+    inverses = {g.inverse().letters for g in reps}
+    assert words.isdisjoint(inverses)
+    assert words | inverses == {g.letters for g in fam.elements}
+
+
+def test_representatives_reject_unpaired_and_self_inverse_offsets():
+    a = F2.word("a")
+    with pytest.raises(ValueError, match="closed"):
+        OffsetFamily(F2, (a,), ()).representatives()
+    z = z2_z3()
+    with pytest.raises(ValueError, match="own inverse"):
+        OffsetFamily(z, (z.word("s"),), ()).representatives()
+
+
+def direct_conflicts(colouring):
+    """Offset conflicts summed over all 16 tables, one per element."""
+    b, codes = colouring.ball, colouring.codes
+    total = 0
+    for g in offsets16(b.presentation).elements:
+        t = b.left_table(g)
+        inside = np.flatnonzero(t >= 0)
+        total += int(np.count_nonzero(codes[inside] == codes[t[inside]]))
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    radius=st.integers(5, 8),
+    colours=st.integers(1, len(PALETTE17)),
+    blank=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_offset_conflicts_equal_the_sum_over_all_sixteen_tables(radius, colours, blank, seed):
+    """Doubling the count over one table per inverse pair is exact, for
+    improper colourings and blank (-1) codes too."""
+    b = GREEDY_BALLS[radius]
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, colours, size=len(b)).astype(np.int16)
+    codes[rng.random(len(b)) < blank] = -1
+    colouring = Colouring(b, PALETTE17, codes)
+    assert offset_conflicts(colouring) == direct_conflicts(colouring)
+
+
+def test_offset_conflicts_count_a_planted_conflict_from_both_ends():
+    b = GREEDY_BALLS[6]
+    base = greedy_base_colouring(b)
+    w, g = 0, offsets16().long[5]
+    v = int(b.left_table(g)[w])
+    codes = base.codes.copy()
+    codes[v] = codes[w]
+    planted = Colouring(b, PALETTE17, codes)
+    assert offset_conflicts(planted) == direct_conflicts(planted) >= 2
+    assert offset_conflicts(planted) % 2 == 0
+
+
+def test_greedy_and_conflict_count_read_one_table_per_inverse_pair(monkeypatch):
+    requested = []
+    real = Ball.left_table
+
+    def left_table(self, g):
+        requested.append(g.letters)
+        return real(self, g)
+
+    monkeypatch.setattr(Ball, "left_table", left_table)
+    b = ball(F2, 6)
+    fam = offsets16()
+    assert offset_conflicts(greedy_base_colouring(b, "random", 4)) == 0
+    words = set(requested)
+    assert len(words) == 8
+    assert words <= {g.letters for g in fam.elements}
+    assert not any(g.inverse().letters in words for g in fam.elements if g.letters in words)
+
+
+def test_offsets_peak_traced_memory_at_radius_10():
+    """Ball, greedy and conflict count of F2 at radius 10 under tracemalloc,
+    which numpy reports its buffers to: 16.04 MiB when all 16 offset tables
+    were built and the sphere scratch outlived the ball's construction."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        base = greedy_base_colouring(ball(F2, 10))
+        assert offset_conflicts(base) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 13.5 * 2**20, peak / 2**20
 
 
 def test_greedy_needs_room():
