@@ -9,6 +9,7 @@ a ball is by left multiplication with generator letters.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -216,25 +217,16 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return padded[inner]
 
 
-def _partial_inverse(table: np.ndarray) -> np.ndarray:
-    """The table of l^-1 from the table of l, by one scatter: each vertex
-    the table of l hits goes back to its source, and every other vertex
-    leaves the ball under l^-1 (see `Ball`)."""
-    out = np.full(len(table), -1, dtype=np.int32)
-    src = np.flatnonzero(table >= 0)
-    out[table[src]] = src
-    return out
-
-
-def _blocks(p: Presentation, radius: int) -> list[tuple[int, int, int]]:
-    """Every block (gen, exp, block length) of length 1..radius, by _block_key."""
+def _blocks(p: Presentation, radius: int) -> list[list[tuple[int, int]]]:
+    """Per generator, its blocks (exp, block length) of length 1..radius, by _block_key."""
     out = []
     for gen in range(p.n_generators):
         order = p.order(gen)
         exps = range(1, order) if order is not None else [*range(1, radius + 1), *range(-1, -radius - 1, -1)]
-        out.extend((gen, e, _block_length(gen, e, p)) for e in exps)
-    out = [blk for blk in out if blk[2] <= radius]
-    out.sort(key=lambda blk: _block_key(blk[0], blk[1], p))
+        blocks = [(e, _block_length(gen, e, p)) for e in exps]
+        blocks = [blk for blk in blocks if blk[1] <= radius]
+        blocks.sort(key=lambda blk: _block_key(gen, blk[0], p))
+        out.append(blocks)
     return out
 
 
@@ -250,10 +242,11 @@ class _Words(SequenceABC):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
         n = len(self)
         if not -n <= i < n:
             raise IndexError("vertex index out of range")
-        i = int(i) % n
+        i %= n
         b = self._ball
         letters = []
         while i > 0:
@@ -284,30 +277,24 @@ class Ball:
 
     The order is `ReducedWord.sort_key`: by length, then by the blocks'
     keys (gen, sign, |exp|) from the left.  Words of one length that share
-    a first block have rests of one shorter length, and within a length the
-    rests are already in key order, so the rest's vertex index settles every
-    tie.  Each sphere is therefore written out block by block, each block
-    followed by the shorter sphere's vertices that do not start with its
-    generator, already in order and with no sort.
+    a first block have rests of one shorter length, already in key order,
+    so each sphere is a run of parts, one per block in key order: part
+    (ell, gen, exp) holds (gen, exp) * r, in vertex order, for each r of
+    length ell - |(gen, exp)| (the block's length) not starting with gen.
+    A generator's parts are adjacent, so those rests are their sphere less
+    its gen run, two ranges of vertices, and the rank of one among them is
+    its offset in the sphere, less the run if it lies past it.  `_parts`
+    keeps each part's (start, count); every array and table is written
+    from them by slices or rank arithmetic, with no search.
 
-    The same argument makes the integer key (length, block code, rest) of
-    each vertex strictly increasing in vertex index, so the vertex of any
-    (block, rest) pair is one `searchsorted` away.  Tables are built
-    lazily and cached, with -1 for entries falling outside the ball, one
-    per group element: a block's exponent is reduced modulo its
-    generator's order first.  A block's table is built the first way that
-    applies:
-
-    - the scatter of its inverse's table, when that is cached: w -> l*w
-      maps {w : l*w in the ball} one-to-one onto {v : l^-1*v in the ball},
-      in any group.  Construction binary-searches the positive unit letters
-      and scatters the inverse ones (a torsion unit's inverse is a power
-      of it, so Z3's t^-1 = t^2 is a scatter too);
-    - for a power a^e (|e| >= 2) of an infinite-order generator, the table
-      of a^(e-1) (for e > 0; a^(e+1) for e < 0) followed by that of the
-      unit a (or A): if a^(e-1)*w leaves the ball, its merged first block
-      is longer than w's, so a^e*w is longer still;
-    - one `searchsorted` per vertex, as for the unit letters.
+    Tables are built lazily and cached, with -1 for entries falling
+    outside the ball, one per group element: a block's exponent is reduced
+    modulo its generator's order first.  The table of a block l = (g, e)
+    sends the vertices of sphere ell not starting with g, in order, to part
+    (ell + |l|, g, e); part (ell, g, e') to part (ell - |e'| + |e' + e|, g,
+    e' + e), which has the same rests, or to those rests when e' + e
+    cancels; and every other vertex, whose target part lies past the
+    radius, to -1.
 
     Tables of other words are composed block by block, one gather each,
     or, when the word splits between two blocks into two words whose
@@ -316,9 +303,9 @@ class Ball:
     spuriously: along the blocks of g, the length of the partial product
     falls while blocks cancel, changes once where a block merges, then
     only grows, so no partial product is longer than both w and g*w.
-    A unit spelling of one torsion block can overshoot, which is why
-    torsion powers are searched: in Z4 at radius 1, a^2 * a = a^3 = A is
-    inside, but a * (a * a) passes through a^2, which is not.
+    A unit spelling of one torsion block can overshoot: in Z4 at radius 1,
+    a^2 * a = a^3 = A is inside, but a * (a * a) passes through a^2, which
+    is not.
 
     A right table is the left table of g^-1 read through the inverse
     permutation, w*g = (g^-1 * w^-1)^-1.  A word and its inverse have the
@@ -330,44 +317,44 @@ class Ball:
             raise ValueError("radius must be nonnegative")
         self.presentation = presentation
         self.radius = radius
-        orders = [presentation.order(g) for g in range(presentation.n_generators)]
-        self._modulus = np.array([o or 0 for o in orders], dtype=np.int64)
-        self._exp_span = max([radius, *(o for o in orders if o is not None)]) + 1
 
-        # Per sphere: first generators, first exponents, rests, all int32.
-        spheres = [tuple(np.array([v], dtype=np.int32) for v in (-1, 0, -1))]
+        # The identity is a part of its own; sphere 0 has an empty run of
+        # each generator, after the identity.
+        parts = {(0, -1, 0): (0, 1)}
         starts = [0, 1]
-        rests_for: dict[tuple[int, int], np.ndarray] = {}  # (length, gen) -> vertices not starting with gen
+        runs = [[(1, 1)] * presentation.n_generators]
         blocks = _blocks(presentation, radius)
         for ell in range(1, radius + 1):
-            parts = []
-            for gen, exp, size in blocks:
-                if size > ell:
-                    continue
-                key = (ell - size, gen)
-                if key not in rests_for:
-                    rests_for[key] = np.flatnonzero(spheres[ell - size][0] != gen).astype(np.int32) + starts[ell - size]
-                tail = rests_for[key]
-                parts.append((np.full(len(tail), gen, dtype=np.int32), np.full(len(tail), exp, dtype=np.int32), tail))
-            spheres.append(tuple(np.concatenate(column) for column in zip(*parts)))
-            starts.append(starts[-1] + len(spheres[-1][0]))
-            del parts
-        self.first_gen, self.first_exp, self.rest = (np.concatenate(column) for column in zip(*spheres))
-        self.sphere_sizes: list[int] = [len(sphere[0]) for sphere in spheres]
-        # The sphere scratch would otherwise live through the keys and tables.
-        del spheres, rests_for
+            start = starts[-1]
+            runs.append([])
+            for gen, gen_blocks in enumerate(blocks):
+                lo = start
+                for exp, size in gen_blocks:
+                    if size <= ell:
+                        below = ell - size
+                        run_lo, run_hi = runs[below][gen]
+                        count = starts[below + 1] - starts[below] - (run_hi - run_lo)
+                        parts[ell, gen, exp] = (start, count)
+                        start += count
+                runs[ell].append((lo, start))
+            starts.append(start)
+        self._parts = parts
+        self._starts = np.array(starts, dtype=np.int32)
+        self._runs = np.array(runs, dtype=np.int32)
+        self.sphere_sizes: list[int] = np.diff(starts).tolist()
         self.lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), self.sphere_sizes)
-        self._starts = starts
 
-        n = len(self.lengths)
-        if (radius + 1) * 2 * presentation.n_generators * self._exp_span * n >= 2**63:
-            raise OverflowError("ball too large for 64-bit vertex keys")
-        self._keys = np.zeros(n, dtype=np.int64)
-        self._keys[1:] = self._key(self.first_gen[1:], self.first_exp[1:], self.rest[1:], self.lengths[1:])
+        counts = [count for _, count in parts.values()]
+        self.first_gen = np.repeat(np.array([gen for _, gen, _ in parts], dtype=np.int32), counts)
+        self.first_exp = np.repeat(np.array([exp for _, _, exp in parts], dtype=np.int32), counts)
+        self.rest = np.full(len(self), -1, dtype=np.int32)
+        for (ell, gen, exp), (start, _) in parts.items():
+            if gen >= 0:
+                for lo, hi in self._others(ell - _block_length(gen, exp, presentation), gen):
+                    self.rest[start : start + hi - lo] = np.arange(lo, hi, dtype=np.int32)
+                    start += hi - lo
 
         self._left_block: dict[Letter, np.ndarray] = {}
-        for letter in presentation.adjacency_letters():
-            self._block_table(letter)
         self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
         self._right: dict[tuple[Letter, ...], np.ndarray] = {}
@@ -379,73 +366,70 @@ class Ball:
     def words(self) -> _Words:
         return _Words(self)
 
-    def _key(self, gen, exp, rest, length) -> np.ndarray:
-        code = (2 * np.asarray(gen, dtype=np.int64) + (exp < 0)) * self._exp_span + np.abs(exp)
-        per_length = 2 * self.presentation.n_generators * self._exp_span
-        return (np.asarray(length, dtype=np.int64) * per_length + code) * len(self) + rest
+    def _others(self, length: int, gen: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two vertex ranges [lo, hi) of the sphere of this length that
+        hold its words not starting with gen, in order."""
+        run_lo, run_hi = self._runs[length, gen]
+        return (self._starts[length], run_lo), (run_hi, self._starts[length + 1])
 
-    def _normalise(self, gen, exp) -> np.ndarray:
-        """Exponents reduced modulo each generator's order; 0 means cancelled."""
-        m = self._modulus[gen]
-        return np.where(m > 0, np.mod(exp, np.maximum(m, 1)), exp)
-
-    def _block_lengths(self, gen, exp) -> np.ndarray:
-        m = self._modulus[gen]
-        return np.where(m > 0, np.minimum(exp, m - exp), np.abs(exp))
-
-    def _find(self, gen, exp, rest) -> np.ndarray:
-        """Vertex of the word (gen, exp) * rest, -1 where it is not in the ball.
-
-        exp is normalised.  A zero exp or a rest starting with gen matches no
-        vertex, since no vertex has such a block and rest.  An exponent too
-        large for its field of the key carries into the length field, which
-        is then already past the radius, so it matches no vertex either.
-        """
-        length = self.lengths[rest] + self._block_lengths(gen, exp)
-        key = self._key(gen, exp, rest, length)
-        pos = np.minimum(np.searchsorted(self._keys, key), len(self) - 1)
-        return np.where(self._keys[pos] == key, pos, -1)
-
-    def _left_block_table(self, gen: int, exp: int) -> np.ndarray:
-        """l*w for the block l = (gen, exp): l merges into w's first block
-        when the generators agree, otherwise it is prepended."""
-        merge = self.first_gen == gen
-        rest = np.where(merge, self.rest, np.arange(len(self)))
-        new_exp = self._normalise(gen, np.where(merge, self.first_exp + exp, exp))
-        table = np.where(merge & (new_exp == 0), self.rest, self._find(gen, new_exp, rest))
-        return table.astype(np.int32)
+    def _rank(self, v, length, gen):
+        """Position of vertex v, of the given length and not starting with
+        gen, among its sphere's vertices that do not start with gen;
+        elementwise over arrays."""
+        run_lo, run_hi = self._runs[length, gen, 0], self._runs[length, gen, 1]
+        return v - self._starts[length] - np.where(v >= run_hi, run_hi - run_lo, 0)
 
     def _inverses(self) -> np.ndarray:
         """Vertex index of each vertex's inverse.
 
-        With w = head * last (last its final block), w^-1 = last^-1 * head^-1;
-        head = (first block) * head(rest), and both head and head^-1 are
-        shorter than w, so one pass over the spheres in order fills all three.
+        With w = head * last (last its final block), w^-1 = last^-1 * head^-1:
+        the rank of head^-1 into w's sphere's part of last^-1.  head is
+        (first block) * head(rest), and both head and head^-1 are shorter
+        than w, so one pass over the spheres in order fills all three.
+        Blocks are numbered so that per-vertex block arrays can index
+        per-block arrays of generators, block lengths, inverses and part
+        starts.
         """
         if self._inverse is None:
-            n = len(self)
-            head = np.zeros(n, dtype=np.int64)
-            last_gen, last_exp = self.first_gen.copy(), self.first_exp.copy()
-            inverse = np.zeros(n, dtype=np.int64)
-            for lo, hi in zip(self._starts[1:-1], self._starts[2:]):
-                gen, exp, rest = self.first_gen[lo:hi], self.first_exp[lo:hi], self.rest[lo:hi]
+            p = self.presentation
+            blocks = [(gen, *block) for gen, gen_blocks in enumerate(_blocks(p, self.radius)) for block in gen_blocks]
+            ids = {(gen, exp): i for i, (gen, exp, _) in enumerate(blocks)}
+            block_gen = np.array([gen for gen, _, _ in blocks], dtype=np.int32)
+            block_size = np.array([size for _, _, size in blocks], dtype=np.int32)
+            block_inverse = np.array([ids[p.generator(gen, -exp).letters[0]] for gen, exp, _ in blocks], dtype=np.int32)
+            part_start = np.zeros((self.radius + 1, len(blocks)), dtype=np.int32)
+            for (ell, gen, exp), (start, _) in self._parts.items():
+                if gen >= 0:
+                    part_start[ell, ids[gen, exp]] = start
+            # First-block ids, overwritten sphere by sphere with last-block ids.
+            counts = [count for _, count in self._parts.values()]
+            last = np.repeat(np.array([ids.get((gen, exp), 0) for _, gen, exp in self._parts], dtype=np.int32), counts)
+            head = np.zeros(len(self), dtype=np.int32)
+            inverse = np.zeros(len(self), dtype=np.int32)
+            for ell in range(1, self.radius + 1):
+                lo, hi = self._starts[ell], self._starts[ell + 1]
+                first, rest = last[lo:hi], self.rest[lo:hi]
                 inner = rest > 0
-                last_gen[lo:hi] = np.where(inner, last_gen[rest], gen)
-                last_exp[lo:hi] = np.where(inner, last_exp[rest], exp)
-                head[lo:hi] = np.where(inner, self._find(gen, exp, head[rest]), 0)
-                lg = last_gen[lo:hi]
-                inverse[lo:hi] = self._find(lg, self._normalise(lg, -last_exp[lo:hi]), inverse[head[lo:hi]])
-            self._inverse = inverse.astype(np.int32)
+                h = head[rest]
+                length = self.lengths[h]
+                step = part_start[length + block_size[first], first] + self._rank(h, length, block_gen[first])
+                head[lo:hi] = np.where(inner, step, 0)
+                last[lo:hi] = np.where(inner, last[rest], first)
+                h, flip = head[lo:hi], block_inverse[last[lo:hi]]
+                inverse[lo:hi] = part_start[ell, flip] + self._rank(inverse[h], self.lengths[h], block_gen[flip])
+            self._inverse = inverse
         return self._inverse
 
     def _index(self, w: ReducedWord) -> int:
         if w.presentation != self.presentation:
             return -1
-        v = 0
+        v = length = 0
         for gen, exp in reversed(w.letters):
-            v = int(self._find(gen, exp, v))
-            if v < 0:
-                break
+            size = _block_length(gen, exp, self.presentation)
+            part = self._parts.get((length + size, gen, exp))
+            if part is None:
+                return -1
+            v, length = part[0] + int(self._rank(v, length, gen)), length + size
         return v
 
     def __contains__(self, w: ReducedWord) -> bool:
@@ -458,22 +442,33 @@ class Ball:
         return i
 
     def _block_table(self, block: Letter) -> np.ndarray:
-        """Left table of one block, cached under its exponent reduced modulo
-        the generator's order, so each group element has one table."""
+        """Left table of one block, filled part by part (see `Ball`) and
+        cached under its exponent reduced modulo the generator's order, so
+        each group element has one table."""
         gen, exp = block
         order = self.presentation.order(gen)
         if order is not None:
             exp %= order
         table = self._left_block.get((gen, exp))
         if table is None:
-            inverse = self._left_block.get((gen, -exp % order if order else -exp))
-            if inverse is not None:
-                table = _partial_inverse(inverse)
-            elif order is None and abs(exp) >= 2:
-                unit = 1 if exp > 0 else -1
-                table = _compose(self._block_table((gen, unit)), self._block_table((gen, exp - unit)))
-            else:
-                table = self._left_block_table(gen, exp)
+            size = _block_length(gen, exp, self.presentation)
+            table = np.full(len(self), -1, dtype=np.int32)
+            for ell in range(self.radius + 1 - size):
+                start, _ = self._parts[ell + size, gen, exp]
+                for lo, hi in self._others(ell, gen):
+                    table[lo:hi] = np.arange(start, start + hi - lo, dtype=np.int32)
+                    start += hi - lo
+            for (ell, g, e), (start, count) in self._parts.items():
+                if g != gen:
+                    continue
+                merged = e + exp if order is None else (e + exp) % order
+                if merged == 0:
+                    table[start : start + count] = self.rest[start : start + count]
+                    continue
+                length = ell - _block_length(gen, e, self.presentation) + _block_length(gen, merged, self.presentation)
+                target = self._parts.get((length, gen, merged))
+                if target is not None:
+                    table[start : start + count] = np.arange(target[0], target[0] + count, dtype=np.int32)
             self._left_block[gen, exp] = table
         return table
 

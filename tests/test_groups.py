@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,9 @@ NAMED = {
 }
 
 
+ANY_PRESENTATION = st.one_of(PRESENTATIONS, st.sampled_from(list(NAMED.values())))
+
+
 def raw_words(p: Presentation, max_size: int = 8):
     letters = st.tuples(st.integers(0, p.n_generators - 1), st.integers(-7, 7))
     return st.lists(letters, max_size=max_size).map(lambda raw: reduce_letters(raw, p))
@@ -336,10 +340,10 @@ def test_word_tables_match_reference(data, p, radius):
 @example(p=NAMED["Z4*Z5"], radius=5)
 @example(p=NAMED["<a, s^2>"], radius=5)
 def test_block_and_inverse_tables_match_reference(p, radius):
-    # A block's table may be binary-searched, composed from unit tables or
-    # scattered from its inverse's table, depending on which was built
-    # first; each route must give the oracle's table.  Exponents run past
-    # the radius and, unreduced, past every order.
+    # Every block's table is filled from the part layout, whichever of a
+    # block and its inverse is built first; each must give the oracle's
+    # table.  Exponents run past the radius and, unreduced, past every
+    # order.
     words, index = reference_ball(p, radius)
     for gen in range(p.n_generators):
         for exp in range(-radius - 2, radius + 3):
@@ -350,6 +354,62 @@ def test_block_and_inverse_tables_match_reference(p, radius):
                 b = ball(p, radius)
                 for e in order:
                     assert np.array_equal(b._block_table((gen, e)), expected[e]), (gen, e, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=ANY_PRESENTATION, radius=st.integers(0, 4))
+def test_inverse_and_index_match_reference(data, p, radius):
+    # Words are drawn inside the ball, past it (exponents up to 7) and from
+    # another presentation.  A lookup reads the part layout, not a table.
+    words, index = reference_ball(p, radius)
+    b = ball(p, radius)
+    tables = set(b._left_block)
+    assert b._inverses().tolist() == [index[w.inverse().letters] for w in words]
+    drawn = data.draw(st.lists(raw_words(p, 4), max_size=12))
+    for w in words[::3] + drawn:
+        expected = index.get(w.letters, -1)
+        assert (w in b) == (expected >= 0), w
+        if expected >= 0:
+            assert b.index_of(w) == expected
+        else:
+            with pytest.raises(KeyError):
+                b.index_of(w)
+    other = data.draw(ANY_PRESENTATION.filter(lambda q: q != p))
+    for w in (other.identity(), *data.draw(st.lists(raw_words(other, 3), max_size=4))):
+        assert w not in b
+        with pytest.raises(KeyError):
+            b.index_of(w)
+    assert set(b._left_block) == tables
+
+
+def test_words_index_must_be_an_integer():
+    b = ball(free_group(2), 2)
+    assert b.words[np.int64(1)] == b.words[1] == b.words[-16] == free_group(2).word("a")
+    for index in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            b.words[index]
+    with pytest.raises(IndexError):
+        b.words[17]
+
+
+def test_ball_build_peak_traced_memory_at_radius_12():
+    """F2 at radius 12 (1,062,881 vertices) and its four unit tables under
+    tracemalloc, which numpy reports its buffers to: 84.2 MiB when each unit
+    table binary-searched a 64-bit key per vertex."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        b = ball(free_group(2), 12)
+        assert len(b) == 1_062_881
+        b.unit_tables()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 45 * 2**20, peak / 2**20
 
 
 def test_compose_reads_minus_one_through():
