@@ -287,18 +287,21 @@ class Ball:
     keeps each part's (start, count); every array and table is written
     from them by slices or rank arithmetic, with no search.
 
-    Tables are built lazily and cached, with -1 for entries falling
-    outside the ball, one per group element: a block's exponent is reduced
-    modulo its generator's order first.  The table of a block l = (g, e)
+    Left tables are built lazily, with -1 for entries falling outside the
+    ball, and cached in one dictionary keyed by canonical letters, so each
+    group element has one table; the unit tables are its one-letter words.
+    Block tables that only compose a longer word's table are built for
+    that composition and not kept.  The table of a block l = (g, e)
     sends the vertices of sphere ell not starting with g, in order, to part
     (ell + |l|, g, e); part (ell, g, e') to part (ell - |e'| + |e' + e|, g,
     e' + e), which has the same rests, or to those rests when e' + e
     cancels; and every other vertex, whose target part lies past the
     radius, to -1.
 
-    Tables of other words are composed block by block, one gather each,
-    or, when the word splits between two blocks into two words whose
-    tables are cached (the offsets aBaB = aB * aB), one gather of those.
+    Tables of other words are composed block by block, one gather each
+    (a block's cached one-letter table is read where there is one), or,
+    when the word splits between two blocks into two words whose tables
+    are cached (the offsets aBaB = aB * aB), one gather of those.
     Composing by blocks, not unit letters, never drops an entry
     spuriously: along the blocks of g, the length of the partial product
     falls while blocks cancel, changes once where a block merges, then
@@ -354,7 +357,6 @@ class Ball:
                     self.rest[start : start + hi - lo] = np.arange(lo, hi, dtype=np.int32)
                     start += hi - lo
 
-        self._left_block: dict[Letter, np.ndarray] = {}
         self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
         self._right: dict[tuple[Letter, ...], np.ndarray] = {}
@@ -442,49 +444,48 @@ class Ball:
         return i
 
     def _block_table(self, block: Letter) -> np.ndarray:
-        """Left table of one block, filled part by part (see `Ball`) and
-        cached under its exponent reduced modulo the generator's order, so
-        each group element has one table."""
+        """Left table of one block, filled part by part (see `Ball`); built
+        on every call, with its exponent reduced modulo the generator's
+        order."""
         gen, exp = block
         order = self.presentation.order(gen)
         if order is not None:
             exp %= order
-        table = self._left_block.get((gen, exp))
-        if table is None:
-            size = _block_length(gen, exp, self.presentation)
-            table = np.full(len(self), -1, dtype=np.int32)
-            for ell in range(self.radius + 1 - size):
-                start, _ = self._parts[ell + size, gen, exp]
-                for lo, hi in self._others(ell, gen):
-                    table[lo:hi] = np.arange(start, start + hi - lo, dtype=np.int32)
-                    start += hi - lo
-            for (ell, g, e), (start, count) in self._parts.items():
-                if g != gen:
-                    continue
-                merged = e + exp if order is None else (e + exp) % order
-                if merged == 0:
-                    table[start : start + count] = self.rest[start : start + count]
-                    continue
-                length = ell - _block_length(gen, e, self.presentation) + _block_length(gen, merged, self.presentation)
-                target = self._parts.get((length, gen, merged))
-                if target is not None:
-                    table[start : start + count] = np.arange(target[0], target[0] + count, dtype=np.int32)
-            self._left_block[gen, exp] = table
+        size = _block_length(gen, exp, self.presentation)
+        table = np.full(len(self), -1, dtype=np.int32)
+        for ell in range(self.radius + 1 - size):
+            start, _ = self._parts[ell + size, gen, exp]
+            for lo, hi in self._others(ell, gen):
+                table[lo:hi] = np.arange(start, start + hi - lo, dtype=np.int32)
+                start += hi - lo
+        for (ell, g, e), (start, count) in self._parts.items():
+            if g != gen:
+                continue
+            merged = e + exp if order is None else (e + exp) % order
+            if merged == 0:
+                table[start : start + count] = self.rest[start : start + count]
+                continue
+            length = ell - _block_length(gen, e, self.presentation) + _block_length(gen, merged, self.presentation)
+            target = self._parts.get((length, gen, merged))
+            if target is not None:
+                table[start : start + count] = np.arange(target[0], target[0] + count, dtype=np.int32)
         return table
 
     def first_steps(self) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex, the index into `adjacency_letters()` of its first unit
         letter (the first of `ReducedWord.unit_letters`) and the vertex,
-        one step shorter, that removing it leaves; -1 at the identity."""
+        one step shorter, that removing it leaves (read from the unit table
+        of the inverse letter); -1 at the identity."""
+        p = self.presentation
         first = np.full(len(self), -1, dtype=np.int32)
         parent = np.full(len(self), -1, dtype=np.int32)
-        for i, (gen, exp) in enumerate(self.presentation.adjacency_letters()):
-            order = self.presentation.order(gen)
+        for i, (gen, exp) in enumerate(p.adjacency_letters()):
+            order = p.order(gen)
             e = self.first_exp
             sign = np.sign(e) if order is None else np.where(e <= order - e, 1, -1)
             mine = (self.first_gen == gen) & (sign == exp)
             first[mine] = i
-            parent[mine] = self._block_table((gen, -exp))[mine]
+            parent[mine] = self.left_table(p.generator(gen, -exp))[mine]
         return first, parent
 
     def names(self) -> list[str]:
@@ -501,8 +502,9 @@ class Ball:
 
     def unit_tables(self) -> list[np.ndarray]:
         """Left tables of the `adjacency_letters()`, in that order, which is
-        the order `first_steps` indexes."""
-        return [self._block_table(letter) for letter in self.presentation.adjacency_letters()]
+        the order `first_steps` indexes; cached as one-letter words."""
+        p = self.presentation
+        return [self.left_table(p.generator(gen, exp)) for gen, exp in p.adjacency_letters()]
 
     def left_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of g*w per vertex w; -1 where g*w leaves the ball."""
@@ -515,8 +517,13 @@ class Ball:
                     table = _compose(head, tail)
                     break
             else:
-                # Applies the last block first and the first block last.
-                blocks = [self._block_table(block) for block in letters]
+                # Applies the last block first and the first block last; a
+                # block that repeats (aB^2a) is built once.
+                built = {block: self._left.get((block,)) for block in letters}
+                for block, cached in built.items():
+                    if cached is None:
+                        built[block] = self._block_table(block)
+                blocks = [built[block] for block in letters]
                 table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
             self._left[letters] = table
         return table

@@ -381,36 +381,62 @@ def check_proper_list(graph: SecondaryGraph, base: Colouring, colouring: Colouri
     return ViolationReport(interior_size=len(members), violations=tuple(violations))
 
 
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 13
+
+# A chunk of the word-image walk: parallel int32 arrays (word, position,
+# image) with image = word * vertices[position].
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _word_images(b: Ball, limit: int, vertices: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """gamma * x for every word gamma of length <= limit and every x in
-    `vertices`, one block of columns at a time.
+def _start(vertices: np.ndarray) -> list[Chunk]:
+    """The walk's entries for the empty word, (0, j, vertices[j]), in
+    chunks of at most _BLOCK_ENTRIES."""
+    n = len(vertices)
+    word, position, image = np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32), vertices.astype(np.int32)
+    return [
+        (word[lo : lo + _BLOCK_ENTRIES], position[lo : lo + _BLOCK_ENTRIES], image[lo : lo + _BLOCK_ENTRIES])
+        for lo in range(0, n, _BLOCK_ENTRIES)
+    ]
 
-    Those words are a length-prefix of the ball's vertices, and each is its
-    first unit letter times its parent (`Ball.first_steps`), one sphere
-    shorter, so one gather per sphere fills a block:
-    image[gamma] = unit[first[gamma]][image[parent[gamma]]].  That walks
-    the suffixes of gamma, so an entry is -1 once a suffix times x leaves
-    the ball; in a free group the lengths along that walk fall and then
-    rise, so this happens exactly when gamma * x is outside.  Yields
-    (start, images) with images[gamma, j] = gamma * vertices[start + j];
-    a block holds about _BLOCK_ENTRIES entries, and at least one column.
+
+def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Extends chunks of entries whose words have the given length to every
+    word of length <= limit, depth first; yields each new chunk once, as
+    (length, word, position, image).
+
+    A word of length k + 1 is l * parent, l its first unit letter and the
+    parent one sphere shorter (`Ball.first_steps`), so an entry's children
+    are unit_l[word] for each unit letter l with first[unit_l[word]] = l:
+    every word is reached once, from its parent, a torsion word such as
+    a^2 = A^2 in an order-4 generator too.  A child's image is
+    unit_l[image], kept only inside the ball, so the walk follows the
+    suffixes of each word and drops an entry once a suffix times the
+    vertex leaves the ball.  In a free group the lengths along that walk
+    fall and then rise, so this happens exactly when word * vertex is
+    outside.  No -1 entry and no (words x vertices) block is ever held.
+
+    A chunk's children form one chunk while they fit in _BLOCK_ENTRIES,
+    else one chunk per letter, each no larger than its parent: chunks stay
+    near that size, and the walk holds a few of them per sphere.
     """
-    bounds = np.cumsum([0, *b.sphere_sizes[: limit + 1]])
-    first, parent = b.first_steps()
-    units = np.full((len(b.presentation.adjacency_letters()), len(b) + 1), -1, dtype=np.int32)
-    units[:, :-1] = b.unit_tables()  # column -1 sends -1 to -1
-    spheres = [(lo, hi, first[lo:hi, None], parent[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    step = max(1, _BLOCK_ENTRIES // int(bounds[-1]))
-    for start in range(0, len(vertices), step):
-        chunk = vertices[start : start + step]
-        images = np.empty((bounds[-1], len(chunk)), dtype=np.int32)
-        images[0] = chunk
-        for lo, hi, letters, parents in spheres:
-            images[lo:hi] = units[letters, images[parents]]
-        yield start, images
+    units = b.unit_tables()
+    first, _ = b.first_steps()
+    stack = [(length, chunk) for chunk in reversed(chunks)]
+    while stack:
+        length, (word, position, image) = stack.pop()
+        if length >= limit:
+            continue
+        children = []
+        for letter, unit in enumerate(units):
+            child, moved = unit[word], unit[image]
+            keep = (first[child] == letter) & (moved >= 0)
+            children.append((child[keep], position[keep], moved[keep]))
+        if sum(len(child) for child, _, _ in children) <= _BLOCK_ENTRIES:
+            children = [tuple(np.concatenate(column) for column in zip(*children))]
+        children = [child for child in children if len(child[0])]
+        for child in children:
+            yield length + 1, *child
+        stack.extend((length + 1, child) for child in reversed(children))
 
 
 def _edge_blocks(
@@ -421,38 +447,40 @@ def _edge_blocks(
     codes: np.ndarray,
     forbidden: Sequence[np.ndarray] = (),
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block of `_word_images`, the pairs (x, gamma * x) for nonempty
-    words gamma of length <= limit with the given parity, gamma * x in the
-    ball and codes[gamma * x] different from every forbidden[k] at x.
+    """Per chunk of `_walk` from `vertices`, the pairs (x, gamma * x) for
+    nonempty words gamma of length <= limit with the given parity and
+    gamma * x in the ball, as (word, position, image, keep) arrays: keep
+    marks the images with codes[gamma * x] different from every
+    forbidden[k] at x.
 
-    Yields (word, position, x, image) arrays, word-major within a block;
     position indexes `vertices`, so (word, position) is the order of a
-    loop over words outside a loop over vertices.
+    loop over words outside a loop over vertices; each pair comes once.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    lengths = b.lengths[: sum(b.sphere_sizes[: limit + 1])]
-    rows = np.flatnonzero((lengths % 2 == parity) & (lengths > 0))
-    for start, images in _word_images(b, limit, vertices):
-        images = images[rows]
-        keep = images >= 0
-        image_codes = codes[images]
-        for colours in forbidden:
-            keep &= image_codes != colours[start : start + images.shape[1]]
-        word, column = np.nonzero(keep)
-        position = start + column
-        yield rows[word], position, vertices[position], images[word, column]
+    for length, word, position, image in _walk(b, _start(vertices), 0, limit):
+        if length % 2 == parity:
+            keep = np.ones(len(image), dtype=bool)
+            image_codes = codes[image]
+            for colours in forbidden:
+                keep &= image_codes != colours[position]
+            yield word, position, image, keep
 
 
-def _in_order(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) pairs of all blocks, sorted by (word, position)."""
-    parts = list(blocks)
+def _kept(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[Chunk]:
+    """The (word, position, image) entries each block keeps."""
+    for word, position, image, keep in blocks:
+        yield word[keep], position[keep], image[keep]
+
+
+def _in_order(parts: Iterable[Chunk], vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) pairs of (word, position, y) entries, x = vertices[position],
+    sorted by (word, position)."""
+    parts = list(parts)
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    word, position, x, y = (np.concatenate(column) for column in zip(*parts))
+    word, position, y = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((position, word))
-    return x[order], y[order]
+    return vertices[position[order]], y[order]
 
 
 @dataclass(frozen=True)
@@ -486,22 +514,35 @@ def calibrate_N(base: Colouring, epsilon: Fraction = EPSILON) -> Calibration:
     Only vertices whose whole odd-N neighbourhood stays inside the ball are
     eligible, so the reachable-colour sets are never clipped.  The failing
     vertices are returned as the Q-proxy.
+
+    Vertex order is length-major, so the eligible vertices for N are the
+    first ones, and those for N + 2 a prefix of them.  One `_walk` serves
+    every N: after sphere N it keeps only the entries of the vertices
+    still eligible for N + 2, and goes on from there.
     """
     b = base.ball
     if not Fraction(0) < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n_colours = len(base.palette)
+    within = np.cumsum(b.sphere_sizes)  # within[k]: vertices of length <= k
     trace = []
     last = (None, (), 0, Fraction(1))
+    seen = np.zeros((within[b.radius - 1] if b.radius else 0, n_colours), dtype=bool)
+    chunks, done = _start(np.arange(len(seen))), 0
     for n_odd in range(1, b.radius + 1, 2):
-        eligible = np.flatnonzero(b.lengths <= b.radius - n_odd)
-        seen = np.zeros((len(eligible), n_colours), dtype=bool)
-        for _, position, _, images in _edge_blocks(b, n_odd, 1, eligible, base.codes):
-            seen[position, base.codes[images]] = True
-        failing = eligible[~seen.all(axis=1)]
-        fraction = Fraction(len(failing), len(eligible)) if len(eligible) else Fraction(1)
-        trace.append((n_odd, len(eligible), len(failing)))
-        last = (n_odd, tuple(int(x) for x in failing), len(eligible), fraction)
+        n_eligible = int(within[b.radius - n_odd])
+        n_next = int(within[b.radius - n_odd - 2]) if n_odd + 2 <= b.radius else 0
+        held = []
+        for length, word, position, image in _walk(b, chunks, done, n_odd):
+            if length == n_odd:
+                seen[position, base.codes[image]] = True
+                on = position < n_next
+                held.append((word[on], position[on], image[on]))
+        chunks, done = held, n_odd
+        failing = np.flatnonzero(~seen[:n_eligible].all(axis=1))
+        fraction = Fraction(len(failing), n_eligible)
+        trace.append((n_odd, n_eligible, len(failing)))
+        last = (n_odd, tuple(failing.tolist()), n_eligible, fraction)
         if fraction <= epsilon:
             return Calibration(epsilon, n_odd, last[1], last[2], fraction, tuple(trace))
     return Calibration(epsilon, None, last[1], last[2], last[3], tuple(trace))
@@ -517,7 +558,8 @@ class DoubledGraph:
     Cross edges come from the nonempty odd words of length <= odd_limit,
     copy2 edges from the nonempty even words of length <= even_limit; both
     limits are clipped at the radius.  The edges are not stored: they are
-    generated from the words, one block of `_word_images` at a time.
+    generated from the words by `_walk`, one chunk of (word, vertex,
+    image) entries at a time, each image inside the ball.
     """
 
     config: Configuration
@@ -539,29 +581,31 @@ class DoubledGraph:
     def rho(self, v: int) -> int:
         return (v + self.n_first) % (2 * self.n_first)
 
-    def _cross_blocks(self, vertices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """`_edge_blocks` of the cross family; positions index `vertices`
-        after dropping Q and the last sphere, which keeps their order."""
+    def _cross_blocks(self, vertices: np.ndarray) -> tuple[np.ndarray, Iterator]:
+        """The vertices that send cross edges, `vertices` less Q and the last
+        sphere in their order, and their `_edge_blocks`."""
         vertices = np.asarray(vertices, dtype=np.int64)
         inside = self.ball.lengths[vertices] <= self.ball.radius - 1
         eligible = vertices[inside & ~np.isin(vertices, list(self.q_proxy))]
         z1, z2 = candidate_arrays(self.config, eligible)
         codes = self.base.codes
-        return _edge_blocks(self.ball, self.odd_limit, 1, eligible, codes, (codes[z1], codes[z2]))
+        return eligible, _edge_blocks(self.ball, self.odd_limit, 1, eligible, codes, (codes[z1], codes[z2]))
 
-    def _copy2_blocks(self, vertices: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    def _copy2_blocks(self, vertices: np.ndarray) -> tuple[np.ndarray, Iterator]:
         vertices = np.asarray(vertices, dtype=np.int64)
         codes = self.base.codes
-        return _edge_blocks(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
+        return vertices, _edge_blocks(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
 
     def cross_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (x, z) with x in the first copy, rho(z) its cross neighbour,
         in the order (word, x's position in `vertices`)."""
-        return _in_order(self._cross_blocks(vertices))
+        eligible, blocks = self._cross_blocks(vertices)
+        return _in_order(_kept(blocks), eligible)
 
     def copy2_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (x, y) with rho(x) ~ rho(y): even distance, different base colours."""
-        return _in_order(self._copy2_blocks(vertices))
+        vertices, blocks = self._copy2_blocks(vertices)
+        return _in_order(_kept(blocks), vertices)
 
     def write_csv(self, fileobj: IO[str]) -> None:
         """`family,from,to` rows: the secondary edges off Q, then the cross
@@ -649,20 +693,23 @@ def _secondary_conflicts(graph: DoubledGraph, codes: np.ndarray) -> tuple[int, l
 
 
 def _block_conflicts(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    family: tuple[np.ndarray, Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]],
     x_codes: np.ndarray,
     y_codes: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Edges counted over the blocks, and the (x, y) with x_codes[x] =
-    y_codes[y] >= 0, in (word, position) order."""
+    """Edges a family's blocks keep, counted, and the (x, y) among them with
+    x_codes[x] = y_codes[y] >= 0, in (word, position) order; only those
+    are gathered into arrays."""
+    vertices, blocks = family
+    at = x_codes[vertices]
     count = 0
     found = []
-    for word, position, x, y in blocks:
-        count += len(x)
-        cx = x_codes[x]
-        bad = (cx >= 0) & (cx == y_codes[y])
-        found.append((word[bad], position[bad], x[bad], y[bad]))
-    return (count, *_in_order(found))
+    for word, position, image, keep in blocks:
+        count += int(np.count_nonzero(keep))
+        cx = at[position]
+        bad = keep & (cx >= 0) & (cx == y_codes[image])
+        found.append((word[bad], position[bad], image[bad]))
+    return (count, *_in_order(found, vertices))
 
 
 def check_proper(
@@ -675,8 +722,8 @@ def check_proper(
 
     Uncoloured endpoints are skipped; copy2 edges are checked from a seeded
     vertex sample by default since that family is the dense one.  Cross
-    and copy2 edges are counted and checked one block of words x vertices
-    at a time, never as one list; each family's conflicts are listed in
+    and copy2 edges are counted and checked one chunk of the word walk at
+    a time, never as one list; each family's conflicts are listed in
     the order (word, vertex), words in canonical order outside vertices
     in ascending order.
     """

@@ -363,7 +363,7 @@ def test_inverse_and_index_match_reference(data, p, radius):
     # another presentation.  A lookup reads the part layout, not a table.
     words, index = reference_ball(p, radius)
     b = ball(p, radius)
-    tables = set(b._left_block)
+    tables = set(b._left)
     assert b._inverses().tolist() == [index[w.inverse().letters] for w in words]
     drawn = data.draw(st.lists(raw_words(p, 4), max_size=12))
     for w in words[::3] + drawn:
@@ -379,7 +379,7 @@ def test_inverse_and_index_match_reference(data, p, radius):
         assert w not in b
         with pytest.raises(KeyError):
             b.index_of(w)
-    assert set(b._left_block) == tables
+    assert set(b._left) == tables
 
 
 def test_words_index_must_be_an_integer():
@@ -435,12 +435,18 @@ def test_radius_zero_ball_tables():
 
 
 def test_one_block_table_per_element_after_hausdorff_audit():
-    # first_steps asks for (s, -1), the inverse of (t, 1) and the inverse
-    # of (t, -1); the audit's movers need (t, 2).  Each names an element
-    # that already has a table.
+    # first_steps reads the unit tables of s, t and T = t^2, each the
+    # inverse of an adjacency letter, and the audit's movers read them
+    # again.  Tables are cached under their element's canonical letters, so
+    # the one-letter tables are those three, and reading T again, spelt
+    # either way, or the names adds no entry.
     p = z2_z3()
     b = ball(p, 10)
     assert six_piece_doubling(hausdorff_solve(b)).all_verified
+    tables = set(b._left)
+    assert all(reduce_letters(list(key), p).letters == key for key in tables)
+    assert sorted(key for key in tables if len(key) == 1) == [((0, 1),), ((1, 1),), ((1, 2),)]
     b.names()
     b.left_table(p.word("T"))
-    assert sorted(b._left_block) == [(0, 1), (1, 1), (1, 2)]
+    b.left_table(p.word("tt"))
+    assert set(b._left) == tables

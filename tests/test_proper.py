@@ -12,7 +12,7 @@ from cayleycolour import proper
 
 from cayleycolour.arrows import arrow_rule, candidate_arrays, constructive_solve, neighbour_tables, pdegree_profile
 from cayleycolour.configs import Configuration, RandomSource, sample
-from cayleycolour.groups import Ball, ball, free_group, z2_z3
+from cayleycolour.groups import Ball, Presentation, ball, free_group, z2_z3
 from cayleycolour.measures import replay_refutation
 from cayleycolour.proper import (
     GREEDY_CHOICES,
@@ -21,9 +21,11 @@ from cayleycolour.proper import (
     _choice_words,
     _edge_blocks,
     _in_order,
+    _kept,
     _nth_set_bit,
     _secondary_conflicts,
-    _word_images,
+    _start,
+    _walk,
     Calibration,
     OffsetFamily,
     arrows_to_list_colouring,
@@ -358,60 +360,86 @@ def test_check_proper_list_needs_the_base_palette():
         check_proper_list(graph, renamed, arrows_to_list_colouring(constructive_solve(config), base))
 
 
-KERNEL_BALLS = {r: ball(F2, r) for r in range(3, 7)}
+# F2, the torsion group of the Hausdorff rule, and a generator of order 4,
+# whose block a^2 = A^2 has a two-letter unit spelling.
+KERNEL_GROUPS = {"F2": F2, "Z2*Z3": z2_z3(), "Z4*Z5": Presentation((("a", 4), ("b", 5)))}
+KERNEL_BALLS = {(name, r): ball(p, r) for name, p in KERNEL_GROUPS.items() for r in range(7)}
 
 
-@settings(max_examples=30, deadline=None)
+def suffix_images(b, x):
+    """gamma * x for every word gamma of the ball by ReducedWord products
+    and `index_of`, gamma's unit letters applied from the right, one
+    product per word: gamma = l * rest, l its first unit letter.  -1 once
+    a partial product leaves the ball."""
+    p = b.presentation
+    products = {(): b.words[x]}
+    images = [x]
+    for gamma in b.words[1:]:
+        letter = p.generator(*gamma.unit_letters()[0])
+        before = products.get((letter.inverse() * gamma).letters)
+        product = None if before is None else letter * before
+        if product is not None and product in b:
+            products[gamma.letters] = product
+            images.append(b.index_of(product))
+        else:
+            images.append(-1)
+    return images
+
+
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_word_images_match_multiplication(data):
-    """The blocked kernel against ReducedWord products and `index_of`:
-    every word of length <= L times a random vertex subset (possibly empty,
-    with boundary vertices and repeats), split into blocks of a few
-    columns, and the parity and colour selection of `_edge_blocks`."""
-    radius = data.draw(st.integers(3, 6), label="radius")
-    b = KERNEL_BALLS[radius]
+    """The word-image walk against ReducedWord products and `index_of`:
+    every nonempty word of length <= limit times a vertex list (possibly
+    empty, with repeats and boundary vertices), in chunks of a few
+    entries; each (word, position) comes once, and the parity and colour
+    selection of `_edge_blocks` keeps the right pairs."""
+    name = data.draw(st.sampled_from(sorted(KERNEL_GROUPS)), label="group")
+    radius = data.draw(st.integers(0, 6), label="radius")
+    b = KERNEL_BALLS[name, radius]
     limit = data.draw(st.integers(0, radius), label="limit")
     boundary = np.flatnonzero(b.lengths == radius).tolist()
-    vertices = np.array(
-        data.draw(st.lists(st.integers(0, len(b) - 1), max_size=5), label="vertices")
-        + data.draw(st.lists(st.sampled_from(boundary), max_size=2), label="boundary"),
-        dtype=np.int64,
-    )
-    n_words = sum(b.sphere_sizes[: limit + 1])
-    words = [b.words[g] for g in range(n_words)]
-    expected = np.full((n_words, len(vertices)), -1)
-    for g, gamma in enumerate(words):
-        for j, x in enumerate(vertices):
-            product = gamma * b.words[int(x)]
-            if product in b:
-                expected[g, j] = b.index_of(product)
+    drawn = data.draw(st.lists(st.integers(0, len(b) - 1), max_size=4), label="vertices")
+    drawn += data.draw(st.lists(st.sampled_from(boundary), max_size=2), label="boundary")
+    drawn += drawn[: data.draw(st.integers(0, 2), label="repeats")]
+    vertices = np.array(drawn, dtype=np.int64)
+    budget = data.draw(st.integers(1, 6), label="chunk budget")
 
-    columns = data.draw(st.integers(1, 4), label="columns per block")
+    columns = {x: suffix_images(b, x) for x in set(drawn)}
+    n_words = sum(b.sphere_sizes[: limit + 1])
+    expected = {
+        (g, j): columns[x][g] for g in range(1, n_words) for j, x in enumerate(drawn) if columns[x][g] >= 0
+    }
+    if name != "Z4*Z5":
+        # Along a reduced word of F2 or Z2*Z3 the lengths fall and then
+        # rise, so the walk drops exactly the products outside the ball.
+        for g in range(1, n_words):
+            for j, x in enumerate(drawn):
+                product = b.words[g] * b.words[x]
+                assert expected.get((g, j), -1) == (b.index_of(product) if product in b else -1)
+
     parity = data.draw(st.integers(0, 1), label="parity")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="colour seed"))
     codes = rng.integers(0, 3, size=len(b))
     forbidden = rng.integers(0, 3, size=len(vertices))
-    with patch.object(proper, "_BLOCK_ENTRIES", columns * n_words):
-        blocks = list(_word_images(b, limit, vertices))
-        pairs = list(_edge_blocks(b, limit, parity, vertices, codes, (forbidden,)))
+    with patch.object(proper, "_BLOCK_ENTRIES", budget):
+        chunks = list(_walk(b, _start(vertices), 0, limit))
+        blocks = list(_edge_blocks(b, limit, parity, vertices, codes, (forbidden,)))
 
-    assert [start for start, _ in blocks] == list(range(0, len(vertices), columns))
-    assert all(images.shape == (n_words, min(columns, len(vertices) - start)) for start, images in blocks)
-    got = np.concatenate([images for _, images in blocks], axis=1) if blocks else expected
-    assert np.array_equal(got, expected)
+    assert all(0 < len(word) <= budget for _, word, _, _ in chunks)
+    assert all((b.lengths[word] == length).all() for length, word, _, _ in chunks)
+    walked = [(int(g), int(j), int(y)) for _, *chunk in chunks for g, j, y in zip(*chunk)]
+    assert len({(g, j) for g, j, _ in walked}) == len(walked), "a (word, position) came twice"
+    assert {(g, j): y for g, j, y in walked} == expected
 
-    want = [
-        (g, j, int(x), int(expected[g, j]))
-        for g, gamma in enumerate(words)
-        if gamma.length > 0 and gamma.length % 2 == parity
-        for j, x in enumerate(vertices)
-        if expected[g, j] >= 0 and codes[expected[g, j]] != forbidden[j]
-    ]
-    found = sorted(
-        (int(g), int(j), int(x), int(y)) for block in pairs for g, j, x, y in zip(*block)
+    want = sorted(
+        (g, j, int(vertices[j]), y)
+        for (g, j), y in expected.items()
+        if b.lengths[g] % 2 == parity and codes[y] != forbidden[j]
     )
-    assert found == want
-    xs, ys = _in_order(pairs)
+    kept = sorted((int(g), int(j), int(vertices[j]), int(y)) for chunk in _kept(blocks) for g, j, y in zip(*chunk))
+    assert kept == want
+    xs, ys = _in_order(_kept(blocks), vertices)
     assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for _, _, x, y in want]
 
 
@@ -439,6 +467,61 @@ def test_calibrate_reports_q_proxy():
     else:
         assert cal.N is None
         assert cal.failure_fraction > Fraction(1, 512)
+
+
+def reference_calibration(base, epsilon):
+    """calibrate_N one N at a time, each eligible vertex's colours read
+    through the `left_table` of every odd word up to N: the loop the word
+    walk replaced."""
+    b = base.ball
+    trace = []
+    for n_odd in range(1, b.radius + 1, 2):
+        eligible = np.flatnonzero(b.lengths <= b.radius - n_odd)
+        seen = np.zeros((len(eligible), len(base.palette)), dtype=bool)
+        for g in np.flatnonzero((b.lengths <= n_odd) & (b.lengths % 2 == 1)):
+            seen[np.arange(len(eligible)), base.codes[b.left_table(b.words[g])[eligible]]] = True
+        failing = tuple(eligible[~seen.all(axis=1)].tolist())
+        trace.append((n_odd, len(eligible), len(failing)))
+        if Fraction(len(failing), len(eligible)) <= epsilon:
+            return n_odd, failing, tuple(trace)
+    return None, failing, tuple(trace)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_calibrate_matches_reference(seed):
+    # One walk serves every N, trimmed to the vertices still eligible after
+    # each odd sphere; the per-N loop must give the same trace and Q.
+    for choice in GREEDY_CHOICES:
+        for epsilon in (Fraction(1), Fraction(1, 512), Fraction(1, 10**9)):
+            base = greedy_base_colouring(ball(F2, 6), choice=choice, seed=seed)
+            cal = calibrate_N(base, epsilon=epsilon)
+            assert (cal.N, cal.failing, cal.trace) == reference_calibration(base, epsilon)
+
+
+def test_calibrate_and_check_proper_peak_traced_memory_at_radius_8():
+    """calibrate_N and check_proper on the doubled-f2-r8 inputs (F2 at
+    radius 8, random greedy, seed 3) under tracemalloc, above the memory
+    they start from: 2.64 MiB when every word was walked over blocks of
+    vertex columns, -1 images included, and 0.92 MiB with the pruned walk."""
+    b = ball(F2, 8)
+    config = sample(b, RandomSource(3))
+    arrow_colouring = constructive_solve(config)
+    base = greedy_base_colouring(b, choice="random", seed=3)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        cal = calibrate_N(base)
+        graph = doubled_graph(config, base, cal.N, frozenset(cal.failing))
+        report = check_proper(graph, canonical_doubled_colouring(graph, arrow_colouring), seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.satisfied and report.edges_checked["cross"] > 0
+    assert peak <= 1.75 * 2**20, peak / 2**20
 
 
 def test_doubled_graph_clips_limits_at_radius():
@@ -573,10 +656,9 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
 
     # Two cross edges listed in the reverse of their vertex order: the last
     # of the first word and the first of the last word.
+    eligible, blocks = graph._cross_blocks(b.interior_indices(1))
     cross = sorted(
-        (int(g), int(j), int(x), int(z))
-        for block in graph._cross_blocks(b.interior_indices(1))
-        for g, j, x, z in zip(*block)
+        (int(g), int(j), int(eligible[j]), int(z)) for chunk in _kept(blocks) for g, j, z in zip(*chunk)
     )
     last_of_first = max(edge for edge in cross if edge[0] == cross[0][0])
     first_of_last = min(edge for edge in cross if edge[0] == cross[-1][0])
