@@ -259,24 +259,33 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
         raise SpecError("--n-levels must be odd")
 
     graph = proper.doubled_graph(config, base, n, q_proxy=q_proxy)
-    colouring = proper.canonical_doubled_colouring(graph, arrow_colouring)
-    properness = proper.check_proper(graph, colouring, seed=spec.seed)
+    codes = proper.canonical_doubled_colouring(graph, arrow_colouring)
+    properness = proper.check_proper(graph, codes, seed=spec.seed)
     # check_proper compares equal colours only; the first copy must also take
     # every secondary-graph vertex's colour from its list.
-    first = Colouring(b, colouring.palette, colouring.codes[: graph.n_first])
-    listed = proper.check_proper_list(graph.secondary, base, first)
-    audit = proper.flow_audit_doubled(colouring, graph)
+    first = codes[: graph.n_first]
+    listed = proper.check_proper_list(graph.secondary, base, Colouring(b, base.palette, first))
+    audit = proper.flow_audit_doubled(codes, graph)
+    # check_proper skips uncoloured endpoints, so every vertex it judges must
+    # be coloured: the whole second copy and the first copy's 1-interior.
+    uncoloured = int(np.count_nonzero(codes[graph.n_first :] < 0) + np.count_nonzero(first[b.interior_indices(1)] < 0))
     if options.csv:
         with open(options.csv, "w", newline="") as fh:
             graph.write_csv(fh)
     if not listed.satisfied:
         result["list_colouring"] = listed.to_record()
+    if uncoloured:
+        result["uncoloured"] = uncoloured
     result.update(
         {
             "n": n,
             "proper": properness.to_record(),
             "audit": audit.to_record(),
-            "ok": ok and not properness.conflicts and listed.satisfied and _refuted(audit.program, audit.feasibility),
+            "ok": ok
+            and not properness.conflicts
+            and listed.satisfied
+            and not uncoloured
+            and _refuted(audit.program, audit.feasibility),
         }
     )
     return result

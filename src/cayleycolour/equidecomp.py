@@ -1,9 +1,4 @@
-"""Finite-scale type arithmetic and exact prefix-set identities on the
-rank-two free group.
-
-Level sets are finitely many (point, level) pairs over a group orbit;
-addition is the union after relabelling levels apart, and
-equidecomposability under a finite mover set is a bipartite matching.
+"""Exact prefix-set identities on the rank-two free group.
 
 The prefix sets W(s), W(S), W(t), W(T) (words starting with s, s^-1, t,
 t^-1) and the identity partition the group, and s * W(S) is everything
@@ -16,222 +11,10 @@ that t accumulates, as boolean masks over the ball's vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .groups import Ball, ReducedWord, check_rank_two_free
-
-Element = tuple[ReducedWord, int]
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Finitely many (point, level) pairs; levels are natural numbers."""
-
-    elements: frozenset[Element]
-
-    def __post_init__(self) -> None:
-        for _, level in self.elements:
-            if level < 0:
-                raise ValueError("levels must be nonnegative")
-
-    @classmethod
-    def from_words(cls, words: Iterable[ReducedWord], level: int = 0) -> "LevelSet":
-        return cls(frozenset((w, level) for w in words))
-
-    @property
-    def levels(self) -> frozenset[int]:
-        return frozenset(level for _, level in self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def shift_levels(self, offset: int) -> "LevelSet":
-        return LevelSet(frozenset((w, level + offset) for w, level in self.elements))
-
-    def to_record(self) -> dict:
-        items = sorted(((w.to_string(), level) for w, level in self.elements))
-        return {"elements": [list(item) for item in items], "levels": sorted(self.levels)}
-
-
-def type_add(a: LevelSet, b: LevelSet) -> LevelSet:
-    """Union after relabelling b's levels above a's; the empty set is the
-    identity and cardinalities add."""
-    if not b.elements:
-        return LevelSet(a.elements)
-    if not a.elements:
-        return LevelSet(b.elements)
-    offset = max(a.levels) + 1 - min(b.levels)
-    return LevelSet(a.elements | b.shift_levels(offset).elements)
-
-
-def n_fold(n: int, a: LevelSet) -> LevelSet:
-    if n < 0:
-        raise ValueError("need n >= 0")
-    out = LevelSet(frozenset())
-    for _ in range(n):
-        out = type_add(out, a)
-    return out
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A matched injection, one (source, mover, target) triple per element.
-
-    Pieces are the triples grouped by (mover, source level, target level);
-    each group moves by one group element and one level relabel.
-    """
-
-    pairs: tuple[tuple[Element, ReducedWord, Element], ...]
-
-    def pieces(self) -> dict[tuple[ReducedWord, int, int], tuple[Element, ...]]:
-        grouped: dict[tuple[ReducedWord, int, int], list[Element]] = {}
-        for (src, mover, tgt) in self.pairs:
-            grouped.setdefault((mover, src[1], tgt[1]), []).append(src)
-        return {k: tuple(v) for k, v in grouped.items()}
-
-    def n_pieces(self) -> int:
-        return len(self.pieces())
-
-    def to_record(self) -> dict:
-        rows = sorted(
-            (src[0].to_string(), src[1], mover.to_string(), tgt[0].to_string(), tgt[1])
-            for src, mover, tgt in self.pairs
-        )
-        return {"pairs": [list(r) for r in rows], "n_pieces": self.n_pieces()}
-
-
-def _sorted_elements(s: LevelSet) -> list[Element]:
-    return sorted(s.elements, key=lambda e: (e[1],) + e[0].sort_key())
-
-
-def _kuhn_matching(n_left: int, adjacency: list[list[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; returns per-left matched right index or -1."""
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-
-    def try_augment(start: int) -> bool:
-        stack = [(start, iter(adjacency[start]))]
-        parent: dict[int, tuple[int, int]] = {}
-        visited = set()
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v in visited:
-                    continue
-                visited.add(v)
-                parent[v] = (u, v)
-                w = match_right[v]
-                if w == -1:
-                    # augmenting path found; walk back
-                    while True:
-                        u2, v2 = parent[v]
-                        old = match_left[u2]
-                        match_left[u2] = v2
-                        match_right[v2] = u2
-                        if u2 == start:
-                            return True
-                        v = old
-                else:
-                    stack.append((w, iter(adjacency[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-        return False
-
-    for u in range(n_left):
-        try_augment(u)
-    return match_left
-
-
-def equidecomposable(
-    a: LevelSet,
-    b: LevelSet,
-    movers: Sequence[ReducedWord],
-) -> Decomposition | None:
-    """Witness that a maps injectively into b by elements of `movers` with
-    free level relabelling, or None.  Complete for the given mover set:
-    reduces to maximum matching on the compatibility graph.  The number of
-    pieces of the witness is not minimised."""
-    left = _sorted_elements(a)
-    right = _sorted_elements(b)
-    right_at: dict[ReducedWord, list[int]] = {}
-    for j, (point, _) in enumerate(right):
-        right_at.setdefault(point, []).append(j)
-    movers = sorted(movers, key=ReducedWord.sort_key)
-    adjacency: list[list[int]] = []
-    labels: list[dict[int, ReducedWord]] = []
-    for point, _ in left:
-        row: list[int] = []
-        row_labels: dict[int, ReducedWord] = {}
-        seen: set[int] = set()
-        for g in movers:
-            for j in right_at.get(g * point, ()):
-                if j not in seen:
-                    seen.add(j)
-                    row.append(j)
-                    row_labels[j] = g
-        adjacency.append(row)
-        labels.append(row_labels)
-    match = _kuhn_matching(len(left), adjacency, len(right))
-    if any(m == -1 for m in match):
-        return None
-    pairs = tuple(
-        (left[i], labels[i][match[i]], right[match[i]]) for i in range(len(left))
-    )
-    return Decomposition(pairs)
-
-
-def verify_decomposition(
-    witness: Decomposition,
-    source: LevelSet,
-    target: LevelSet,
-    movers: Sequence[ReducedWord] | None = None,
-    bijection: bool = False,
-) -> bool:
-    """Check a supplied witness: sources partition `source`, images are
-    pairwise disjoint inside `target` (and exhaust it when bijection)."""
-    srcs = [src for src, _, _ in witness.pairs]
-    tgts = [tgt for _, _, tgt in witness.pairs]
-    if len(set(srcs)) != len(srcs) or set(srcs) != source.elements:
-        return False
-    if len(set(tgts)) != len(tgts) or not set(tgts) <= target.elements:
-        return False
-    if bijection and set(tgts) != target.elements:
-        return False
-    allowed = None if movers is None else {g.letters for g in movers}
-    for (point, _), mover, (image, _) in witness.pairs:
-        if allowed is not None and mover.letters not in allowed:
-            return False
-        if (mover * point).letters != image.letters:
-            return False
-    return True
-
-
-def weakly_paradoxical(
-    e: LevelSet,
-    witness: Decomposition,
-    n: int,
-    movers: Sequence[ReducedWord] | None = None,
-) -> bool:
-    """(n+1) copies map bijectively onto n copies."""
-    return verify_decomposition(witness, n_fold(n + 1, e), n_fold(n, e), movers, bijection=True)
-
-
-def strongly_paradoxical(
-    e: LevelSet,
-    witness: Decomposition,
-    movers: Sequence[ReducedWord] | None = None,
-) -> bool:
-    """Two copies map bijectively onto one."""
-    return verify_decomposition(witness, n_fold(2, e), e, movers, bijection=True)
-
-
-# ---------------------------------------------------------------------------
-# Prefix sets on the rank-two free group.
 
 _RANK_TWO_FREE = "prefix sets live on the rank-two free group"
 

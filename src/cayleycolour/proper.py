@@ -25,7 +25,7 @@ from .arrows import IN_SIGNS, arrow_field, candidate_arrays, incoming_counts, ne
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
 from .measures import DensityProgram, FeasibilityResult, feasible, le
-from .rules import Colouring, ViolationReport, doubled_colouring
+from .rules import Colouring, ViolationReport
 
 PALETTE17 = tuple(f"c{i}" for i in range(17))
 GREEDY_CHOICES = ("min", "random")
@@ -653,11 +653,12 @@ def doubled_graph(
     )
 
 
-def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring) -> Colouring:
-    """First copy: base colour of each arrow target.  Second copy: the base.
-    Copy t of vertex i is vertex t*|ball| + i, as `DoubledGraph.rho` mirrors."""
+def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring) -> np.ndarray:
+    """Codes in `graph.base.palette`, first copy the base colour of each
+    arrow target, second copy the base.  Copy t of vertex i is code
+    t*|ball| + i, as `DoubledGraph.rho` mirrors."""
     first = arrows_to_list_colouring(arrow_colouring, graph.base)
-    return doubled_colouring(graph.ball, graph.base.palette, first.codes, graph.base.codes)
+    return np.concatenate([first.codes, graph.base.codes])
 
 
 @dataclass(frozen=True)
@@ -714,11 +715,12 @@ def _block_conflicts(
 
 def check_proper(
     graph: DoubledGraph,
-    colouring: Colouring,
+    codes: np.ndarray,
     copy2_sample: int | None = 64,
     seed: int = 0,
 ) -> ProperReport:
-    """Adjacent equal colours across all three edge families.
+    """Adjacent equal colours of the doubled colouring `codes` (laid out as
+    `canonical_doubled_colouring` returns it) across all three edge families.
 
     Uncoloured endpoints are skipped; copy2 edges are checked from a seeded
     vertex sample by default since that family is the dense one.  Cross
@@ -728,7 +730,6 @@ def check_proper(
     in ascending order.
     """
     n = graph.n_first
-    codes = colouring.codes
     n_secondary, conflicts = _secondary_conflicts(graph, codes)
 
     n_cross, xs, zs = _block_conflicts(graph._cross_blocks(graph.ball.interior_indices(1)), codes[:n], codes[n:])
@@ -781,7 +782,7 @@ def doubled_flow_program() -> DensityProgram:
     return DensityProgram((mass,), constraints)
 
 
-def flow_audit_doubled(colouring: Colouring, graph: DoubledGraph) -> DoubledAudit:
+def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     """Read induced arrows off the doubled colouring and account for them.
 
     Every first-copy vertex outside Q whose colour matches a mirrored
@@ -790,7 +791,6 @@ def flow_audit_doubled(colouring: Colouring, graph: DoubledGraph) -> DoubledAudi
     certifies the 15/512 gap.
     """
     n = graph.n_first
-    codes = colouring.codes
     _, conflicts = _secondary_conflicts(graph, codes)
     if conflicts:
         raise ValueError("colouring is not proper on the secondary edges")

@@ -294,29 +294,6 @@ def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[C
 
 
 # ---------------------------------------------------------------------------
-# Doubled space: two copies of a ball.
-
-
-class DoubledBall:
-    """Two copies of a ball; vertex t*|ball|+i is copy t of vertex i."""
-
-    def __init__(self, base: Ball):
-        self.base = base
-
-    def __len__(self) -> int:
-        return 2 * len(self.base)
-
-
-def doubled_colouring(
-    base: Ball,
-    palette: tuple[str, ...],
-    codes_primary: np.ndarray,
-    codes_mirror: np.ndarray,
-) -> Colouring:
-    return Colouring(DoubledBall(base), palette, np.concatenate([codes_primary, codes_mirror]))
-
-
-# ---------------------------------------------------------------------------
 # JSON rule declarations.
 
 def _json_key(window_values: tuple[int, ...], desc: tuple[str, ...]) -> str:

@@ -13,7 +13,7 @@ import pytest
 import cayleycolour
 from cayleycolour import arrows, cli, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
-from cayleycolour.groups import free_group
+from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
 
 
@@ -481,13 +481,13 @@ class TestStructureCommands:
         real = proper.canonical_doubled_colouring
 
         def planted(graph, arrow_colouring):
-            colouring = real(graph, arrow_colouring)
+            codes = real(graph, arrow_colouring)
             # The root is a secondary-graph member with list {c16, c8}; c4 is
             # off that list, yet no edge of the doubled graph sees it.
             assert graph.secondary.members()[0] == 0
             assert 4 not in proper.list_assignments(graph.config, graph.base, [0])[0]
-            colouring.codes[0] = 4
-            return colouring
+            codes[0] = 4
+            return codes
 
         monkeypatch.setattr(proper, "canonical_doubled_colouring", planted)
         code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"])
@@ -495,6 +495,22 @@ class TestStructureCommands:
         assert result["proper"]["n_conflicts"] == 0
         assert result["list_colouring"]["n_violations"] == 1
         assert result["list_colouring"]["violations"][0]["vertex"] == 0
+        assert record["ok"] is False and code == 1
+
+    def test_doubled_blank_second_copy_fails(self, tmp_path, monkeypatch):
+        real = proper.canonical_doubled_colouring
+
+        def planted(graph, arrow_colouring):
+            codes = real(graph, arrow_colouring)
+            # Every edge check skips an uncoloured end, so no conflict shows.
+            codes[graph.n_first :] = -1
+            return codes
+
+        monkeypatch.setattr(proper, "canonical_doubled_colouring", planted)
+        code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"])
+        result = record["result"]
+        assert result["proper"]["n_conflicts"] == 0 and "list_colouring" not in result
+        assert result["uncoloured"] == len(ball(free_group(2), 5))
         assert record["ok"] is False and code == 1
 
     def test_prefix(self, tmp_path):

@@ -21,12 +21,6 @@ ALLOWED = {
     # documents and its tests check against the left action law; no command
     # reads it yet.
     "shift",
-    # The level-set layer (type addition, equidecomposability as a matching,
-    # the paradox predicates) stays until ROADMAP item 10's array
-    # decomposition check can replace it; these are its entry points.
-    "equidecomposable",
-    "strongly_paradoxical",
-    "weakly_paradoxical",
 }
 
 
@@ -67,3 +61,8 @@ def test_every_top_level_name_has_a_reader():
         and not any(n == name and not (m == module and first <= line <= last) for m, n, line in references)
     ]
     assert not unread, f"top-level names no other code in the package reads: {unread}"
+
+
+def test_every_allowed_name_is_still_defined():
+    defined = {name for path in SRC.glob("*.py") for name, _, _ in _definitions(ast.parse(path.read_text()))}
+    assert ALLOWED <= defined, f"allowlisted names with no definition left: {sorted(ALLOWED - defined)}"

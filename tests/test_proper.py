@@ -41,7 +41,7 @@ from cayleycolour.proper import (
     offsets16,
     secondary_graph,
 )
-from cayleycolour.rules import Colouring, ViolationReport, check, doubled_colouring
+from cayleycolour.rules import Colouring, ViolationReport, check
 
 
 def candidate_pair(config, w):
@@ -49,11 +49,6 @@ def candidate_pair(config, w):
     return int(z1[0]), int(z2[0])
 
 F2 = free_group(2)
-
-
-def as_doubled(b, codes):
-    """The doubled colouring whose copy t of vertex i has codes[t * |b| + i]."""
-    return doubled_colouring(b, PALETTE17, codes[: len(b)], codes[len(b) :])
 
 
 def setup_r6(seed=7):
@@ -544,8 +539,8 @@ def test_q_vertices_have_no_first_copy_edges():
     b, config, base = setup_r6()
     qv = int(b.interior_indices(2)[10])
     graph = doubled_graph(config, base, 1, q_proxy=frozenset({qv}))
-    colouring = canonical_doubled_colouring(graph, constructive_solve(config))
-    report = check_proper(graph, colouring, copy2_sample=8)
+    codes = canonical_doubled_colouring(graph, constructive_solve(config))
+    report = check_proper(graph, codes, copy2_sample=8)
     assert report.satisfied
     xs, zs = graph.cross_pairs(np.array([qv]))
     assert len(xs) == len(zs) == 0, "Q vertex produced a cross edge"
@@ -555,13 +550,14 @@ def test_canonical_doubled_colouring_proper():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 3)
     arrow_colouring = constructive_solve(config)
-    colouring = canonical_doubled_colouring(graph, arrow_colouring)
-    # Copy t of vertex v is vertex t * |ball| + v, so rho(v) is v's second copy.
+    codes = canonical_doubled_colouring(graph, arrow_colouring)
+    # Copy t of vertex v is code t * |ball| + v, so rho(v) is v's second copy.
     n = len(b)
-    assert np.array_equal(colouring.codes[:n], arrows_to_list_colouring(arrow_colouring, base).codes)
-    assert np.array_equal(colouring.codes[n:], base.codes)
-    assert colouring.codes[graph.rho(5)] == base.codes[5]
-    report = check_proper(graph, colouring, copy2_sample=48)
+    assert codes.dtype == np.int16 and codes.shape == (2 * n,)
+    assert np.array_equal(codes[:n], arrows_to_list_colouring(arrow_colouring, base).codes)
+    assert np.array_equal(codes[n:], base.codes)
+    assert codes[graph.rho(5)] == base.codes[5]
+    report = check_proper(graph, codes, copy2_sample=48)
     assert report.satisfied
     assert report.edges_checked["secondary"] > 0
     assert report.edges_checked["cross"] > 0
@@ -571,8 +567,8 @@ def test_canonical_doubled_colouring_proper():
 def test_flow_audit_exact_gap():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1)
-    colouring = canonical_doubled_colouring(graph, constructive_solve(config))
-    audit = flow_audit_doubled(colouring, graph)
+    codes = canonical_doubled_colouring(graph, constructive_solve(config))
+    audit = flow_audit_doubled(codes, graph)
     assert audit.outflow_bound == Fraction(511, 512)
     assert audit.inflow_bound == Fraction(496, 512)
     assert not audit.feasibility.feasible
@@ -588,8 +584,8 @@ def test_flow_audit_counts_q():
     b, config, base = setup_r6()
     qv = {int(v) for v in b.interior_indices(2)[:3]}
     graph = doubled_graph(config, base, 1, q_proxy=frozenset(qv))
-    colouring = canonical_doubled_colouring(graph, constructive_solve(config))
-    audit = flow_audit_doubled(colouring, graph)
+    codes = canonical_doubled_colouring(graph, constructive_solve(config))
+    audit = flow_audit_doubled(codes, graph)
     assert audit.q_fraction == Fraction(3, len(b.interior_indices(1)))
     assert audit.outflow_fraction == 1 - audit.q_fraction
     assert audit.clique_touches_q_fraction > 0
@@ -598,9 +594,8 @@ def test_flow_audit_counts_q():
 def test_flow_audit_rejects_improper():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1)
-    flat = as_doubled(b, np.zeros(2 * len(b), dtype=np.int16))
     with pytest.raises(ValueError):
-        flow_audit_doubled(flat, graph)
+        flow_audit_doubled(np.zeros(2 * len(b), dtype=np.int16), graph)
 
 
 def test_doubled_csv(tmp_path):
@@ -618,13 +613,12 @@ def test_doubled_csv(tmp_path):
     assert "secondary" in families
 
 
-def reference_conflicts(graph, colouring, seconds):
+def reference_conflicts(graph, codes, seconds):
     """Cross and copy2 conflicts one word at a time, each word's image read
     from its own `left_table`: the loop the blocked kernel replaced."""
     b = graph.ball
     n = len(b)
     base = graph.base.codes
-    codes = colouring.codes
     firsts = np.array([x for x in b.interior_indices(1) if int(x) not in graph.q_proxy], dtype=np.int64)
     pairs = np.stack(candidate_arrays(graph.config, firsts), axis=1)
     out = []
@@ -649,10 +643,10 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     b, config, base = setup_r6()
     n = len(b)
     graph = doubled_graph(config, base, 3)
-    proper_colouring = canonical_doubled_colouring(graph, constructive_solve(config))
+    proper_codes = canonical_doubled_colouring(graph, constructive_solve(config))
     seconds = np.arange(n)
-    assert check_proper(graph, proper_colouring, copy2_sample=None).satisfied
-    assert reference_conflicts(graph, proper_colouring, seconds) == []
+    assert check_proper(graph, proper_codes, copy2_sample=None).satisfied
+    assert reference_conflicts(graph, proper_codes, seconds) == []
 
     # Two cross edges listed in the reverse of their vertex order: the last
     # of the first word and the first of the last word.
@@ -663,13 +657,12 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     last_of_first = max(edge for edge in cross if edge[0] == cross[0][0])
     first_of_last = min(edge for edge in cross if edge[0] == cross[-1][0])
     assert first_of_last[2] < last_of_first[2]
-    codes = proper_colouring.codes.copy()
+    planted = proper_codes.copy()
     for _, _, x, z in (last_of_first, first_of_last):
-        codes[n + z] = codes[x]
+        planted[n + z] = planted[x]
     us, vs = graph.copy2_pairs(seconds)
     u, v = int(us[len(us) // 3]), int(vs[len(vs) // 3])
-    codes[n + v] = codes[n + u]
-    planted = as_doubled(b, codes)
+    planted[n + v] = planted[n + u]
 
     report = check_proper(graph, planted, copy2_sample=None)
     expected = reference_conflicts(graph, planted, seconds)
@@ -689,10 +682,10 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     flow_audit_doubled(planted, graph)
     xs, ys, _ = graph.secondary.edges()
     sx, sy = int(xs[0]), int(ys[0])
-    codes = proper_colouring.codes.copy()
+    codes = proper_codes.copy()
     codes[sy] = codes[sx]
     with pytest.raises(ValueError, match="secondary"):
-        flow_audit_doubled(as_doubled(b, codes), graph)
+        flow_audit_doubled(codes, graph)
 
 
 def secondary_reference(config):
@@ -770,7 +763,7 @@ def test_secondary_family_matches_reference_loops(data):
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
     assert _secondary_conflicts(doubled, codes) == (len(off_q), conflicts)
-    blank = as_doubled(b, np.full(2 * len(b), -1, dtype=np.int16))
+    blank = np.full(2 * len(b), -1, dtype=np.int16)
     touches = sum(1 for clique in cliques if not q.isdisjoint(clique))
     expected = Fraction(touches, len(cliques)) if cliques else Fraction(0)
     assert flow_audit_doubled(blank, doubled).clique_touches_q_fraction == expected
