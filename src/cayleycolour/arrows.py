@@ -109,10 +109,7 @@ def candidate_arrays(config: Configuration, vertices: np.ndarray) -> tuple[np.nd
     outside = np.minimum(np.minimum(t1, u1), np.minimum(t2, u2)) < 0
     if outside.any():
         raise ValueError(f"vertex {int(vertices[outside][0])} has a neighbour outside the ball")
-    sign = config.values[vertices]
-    if (sign == 0).any():
-        raise ValueError(f"sign bit undefined at vertex {int(vertices[sign == 0][0])}")
-    up = sign == 1
+    up = config.values[vertices] == 1
     return np.where(up, t1, u1), np.where(up, t2, u2)
 
 
@@ -200,7 +197,7 @@ def arrow_field(colouring: Colouring) -> np.ndarray:
     second = codes >= 2  # palette order: a1u, a1c, a2u, a2c
     forward = np.where(second, t2, t1)
     backward = np.where(second, u2, u1)
-    targets = np.where(signs == 1, forward, np.where(signs == -1, backward, -1))
+    targets = np.where(signs == 1, forward, backward)
     return np.where(codes >= 0, targets, -1).astype(np.int32)
 
 
@@ -220,8 +217,6 @@ def constructive_solve(config: Configuration) -> Colouring:
     ball = config.ball
     if ball.radius < 3:
         raise ValueError("need radius at least 3")
-    if not config.is_total:
-        raise ValueError("need a total configuration")
     t1, u1 = neighbour_tables(ball)[:2]
     inner = ball.interior_indices(1)
     first = np.where(config.values[inner] == 1, t1[inner], u1[inner])

@@ -46,7 +46,7 @@ def presentation_named(name: str) -> Presentation:
         return z2_z3()
     if name == "st":
         return free_group(2, "st")
-    if len(name) == 2 and name[0] == "f" and name[1].isdigit() and name[1] != "0":
+    if len(name) == 2 and name[0] == "f" and name[1] in "12345678":
         return free_group(int(name[1]))
     raise SpecError(f"unknown presentation {name!r}")
 
@@ -177,18 +177,16 @@ def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
         )
         return {"rule": "arrow", "audit": audit.to_record(), "ok": ok}
     if name == "example1":
-        colouring = hausdorff.example1_solve(b)
-        certificates = hausdorff.example1_certificates(colouring)
-        program = hausdorff.example1_program(certificates)
-        outcome = feasible(program)
-        ok = all(c.verified for c in certificates) and _refuted(program, outcome)
-        return {
-            "rule": "example1",
-            "certificates": [c.to_record() for c in certificates],
-            "program": json.loads(program.to_json()),
-            "feasibility": outcome.to_record(),
-            "ok": ok,
-        }
+        certificates = hausdorff.example1_certificates(hausdorff.example1_solve(b))
+        record = {"rule": "example1", "certificates": [c.to_record() for c in certificates], "ok": False}
+        # `translate` refuses an unverified certificate, so only a verified
+        # set becomes a program.
+        if all(c.verified for c in certificates):
+            program = hausdorff.example1_program(certificates)
+            outcome = feasible(program)
+            record.update(program=json.loads(program.to_json()), feasibility=outcome.to_record())
+            record["ok"] = _refuted(program, outcome)
+        return record
     if name == "hausdorff":
         report = hausdorff.six_piece_doubling(hausdorff.hausdorff_solve(b))
         return {"rule": "hausdorff", "doubling": report.to_record(), "ok": report.all_verified}
@@ -307,7 +305,7 @@ def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
 # Argument plumbing.
 
 _FLAGS: dict[str, dict] = {
-    "presentation": {"help": "f1..f9, st, or z2z3"},
+    "presentation": {"help": "f1..f8, st, or z2z3"},
     "radius": {"type": int},
     "seed": {"type": int},
     "samples": {"type": int},

@@ -1,9 +1,8 @@
 """Truncated Bernoulli space over a Cayley ball.
 
-A configuration assigns ±1 to every ball vertex.  Shifting by a group
-element moves coordinates by right multiplication, so the action satisfies
-(g.x)(w) = x(wg); coordinates whose preimage leaves the ball become
-undefined (stored as 0) rather than silently defaulted.
+A configuration is a read-only ±1 sample on every ball vertex.  A rule
+never shifts one: its window at vertex v reads (v.x)(w) = x(wv) through the
+ball's left tables.
 
 Sampling is batched and seeded per batch.  One engine, ``batches``, walks
 the batch indices: it draws batches k = 0, 1, 2, ... in runs of consecutive
@@ -45,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import Ball, ReducedWord
+from .groups import Ball
 
 ALGORITHM = "pcg64-seedseq/batch1024/v1"
 BATCH_SIZE = 1024
@@ -172,35 +171,17 @@ def batch_streams(source: RandomSource, first: int, count: int) -> Iterator[np.r
 
 
 class Configuration:
-    """±1 values on ball vertices; 0 marks an undefined coordinate."""
+    """Read-only ±1 values on the ball vertices."""
 
     def __init__(self, ball: Ball, values: np.ndarray):
         values = np.asarray(values, dtype=np.int8)
         if values.shape != (len(ball),):
             raise ValueError("values must cover every ball vertex")
-        if not np.all(np.isin(values, (-1, 0, 1))):
-            raise ValueError("values must be -1, 0 (undefined) or +1")
+        if not np.all(np.isin(values, (-1, 1))):
+            raise ValueError("values must be -1 or +1")
         self.ball = ball
         self.values = values
         self.values.setflags(write=False)
-
-    @property
-    def is_total(self) -> bool:
-        return bool(np.all(self.values != 0))
-
-    def __getitem__(self, w: ReducedWord) -> int:
-        v = int(self.values[self.ball.index_of(w)])
-        if v == 0:
-            raise ValueError(f"coordinate at {w} is undefined")
-        return v
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.ball is other.ball and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash((id(self.ball), self.values.tobytes()))
 
 
 def sample_batch(
@@ -317,14 +298,3 @@ def histogram(
     for values in batches(ball, source, n, statistic, keep, workers, columns):
         counts += np.bincount(values, minlength=minlength)
     return counts
-
-
-def shift(x: Configuration, g: ReducedWord) -> Configuration:
-    """(g.x)(w) = x(wg); coordinates pulled from outside the ball go undefined.
-
-    Composition follows the left action law: shift(shift(x, g), h) matches
-    shift(x, hg) wherever both are defined.
-    """
-    table = x.ball.right_table(g)
-    out = np.where(table >= 0, x.values[np.maximum(table, 0)], 0).astype(np.int8)
-    return Configuration(x.ball, out)

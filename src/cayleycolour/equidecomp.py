@@ -67,7 +67,9 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
     `Ball.left_table`.  Products that leave the ball are dropped: every
     comparison is restricted to length <= radius - 1 first (radius - n at
     chain step n), and a word of length > radius stays longer than that
-    under the n or fewer left multiplications by t that follow.
+    under the n or fewer left multiplications by t that follow.  t^n W(t)
+    is one t-translate of t^(n-1) W(t), never a t^n table: a word of W(t)
+    starts with t, so t^(n-1) w is in the ball whenever t^n w is.
     """
     p = b.presentation
     check_rank_two_free(p, _RANK_TWO_FREE)
@@ -110,13 +112,14 @@ def verify_prefix_identities(b: Ball) -> PrefixReport:
     current = one | wt | wt_inv
     powers = one.copy()
     power = 0  # the vertex t^n
+    shifted = wt  # t^n W(t), carried one t at a time
     running: np.ndarray | None = None
     for n in range(1, b.radius - 1):
         inner = b.lengths <= b.radius - n
         current = translate(t, current) & ~remove
         power = int(t_table[power])
         powers[power] = True
-        shifted = translate(t**n, wt)
+        shifted = translate(t, shifted)
         closed = (powers | wt_inv | shifted) & inner
         computed = current & inner
         chain_exact.append(bool(np.array_equal(computed, closed)))

@@ -120,7 +120,8 @@ def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
     """Transport facts implied by a satisfying colouring, verified exactly.
 
     tau moves each class onto the next one; the first sigma sends the two
-    non-A1 classes into A1.  A failed check raises, naming a vertex.
+    non-A1 classes into A1.  A certificate whose check fails is returned
+    unverified, with its first failing vertex.
     """
     p = colouring.ball.presentation
     tau = p.generator(0, 1)
@@ -133,10 +134,6 @@ def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
             )
         )
     certs.append(certify_transport(colouring, sigma, ("A2", "A3"), ("A1",), kind="maps-into"))
-    for cert in certs:
-        if not cert.verified:
-            word = colouring.ball.words[cert.first_failure] if cert.first_failure is not None else "?"
-            raise ValueError(f"transport fact fails at vertex {word}: {cert.describe()}")
     return certs
 
 

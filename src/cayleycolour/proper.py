@@ -343,7 +343,7 @@ def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Col
     interior = b.interior_indices(2)
     crowded = np.flatnonzero(incoming[interior] >= 2)
     if len(crowded):
-        raise ValueError(f"crowded interior vertex {int(interior[crowded[0]])}: list transport undefined")
+        raise ValueError(f"crowded interior vertex {int(interior[crowded[0]])}: list transport needs one arrow per target")
     codes = np.where(
         (targets >= 0) & (base.codes[np.maximum(targets, 0)] >= 0),
         base.codes[np.maximum(targets, 0)],
@@ -686,13 +686,6 @@ def _secondary_off_q(graph: DoubledGraph) -> tuple[np.ndarray, np.ndarray]:
     return x[off_q], y[off_q]
 
 
-def _secondary_conflicts(graph: DoubledGraph, codes: np.ndarray) -> tuple[int, list[tuple[str, int, int]]]:
-    """Secondary edges off Q checked, and those whose ends share a colour."""
-    x, y = _secondary_off_q(graph)
-    same = (codes[x] >= 0) & (codes[x] == codes[y])
-    return len(x), [("secondary", a, b) for a, b in zip(x[same].tolist(), y[same].tolist())]
-
-
 def _block_conflicts(
     family: tuple[np.ndarray, Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]],
     x_codes: np.ndarray,
@@ -730,7 +723,9 @@ def check_proper(
     in ascending order.
     """
     n = graph.n_first
-    n_secondary, conflicts = _secondary_conflicts(graph, codes)
+    sx, sy = _secondary_off_q(graph)
+    same = (codes[sx] >= 0) & (codes[sx] == codes[sy])
+    conflicts = [("secondary", x, y) for x, y in zip(sx[same].tolist(), sy[same].tolist())]
 
     n_cross, xs, zs = _block_conflicts(graph._cross_blocks(graph.ball.interior_indices(1)), codes[:n], codes[n:])
     conflicts += [("cross", x, graph.rho(z)) for x, z in zip(xs.tolist(), zs.tolist())]
@@ -742,7 +737,7 @@ def check_proper(
     n_copy2, xs, ys = _block_conflicts(graph._copy2_blocks(all_seconds), codes[n:], codes[n:])
     conflicts += [("copy2", graph.rho(x), graph.rho(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
-    checked = {"secondary": n_secondary, "cross": n_cross, "copy2": n_copy2}
+    checked = {"secondary": len(sx), "cross": n_cross, "copy2": n_copy2}
     return ProperReport(checked, tuple(conflicts))
 
 
@@ -788,13 +783,10 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     Every first-copy vertex outside Q whose colour matches a mirrored
     candidate sends one arrow; receiving capacity cannot cover the exact
     outflow and inflow bounds simultaneously, and the translated program
-    certifies the 15/512 gap.
+    certifies the 15/512 gap.  Whether the colouring is proper is
+    `check_proper`'s verdict, not this audit's.
     """
     n = graph.n_first
-    _, conflicts = _secondary_conflicts(graph, codes)
-    if conflicts:
-        raise ValueError("colouring is not proper on the secondary edges")
-
     eligible = graph.ball.interior_indices(1)
     q = graph.q_proxy
     senders = eligible[~np.isin(eligible, list(q))]

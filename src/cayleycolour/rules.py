@@ -8,8 +8,9 @@ into a read-only boolean table ``allowed[input, colour]``; inputs run in
 descendants' colour codes.  Checking, iteration, rank and JSON export all
 read that table, and a rule whose table exceeds ``MAX_TABLE_CELLS`` cells
 is refused.  Rank one means no input has an empty allowed set.  Checking
-is exact on the interior of a ball (every read stays inside); boundary
-vertices are never judged.
+is exact on the interior of a ball; boundary vertices are never judged.
+Every read stays inside: a read at w from a vertex v with |v| <= radius -
+dependency_radius lands on wv, and |wv| <= |w| + |v| <= radius.
 """
 
 from __future__ import annotations
@@ -160,18 +161,6 @@ class Colouring:
     def copy(self) -> "Colouring":
         return Colouring(self.ball, self.palette, self.codes.copy(), self.configuration)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Colouring):
-            return NotImplemented
-        return (
-            self.ball is other.ball
-            and self.palette == other.palette
-            and np.array_equal(self.codes, other.codes)
-        )
-
-    def __hash__(self):
-        return hash((id(self.ball), self.palette, self.codes.tobytes()))
-
 
 @dataclass(frozen=True)
 class ViolationReport:
@@ -205,32 +194,21 @@ class ViolationReport:
 
 
 def _window_rows(rule: ColouringRule, colouring: Colouring, vertices: np.ndarray) -> np.ndarray:
-    """The window bits of each vertex's table row; -1 where a window read fails."""
+    """The window bits of each vertex's table row."""
     if rule.window and colouring.configuration is None:
         raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
     if colouring.palette != rule.colours:
         raise ValueError(f"colouring palette differs from the colours of rule {rule.name!r}")
     rows = np.zeros(len(vertices), dtype=np.int64)
     for w in rule.window:
-        j = colouring.ball.left_table(w)[vertices]
-        v = np.where(j >= 0, colouring.configuration.values[j], 0)
-        rows = np.where((rows >= 0) & (v != 0), 2 * rows + (v > 0), -1)
+        rows = 2 * rows + (colouring.configuration.values[colouring.ball.left_table(w)[vertices]] > 0)
     return rows
 
 
 def _raise_read_error(rule: ColouringRule, colouring: Colouring, i: int) -> None:
-    """Raise for the first read at vertex i that leaves the ball or finds no value."""
-    ball = colouring.ball
-    for w in rule.window:
-        j = int(ball.left_table(w)[i])
-        if j < 0:
-            raise ValueError(f"window read leaves the ball at vertex {i}")
-        if colouring.configuration.values[j] == 0:
-            raise ValueError(f"window read hits an undefined coordinate at vertex {j}")
+    """Raise for the first descendant of vertex i that is uncoloured."""
     for d in rule.descendants:
-        j = int(ball.left_table(d)[i])
-        if j < 0:
-            raise ValueError(f"descendant read leaves the ball at vertex {i}")
+        j = int(colouring.ball.left_table(d)[i])
         if colouring.codes[j] < 0:
             raise ValueError(f"descendant at vertex {j} is uncoloured")
 
@@ -240,8 +218,7 @@ def check(rule: ColouringRule, colouring: Colouring) -> ViolationReport:
     interior = colouring.ball.interior_indices(rule.dependency_radius)
     rows = _window_rows(rule, colouring, interior)
     for d in rule.descendants:
-        j = colouring.ball.left_table(d)[interior]
-        c = np.where(j >= 0, colouring.codes[j], -1)
+        c = colouring.codes[colouring.ball.left_table(d)[interior]]
         rows = np.where((rows >= 0) & (c >= 0), len(rule.colours) * rows + c, -1)
     assigned = colouring.codes[interior]
     unreadable = (assigned < 0) | (rows < 0)
@@ -277,7 +254,7 @@ def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[C
         for i, row in steps:
             for table in reads:
                 j = table[i]
-                row = k * row + codes[j] if row >= 0 and j >= 0 and codes[j] >= 0 else -1
+                row = k * row + codes[j] if row >= 0 and codes[j] >= 0 else -1
             if row < 0:
                 _raise_read_error(rule, colouring, i)
             cells = allowed[row]

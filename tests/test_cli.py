@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cayleycolour
-from cayleycolour import arrows, cli, proper
+from cayleycolour import arrows, cli, hausdorff, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -150,6 +150,13 @@ class TestPlumbing:
         assert code == 1 and record["ok"] is False
         assert record["error"]["type"] == "SpecError"
         assert "seed" in record["error"]["message"]
+
+    def test_unbuilt_rank_rejected(self, tmp_path):
+        # free_group names at most eight generators, so f9 is no presentation.
+        assert presentation_named("f8").n_generators == 8
+        code, record = run_json(tmp_path, ["solve", "--presentation", "f9", "--rule", "example1"])
+        assert code == 1
+        assert record["error"] == {"type": "SpecError", "message": "unknown presentation 'f9'"}
 
     def test_bad_radius_rejected(self, tmp_path):
         code, record = run_json(tmp_path, ["solve", "--radius", "-2"])
@@ -323,6 +330,21 @@ class TestAudits:
         assert result["feasibility"]["feasible"] is False
         assert result["feasibility"]["refutation"]["display"] == "2/3 <= 1/3"
 
+    def test_example1_failed_certificate_is_recorded(self, tmp_path, monkeypatch):
+        real = hausdorff.example1_solve
+
+        def recoloured(b):
+            colouring = real(b)
+            colouring.codes[1] = (colouring.codes[1] + 1) % 3
+            return colouring
+
+        monkeypatch.setattr(hausdorff, "example1_solve", recoloured)
+        code, record = run_json(tmp_path, ["audit", "--rule", "example1", "--radius", "6"])
+        failed = [c for c in record["result"]["certificates"] if "first_failure" in c]
+        assert failed and all(c["checks_passed"] < c["checks_total"] for c in failed)
+        assert "feasibility" not in record["result"]
+        assert record["ok"] is False and code == 1
+
     def test_arrow_mass_gap(self, tmp_path):
         code, record = run_json(tmp_path, ["audit", "--rule", "arrow", "--radius", "6"])
         assert code == 0
@@ -495,6 +517,22 @@ class TestStructureCommands:
         assert result["proper"]["n_conflicts"] == 0
         assert result["list_colouring"]["n_violations"] == 1
         assert result["list_colouring"]["violations"][0]["vertex"] == 0
+        assert record["ok"] is False and code == 1
+
+    def test_doubled_secondary_clash_is_listed(self, tmp_path, monkeypatch):
+        real = proper.canonical_doubled_colouring
+
+        def planted(graph, arrow_colouring):
+            codes = real(graph, arrow_colouring)
+            # The first off-Q secondary edge gets equal colours at its ends.
+            x, y = (int(ends[0]) for ends in proper._secondary_off_q(graph))
+            codes[y] = codes[x]
+            return codes
+
+        monkeypatch.setattr(proper, "canonical_doubled_colouring", planted)
+        code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", "3", "--seed", "4"])
+        families = [family for family, _, _ in record["result"]["proper"]["conflicts"]]
+        assert "secondary" in families
         assert record["ok"] is False and code == 1
 
     def test_doubled_blank_second_copy_fails(self, tmp_path, monkeypatch):

@@ -15,9 +15,8 @@ from cayleycolour.configs import (
     histogram,
     sample,
     sample_batch,
-    shift,
 )
-from cayleycolour.groups import ball, free_group, reduce_letters, z2_z3
+from cayleycolour.groups import ball, free_group, z2_z3
 
 F2 = free_group(2)
 
@@ -36,8 +35,8 @@ def test_sampling_deterministic():
     b = ball(F2, 3)
     a = sample(b, RandomSource(7))
     c = sample(b, RandomSource(7))
-    assert a == c
-    assert a != sample(b, RandomSource(8))
+    assert np.array_equal(a.values, c.values)
+    assert not np.array_equal(a.values, sample(b, RandomSource(8)).values)
 
 
 def test_sample_values_are_pm1():
@@ -142,54 +141,16 @@ def test_configuration_validation():
         Configuration(b, np.zeros(3, dtype=np.int8))
     with pytest.raises(ValueError):
         Configuration(b, np.full(len(b), 2, dtype=np.int8))
+    # There is no undefined coordinate: a configuration is a ±1 sample.
+    with pytest.raises(ValueError):
+        Configuration(b, np.zeros(len(b), dtype=np.int8))
 
 
 def test_coordinate_access():
     b = ball(F2, 2)
     x = sample(b, RandomSource(42))
-    assert x[F2.identity()] == GOLDEN_SEED42_R2[0]
-    assert x[F2.word("a")] == GOLDEN_SEED42_R2[1]
-
-
-def test_shift_identity():
-    b = ball(F2, 2)
-    x = sample(b, RandomSource(3))
-    assert shift(x, F2.identity()) == x
-
-
-def test_shift_definition_instance():
-    # (T1.x)(e) = x(T1) with T1 the first generator.
-    b = ball(F2, 2)
-    x = sample(b, RandomSource(11))
-    t1 = F2.word("a")
-    y = shift(x, t1)
-    assert y[F2.identity()] == x[t1]
-
-
-def test_shift_marks_out_of_ball_undefined():
-    b = ball(F2, 2)
-    x = sample(b, RandomSource(4))
-    y = shift(x, F2.word("a"))
-    # w = aa pulls from aaa, outside radius 2.
-    assert y.values[b.index_of(F2.word("aa"))] == 0
-    with pytest.raises(ValueError):
-        y[F2.word("aa")]
-    assert not y.is_total
-
-
-def test_shift_composition_law():
-    # Left action: shift(shift(x, g), h) = shift(x, hg) on the common domain.
-    b = ball(F2, 4)
-    words2 = [w for w in b.words if w.length <= 2]
-    x = sample(b, RandomSource(9))
-    for g in words2:
-        for h in words2:
-            two = shift(shift(x, g), h)
-            one = shift(x, h * g)
-            both = (two.values != 0) & (one.values != 0)
-            assert np.array_equal(two.values[both], one.values[both])
-            # The two-step domain never exceeds the one-step domain.
-            assert not np.any((two.values != 0) & (one.values == 0))
+    assert x.values[b.index_of(F2.identity())] == GOLDEN_SEED42_R2[0]
+    assert x.values[b.index_of(F2.word("a"))] == GOLDEN_SEED42_R2[1]
 
 
 def test_mean_and_covariance_near_zero():
@@ -276,29 +237,3 @@ def test_shift_preserves_density():
 def test_random_source_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         RandomSource(1, algorithm="mt19937/v0")
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    data=st.data(),
-    torsion=st.booleans(),
-    radius=st.integers(0, 5),
-    seed=st.integers(0, 2**32 - 1),
-    holes=st.sampled_from([0.0, 0.1]),
-)
-def test_shift_action_law_random(data, torsion, radius, seed, holes):
-    # shift(shift(x, g), h) = shift(x, hg) wherever both are defined, and the
-    # two-step domain lies inside the one-step domain.
-    p = z2_z3() if torsion else F2
-    letters = st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=4)
-    g, h = (reduce_letters(data.draw(letters), p) for _ in range(2))
-    b = ball(p, radius)
-    rng = np.random.default_rng(seed)
-    values = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(b))
-    values[rng.random(len(b)) < holes] = 0
-    x = Configuration(b, values)
-    two = shift(shift(x, g), h)
-    one = shift(x, h * g)
-    both = (two.values != 0) & (one.values != 0)
-    assert np.array_equal(two.values[both], one.values[both])
-    assert not np.any((two.values != 0) & (one.values == 0))

@@ -17,10 +17,6 @@ ALLOWED = {
     # Writes the `--rule` file format that `rule_from_json` reads; users and
     # CI export rules with it, no command does.
     "rule_to_json",
-    # The shift action (g.x)(w) = x(wg) on configurations, which the README
-    # documents and its tests check against the left action law; no command
-    # reads it yet.
-    "shift",
 }
 
 

@@ -23,7 +23,6 @@ from cayleycolour.proper import (
     _in_order,
     _kept,
     _nth_set_bit,
-    _secondary_conflicts,
     _start,
     _walk,
     Calibration,
@@ -591,13 +590,6 @@ def test_flow_audit_counts_q():
     assert audit.clique_touches_q_fraction > 0
 
 
-def test_flow_audit_rejects_improper():
-    b, config, base = setup_r6()
-    graph = doubled_graph(config, base, 1)
-    with pytest.raises(ValueError):
-        flow_audit_doubled(np.zeros(2 * len(b), dtype=np.int16), graph)
-
-
 def test_doubled_csv(tmp_path):
     b = ball(F2, 5)
     config = sample(b, RandomSource(2))
@@ -677,15 +669,14 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     assert "secondary" not in families
     assert not report.satisfied and report.to_record()["n_conflicts"] == len(expected)
 
-    # Only the secondary family blocks the audit: these conflicts are all
-    # cross and copy2, while one equal colour on a secondary edge raises.
-    flow_audit_doubled(planted, graph)
+    # One equal colour on a secondary edge is a listed conflict, and the
+    # audit still reads the colouring: properness is check_proper's verdict.
     xs, ys, _ = graph.secondary.edges()
     sx, sy = int(xs[0]), int(ys[0])
     codes = proper_codes.copy()
     codes[sy] = codes[sx]
-    with pytest.raises(ValueError, match="secondary"):
-        flow_audit_doubled(codes, graph)
+    assert check_proper(graph, codes, copy2_sample=None).conflicts[0] == ("secondary", sx, sy)
+    flow_audit_doubled(codes, graph)
 
 
 def secondary_reference(config):
@@ -762,7 +753,9 @@ def test_secondary_family_matches_reference_loops(data):
     codes = np.concatenate([colouring.codes, base.codes])
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
-    assert _secondary_conflicts(doubled, codes) == (len(off_q), conflicts)
+    report = check_proper(doubled, codes, copy2_sample=0)
+    assert report.edges_checked["secondary"] == len(off_q)
+    assert [c for c in report.conflicts if c[0] == "secondary"] == conflicts
     blank = np.full(2 * len(b), -1, dtype=np.int16)
     touches = sum(1 for clique in cliques if not q.isdisjoint(clique))
     expected = Fraction(touches, len(cliques)) if cliques else Fraction(0)

@@ -121,7 +121,7 @@ def test_iterate_fixed_point():
     col = parity_colouring(b)
     out, converged, rounds = iterate(differ_rule(), col, max_rounds=5)
     assert converged and rounds == 1
-    assert out == col
+    assert np.array_equal(out.codes, col.codes)
 
 
 def test_iterate_reaches_satisfaction_here():
@@ -211,17 +211,12 @@ def reference_inputs(rule, colouring, i):
     window_values = []
     for w in rule.window:
         j = int(ball_.left_table(w)[i])
-        if j < 0:
-            raise ValueError(f"window read leaves the ball at vertex {i}")
-        v = int(colouring.configuration.values[j])
-        if v == 0:
-            raise ValueError(f"window read hits an undefined coordinate at vertex {j}")
-        window_values.append(v)
+        assert j >= 0, "an interior read left the ball"
+        window_values.append(int(colouring.configuration.values[j]))
     desc_colours = []
     for d in rule.descendants:
         j = int(ball_.left_table(d)[i])
-        if j < 0:
-            raise ValueError(f"descendant read leaves the ball at vertex {i}")
+        assert j >= 0, "an interior read left the ball"
         colour = colouring.colour_at(j)
         if colour is None:
             raise ValueError(f"descendant at vertex {j} is uncoloured")
@@ -314,10 +309,9 @@ def random_rules(draw):
     radius=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     uncoloured=st.sampled_from([0.0, 0.01, 0.3]),
-    undefined=st.sampled_from([0.0, 0.05]),
     attach=st.sampled_from([True, True, True, False]),
 )
-def test_compiled_rule_matches_reference(drawn, radius, seed, uncoloured, undefined, attach):
+def test_compiled_rule_matches_reference(drawn, radius, seed, uncoloured, attach):
     p, rule = drawn
     b = ball(p, radius)
     rng = np.random.default_rng(seed)
@@ -325,9 +319,7 @@ def test_compiled_rule_matches_reference(drawn, radius, seed, uncoloured, undefi
     codes[rng.random(len(b)) < uncoloured] = -1
     config = None
     if attach:
-        values = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(b))
-        values[rng.random(len(b)) < undefined] = 0
-        config = Configuration(b, values)
+        config = Configuration(b, rng.choice(np.array([-1, 1], dtype=np.int8), size=len(b)))
     colouring = Colouring(b, rule.colours, codes, config)
 
     compiled = outcome(check, rule, colouring)
@@ -346,3 +338,16 @@ def test_compiled_rule_matches_reference(drawn, radius, seed, uncoloured, undefi
     assert classify_rank(rule) == (RANK_ONE if rank_one else RANK_TWO_OR_HIGHER)
     back = rule_from_json(rule_to_json(rule), p)
     assert all(back.allowed(*key) == rule.allowed_fn(*key) for key in inputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=random_rules(), radius=st.integers(0, 5))
+def test_interior_reads_stay_in_the_ball(drawn, radius):
+    # |w v| <= |w| + |v| <= dependency_radius + (radius - dependency_radius):
+    # no window or descendant read from a judged vertex leaves the ball, so
+    # check and iterate have no out-of-ball branch.
+    p, rule = drawn
+    b = ball(p, radius)
+    interior = b.interior_indices(rule.dependency_radius)
+    for w in rule.window + rule.descendants:
+        assert np.all(b.left_table(w)[interior] >= 0)
