@@ -102,15 +102,24 @@ def neighbour_tables(ball: Ball) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return t1, u1, t2, u2
 
 
-def candidate_arrays(config: Configuration, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two vertices the arrow at each vertex may target, per its sign bit."""
-    vertices = np.asarray(vertices, dtype=np.int64)
+def _candidates(config: Configuration, vertices: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+    """The two vertices the arrow at each vertex may target, per its sign
+    bit: its T1 and T2 neighbours on +1, its T1^-1 and T2^-1 neighbours on
+    -1; -1 outside the ball.  `vertices` is an index array, or a slice of
+    the ball's vertices."""
     t1, u1, t2, u2 = (table[vertices] for table in neighbour_tables(config.ball))
-    outside = np.minimum(np.minimum(t1, u1), np.minimum(t2, u2)) < 0
-    if outside.any():
-        raise ValueError(f"vertex {int(vertices[outside][0])} has a neighbour outside the ball")
     up = config.values[vertices] == 1
     return np.where(up, t1, u1), np.where(up, t2, u2)
+
+
+def candidate_arrays(config: Configuration, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_candidates` of vertices whose candidates all lie in the ball."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    z1, z2 = _candidates(config, vertices)
+    outside = np.minimum(z1, z2) < 0
+    if outside.any():
+        raise ValueError(f"vertex {int(vertices[outside][0])} has a neighbour outside the ball")
+    return z1, z2
 
 
 def _pdegrees(signs: np.ndarray) -> np.ndarray:
@@ -190,15 +199,10 @@ def arrow_field(colouring: Colouring) -> np.ndarray:
         raise ValueError("not an arrow colouring")
     if colouring.configuration is None:
         raise ValueError("arrow targets need the underlying sign bits")
-    ball = colouring.ball
-    t1, u1, t2, u2 = neighbour_tables(ball)
+    z1, z2 = _candidates(colouring.configuration, slice(None))
     codes = colouring.codes
-    signs = colouring.configuration.values
-    second = codes >= 2  # palette order: a1u, a1c, a2u, a2c
-    forward = np.where(second, t2, t1)
-    backward = np.where(second, u2, u1)
-    targets = np.where(signs == 1, forward, backward)
-    return np.where(codes >= 0, targets, -1).astype(np.int32)
+    # palette order: a1u, a1c, a2u, a2c
+    return np.where(codes >= 0, np.where(codes >= 2, z2, z1), -1).astype(np.int32)
 
 
 def incoming_counts(targets: np.ndarray) -> np.ndarray:
@@ -217,9 +221,8 @@ def constructive_solve(config: Configuration) -> Colouring:
     ball = config.ball
     if ball.radius < 3:
         raise ValueError("need radius at least 3")
-    t1, u1 = neighbour_tables(ball)[:2]
     inner = ball.interior_indices(1)
-    first = np.where(config.values[inner] == 1, t1[inner], u1[inner])
+    first, _ = _candidates(config, inner)
     longer = ball.lengths[first] > ball.lengths[inner]
     codes = np.full(len(ball), -1, dtype=np.int16)
     codes[inner] = np.where(longer, ARROW_COLOURS.index("a1u"), ARROW_COLOURS.index("a2u"))

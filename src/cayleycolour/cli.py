@@ -239,7 +239,7 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     result: dict = {"exact_program": exact.to_record()}
     ok = _refuted(exact_program, exact)
 
-    q_proxy: frozenset[int] = frozenset()
+    q_proxy: tuple[int, ...] = ()
     n = spec.n_levels
     if n is None:
         calibration = proper.calibrate_N(base, epsilon=Fraction(spec.epsilon))
@@ -252,7 +252,7 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
             result["ok"] = ok
             return result
         n = calibration.N
-        q_proxy = frozenset(calibration.failing)
+        q_proxy = calibration.failing
     elif n % 2 == 0:
         raise SpecError("--n-levels must be odd")
 
@@ -261,29 +261,22 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     properness = proper.check_proper(graph, codes, seed=spec.seed)
     # check_proper compares equal colours only; the first copy must also take
     # every secondary-graph vertex's colour from its list.
-    first = codes[: graph.n_first]
-    listed = proper.check_proper_list(graph.secondary, base, Colouring(b, base.palette, first))
+    first = Colouring(b, base.palette, codes[: graph.n_first])
+    listed = proper.check_proper_list(graph.secondary, base, first)
     audit = proper.flow_audit_doubled(codes, graph)
-    # check_proper skips uncoloured endpoints, so every vertex it judges must
-    # be coloured: the whole second copy and the first copy's 1-interior.
-    uncoloured = int(np.count_nonzero(codes[graph.n_first :] < 0) + np.count_nonzero(first[b.interior_indices(1)] < 0))
     if options.csv:
         with open(options.csv, "w", newline="") as fh:
             graph.write_csv(fh)
     if not listed.satisfied:
         result["list_colouring"] = listed.to_record()
-    if uncoloured:
-        result["uncoloured"] = uncoloured
+    if properness.uncoloured:
+        result["uncoloured"] = properness.uncoloured
     result.update(
         {
             "n": n,
             "proper": properness.to_record(),
             "audit": audit.to_record(),
-            "ok": ok
-            and not properness.conflicts
-            and listed.satisfied
-            and not uncoloured
-            and _refuted(audit.program, audit.feasibility),
+            "ok": ok and properness.satisfied and listed.satisfied and _refuted(audit.program, audit.feasibility),
         }
     )
     return result

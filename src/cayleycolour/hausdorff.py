@@ -17,11 +17,10 @@ one, with every set membership and every moved vertex checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .groups import Ball, Letter, Presentation, free_group, z2_z3
+from .groups import Ball, Presentation, free_group, z2_z3
 from .measures import DensityProgram, TransportCertificate, certify_transport, translate
 from .rules import Colouring, ColouringRule, check
 
@@ -29,23 +28,21 @@ E1_COLOURS = ("A1", "A2", "A3")
 H_COLOURS = ("A", "B", "C")
 
 
-def _bfs_colour(ball: Ball, root: int, child_colour: Callable[[Letter, int], int]) -> np.ndarray:
-    """Colour each vertex from its unique shorter neighbour, identity first.
-
-    child_colour(letter, parent_code) gives the code of l*parent.  Ball
-    order is by length, so each sphere's parents are coloured before it,
-    and child_colour is called once per (letter, parent code) in a sphere.
+def _cycle_colour(ball: Ball, tau: int) -> np.ndarray:
+    """Codes 0/1/2, the identity 0 and each other vertex from its unique
+    shorter neighbour: a tau^e step adds e mod 3, any other step gives 1
+    from 0 and 0 from anything else.  Ball order is by length, so each
+    sphere's parents are coloured before it; one pass per (sphere, letter).
     """
     letters = ball.presentation.adjacency_letters()
     first, parent = ball.first_steps()
     codes = np.full(len(ball), -1, dtype=np.int16)
-    codes[0] = root
+    codes[0] = 0
     for lo, size in zip(np.cumsum(ball.sphere_sizes[:-1]), ball.sphere_sizes[1:]):
-        for i, letter in enumerate(letters):
+        for i, (gen, exp) in enumerate(letters):
             mine = lo + np.flatnonzero(first[lo : lo + size] == i)
-            parent_codes = codes[parent[mine]]
-            for code in np.flatnonzero(np.bincount(parent_codes)):
-                codes[mine[parent_codes == code]] = child_colour(letter, int(code))
+            up = codes[parent[mine]]
+            codes[mine] = (up + exp) % 3 if gen == tau else up == 0
     return codes
 
 
@@ -105,15 +102,7 @@ def example1_rule(k: int = 2, presentation: Presentation | None = None) -> Colou
 def example1_solve(ball: Ball) -> Colouring:
     """Root gets A1; tau steps cycle forward; a sigma step leaves A1 for A2
     and returns to A1 from anywhere else."""
-
-    def child_colour(letter: Letter, parent: int) -> int:
-        gen, exp = letter
-        if gen == 0:
-            return (parent + exp) % 3
-        return 1 if parent == 0 else 0
-
-    codes = _bfs_colour(ball, root=0, child_colour=child_colour)
-    return Colouring(ball, E1_COLOURS, codes)
+    return Colouring(ball, E1_COLOURS, _cycle_colour(ball, tau=0))
 
 
 def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
@@ -181,16 +170,8 @@ def hausdorff_rule(presentation: Presentation | None = None) -> ColouringRule:
 def hausdorff_solve(ball: Ball) -> Colouring:
     """A/B/C classes on a Z2 * Z3 ball: identity in A; tau steps cycle
     forward, sigma swaps A with B."""
-    s_idx, t_idx = _check_z2_z3(ball.presentation)
-
-    def child_colour(letter: Letter, parent: int) -> int:
-        gen, exp = letter
-        if gen == t_idx:
-            return (parent + exp) % 3
-        return 1 if parent == 0 else 0
-
-    codes = _bfs_colour(ball, root=0, child_colour=child_colour)
-    return Colouring(ball, H_COLOURS, codes)
+    _, t_idx = _check_z2_z3(ball.presentation)
+    return Colouring(ball, H_COLOURS, _cycle_colour(ball, t_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,8 @@ class DoublingReport:
     @property
     def all_verified(self) -> bool:
         return (
-            self.partition_exact
+            self.interior_size > 0
+            and self.partition_exact
             and self.copies_disjoint
             and all(p == t for p, t in self.into_checks.values())
             and all(p == t for p, t in self.onto_checks.values())

@@ -344,11 +344,7 @@ def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Col
     crowded = np.flatnonzero(incoming[interior] >= 2)
     if len(crowded):
         raise ValueError(f"crowded interior vertex {int(interior[crowded[0]])}: list transport needs one arrow per target")
-    codes = np.where(
-        (targets >= 0) & (base.codes[np.maximum(targets, 0)] >= 0),
-        base.codes[np.maximum(targets, 0)],
-        -1,
-    ).astype(np.int16)
+    codes = np.where(targets >= 0, base.codes[targets], -1).astype(np.int16)
     return Colouring(b, base.palette, codes, configuration=arrow_colouring.configuration)
 
 
@@ -439,19 +435,18 @@ def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tup
         stack.extend((length + 1, child) for child in reversed(children))
 
 
-def _edge_blocks(
+def _edges(
     b: Ball,
     limit: int,
     parity: int,
     vertices: np.ndarray,
     codes: np.ndarray,
-    forbidden: Sequence[np.ndarray] = (),
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    forbidden: Sequence[np.ndarray],
+) -> Iterator[Chunk]:
     """Per chunk of `_walk` from `vertices`, the pairs (x, gamma * x) for
-    nonempty words gamma of length <= limit with the given parity and
-    gamma * x in the ball, as (word, position, image, keep) arrays: keep
-    marks the images with codes[gamma * x] different from every
-    forbidden[k] at x.
+    nonempty words gamma of length <= limit with the given parity,
+    gamma * x in the ball and codes[gamma * x] different from every
+    forbidden[k] at x, as (word, position, image) arrays.
 
     position indexes `vertices`, so (word, position) is the order of a
     loop over words outside a loop over vertices; each pair comes once.
@@ -463,13 +458,7 @@ def _edge_blocks(
             image_codes = codes[image]
             for colours in forbidden:
                 keep &= image_codes != colours[position]
-            yield word, position, image, keep
-
-
-def _kept(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]) -> Iterator[Chunk]:
-    """The (word, position, image) entries each block keeps."""
-    for word, position, image, keep in blocks:
-        yield word[keep], position[keep], image[keep]
+            yield word[keep], position[keep], image[keep]
 
 
 def _in_order(parts: Iterable[Chunk], vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -555,17 +544,20 @@ class DoubledGraph:
     the base colours of each vertex's candidate pair.  Vertices v < n are
     the first copy; rho(v) = v + n mirrors into the second.
 
-    Cross edges come from the nonempty odd words of length <= odd_limit,
-    copy2 edges from the nonempty even words of length <= even_limit; both
-    limits are clipped at the radius.  The edges are not stored: they are
-    generated from the words by `_walk`, one chunk of (word, vertex,
-    image) entries at a time, each image inside the ball.
+    `q` marks the Q-proxy's vertices, and `senders` lists the first copy's
+    1-interior less Q, ascending: the vertices that send cross edges and
+    arrows.  Cross edges come from the nonempty odd words of length <=
+    odd_limit, copy2 edges from the nonempty even words of length <=
+    even_limit; both limits are clipped at the radius.  The edges are not
+    stored: they are generated from the words by `_walk`, one chunk of
+    (word, vertex, image) entries at a time, each image inside the ball.
     """
 
     config: Configuration
     base: Colouring
     N: int
-    q_proxy: frozenset[int]
+    q: np.ndarray
+    senders: np.ndarray
     secondary: SecondaryGraph
     odd_limit: int
     even_limit: int
@@ -581,31 +573,18 @@ class DoubledGraph:
     def rho(self, v: int) -> int:
         return (v + self.n_first) % (2 * self.n_first)
 
-    def _cross_blocks(self, vertices: np.ndarray) -> tuple[np.ndarray, Iterator]:
-        """The vertices that send cross edges, `vertices` less Q and the last
-        sphere in their order, and their `_edge_blocks`."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        inside = self.ball.lengths[vertices] <= self.ball.radius - 1
-        eligible = vertices[inside & ~np.isin(vertices, list(self.q_proxy))]
-        z1, z2 = candidate_arrays(self.config, eligible)
+    def cross_edges(self) -> Iterator[Chunk]:
+        """Chunks (word, position, z) with x ~ rho(z), x = senders[position]:
+        odd distance, z's base colour on neither of x's candidates."""
+        z1, z2 = candidate_arrays(self.config, self.senders)
         codes = self.base.codes
-        return eligible, _edge_blocks(self.ball, self.odd_limit, 1, eligible, codes, (codes[z1], codes[z2]))
+        return _edges(self.ball, self.odd_limit, 1, self.senders, codes, (codes[z1], codes[z2]))
 
-    def _copy2_blocks(self, vertices: np.ndarray) -> tuple[np.ndarray, Iterator]:
-        vertices = np.asarray(vertices, dtype=np.int64)
+    def copy2_edges(self, vertices: np.ndarray) -> Iterator[Chunk]:
+        """Chunks (word, position, y) with rho(x) ~ rho(y), x = vertices[position]:
+        even distance, different base colours."""
         codes = self.base.codes
-        return vertices, _edge_blocks(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
-
-    def cross_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (x, z) with x in the first copy, rho(z) its cross neighbour,
-        in the order (word, x's position in `vertices`)."""
-        eligible, blocks = self._cross_blocks(vertices)
-        return _in_order(_kept(blocks), eligible)
-
-    def copy2_pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (x, y) with rho(x) ~ rho(y): even distance, different base colours."""
-        vertices, blocks = self._copy2_blocks(vertices)
-        return _in_order(_kept(blocks), vertices)
+        return _edges(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
 
     def write_csv(self, fileobj: IO[str]) -> None:
         """`family,from,to` rows: the secondary edges off Q, then the cross
@@ -615,10 +594,10 @@ class DoubledGraph:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
         writer.writerows(("secondary", names[x], names[y]) for x, y in _int_pairs(_secondary_off_q(self)))
-        writer.writerows(("cross", names[x], f"rho({names[z]})") for x, z in _int_pairs(self.cross_pairs(interior)))
-        writer.writerows(
-            ("copy2", f"rho({names[x]})", f"rho({names[y]})") for x, y in _int_pairs(self.copy2_pairs(interior))
-        )
+        cross = _in_order(self.cross_edges(), self.senders)
+        writer.writerows(("cross", names[x], f"rho({names[z]})") for x, z in _int_pairs(cross))
+        copy2 = _in_order(self.copy2_edges(interior), interior)
+        writer.writerows(("copy2", f"rho({names[x]})", f"rho({names[y]})") for x, y in _int_pairs(copy2))
 
 
 def _int_pairs(ends: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, int]]:
@@ -633,20 +612,25 @@ def doubled_graph(
     config: Configuration,
     base: Colouring,
     N: int,
-    q_proxy: frozenset[int] = frozenset(),
+    q_proxy: Iterable[int] = (),
 ) -> DoubledGraph:
-    """The paired-copy graph on the configuration's ball.  Word reach is
-    clipped at the boundary: the full edge families need radius >= 2N+12."""
+    """The paired-copy graph on the configuration's ball, with the vertex
+    ids of `q_proxy` as Q.  Word reach is clipped at the boundary: the full
+    edge families need radius >= 2N+12."""
     b = config.ball
     if base.ball is not b:
         raise ValueError("base colouring and configuration must live on the same ball")
     if N < 1 or N % 2 == 0:
         raise ValueError("N must be odd and positive")
+    q = np.zeros(len(b), dtype=bool)
+    q[list(q_proxy)] = True
+    interior = b.interior_indices(1)
     return DoubledGraph(
         config=config,
         base=base,
         N=N,
-        q_proxy=q_proxy,
+        q=q,
+        senders=interior[~q[interior]],
         secondary=secondary_graph(config),
         odd_limit=min(N, b.radius),
         even_limit=min(2 * N + 10, b.radius),
@@ -665,10 +649,11 @@ def canonical_doubled_colouring(graph: DoubledGraph, arrow_colouring: Colouring)
 class ProperReport:
     edges_checked: dict[str, int]
     conflicts: tuple[tuple[str, int, int], ...]
+    uncoloured: int
 
     @property
     def satisfied(self) -> bool:
-        return not self.conflicts
+        return not self.conflicts and not self.uncoloured
 
     def to_record(self) -> dict:
         return {
@@ -681,27 +666,26 @@ class ProperReport:
 def _secondary_off_q(graph: DoubledGraph) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) ends of the secondary edges with neither end in Q."""
     x, y, _ = graph.secondary.edges()
-    q = list(graph.q_proxy)
-    off_q = ~(np.isin(x, q) | np.isin(y, q))
+    off_q = ~(graph.q[x] | graph.q[y])
     return x[off_q], y[off_q]
 
 
 def _block_conflicts(
-    family: tuple[np.ndarray, Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]],
+    vertices: np.ndarray,
+    chunks: Iterable[Chunk],
     x_codes: np.ndarray,
     y_codes: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Edges a family's blocks keep, counted, and the (x, y) among them with
-    x_codes[x] = y_codes[y] >= 0, in (word, position) order; only those
-    are gathered into arrays."""
-    vertices, blocks = family
+    """Edges of a family's chunks from `vertices`, counted, and the (x, y)
+    among them with x_codes[x] = y_codes[y] >= 0, in (word, position)
+    order; only those are gathered into arrays."""
     at = x_codes[vertices]
     count = 0
     found = []
-    for word, position, image, keep in blocks:
-        count += int(np.count_nonzero(keep))
+    for word, position, image in chunks:
+        count += len(word)
         cx = at[position]
-        bad = keep & (cx >= 0) & (cx == y_codes[image])
+        bad = (cx >= 0) & (cx == y_codes[image])
         found.append((word[bad], position[bad], image[bad]))
     return (count, *_in_order(found, vertices))
 
@@ -715,30 +699,34 @@ def check_proper(
     """Adjacent equal colours of the doubled colouring `codes` (laid out as
     `canonical_doubled_colouring` returns it) across all three edge families.
 
-    Uncoloured endpoints are skipped; copy2 edges are checked from a seeded
-    vertex sample by default since that family is the dense one.  Cross
-    and copy2 edges are counted and checked one chunk of the word walk at
-    a time, never as one list; each family's conflicts are listed in
-    the order (word, vertex), words in canonical order outside vertices
-    in ascending order.
+    Uncoloured endpoints are skipped, so the report also counts the
+    uncoloured vertices among those judged: the whole second copy and the
+    first copy's 1-interior.  copy2 edges are checked from a seeded vertex
+    sample by default since that family is the dense one.  Cross and copy2
+    edges are counted and checked one chunk of the word walk at a time,
+    never as one list; each family's conflicts are listed in the order
+    (word, vertex), words in canonical order outside vertices in ascending
+    order.
     """
     n = graph.n_first
     sx, sy = _secondary_off_q(graph)
     same = (codes[sx] >= 0) & (codes[sx] == codes[sy])
     conflicts = [("secondary", x, y) for x, y in zip(sx[same].tolist(), sy[same].tolist())]
 
-    n_cross, xs, zs = _block_conflicts(graph._cross_blocks(graph.ball.interior_indices(1)), codes[:n], codes[n:])
+    n_cross, xs, zs = _block_conflicts(graph.senders, graph.cross_edges(), codes[:n], codes[n:])
     conflicts += [("cross", x, graph.rho(z)) for x, z in zip(xs.tolist(), zs.tolist())]
 
     all_seconds = np.arange(n)
     if copy2_sample is not None and copy2_sample < n:
         rng = np.random.default_rng(seed)
         all_seconds = np.sort(rng.choice(all_seconds, size=copy2_sample, replace=False))
-    n_copy2, xs, ys = _block_conflicts(graph._copy2_blocks(all_seconds), codes[n:], codes[n:])
+    n_copy2, xs, ys = _block_conflicts(all_seconds, graph.copy2_edges(all_seconds), codes[n:], codes[n:])
     conflicts += [("copy2", graph.rho(x), graph.rho(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
+    interior = graph.ball.interior_indices(1)
+    uncoloured = int(np.count_nonzero(codes[interior] < 0) + np.count_nonzero(codes[n:] < 0))
     checked = {"secondary": len(sx), "cross": n_cross, "copy2": n_copy2}
-    return ProperReport(checked, tuple(conflicts))
+    return ProperReport(checked, tuple(conflicts), uncoloured)
 
 
 @dataclass(frozen=True)
@@ -788,8 +776,7 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     """
     n = graph.n_first
     eligible = graph.ball.interior_indices(1)
-    q = graph.q_proxy
-    senders = eligible[~np.isin(eligible, list(q))]
+    senders = graph.senders
     z1, z2 = candidate_arrays(graph.config, senders)
     cx = codes[senders]
     to_first = (cx >= 0) & (cx == codes[n + z1])
@@ -802,7 +789,8 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     crowded = Fraction(int((landed[eligible] >= 2).sum()), len(eligible)) if len(eligible) else Fraction(0)
 
     cliques = graph.secondary.cliques
-    touches = int(np.count_nonzero(np.isin(cliques, list(q)).any(axis=1)))
+    # Cliques are padded with -1, which must not read the last vertex's flag.
+    touches = int(np.count_nonzero(((cliques >= 0) & graph.q[cliques]).any(axis=1)))
     touch_fraction = Fraction(touches, len(cliques)) if len(cliques) else Fraction(0)
 
     program = doubled_flow_program()

@@ -358,6 +358,14 @@ class TestAudits:
         assert code == 0
         assert record["result"]["doubling"]["all_verified"] is True
 
+    def test_hausdorff_doubling_with_empty_interior_fails(self, tmp_path):
+        # At radius 1 no vertex has its radius-2 neighbourhood in the ball,
+        # so nothing is verified and the audit must not pass.
+        code, record = run_json(tmp_path, ["audit", "--rule", "hausdorff", "--radius", "1"])
+        assert record["result"]["doubling"]["interior_size"] == 0
+        assert record["result"]["doubling"]["all_verified"] is False
+        assert record["ok"] is False and code == 1
+
     @pytest.mark.parametrize(
         "module, args, feasibility",
         [

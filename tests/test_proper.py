@@ -19,9 +19,8 @@ from cayleycolour.proper import (
     PALETTE17,
     _choice_draws,
     _choice_words,
-    _edge_blocks,
+    _edges,
     _in_order,
-    _kept,
     _nth_set_bit,
     _start,
     _walk,
@@ -387,7 +386,7 @@ def test_word_images_match_multiplication(data):
     every nonempty word of length <= limit times a vertex list (possibly
     empty, with repeats and boundary vertices), in chunks of a few
     entries; each (word, position) comes once, and the parity and colour
-    selection of `_edge_blocks` keeps the right pairs."""
+    selection of `_edges` keeps the right pairs."""
     name = data.draw(st.sampled_from(sorted(KERNEL_GROUPS)), label="group")
     radius = data.draw(st.integers(0, 6), label="radius")
     b = KERNEL_BALLS[name, radius]
@@ -418,7 +417,7 @@ def test_word_images_match_multiplication(data):
     forbidden = rng.integers(0, 3, size=len(vertices))
     with patch.object(proper, "_BLOCK_ENTRIES", budget):
         chunks = list(_walk(b, _start(vertices), 0, limit))
-        blocks = list(_edge_blocks(b, limit, parity, vertices, codes, (forbidden,)))
+        kept_chunks = list(_edges(b, limit, parity, vertices, codes, (forbidden,)))
 
     assert all(0 < len(word) <= budget for _, word, _, _ in chunks)
     assert all((b.lengths[word] == length).all() for length, word, _, _ in chunks)
@@ -431,9 +430,9 @@ def test_word_images_match_multiplication(data):
         for (g, j), y in expected.items()
         if b.lengths[g] % 2 == parity and codes[y] != forbidden[j]
     )
-    kept = sorted((int(g), int(j), int(vertices[j]), int(y)) for chunk in _kept(blocks) for g, j, y in zip(*chunk))
+    kept = sorted((int(g), int(j), int(vertices[j]), int(y)) for chunk in kept_chunks for g, j, y in zip(*chunk))
     assert kept == want
-    xs, ys = _in_order(_kept(blocks), vertices)
+    xs, ys = _in_order(kept_chunks, vertices)
     assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for _, _, x, y in want]
 
 
@@ -541,8 +540,9 @@ def test_q_vertices_have_no_first_copy_edges():
     codes = canonical_doubled_colouring(graph, constructive_solve(config))
     report = check_proper(graph, codes, copy2_sample=8)
     assert report.satisfied
-    xs, zs = graph.cross_pairs(np.array([qv]))
-    assert len(xs) == len(zs) == 0, "Q vertex produced a cross edge"
+    assert qv not in graph.senders
+    xs, _ = _in_order(graph.cross_edges(), graph.senders)
+    assert len(xs) and qv not in xs, "Q vertex produced a cross edge"
 
 
 def test_canonical_doubled_colouring_proper():
@@ -557,10 +557,16 @@ def test_canonical_doubled_colouring_proper():
     assert np.array_equal(codes[n:], base.codes)
     assert codes[graph.rho(5)] == base.codes[5]
     report = check_proper(graph, codes, copy2_sample=48)
-    assert report.satisfied
+    assert report.satisfied and report.uncoloured == 0
     assert report.edges_checked["secondary"] > 0
     assert report.edges_checked["cross"] > 0
     assert report.edges_checked["copy2"] > 0
+
+    # check_proper skips an uncoloured end, so it counts the blank instead.
+    blank = codes.copy()
+    blank[graph.rho(5)] = -1
+    report = check_proper(graph, blank, copy2_sample=48)
+    assert not report.conflicts and report.uncoloured == 1 and report.satisfied is False
 
 
 def test_flow_audit_exact_gap():
@@ -577,6 +583,13 @@ def test_flow_audit_exact_gap():
     assert audit.outflow_fraction == 1
     assert audit.induced_crowded_fraction == 0
     assert audit.clique_touches_q_fraction == 0
+
+    # Cliques are padded with -1: Q holding only the last vertex, a
+    # boundary vertex in no clique, touches none and drops no edge.
+    last = doubled_graph(config, base, 1, q_proxy=[len(b) - 1])
+    assert flow_audit_doubled(codes, last).clique_touches_q_fraction == 0
+    edges = check_proper(graph, codes, copy2_sample=8).edges_checked
+    assert check_proper(last, codes, copy2_sample=8).edges_checked["secondary"] == edges["secondary"]
 
 
 def test_flow_audit_counts_q():
@@ -611,7 +624,7 @@ def reference_conflicts(graph, codes, seconds):
     b = graph.ball
     n = len(b)
     base = graph.base.codes
-    firsts = np.array([x for x in b.interior_indices(1) if int(x) not in graph.q_proxy], dtype=np.int64)
+    firsts = np.array([x for x in b.interior_indices(1) if not graph.q[x]], dtype=np.int64)
     pairs = np.stack(candidate_arrays(graph.config, firsts), axis=1)
     out = []
     for g in range(1, sum(b.sphere_sizes[: graph.odd_limit + 1])):
@@ -642,9 +655,9 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
 
     # Two cross edges listed in the reverse of their vertex order: the last
     # of the first word and the first of the last word.
-    eligible, blocks = graph._cross_blocks(b.interior_indices(1))
+    senders = graph.senders
     cross = sorted(
-        (int(g), int(j), int(eligible[j]), int(z)) for chunk in _kept(blocks) for g, j, z in zip(*chunk)
+        (int(g), int(j), int(senders[j]), int(z)) for chunk in graph.cross_edges() for g, j, z in zip(*chunk)
     )
     last_of_first = max(edge for edge in cross if edge[0] == cross[0][0])
     first_of_last = min(edge for edge in cross if edge[0] == cross[-1][0])
@@ -652,7 +665,7 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     planted = proper_codes.copy()
     for _, _, x, z in (last_of_first, first_of_last):
         planted[n + z] = planted[x]
-    us, vs = graph.copy2_pairs(seconds)
+    us, vs = _in_order(graph.copy2_edges(seconds), seconds)
     u, v = int(us[len(us) // 3]), int(vs[len(vs) // 3])
     planted[n + v] = planted[n + u]
 
@@ -750,6 +763,7 @@ def test_secondary_family_matches_reference_loops(data):
 
     q = frozenset(rng.choice(len(b), size=data.draw(st.integers(0, 40), label="|Q|")).tolist())
     doubled = doubled_graph(config, base, 1, q_proxy=q)
+    assert doubled.senders.tolist() == [v for v in b.interior_indices(1).tolist() if v not in q]
     codes = np.concatenate([colouring.codes, base.codes])
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
