@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import subprocess
@@ -162,37 +161,6 @@ class TestPlumbing:
         code, record = run_json(tmp_path, ["solve", "--radius", "-2"])
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("prefix --radius 5", "dc3396c9cca9f1fa8ac02c55e5c6d3c1d00f20dac4e060e5f32a0fe0dbe4a4a3"),
-            ("audit --rule hausdorff --radius 5", "c95c4892edac98a987319c2e3cccab6f86a80cc158690cd1162b44c0f1f8364c"),
-            ("pdeg --samples 3000 --seed 5", "3fa80c937a67761fd7aea55e7abd42ac9b480c35e24feb543ed9e4aec041a3cb"),
-            ("doubled --radius 5 --n-levels 3 --seed 4", "0a93062de1724a1777a635903e6fd6d43a8cd4c722915d74822af33d4ad9ffe2"),
-            ("solve --rule example1 --radius 5", "25ac6fcf1d526db8fc9b55547311768feb805098a698a216bff05befa606b2d1"),
-            ("offsets --radius 8 --choice random --seed 3", "159cde45a528ff47830c9a2ce0c5d3ef23b665f8d22db75fa47676de8c3a3d37"),
-        ],
-    )
-    def test_record_golden_digest(self, tmp_path, args, digest):
-        """SHA-256 of the whole primary record, so the spec's bytes (each
-        command's defaults and presentation) are pinned with the result."""
-        out = tmp_path / "record.json"
-        assert main([*args.split(), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("check --solver iterate --rule example1 --radius 6", "a489b2ed536da13aa436003339e3a727017f63c4465aa010efb469c1056a2127"),
-            ("check --solver iterate --radius 6 --seed 3 --rule arrow", "61e2d49499477c23907c3376a0243a809ac9e045a9c7fdff7895f250358f5da3"),
-        ],
-    )
-    def test_failing_record_golden_digest(self, tmp_path, args, digest):
-        """Whole-record SHA-256 of iterate runs that end with violations."""
-        out = tmp_path / "record.json"
-        assert main([*args.split(), "--out", str(out)]) == 1
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
 
 class TestSolveCheck:
     def test_arrow_constructive(self, tmp_path):
@@ -219,36 +187,13 @@ class TestSolveCheck:
         assert code == 0
         assert record["spec"]["presentation"] == "z2z3"
 
-    @pytest.mark.parametrize(
-        "rule, radius, digest",
-        [
-            ("hausdorff", "8", "506dd4114cf15b32c62604fafc1df59e4c8045ebc3ddd309bc16f06f1ebf5420"),
-            ("arrow", "6", "58710bfd5bf61c2ba9d315328a5f741bfef0d78123c42fe0814beeb32a4f0292"),
-            ("arrow", "10", "07c81b8e5e83c4e3198151c1584f1ed1d8b6f37e897f285fec41a00acc1d1473"),
-        ],
-    )
-    def test_solve_csv_golden_digest(self, tmp_path, rule, radius, digest):
+    @pytest.mark.parametrize("radius", [6, 10])
+    def test_arrow_csv_boundary_rows_have_no_colour(self, tmp_path, radius):
         csv_path = tmp_path / "colours.csv"
-        code, _ = run_json(tmp_path, ["solve", "--rule", rule, "--radius", radius, "--csv", str(csv_path)])
+        code, _ = run_json(tmp_path, ["solve", "--rule", "arrow", "--radius", str(radius), "--csv", str(csv_path)])
         assert code == 0
-        data = csv_path.read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-        if rule == "arrow":
-            # Boundary vertices send no arrow: their colour field is empty.
-            assert f"\r\n{'ab' * (int(radius) // 2)},\r\n".encode() in data
-
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("--radius 7", "58db55aa0ec2f164ad626ab4d3d824be3debaced2e33a3cf8a024839eb2d3e8c"),
-            ("--radius 5 --n-levels 3 --seed 4", "44fd73b08b8dca44e2627eb09a6f27a5b7a8da0b76244fbbf365e8edd4270342"),
-        ],
-    )
-    def test_doubled_csv_golden_digest(self, tmp_path, args, digest):
-        csv_path = tmp_path / "edges.csv"
-        code, _ = run_json(tmp_path, ["doubled", *args.split(), "--csv", str(csv_path)])
-        assert code == 0
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+        # Boundary vertices send no arrow: their colour field is empty.
+        assert f"\r\n{'ab' * (radius // 2)},\r\n".encode() in csv_path.read_bytes()
 
     def test_file_rule_iterate(self, tmp_path):
         rule_path = tmp_path / "alt.json"
@@ -389,22 +334,6 @@ class TestAudits:
         reported = functools.reduce(dict.__getitem__, feasibility.split("."), record["result"])
         assert reported["feasible"] is False
         assert record["ok"] is False and code == 1
-
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("audit --rule example1 --radius 8", "52c37d16467839801ae74401a17455e3361069b5577a09237bb24745e69aac74"),
-            ("audit --rule arrow --radius 8", "6932f439c535a4f0978028212e229766252bd775ef57a467842cd2f30fd36eb3"),
-            ("doubled --radius 7", "192fde2fd5f7e9aaf67ad0cb08ac40cb46ae337576c3440cad739653e2b7c8e9"),
-        ],
-    )
-    def test_result_golden_digest(self, tmp_path, args, digest):
-        """SHA-256 of the canonical result body (as perfbench/gate.py hashes
-        it) for records that no benchmark workload pins."""
-        code, record = run_json(tmp_path, args.split())
-        assert code == 0 and record["ok"] is True
-        body = json.dumps(record["result"], sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 class TestMonteCarlo:

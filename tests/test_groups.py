@@ -17,6 +17,7 @@ from cayleycolour.groups import (
     z2_z3,
 )
 from cayleycolour.hausdorff import hausdorff_solve, six_piece_doubling
+from cayleycolour.proper import greedy_base_colouring, offset_conflicts
 
 
 def test_free_group_sphere_sizes():
@@ -410,6 +411,28 @@ def test_ball_build_peak_traced_memory_at_radius_12():
         if not tracing:
             tracemalloc.stop()
     assert peak <= 45 * 2**20, peak / 2**20
+
+
+def test_offsets_peak_traced_memory_at_radius_12():
+    """Ball, greedy base colouring and conflict count of F2 at radius 12
+    under tracemalloc, which numpy reports its buffers to.  With the 8
+    offset tables of one per inverse pair, this peaked at 103.0 MiB while
+    the ball's unit tables binary-searched a 64-bit key per vertex, at
+    94.9 MiB once they were filled from the ball's part layout, and at
+    70.6 MiB once the block tables that only compose the offset tables were
+    no longer cached."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        assert offset_conflicts(greedy_base_colouring(ball(free_group(2), 12))) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 78 * 2**20, peak / 2**20
 
 
 def test_compose_reads_minus_one_through():
