@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,10 @@ from cayleycolour import arrows, cli, hausdorff, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
+
+# The golden manifest's pins by command line, so the doubled digest tests
+# below read the same digests tests/test_goldens.py checks.
+GOLDENS = {" ".join(e["argv"]): e for e in json.loads(Path(__file__).with_name("goldens.json").read_text())}
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -161,6 +166,17 @@ class TestPlumbing:
         code, record = run_json(tmp_path, ["solve", "--radius", "-2"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [(args, GOLDENS[args]["record"]) for args in ["doubled --radius 5 --n-levels 3 --seed 4"]],
+    )
+    def test_record_golden_digest(self, tmp_path, args, digest):
+        """SHA-256 of the whole primary record of a doubled run with explicit
+        levels, so its spec's bytes are pinned with the result."""
+        out = tmp_path / "record.json"
+        assert main([*args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSolveCheck:
     def test_arrow_constructive(self, tmp_path):
@@ -194,6 +210,16 @@ class TestSolveCheck:
         assert code == 0
         # Boundary vertices send no arrow: their colour field is empty.
         assert f"\r\n{'ab' * (radius // 2)},\r\n".encode() in csv_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [(args, GOLDENS[f"doubled {args}"]["csv"]) for args in ["--radius 7", "--radius 5 --n-levels 3 --seed 4"]],
+    )
+    def test_doubled_csv_golden_digest(self, tmp_path, args, digest):
+        csv_path = tmp_path / "edges.csv"
+        code, _ = run_json(tmp_path, ["doubled", *args.split(), "--csv", str(csv_path)])
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
     def test_file_rule_iterate(self, tmp_path):
         rule_path = tmp_path / "alt.json"
@@ -334,6 +360,19 @@ class TestAudits:
         reported = functools.reduce(dict.__getitem__, feasibility.split("."), record["result"])
         assert reported["feasible"] is False
         assert record["ok"] is False and code == 1
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [("doubled --radius 7", "192fde2fd5f7e9aaf67ad0cb08ac40cb46ae337576c3440cad739653e2b7c8e9")],
+    )
+    def test_result_golden_digest(self, tmp_path, args, digest):
+        """SHA-256 of the canonical result body (as perfbench/gate.py hashes
+        it). The manifest pins the whole record; this pins the result alone,
+        so a re-pin for a change in the spec's bytes still holds the audit."""
+        code, record = run_json(tmp_path, args.split())
+        assert code == 0 and record["ok"] is True
+        body = json.dumps(record["result"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 class TestMonteCarlo:
