@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -83,51 +84,82 @@ class RunOptions:
 
 
 # ---------------------------------------------------------------------------
-# Solvers shared by solve/check.
+# Builtin rules, read by solve, check, audit and doubled.
 
 
-def _solve_colouring(spec: ExperimentSpec, p: Presentation, b: Ball):
-    """(rule, colouring, solver record) for the named rule."""
-    name = spec.rule
-    rule = colouring = None
-    extra: dict = {"solver": spec.solver}
-    if name == "arrow":
-        rule = arrows.arrow_rule(p)
-        if spec.solver == "constructive":
-            config = sample(b, RandomSource(spec.seed))
-            colouring = arrows.constructive_solve(config)
-    elif name == "example1":
-        rule = hausdorff.example1_rule(2, p)
-        if spec.solver == "constructive":
-            colouring = hausdorff.example1_solve(b)
-    elif name == "hausdorff":
-        rule = hausdorff.hausdorff_rule(p)
-        if spec.solver == "constructive":
-            colouring = hausdorff.hausdorff_solve(b)
+def _refuted(program: DensityProgram, outcome: FeasibilityResult) -> bool:
+    """Infeasible, with a refutation that replays against the program."""
+    return not outcome.feasible and replay_refutation(program, outcome.refutation)
+
+
+def _audit_arrow(colouring: Colouring, seed: int) -> dict:
+    audit = arrows.mass_audit(colouring, seed=seed)
+    ok = audit.certificate.verified and audit.feasibility is not None and _refuted(audit.program, audit.feasibility)
+    return {"audit": audit.to_record(), "ok": ok}
+
+
+def _audit_example1(colouring: Colouring, seed: int) -> dict:
+    certificates = hausdorff.example1_certificates(colouring)
+    record = {"certificates": [c.to_record() for c in certificates], "ok": False}
+    # `translate` refuses an unverified certificate, so only a verified
+    # set becomes a program.
+    if all(c.verified for c in certificates):
+        program = hausdorff.example1_program(certificates)
+        outcome = feasible(program)
+        record.update(program=json.loads(program.to_json()), feasibility=outcome.to_record())
+        record["ok"] = _refuted(program, outcome)
+    return record
+
+
+def _audit_hausdorff(colouring: Colouring, seed: int) -> dict:
+    report = hausdorff.six_piece_doubling(colouring)
+    return {"doubling": report.to_record(), "ok": report.all_verified}
+
+
+# Each builtin rule: how it is built on a presentation, how its constructive
+# colouring is drawn from (ball, seed), and how `audit` certifies that
+# colouring.  Each colouring rejects the presentations its rule rejects.  The
+# lambdas look each function up in its module when called, so a replaced
+# module attribute (a traced span, a test's plant) is the one that runs.
+_Builtin = namedtuple("_Builtin", "rule colour audit")
+_BUILTINS = {
+    "arrow": _Builtin(lambda p: arrows.arrow_rule(p),
+                      lambda b, seed: arrows.constructive_solve(sample(b, RandomSource(seed))), _audit_arrow),
+    "example1": _Builtin(lambda p: hausdorff.example1_rule(2, p), lambda b, seed: hausdorff.example1_solve(b),
+                         _audit_example1),
+    "hausdorff": _Builtin(lambda p: hausdorff.hausdorff_rule(p), lambda b, seed: hausdorff.hausdorff_solve(b),
+                          _audit_hausdorff),
+}
+
+
+def _solve_and_check(spec: ExperimentSpec, b: Ball):
+    """(rule, colouring, check report, solver record) for the named rule."""
+    builtin = _BUILTINS.get(spec.rule)
+    if builtin:
+        rule = builtin.rule(b.presentation)
     else:
-        path = Path(name) if name else None
-        if path is None or path.suffix != ".json" or not path.exists():
-            raise SpecError(f"unknown rule {name!r}")
-        rule = rule_from_json(path.read_text(), p)
-        if spec.solver == "constructive":
+        path = Path(spec.rule or "")
+        if path.suffix != ".json" or not path.exists():
+            raise SpecError(f"unknown rule {spec.rule!r}")
+        rule = rule_from_json(path.read_text(), b.presentation)
+    extra: dict = {"solver": spec.solver}
+    if spec.solver == "constructive":
+        if not builtin:
             raise SpecError("file rules have no constructive solver; use --solver iterate")
-    if colouring is None:
-        if spec.solver != "iterate":
-            raise SpecError(f"unknown solver {spec.solver!r}")
+        colouring = builtin.colour(b, spec.seed)
+    elif spec.solver == "iterate":
         initial = Colouring.uniform(b, rule.colours, rule.colours[0])
         if rule.window:
-            config = sample(b, RandomSource(spec.seed))
-            initial = Colouring(b, rule.colours, initial.codes, config)
+            initial = Colouring(b, rule.colours, initial.codes, sample(b, RandomSource(spec.seed)))
         colouring, converged, rounds = iterate(rule, initial, max_rounds=64)
         extra.update({"converged": converged, "rounds": rounds})
-    return rule, colouring, extra
+    else:
+        raise SpecError(f"unknown solver {spec.solver!r}")
+    return rule, colouring, check(rule, colouring), extra
 
 
-def _run_solve(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    b = ball(p, spec.radius)
-    rule, colouring, extra = _solve_colouring(spec, p, b)
-    report = check(rule, colouring)
+def _run_solve(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
+    rule, colouring, report, extra = _solve_and_check(spec, b)
     histogram = {
         colour: int(np.count_nonzero(colouring.codes == i))
         for i, colour in enumerate(colouring.palette)
@@ -145,61 +177,23 @@ def _run_solve(spec: ExperimentSpec, options: RunOptions) -> dict:
     }
 
 
-def _run_check(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    b = ball(p, spec.radius)
-    rule, colouring, extra = _solve_colouring(spec, p, b)
-    report = check(rule, colouring)
+def _run_check(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
+    rule, _, report, extra = _solve_and_check(spec, b)
     return {"rule": rule.name, "check": report.to_record(), "ok": report.satisfied, **extra}
 
 
-# ---------------------------------------------------------------------------
-# Audits.
-
-
-def _refuted(program: DensityProgram, outcome: FeasibilityResult) -> bool:
-    """Infeasible, with a refutation that replays against the program."""
-    return not outcome.feasible and replay_refutation(program, outcome.refutation)
-
-
-def _run_audit(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    b = ball(p, spec.radius)
-    name = spec.rule
-    if name == "arrow":
-        config = sample(b, RandomSource(spec.seed))
-        colouring = arrows.constructive_solve(config)
-        audit = arrows.mass_audit(colouring, seed=spec.seed)
-        ok = (
-            audit.certificate.verified
-            and audit.feasibility is not None
-            and _refuted(audit.program, audit.feasibility)
-        )
-        return {"rule": "arrow", "audit": audit.to_record(), "ok": ok}
-    if name == "example1":
-        certificates = hausdorff.example1_certificates(hausdorff.example1_solve(b))
-        record = {"rule": "example1", "certificates": [c.to_record() for c in certificates], "ok": False}
-        # `translate` refuses an unverified certificate, so only a verified
-        # set becomes a program.
-        if all(c.verified for c in certificates):
-            program = hausdorff.example1_program(certificates)
-            outcome = feasible(program)
-            record.update(program=json.loads(program.to_json()), feasibility=outcome.to_record())
-            record["ok"] = _refuted(program, outcome)
-        return record
-    if name == "hausdorff":
-        report = hausdorff.six_piece_doubling(hausdorff.hausdorff_solve(b))
-        return {"rule": "hausdorff", "doubling": report.to_record(), "ok": report.all_verified}
-    raise SpecError(f"no audit for rule {name!r}")
+def _run_audit(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
+    if spec.rule not in _BUILTINS:
+        raise SpecError(f"no audit for rule {spec.rule!r}")
+    builtin = _BUILTINS[spec.rule]
+    return {"rule": spec.rule, **builtin.audit(builtin.colour(b, spec.seed), spec.seed)}
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo p-degree histograms, worker-count invariant.
 
 
-def _run_pdeg(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    b = ball(p, spec.radius)
+def _run_pdeg(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     estimate = arrows.conditional_pdegree if spec.conditional else arrows.pdegree_histogram
     report = estimate(b, RandomSource(spec.seed), spec.samples, workers=options.workers)
     record = report.to_record()
@@ -208,10 +202,8 @@ def _run_pdeg(spec: ExperimentSpec, options: RunOptions) -> dict:
     return record
 
 
-def _run_offsets(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    family = proper.offsets16(p)
-    b = ball(p, spec.radius)
+def _run_offsets(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
+    family = proper.offsets16(b.presentation)
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
     conflicts = proper.offset_conflicts(base, family)
     used = int(np.count_nonzero(np.bincount(base.codes[base.codes >= 0], minlength=17)))
@@ -227,11 +219,8 @@ def _run_offsets(spec: ExperimentSpec, options: RunOptions) -> dict:
     }
 
 
-def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
-    p = presentation_named(spec.presentation)
-    b = ball(p, spec.radius)
-    config = sample(b, RandomSource(spec.seed))
-    arrow_colouring = arrows.constructive_solve(config)
+def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
+    arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
 
     exact_program = proper.doubled_flow_program()
@@ -256,7 +245,7 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     elif n % 2 == 0:
         raise SpecError("--n-levels must be odd")
 
-    graph = proper.doubled_graph(config, base, n, q_proxy=q_proxy)
+    graph = proper.doubled_graph(arrow_colouring.configuration, base, n, q_proxy=q_proxy)
     codes = proper.canonical_doubled_colouring(graph, arrow_colouring)
     properness = proper.check_proper(graph, codes, seed=spec.seed)
     # check_proper compares equal colours only; the first copy must also take
@@ -282,13 +271,12 @@ def _run_doubled(spec: ExperimentSpec, options: RunOptions) -> dict:
     return result
 
 
-def _run_prefix(spec: ExperimentSpec, options: RunOptions) -> dict:
+def _run_prefix(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     # Imported here: no other command reads equidecomp, so no other command
     # pays to import it.
     from . import equidecomp
 
-    p = presentation_named(spec.presentation)
-    report = equidecomp.verify_prefix_identities(ball(p, spec.radius))
+    report = equidecomp.verify_prefix_identities(b)
     record = report.to_record()
     record["ok"] = report.all_verified
     return record
@@ -390,8 +378,10 @@ def _emit(record: dict, options: RunOptions, elapsed: float | None) -> None:
 
 
 def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
-    """Dispatch to the command implementation, returning the result body."""
-    return _COMMANDS[spec.command][0](spec, options)
+    """Build the run's ball, dispatch to the command implementation and
+    return the result body."""
+    b = ball(presentation_named(spec.presentation), spec.radius)
+    return _COMMANDS[spec.command][0](spec, b, options)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         result = run(spec, options)
-    except (SpecError, ValueError, KeyError, FileNotFoundError) as err:
+    except (SpecError, ValueError, KeyError, OSError) as err:
         record = {
             "schema": SCHEMA,
             "spec": asdict(spec),

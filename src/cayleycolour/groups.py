@@ -166,13 +166,6 @@ class ReducedWord:
         raw = [(g, -e) for g, e in reversed(self.letters)]
         return reduce_letters(raw, p)
 
-    def __pow__(self, n: int) -> "ReducedWord":
-        base = self if n >= 0 else self.inverse()
-        out = self.presentation.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def unit_letters(self) -> list[Letter]:
         """Expand into single-step letters, shortest spelling per block."""
         units: list[Letter] = []

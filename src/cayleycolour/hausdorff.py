@@ -101,7 +101,9 @@ def example1_rule(k: int = 2, presentation: Presentation | None = None) -> Colou
 
 def example1_solve(ball: Ball) -> Colouring:
     """Root gets A1; tau steps cycle forward; a sigma step leaves A1 for A2
-    and returns to A1 from anywhere else."""
+    and returns to A1 from anywhere else.  The ball's presentation must be
+    one `example1_rule(2, ...)` accepts, as for `hausdorff_solve`."""
+    _check_example1_presentation(ball.presentation, 2)
     return Colouring(ball, E1_COLOURS, _cycle_colour(ball, tau=0))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cayleycolour
-from cayleycolour import arrows, cli, hausdorff, proper
+from cayleycolour import arrows, cli, groups, hausdorff, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -277,6 +277,20 @@ class TestSolveCheck:
         assert record["error"]["type"] == "ValueError"
         assert message in record["error"]["message"]
 
+    def test_rule_path_that_is_a_directory_fails_with_a_record(self, tmp_path):
+        (tmp_path / "d.json").mkdir()
+        code, record = run_json(
+            tmp_path, ["solve", "--rule", str(tmp_path / "d.json"), "--solver", "iterate", "--radius", "4"]
+        )
+        assert code == 1 and record["ok"] is False and "result" not in record
+        assert record["error"]["type"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("args", ["solve --rule example1 --radius 4", "doubled --radius 5 --n-levels 3"])
+    def test_csv_path_that_is_a_directory_fails_with_a_record(self, tmp_path, args):
+        code, record = run_json(tmp_path, [*args.split(), "--csv", str(tmp_path)])
+        assert code == 1 and record["ok"] is False and "result" not in record
+        assert record["error"]["type"] == "IsADirectoryError"
+
     def test_long_rule_names_are_gone(self, tmp_path):
         code, record = run_json(tmp_path, ["check", "--rule", "arrow-orientation"])
         assert code == 1 and "unknown rule" in record["error"]["message"]
@@ -336,6 +350,18 @@ class TestAudits:
         assert record["result"]["doubling"]["interior_size"] == 0
         assert record["result"]["doubling"]["all_verified"] is False
         assert record["ok"] is False and code == 1
+
+    @pytest.mark.parametrize("presentation", ["f1", "f2", "f3", "st", "z2z3"])
+    @pytest.mark.parametrize("rule", ["arrow", "example1", "hausdorff"])
+    def test_audit_rejects_what_solve_rejects(self, tmp_path, rule, presentation):
+        """A builtin rule's audit runs on the presentations its solve runs on,
+        and fails on the others with the same error."""
+        args = ["--rule", rule, "--presentation", presentation, "--radius", "4"]
+        solve_code, solved = run_json(tmp_path, ["solve", *args], "solve.json")
+        audit_code, audited = run_json(tmp_path, ["audit", *args], "audit.json")
+        assert audit_code == solve_code
+        if solve_code:
+            assert audited.get("error", {}).get("message") == solved["error"]["message"]
 
     @pytest.mark.parametrize(
         "module, args, feasibility",
@@ -596,3 +622,27 @@ class TestRunApi:
         spec = ExperimentSpec(command="prefix", presentation="st", radius=4)
         result = run(spec)
         assert result["ok"] is True
+
+    SMALL_RUNS = {
+        "solve": "--radius 4",
+        "check": "--radius 4",
+        "audit": "--radius 4",
+        "pdeg": "--samples 50",
+        "offsets": "--radius 5",
+        "doubled": "--radius 5",
+        "prefix": "--radius 4",
+    }
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_each_command_builds_one_ball(self, tmp_path, monkeypatch, command):
+        assert set(self.SMALL_RUNS) == set(cli._COMMANDS)
+        built = []
+        real = groups.Ball.__init__
+
+        def counted(b, *args, **kwargs):
+            built.append(b)
+            real(b, *args, **kwargs)
+
+        monkeypatch.setattr(groups.Ball, "__init__", counted)
+        code, _ = run_json(tmp_path, [command, *self.SMALL_RUNS[command].split()])
+        assert code == 0 and len(built) == 1

@@ -82,10 +82,10 @@ def prefix_reference(b):
     for n in range(1, b.radius - 1):
         inner = b.radius - n
         current = translate(t, current) - (ws | ws_inv)
-        shifted = translate(t**n, wt)
+        shifted = translate(p.generator(1, n), wt)
         computed = restrict(current, inner)
-        chain_exact.append(computed == restrict({t**k for k in range(n + 1)} | wt_inv | shifted, inner))
-        gap_sizes.append(len(computed - restrict({t**n} | wt_inv | shifted, inner)))
+        chain_exact.append(computed == restrict({p.generator(1, k) for k in range(n + 1)} | wt_inv | shifted, inner))
+        gap_sizes.append(len(computed - restrict({p.generator(1, n)} | wt_inv | shifted, inner)))
         running = computed if running is None else restrict(running, inner) & computed
         tail_sizes.append(len(running - restrict(wt_inv, inner)))
     return PrefixReport(

@@ -195,13 +195,6 @@ def test_sphere_order_is_deterministic():
     assert w1[0] == "1"
 
 
-def test_pow():
-    p = z2_z3()
-    t = p.word("t")
-    assert t**3 == p.identity()
-    assert t**-1 == p.word("T")
-
-
 def test_ball_rejects_bad_radius():
     with pytest.raises(ValueError):
         Ball(free_group(2), -1)

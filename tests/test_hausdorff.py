@@ -44,6 +44,11 @@ def test_example1_rule_validation():
         example1_rule(1, free_group(1))
     with pytest.raises(ValueError):
         example1_rule(2, z2_z3())  # tau would have order 2
+    # The solver colours for the k = 2 rule, and rejects what that rule rejects.
+    with pytest.raises(ValueError, match="must have 2 generators"):
+        example1_solve(ball(free_group(3), 2))
+    with pytest.raises(ValueError, match="tau's order"):
+        example1_solve(ball(z2_z3(), 2))
 
 
 def test_example1_solver_satisfies():
