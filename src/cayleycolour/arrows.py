@@ -219,6 +219,7 @@ def constructive_solve(config: Configuration) -> Colouring:
     collects two arrows and the all-u passive assignment is consistent.
     """
     ball = config.ball
+    check_rank_two_free(ball.presentation, _RANK_TWO_FREE)
     if ball.radius < 3:
         raise ValueError("need radius at least 3")
     inner = ball.interior_indices(1)

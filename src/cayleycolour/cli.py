@@ -198,7 +198,13 @@ def _run_pdeg(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     report = estimate(b, RandomSource(spec.seed), spec.samples, workers=options.workers)
     record = report.to_record()
     record["algorithm"] = ALGORITHM
-    record["ok"] = len(report.histogram) == 5 and sum(report.histogram) == spec.samples
+    # The root p-degree is Binomial(4, 1/2), or 1 + Binomial(3, 1/2) given
+    # one in-pointer; a correct sampler leaves a bin more than six standard
+    # deviations from its mean with odds below 1e-8.
+    law = [Fraction(k, 8) for k in (0, 1, 3, 3, 1)] if spec.conditional else [Fraction(k, 16) for k in (1, 4, 6, 4, 1)]
+    n = spec.samples
+    near = all(abs(count - n * q) <= 6 * float(n * q * (1 - q)) ** 0.5 for count, q in zip(report.histogram, law))
+    record["ok"] = sum(report.histogram) == n and near
     return record
 
 

@@ -22,8 +22,7 @@ _RANK_TWO_FREE = "prefix sets live on the rank-two free group"
 def _prefix_masks(b: Ball) -> list[np.ndarray]:
     """Per unit letter of `adjacency_letters()` (s, S, t, T on the rank-two
     free group), the vertices whose reduced word starts with it."""
-    first, _ = b.first_steps()
-    return [first == i for i in range(len(b.presentation.adjacency_letters()))]
+    return [b.first == i for i in range(len(b.presentation.adjacency_letters()))]
 
 
 @dataclass(frozen=True)

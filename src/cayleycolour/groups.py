@@ -12,7 +12,7 @@ import functools
 import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class Presentation:
     def name(self, gen: int) -> str:
         return self.generators[gen][0]
 
-    def index_of(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.generators):
-            if n == name:
-                return i
-        raise KeyError(f"no generator named {name!r}")
-
     def identity(self) -> "ReducedWord":
         return ReducedWord(self, ())
 
@@ -79,11 +73,13 @@ class Presentation:
         """
         if text in ("", "1"):
             return self.identity()
+        names = [name for name, _ in self.generators]
         raw: list[Letter] = []
         for ch in text:
             low = ch.lower()
-            gen = self.index_of(low)
-            raw.append((gen, 1 if ch == low else -1))
+            if low not in names:
+                raise KeyError(f"no generator named {low!r}")
+            raw.append((names.index(low), 1 if ch == low else -1))
         return reduce_letters(raw, self)
 
     def __str__(self) -> str:
@@ -241,32 +237,25 @@ class _Words(SequenceABC):
             raise IndexError("vertex index out of range")
         i %= n
         b = self._ball
+        units = b.presentation.adjacency_letters()
         letters = []
         while i > 0:
-            letters.append((int(b.first_gen[i]), int(b.first_exp[i])))
-            i = int(b.rest[i])
-        return ReducedWord(b.presentation, tuple(letters))
-
-    def __iter__(self) -> Iterator[ReducedWord]:
-        b = self._ball
-        p = b.presentation
-        gens, exps, rests = b.first_gen.tolist(), b.first_exp.tolist(), b.rest.tolist()
-        letters: list[tuple[Letter, ...]] = [()]
-        yield ReducedWord(p, ())
-        for i in range(1, len(gens)):
-            letters.append(((gens[i], exps[i]),) + letters[rests[i]])
-            yield ReducedWord(p, letters[i])
+            letters.append(units[b.first[i]])
+            i = int(b.parent[i])
+        return reduce_letters(letters, b.presentation)
 
 
 class Ball:
     """All reduced words of length at most `radius`, in a fixed canonical order.
 
-    Vertices are stored as integer arrays, not word objects.  Vertex i is
-    the word (first_gen[i], first_exp[i]) * rest[i]: its first block, then
-    the vertex index of what is left after removing that block.  The
-    identity is vertex 0, with first_gen -1 and rest -1.  `lengths` holds
-    word lengths; `words` builds `ReducedWord` objects only when read, and
-    `names()` spells every word at once without them.
+    Vertices are stored as integer arrays, not word objects: the tree that
+    grows the ball outward from the identity, each vertex from its unique
+    shorter neighbour.  first[i] is the index in `adjacency_letters()` of
+    vertex i's first unit letter (the first of `ReducedWord.unit_letters`)
+    and parent[i] the vertex that removing it leaves; both are -1 at the
+    identity, vertex 0.  `lengths` holds word lengths; `words` builds
+    `ReducedWord` objects only when read, and `names()` spells every word
+    at once without them.
 
     The order is `ReducedWord.sort_key`: by length, then by the blocks'
     keys (gen, sign, |exp|) from the left.  Words of one length that share
@@ -275,10 +264,10 @@ class Ball:
     (ell, gen, exp) holds (gen, exp) * r, in vertex order, for each r of
     length ell - |(gen, exp)| (the block's length) not starting with gen.
     A generator's parts are adjacent, so those rests are their sphere less
-    its gen run, two ranges of vertices, and the rank of one among them is
-    its offset in the sphere, less the run if it lies past it.  `_parts`
-    keeps each part's (start, count); every array and table is written
-    from them by slices or rank arithmetic, with no search.
+    its gen run, two ranges of vertices.  A vertex's parent is the same
+    offset in the part of its block less one letter, or its rest when the
+    block is one letter long.  `_parts` keeps each part's (start, count);
+    every array and table is written from them by slices, with no search.
 
     Left tables are built lazily, with -1 for entries falling outside the
     ball, and cached in one dictionary keyed by canonical letters, so each
@@ -340,15 +329,20 @@ class Ball:
         self.sphere_sizes: list[int] = np.diff(starts).tolist()
         self.lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), self.sphere_sizes)
 
-        counts = [count for _, count in parts.values()]
-        self.first_gen = np.repeat(np.array([gen for _, gen, _ in parts], dtype=np.int32), counts)
-        self.first_exp = np.repeat(np.array([exp for _, _, exp in parts], dtype=np.int32), counts)
-        self.rest = np.full(len(self), -1, dtype=np.int32)
-        for (ell, gen, exp), (start, _) in parts.items():
-            if gen >= 0:
-                for lo, hi in self._others(ell - _block_length(gen, exp, presentation), gen):
-                    self.rest[start : start + hi - lo] = np.arange(lo, hi, dtype=np.int32)
-                    start += hi - lo
+        letters = presentation.adjacency_letters()
+        self.first = np.full(len(self), -1, dtype=np.int32)
+        self.parent = np.full(len(self), -1, dtype=np.int32)
+        for (ell, gen, exp), (start, count) in parts.items():
+            if gen < 0:
+                continue
+            order = presentation.order(gen)
+            unit = 1 if (exp > 0 if order is None else exp <= order - exp) else -1
+            self.first[start : start + count] = letters.index((gen, unit))
+            if _block_length(gen, exp, presentation) > 1:
+                below = parts[ell - 1, gen, exp - unit][0]
+                self.parent[start : start + count] = np.arange(below, below + count, dtype=np.int32)
+            else:
+                self._write_rests(self.parent, start, ell - 1, gen)
 
         self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
@@ -367,74 +361,39 @@ class Ball:
         run_lo, run_hi = self._runs[length, gen]
         return (self._starts[length], run_lo), (run_hi, self._starts[length + 1])
 
-    def _rank(self, v, length, gen):
-        """Position of vertex v, of the given length and not starting with
-        gen, among its sphere's vertices that do not start with gen;
-        elementwise over arrays."""
-        run_lo, run_hi = self._runs[length, gen, 0], self._runs[length, gen, 1]
-        return v - self._starts[length] - np.where(v >= run_hi, run_hi - run_lo, 0)
+    def _write_rests(self, out: np.ndarray, start: int, length: int, gen: int) -> None:
+        """Writes the vertices of `_others(length, gen)`, in order, to out
+        from start on: the rests of a part of gen with that rest length."""
+        for lo, hi in self._others(length, gen):
+            out[start : start + hi - lo] = np.arange(lo, hi, dtype=np.int32)
+            start += hi - lo
 
     def _inverses(self) -> np.ndarray:
         """Vertex index of each vertex's inverse.
 
-        With w = head * last (last its final block), w^-1 = last^-1 * head^-1:
-        the rank of head^-1 into w's sphere's part of last^-1.  head is
-        (first block) * head(rest), and both head and head^-1 are shorter
-        than w, so one pass over the spheres in order fills all three.
-        Blocks are numbered so that per-vertex block arrays can index
-        per-block arrays of generators, block lengths, inverses and part
-        starts.
+        With w = prefix * m, m its last unit letter, w^-1 = m^-1 * prefix^-1.
+        m is the parent's last letter, or w's first when the parent is the
+        identity, and prefix is first * (the parent's prefix).  Parents,
+        prefixes and their inverses are shorter than w, so one pass over
+        the spheres in order fills all three, by unit-table reads.
         """
         if self._inverse is None:
             p = self.presentation
-            blocks = [(gen, *block) for gen, gen_blocks in enumerate(_blocks(p, self.radius)) for block in gen_blocks]
-            ids = {(gen, exp): i for i, (gen, exp, _) in enumerate(blocks)}
-            block_gen = np.array([gen for gen, _, _ in blocks], dtype=np.int32)
-            block_size = np.array([size for _, _, size in blocks], dtype=np.int32)
-            block_inverse = np.array([ids[p.generator(gen, -exp).letters[0]] for gen, exp, _ in blocks], dtype=np.int32)
-            part_start = np.zeros((self.radius + 1, len(blocks)), dtype=np.int32)
-            for (ell, gen, exp), (start, _) in self._parts.items():
-                if gen >= 0:
-                    part_start[ell, ids[gen, exp]] = start
-            # First-block ids, overwritten sphere by sphere with last-block ids.
-            counts = [count for _, count in self._parts.values()]
-            last = np.repeat(np.array([ids.get((gen, exp), 0) for _, gen, exp in self._parts], dtype=np.int32), counts)
-            head = np.zeros(len(self), dtype=np.int32)
+            letters = p.adjacency_letters()
+            flip = np.array([letters.index((g, e if p.order(g) == 2 else -e)) for g, e in letters], dtype=np.int32)
+            units = np.stack(self.unit_tables())
+            last = self.first.copy()
+            prefix = np.zeros(len(self), dtype=np.int32)
             inverse = np.zeros(len(self), dtype=np.int32)
             for ell in range(1, self.radius + 1):
                 lo, hi = self._starts[ell], self._starts[ell + 1]
-                first, rest = last[lo:hi], self.rest[lo:hi]
-                inner = rest > 0
-                h = head[rest]
-                length = self.lengths[h]
-                step = part_start[length + block_size[first], first] + self._rank(h, length, block_gen[first])
-                head[lo:hi] = np.where(inner, step, 0)
-                last[lo:hi] = np.where(inner, last[rest], first)
-                h, flip = head[lo:hi], block_inverse[last[lo:hi]]
-                inverse[lo:hi] = part_start[ell, flip] + self._rank(inverse[h], self.lengths[h], block_gen[flip])
+                if ell > 1:
+                    up = self.parent[lo:hi]
+                    last[lo:hi] = last[up]
+                    prefix[lo:hi] = units[self.first[lo:hi], prefix[up]]
+                inverse[lo:hi] = units[flip[last[lo:hi]], inverse[prefix[lo:hi]]]
             self._inverse = inverse
         return self._inverse
-
-    def _index(self, w: ReducedWord) -> int:
-        if w.presentation != self.presentation:
-            return -1
-        v = length = 0
-        for gen, exp in reversed(w.letters):
-            size = _block_length(gen, exp, self.presentation)
-            part = self._parts.get((length + size, gen, exp))
-            if part is None:
-                return -1
-            v, length = part[0] + int(self._rank(v, length, gen)), length + size
-        return v
-
-    def __contains__(self, w: ReducedWord) -> bool:
-        return self._index(w) >= 0
-
-    def index_of(self, w: ReducedWord) -> int:
-        i = self._index(w)
-        if i < 0:
-            raise KeyError(f"word {w} not in ball of radius {self.radius}")
-        return i
 
     def _block_table(self, block: Letter) -> np.ndarray:
         """Left table of one block, filled part by part (see `Ball`); built
@@ -455,47 +414,29 @@ class Ball:
             if g != gen:
                 continue
             merged = e + exp if order is None else (e + exp) % order
+            below = ell - _block_length(gen, e, self.presentation)
             if merged == 0:
-                table[start : start + count] = self.rest[start : start + count]
+                self._write_rests(table, start, below, gen)
                 continue
-            length = ell - _block_length(gen, e, self.presentation) + _block_length(gen, merged, self.presentation)
-            target = self._parts.get((length, gen, merged))
+            target = self._parts.get((below + _block_length(gen, merged, self.presentation), gen, merged))
             if target is not None:
                 table[start : start + count] = np.arange(target[0], target[0] + count, dtype=np.int32)
         return table
 
-    def first_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per vertex, the index into `adjacency_letters()` of its first unit
-        letter (the first of `ReducedWord.unit_letters`) and the vertex,
-        one step shorter, that removing it leaves (read from the unit table
-        of the inverse letter); -1 at the identity."""
-        p = self.presentation
-        first = np.full(len(self), -1, dtype=np.int32)
-        parent = np.full(len(self), -1, dtype=np.int32)
-        for i, (gen, exp) in enumerate(p.adjacency_letters()):
-            order = p.order(gen)
-            e = self.first_exp
-            sign = np.sign(e) if order is None else np.where(e <= order - e, 1, -1)
-            mine = (self.first_gen == gen) & (sign == exp)
-            first[mine] = i
-            parent[mine] = self.left_table(p.generator(gen, -exp))[mine]
-        return first, parent
-
     def names(self) -> list[str]:
         """Each vertex's word as `ReducedWord.to_string` spells it, in vertex
-        order: its first unit letter (`first_steps`), then its parent's name."""
+        order: its first unit letter (`first`), then its parent's name."""
         p = self.presentation
         labels = [p.name(gen) if exp > 0 else p.name(gen).upper() for gen, exp in p.adjacency_letters()]
-        first, parent = self.first_steps()
         names = [""]
-        for letter, rest in zip(first[1:].tolist(), parent[1:].tolist()):
-            names.append(labels[letter] + names[rest])
+        for letter, up in zip(self.first[1:].tolist(), self.parent[1:].tolist()):
+            names.append(labels[letter] + names[up])
         names[0] = "1"
         return names
 
     def unit_tables(self) -> list[np.ndarray]:
         """Left tables of the `adjacency_letters()`, in that order, which is
-        the order `first_steps` indexes; cached as one-letter words."""
+        the order `first` indexes; cached as one-letter words."""
         p = self.presentation
         return [self.left_table(p.generator(gen, exp)) for gen, exp in p.adjacency_letters()]
 

@@ -35,7 +35,7 @@ def _cycle_colour(ball: Ball, tau: int) -> np.ndarray:
     sphere's parents are coloured before it; one pass per (sphere, letter).
     """
     letters = ball.presentation.adjacency_letters()
-    first, parent = ball.first_steps()
+    first, parent = ball.first, ball.parent
     codes = np.full(len(ball), -1, dtype=np.int16)
     codes[0] = 0
     for lo, size in zip(np.cumsum(ball.sphere_sizes[:-1]), ball.sphere_sizes[1:]):

@@ -400,12 +400,12 @@ def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tup
     word of length <= limit, depth first; yields each new chunk once, as
     (length, word, position, image).
 
-    A word of length k + 1 is l * parent, l its first unit letter and the
-    parent one sphere shorter (`Ball.first_steps`), so an entry's children
-    are unit_l[word] for each unit letter l with first[unit_l[word]] = l:
-    every word is reached once, from its parent, a torsion word such as
-    a^2 = A^2 in an order-4 generator too.  A child's image is
-    unit_l[image], kept only inside the ball, so the walk follows the
+    A word of length k + 1 is l * parent, l its first unit letter
+    (`Ball.first`) and the parent one sphere shorter (`Ball.parent`), so an
+    entry's children are unit_l[word] for each unit letter l with
+    first[unit_l[word]] = l: every word is reached once, from its parent, a
+    torsion word such as a^2 = A^2 in an order-4 generator too.  A child's
+    image is unit_l[image], kept only inside the ball, so the walk follows the
     suffixes of each word and drops an entry once a suffix times the
     vertex leaves the ball.  In a free group the lengths along that walk
     fall and then rise, so this happens exactly when word * vertex is
@@ -416,7 +416,6 @@ def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tup
     near that size, and the walk holds a few of them per sphere.
     """
     units = b.unit_tables()
-    first, _ = b.first_steps()
     stack = [(length, chunk) for chunk in reversed(chunks)]
     while stack:
         length, (word, position, image) = stack.pop()
@@ -425,7 +424,7 @@ def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tup
         children = []
         for letter, unit in enumerate(units):
             child, moved = unit[word], unit[image]
-            keep = (first[child] == letter) & (moved >= 0)
+            keep = (b.first[child] == letter) & (moved >= 0)
             children.append((child[keep], position[keep], moved[keep]))
         if sum(len(child) for child, _, _ in children) <= _BLOCK_ENTRIES:
             children = [tuple(np.concatenate(column) for column in zip(*children))]

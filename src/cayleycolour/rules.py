@@ -96,17 +96,6 @@ class ColouringRule:
         """The colours allowed on table row `row`."""
         return frozenset(itertools.compress(self.colours, self.table[row]))
 
-    def allowed(self, window_values: tuple[int, ...], desc_colours: tuple[str, ...]) -> frozenset[str]:
-        if len(window_values) != len(self.window):
-            raise ValueError("window value count mismatch")
-        if len(desc_colours) != len(self.descendants):
-            raise ValueError("descendant colour count mismatch")
-        row = 0
-        for v in window_values:
-            row = 2 * row + (v > 0)
-        for colour in desc_colours:
-            row = len(self.colours) * row + self.colours.index(colour)
-        return self.allowed_set(row)
 
 
 def classify_rank(rule: ColouringRule) -> str:

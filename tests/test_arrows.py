@@ -54,22 +54,22 @@ def test_rule_rejects_torsion_group():
 
 def test_both_candidates_uncrowded_leaves_active_free():
     rule = arrow_rule()
-    out = rule.allowed((1, 1, 1, 1, 1), ("a1u", "a1u", "a1u", "a1u"))
+    out = rule.allowed_fn((1, 1, 1, 1, 1), ("a1u", "a1u", "a1u", "a1u"))
     assert {c[:2] for c in out} == {"a1", "a2"}
 
 
 def test_one_crowded_candidate_forces_the_other():
     rule = arrow_rule()
     # sign +1: candidates are the T1 and T2 descendants (slots 0 and 2)
-    out = rule.allowed((1, 1, 1, 1, 1), ("a1c", "a1u", "a1u", "a1u"))
+    out = rule.allowed_fn((1, 1, 1, 1, 1), ("a1c", "a1u", "a1u", "a1u"))
     assert {c[:2] for c in out} == {"a2"}
-    out = rule.allowed((1, 1, 1, 1, 1), ("a1u", "a1u", "a2c", "a1u"))
+    out = rule.allowed_fn((1, 1, 1, 1, 1), ("a1u", "a1u", "a2c", "a1u"))
     assert {c[:2] for c in out} == {"a1"}
 
 
 def test_negative_sign_reads_inverse_candidates():
     rule = arrow_rule()
-    out = rule.allowed((-1, 1, 1, 1, 1), ("a1u", "a1c", "a1u", "a2u"))
+    out = rule.allowed_fn((-1, 1, 1, 1, 1), ("a1u", "a1c", "a1u", "a2u"))
     # candidates are now slots 1 and 3: one crowded, so point at slot 3
     assert {c[:2] for c in out} == {"a2"}
 
@@ -78,13 +78,13 @@ def test_two_incoming_arrows_force_crowded():
     rule = arrow_rule()
     # T1-neighbour aims here iff its sign is -1 and its active part is 1;
     # T2-neighbour iff its sign is -1 and its active part is 2.
-    out = rule.allowed((1, -1, -1, -1, -1), ("a1u", "a2u", "a2u", "a1u"))
+    out = rule.allowed_fn((1, -1, -1, -1, -1), ("a1u", "a2u", "a2u", "a1u"))
     assert out and all(c[2] == "c" for c in out)
 
 
 def test_zero_incoming_forces_uncrowded():
     rule = arrow_rule()
-    out = rule.allowed((1, 1, -1, 1, -1), ("a1u", "a1u", "a2u", "a2u"))
+    out = rule.allowed_fn((1, 1, -1, 1, -1), ("a1u", "a1u", "a2u", "a2u"))
     assert out and all(c[2] == "u" for c in out)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cayleycolour
@@ -355,13 +356,15 @@ class TestAudits:
     @pytest.mark.parametrize("rule", ["arrow", "example1", "hausdorff"])
     def test_audit_rejects_what_solve_rejects(self, tmp_path, rule, presentation):
         """A builtin rule's audit runs on the presentations its solve runs on,
-        and fails on the others with the same error."""
-        args = ["--rule", rule, "--presentation", presentation, "--radius", "4"]
-        solve_code, solved = run_json(tmp_path, ["solve", *args], "solve.json")
-        audit_code, audited = run_json(tmp_path, ["audit", *args], "audit.json")
-        assert audit_code == solve_code
-        if solve_code:
-            assert audited.get("error", {}).get("message") == solved["error"]["message"]
+        and fails on the others with the same error, also at a radius too
+        small for the arrow solver."""
+        for radius in ("4", "2"):
+            args = ["--rule", rule, "--presentation", presentation, "--radius", radius]
+            solve_code, solved = run_json(tmp_path, ["solve", *args], "solve.json")
+            audit_code, audited = run_json(tmp_path, ["audit", *args], "audit.json")
+            assert audit_code == solve_code, radius
+            if solve_code:
+                assert audited.get("error", {}).get("message") == solved["error"]["message"], radius
 
     @pytest.mark.parametrize(
         "module, args, feasibility",
@@ -451,6 +454,15 @@ class TestMonteCarlo:
         code, record = run_json(tmp_path, ["pdeg", "--samples", "2000", "--seed", "9", *flags])
         assert record["result"]["samples"] == 2000
         assert sum(record["result"]["histogram"]) == 1999
+        assert record["ok"] is False and code == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--conditional"]])
+    def test_histogram_far_from_the_law_fails(self, tmp_path, monkeypatch, flags):
+        # Every sample counted, all at p-degree 0: outside six standard
+        # deviations of the binomial law in bin 0.
+        monkeypatch.setattr(arrows, "_pdegrees", lambda signs: np.zeros(signs.shape[:-1], dtype=np.int64))
+        code, record = run_json(tmp_path, ["pdeg", "--samples", "2000", "--seed", "9", *flags])
+        assert record["result"]["histogram"] == [2000, 0, 0, 0, 0]
         assert record["ok"] is False and code == 1
 
 

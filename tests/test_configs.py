@@ -149,8 +149,8 @@ def test_configuration_validation():
 def test_coordinate_access():
     b = ball(F2, 2)
     x = sample(b, RandomSource(42))
-    assert x.values[b.index_of(F2.identity())] == GOLDEN_SEED42_R2[0]
-    assert x.values[b.index_of(F2.word("a"))] == GOLDEN_SEED42_R2[1]
+    assert x.values[b.words.index(F2.identity())] == GOLDEN_SEED42_R2[0]
+    assert x.values[b.words.index(F2.word("a"))] == GOLDEN_SEED42_R2[1]
 
 
 def test_mean_and_covariance_near_zero():
@@ -158,7 +158,7 @@ def test_mean_and_covariance_near_zero():
     # root + 2 * a, so cells 1 and 3 hold the root's +1s, 2 and 3 a's.
     b = ball(F2, 1)
     n = 100_000
-    i_a = b.index_of(F2.word("a"))
+    i_a = b.words.index(F2.word("a"))
 
     def joint(rows):
         return (rows[:, 0] == 1) + 2 * (rows[:, i_a] == 1)
@@ -219,7 +219,7 @@ def test_shift_preserves_density():
     b = ball(F2, 2)
     src = RandomSource(77)
     n = 100_000
-    i_a = b.index_of(F2.word("a"))
+    i_a = b.words.index(F2.word("a"))
 
     def pred(block):
         return (block[:, 0] == 1) & (block[:, i_a] == -1)

@@ -32,11 +32,11 @@ def test_example1_rule_is_rank_one():
 def test_example1_allowed_cases():
     rule = example1_rule(2)
     # tau^-1 = A1, tau = A2: forced forward.
-    assert rule.allowed((), ("A2", "A1", "A1")) == {"A2"}
+    assert rule.allowed_fn((), ("A2", "A1", "A1")) == {"A2"}
     # tau = A3 = A_{i-1}, all descendants A1 except tau(x): count = k = 2.
-    assert rule.allowed((), ("A3", "A1", "A1")) == {"A2"}
+    assert rule.allowed_fn((), ("A3", "A1", "A1")) == {"A2"}
     # tau = A3, exactly one A1 among descendants: copy tau(x).
-    assert rule.allowed((), ("A3", "A1", "A2")) == {"A3"}
+    assert rule.allowed_fn((), ("A3", "A1", "A2")) == {"A3"}
 
 
 def test_example1_rule_validation():
@@ -117,8 +117,8 @@ def test_hausdorff_rule_rank_two():
     rule = hausdorff_rule()
     assert classify_rank(rule) == RANK_TWO_OR_HIGHER
     # tau part wants C, sigma part wants A: empty.
-    assert rule.allowed((), ("B", "C")) == frozenset()
-    assert rule.allowed((), ("A", "A")) == {"B"}
+    assert rule.allowed_fn((), ("B", "C")) == frozenset()
+    assert rule.allowed_fn((), ("A", "A")) == {"B"}
 
 
 def test_hausdorff_rule_needs_right_group():

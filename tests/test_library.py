@@ -51,27 +51,44 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of each name or attribute the module reads."""
+    """(name, line, reader) of each name or attribute the module reads:
+    reader is None for a bare name, the class for ``self.m`` in a class's
+    body, and "" for any other attribute."""
+    owners = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    owners[node] = cls.name
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, owners.get(node, "")
+
+
+def _reads(definition: str, name: str, reader: str | None) -> bool:
+    """Whether a read of `name` by `reader` (see `_references`) reads the
+    top-level name or ``Class.method`` `definition`: a method only through
+    an attribute, and through ``self`` only in its own class."""
+    cls, _, method = definition.rpartition(".")
+    if not cls:
+        return name == definition
+    return name == method and reader in ("", cls)
 
 
 def test_every_name_and_method_has_a_reader():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    references = {(module, name, line) for module, tree in trees.items() for name, line in _references(tree)}
+    references = {(module, *read) for module, tree in trees.items() for read in _references(tree)}
     unread = [
         f"{module}: {name}"
         for module, tree in trees.items()
         for name, first, last in _definitions(tree)
         if name not in ALLOWED
-        # A definition's own body (a recursive call) does not count.  A
-        # method is read through any attribute of its name.
+        # A definition's own body (a recursive call) does not count.
         and not any(
-            n == name.rpartition(".")[2] and not (m == module and first <= line <= last)
-            for m, n, line in references
+            _reads(name, n, reader) and not (m == module and first <= line <= last)
+            for m, n, line, reader in references
         )
     ]
     assert not unread, f"names and methods no other code in the package reads: {unread}"

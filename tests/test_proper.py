@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -359,21 +360,28 @@ KERNEL_GROUPS = {"F2": F2, "Z2*Z3": z2_z3(), "Z4*Z5": Presentation((("a", 4), ("
 KERNEL_BALLS = {(name, r): ball(p, r) for name, p in KERNEL_GROUPS.items() for r in range(7)}
 
 
+@functools.cache
+def vertex_index(b):
+    """Each word of the ball, by its letters, to its vertex."""
+    return {w.letters: i for i, w in enumerate(b.words)}
+
+
 def suffix_images(b, x):
     """gamma * x for every word gamma of the ball by ReducedWord products
-    and `index_of`, gamma's unit letters applied from the right, one
+    and `vertex_index`, gamma's unit letters applied from the right, one
     product per word: gamma = l * rest, l its first unit letter.  -1 once
     a partial product leaves the ball."""
     p = b.presentation
+    index = vertex_index(b)
     products = {(): b.words[x]}
     images = [x]
     for gamma in b.words[1:]:
         letter = p.generator(*gamma.unit_letters()[0])
         before = products.get((letter.inverse() * gamma).letters)
         product = None if before is None else letter * before
-        if product is not None and product in b:
+        if product is not None and product.letters in index:
             products[gamma.letters] = product
-            images.append(b.index_of(product))
+            images.append(index[product.letters])
         else:
             images.append(-1)
     return images
@@ -382,7 +390,7 @@ def suffix_images(b, x):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_word_images_match_multiplication(data):
-    """The word-image walk against ReducedWord products and `index_of`:
+    """The word-image walk against ReducedWord products and `vertex_index`:
     every nonempty word of length <= limit times a vertex list (possibly
     empty, with repeats and boundary vertices), in chunks of a few
     entries; each (word, position) comes once, and the parity and colour
@@ -409,7 +417,7 @@ def test_word_images_match_multiplication(data):
         for g in range(1, n_words):
             for j, x in enumerate(drawn):
                 product = b.words[g] * b.words[x]
-                assert expected.get((g, j), -1) == (b.index_of(product) if product in b else -1)
+                assert expected.get((g, j), -1) == vertex_index(b).get(product.letters, -1)
 
     parity = data.draw(st.integers(0, 1), label="parity")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="colour seed"))
