@@ -166,30 +166,20 @@ def _root_neighbours(ball: Ball) -> np.ndarray:
     return np.array([table[0] for table in neighbour_tables(ball)])
 
 
-def pdegree_histogram(ball: Ball, source: RandomSource, n: int, workers: int = 1) -> PdegreeReport:
-    """Root p-degree counts over n sampled configurations."""
-    counts = histogram(ball, source, n, _pdegrees, 5, workers=workers, columns=_root_neighbours(ball))
-    return PdegreeReport(n, tuple(int(c) for c in counts), source.seed)
+def pdegree_histogram(
+    ball: Ball, source: RandomSource, n: int, conditional: bool = False, workers: int = 1
+) -> PdegreeReport:
+    """Root p-degree counts over n sampled configurations.
 
-
-def conditional_pdegree(ball: Ball, source: RandomSource, n: int, workers: int = 1) -> PdegreeReport:
-    """Root p-degree counts over n samples conditioned on one fixed in-pointer.
-
-    The conditioning event: the T1-neighbour's sign bit orients its own
-    candidate pair toward the root.  Sampling continues until n conditioned
-    samples have been collected.
+    With ``conditional``, over n samples conditioned on one fixed
+    in-pointer: the T1-neighbour's sign bit orients its own candidate pair
+    toward the root.  Sampling continues until n conditioned samples have
+    been collected.
     """
-    counts = histogram(
-        ball,
-        source,
-        n,
-        _pdegrees,
-        5,
-        keep=lambda signs: signs[:, 0] == IN_SIGNS[0],  # column 0: the T1 neighbour
-        workers=workers,
-        columns=_root_neighbours(ball),
-    )
-    return PdegreeReport(n, tuple(int(c) for c in counts), source.seed, conditioned_on="T1-neighbour sign bit -1")
+    keep = (lambda signs: signs[:, 0] == IN_SIGNS[0]) if conditional else None  # column 0: the T1 neighbour
+    counts = histogram(ball, source, n, _pdegrees, 5, keep, workers, _root_neighbours(ball))
+    conditioned_on = "T1-neighbour sign bit -1" if conditional else None
+    return PdegreeReport(n, tuple(int(c) for c in counts), source.seed, conditioned_on)
 
 
 def arrow_field(colouring: Colouring) -> np.ndarray:

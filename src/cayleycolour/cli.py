@@ -106,7 +106,7 @@ def _audit_example1(colouring: Colouring, seed: int) -> dict:
     if all(c.verified for c in certificates):
         program = hausdorff.example1_program(certificates)
         outcome = feasible(program)
-        record.update(program=json.loads(program.to_json()), feasibility=outcome.to_record())
+        record.update(program=program.to_record(), feasibility=outcome.to_record())
         record["ok"] = _refuted(program, outcome)
     return record
 
@@ -194,8 +194,7 @@ def _run_audit(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
 
 
 def _run_pdeg(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
-    estimate = arrows.conditional_pdegree if spec.conditional else arrows.pdegree_histogram
-    report = estimate(b, RandomSource(spec.seed), spec.samples, workers=options.workers)
+    report = arrows.pdegree_histogram(b, RandomSource(spec.seed), spec.samples, spec.conditional, options.workers)
     record = report.to_record()
     record["algorithm"] = ALGORITHM
     # The root p-degree is Binomial(4, 1/2), or 1 + Binomial(3, 1/2) given
@@ -209,25 +208,26 @@ def _run_pdeg(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
 
 
 def _run_offsets(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
-    family = proper.offsets16(b.presentation)
+    offsets = proper.offsets16(b.presentation)
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
-    conflicts = proper.offset_conflicts(base, family)
-    used = int(np.count_nonzero(np.bincount(base.codes[base.codes >= 0], minlength=17)))
+    conflicts = proper.offset_conflicts(base)
     return {
-        "short": sorted(w.to_string() for w in family.short),
-        "long": sorted(w.to_string() for w in family.long),
-        "n_offsets": len(family.elements),
-        "inverse_closed": family.closed_under_inverse(),
+        "short": sorted(w.to_string() for w in offsets[:4]),
+        "long": sorted(w.to_string() for w in offsets[4:]),
+        "n_offsets": len(offsets),
+        "inverse_closed": all(g.inverse() in offsets for g in offsets),
         "palette_size": len(base.palette),
-        "colours_used": used,
+        "colours_used": int(np.count_nonzero(np.bincount(base.codes[base.codes >= 0], minlength=17))),
         "conflicts": conflicts,
-        "ok": conflicts == 0 and used <= 17,
+        "ok": conflicts == 0,
     }
 
 
 def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
-    arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
+    # The base colouring is drawn first: its presentation and radius checks
+    # name what doubled needs, which the arrow colouring's checks understate.
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
+    arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
 
     exact_program = proper.doubled_flow_program()
     exact = feasible(exact_program)
@@ -248,8 +248,8 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
             return result
         n = calibration.N
         q_proxy = calibration.failing
-    elif n % 2 == 0:
-        raise SpecError("--n-levels must be odd")
+    elif n < 1 or n % 2 == 0:
+        raise SpecError("--n-levels must be odd and positive")
 
     graph = proper.doubled_graph(arrow_colouring.configuration, base, n, q_proxy=q_proxy)
     codes = proper.canonical_doubled_colouring(graph, arrow_colouring)

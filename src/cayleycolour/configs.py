@@ -4,17 +4,17 @@ A configuration is a read-only ±1 sample on every ball vertex.  A rule
 never shifts one: its window at vertex v reads (v.x)(w) = x(wv) through the
 ball's left tables.
 
-Sampling is batched and seeded per batch.  One engine, ``batches``, walks
-the batch indices: it draws batches k = 0, 1, 2, ... in runs of consecutive
-batches, optionally filters their rows, applies a per-sample statistic once
-per run and yields the results in batch order, cut at exactly n kept
-samples.  ``histogram`` counts an integer statistic over that one walk, and
-the p-degree histograms in ``arrows`` are built on it, so a count never
-depends on how many workers draw the runs: one worker runs on the calling
-thread, more map runs in a thread pool and are still consumed in order.  A
-statistic declares the vertex columns it reads, and only those bytes of
-each row are converted; it and its filter see just those columns.  A single
-configuration, ``sample``, is row 0 of batch 0, drawn by the same path.
+Sampling is batched and seeded per batch.  One engine, ``histogram``,
+walks the batch indices: it draws batches k = 0, 1, 2, ... in runs of
+consecutive batches, optionally filters their rows, applies an integer
+per-sample statistic once per run and counts its values in batch order,
+cut at exactly n kept samples.  The p-degree histograms in ``arrows`` are
+built on it, so a count never depends on how many workers draw the runs:
+one worker runs on the calling thread, more map runs in a thread pool and
+are still counted in order.  A statistic declares the vertex columns it
+reads, and only those bytes of each row are converted; it and its filter
+see just those columns.  A single configuration, ``sample``, is row 0 of
+batch 0, drawn by the same path.
 
 The v1 stream (``pcg64-seedseq/batch1024/v1``), unchanged since it was
 frozen: batch k is read from PCG64 seeded by
@@ -49,7 +49,7 @@ from .groups import Ball
 ALGORITHM = "pcg64-seedseq/batch1024/v1"
 BATCH_SIZE = 1024
 # Raw bytes read per random_raw call (whole words: a multiple of 8 rows, at
-# least 8), gathered bytes per sample_batch call in ``batches``, and batch
+# least 8), gathered bytes per sample_batch call in ``histogram``, and batch
 # indices whose seeds are hashed together.
 SLICE_BYTES = 1 << 22
 RUN_BYTES = 1 << 16
@@ -224,65 +224,6 @@ def sample(ball: Ball, source: RandomSource) -> Configuration:
     return Configuration(ball, sample_batch(ball, source, 0, 1)[0])
 
 
-def batches(
-    ball: Ball,
-    source: RandomSource,
-    n: int,
-    statistic: Callable[[np.ndarray], np.ndarray] | None = None,
-    keep: Callable[[np.ndarray], np.ndarray] | None = None,
-    workers: int = 1,
-    columns: Sequence[int] | np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Per-sample results of batches 0, 1, 2, ..., cut to the first n kept samples.
-
-    Batches are drawn in runs of consecutive batches, one ``sample_batch``
-    call per run, restricted to ``columns`` (every vertex when None); a
-    run's rows take at most ``RUN_BYTES`` unless one batch alone takes more.
-    ``keep`` maps a run's rows to a boolean
-    mask, and ``statistic`` maps the kept rows to one result per row (the
-    rows themselves when None); both see only the listed columns, in the
-    order listed.  Without ``keep``, ``statistic`` sees the drawn array
-    itself and only its output is cut.  A run is no longer than the batches
-    still known to be needed, split over the workers; ``workers`` runs are
-    in flight at a time, in a thread pool when there are more than one, and
-    results are yielded in batch order either way, so they never depend on
-    ``workers``.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    width = len(ball) if columns is None else len(columns)
-    longest = max(1, RUN_BYTES // (BATCH_SIZE * width))
-
-    def draw(span: tuple[int, int]) -> np.ndarray:
-        first, count = span
-        rows = sample_batch(ball, source, first, columns=columns, run=count)
-        if keep is not None:
-            rows = rows[keep(rows)]
-        return rows if statistic is None else statistic(rows)
-
-    if workers > 1:
-        # Imported here so that a one-worker run never loads concurrent.futures.
-        from concurrent.futures import ThreadPoolExecutor
-
-        context = ThreadPoolExecutor(workers)
-    else:
-        context = nullcontext()
-    total = first = 0
-    with context as pool:
-        apply = map if pool is None else pool.map
-        while total < n:
-            due = -(-(n - total) // BATCH_SIZE)  # batches that must still be drawn
-            length = min(longest, -(-due // workers))
-            spans = [(first + i * length, length) for i in range(min(workers, -(-due // length)))]
-            for out in apply(draw, spans):
-                out = out[: n - total]
-                total += len(out)
-                yield out
-                if total == n:
-                    break
-            first += len(spans) * length
-
-
 def histogram(
     ball: Ball,
     source: RandomSource,
@@ -293,8 +234,51 @@ def histogram(
     workers: int = 1,
     columns: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Counts of an integer per-sample statistic over the first n kept samples."""
+    """Counts of an integer per-sample statistic over the first n kept
+    samples of batches 0, 1, 2, ...
+
+    Batches are drawn in runs of consecutive batches, one ``sample_batch``
+    call per run, restricted to ``columns`` (every vertex when None); a
+    run's rows take at most ``RUN_BYTES`` unless one batch alone takes more.
+    ``keep`` maps a run's rows to a boolean mask, and ``statistic`` maps the
+    kept rows to one result per row; both see only the listed columns, in
+    the order listed.  Without ``keep``, ``statistic`` sees the drawn array
+    itself and only its output is cut.  A run is no longer than the batches
+    still known to be needed, split over the workers; ``workers`` runs are
+    in flight at a time, in a thread pool when there are more than one, and
+    are counted in batch order either way, so the counts never depend on
+    ``workers``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    width = len(ball) if columns is None else len(columns)
+    longest = max(1, RUN_BYTES // (BATCH_SIZE * width))
+
+    def draw(span: tuple[int, int]) -> np.ndarray:
+        first, count = span
+        rows = sample_batch(ball, source, first, columns=columns, run=count)
+        return statistic(rows if keep is None else rows[keep(rows)])
+
+    if workers > 1:
+        # Imported here so that a one-worker run never loads concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
+        context = ThreadPoolExecutor(workers)
+    else:
+        context = nullcontext()
     counts = np.zeros(minlength, dtype=np.int64)
-    for values in batches(ball, source, n, statistic, keep, workers, columns):
-        counts += np.bincount(values, minlength=minlength)
+    total = first = 0
+    with context as pool:
+        apply = map if pool is None else pool.map
+        while total < n:
+            due = -(-(n - total) // BATCH_SIZE)  # batches that must still be drawn
+            length = min(longest, -(-due // workers))
+            spans = [(first + i * length, length) for i in range(min(workers, -(-due // length)))]
+            for out in apply(draw, spans):
+                out = out[: n - total]
+                total += len(out)
+                counts += np.bincount(out, minlength=minlength)
+                if total == n:
+                    break
+            first += len(spans) * length
     return counts

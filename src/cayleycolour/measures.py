@@ -14,7 +14,6 @@ No floating point enters any decision here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -207,14 +206,8 @@ class DensityProgram:
             if extra:
                 raise ValueError(f"constraint {c.label!r} uses undeclared classes {sorted(extra)}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variables": list(self.variables),
-                "constraints": [c.to_record() for c in self.constraints],
-            },
-            sort_keys=True,
-        )
+    def to_record(self) -> dict:
+        return {"variables": list(self.variables), "constraints": [c.to_record() for c in self.constraints]}
 
 
 def simplex_constraints(classes: Sequence[str]) -> list[Constraint]:

@@ -35,57 +35,20 @@ INFLOW_BOUND = Fraction(31, 32)
 EPSILON = Fraction(1, 512)
 
 
-@dataclass(frozen=True)
-class OffsetFamily:
-    presentation: Presentation
-    short: tuple[ReducedWord, ...]
-    long: tuple[ReducedWord, ...]
-
-    @property
-    def elements(self) -> tuple[ReducedWord, ...]:
-        return self.short + self.long
-
-    def closed_under_inverse(self) -> bool:
-        seen = {g.letters for g in self.elements}
-        return all(g.inverse().letters in seen for g in self.elements)
-
-    def representatives(self) -> tuple[ReducedWord, ...]:
-        """The first element of each inverse pair {g, g^-1}, in `elements`
-        order.  No offset may be its own inverse (in a free group only the
-        identity is), or the pairs would not split the family in two."""
-        if not self.closed_under_inverse():
-            raise ValueError("offset family is not closed under inverse")
-        reps: list[ReducedWord] = []
-        taken: set[tuple] = set()
-        for g in self.elements:
-            inverse = g.inverse().letters
-            if inverse == g.letters:
-                raise ValueError(f"offset {g} is its own inverse")
-            if g.letters not in taken:
-                reps.append(g)
-                taken.update((g.letters, inverse))
-        return tuple(reps)
-
-
-def offsets16(presentation: Presentation | None = None) -> OffsetFamily:
-    """Four mixed-sign length-2 elements and their twelve length-4 products."""
+def offsets16(presentation: Presentation | None = None) -> tuple[ReducedWord, ...]:
+    """The 16 offsets: the mixed-sign length-2 words aB, Ab, bA, Ba, then
+    the twelve length-4 products g*h of two of them with h != g^-1, in that
+    order.  They are spelled by generator index, so every rank-two free
+    presentation has them."""
     p = free_group(2) if presentation is None else presentation
     check_rank_two_free(p, "offsets live on the rank-two free group")
-    short = tuple(p.word(text) for text in ("aB", "Ab", "bA", "Ba"))
-    long: list[ReducedWord] = []
-    dropped = 0
-    for g in short:
-        for h in short:
-            prod = g * h
-            if prod.is_identity:
-                dropped += 1
-            elif prod.length == 4:
-                long.append(prod)
-            else:
-                raise ValueError("unexpected offset product length")
-    if dropped != 4 or len({w.letters for w in long}) != 12:
-        raise ValueError("offset family failed its own accounting")
-    return OffsetFamily(p, short, tuple(long))
+    short = tuple(ReducedWord(p, ((i, e), (1 - i, -e))) for i, e in ((0, 1), (0, -1), (1, 1), (1, -1)))
+    return short + tuple(g * h for g in short for h in short if not (g * h).is_identity)
+
+
+def representatives(offsets: Sequence[ReducedWord]) -> tuple[ReducedWord, ...]:
+    """The first element of each inverse pair {g, g^-1}, in the order given."""
+    return tuple(g for i, g in enumerate(offsets) if g.inverse() not in offsets[:i])
 
 
 def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colouring:
@@ -99,14 +62,15 @@ def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colour
     only on vertices in lower layers, so each layer is one array pass.
 
     The DAG is read from one left table per inverse pair {g, g^-1} of the
-    family (`OffsetFamily.representatives`): v = g*w exactly when
-    w = g^-1*v, so the table t of g gives both the edges of g, (t[w], w)
-    where t[w] < w, and those of g^-1, (w, t[w]) where t[w] > w."""
+    offsets (`representatives`): v = g*w exactly when w = g^-1*v, so the
+    table t of g gives both the edges of g, (t[w], w) where t[w] < w, and
+    those of g^-1, (w, t[w]) where t[w] > w."""
     if choice not in GREEDY_CHOICES:
         raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
+    offsets = offsets16(b.presentation)
     if b.radius < 5:
         raise ValueError("need radius at least 5 so the offsets act inside the ball")
-    pairs = _earlier_pairs([b.left_table(g) for g in offsets16(b.presentation).representatives()])
+    pairs = _earlier_pairs([b.left_table(g) for g in representatives(offsets)])
     codes = _layered_greedy(pairs, len(b), choice, seed)
     if codes is None:
         codes = _random_greedy_loop(pairs, len(b), seed)
@@ -258,17 +222,16 @@ def _random_greedy_loop(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int, 
     return np.array(codes, dtype=np.int16)
 
 
-def offset_conflicts(colouring: Colouring, fam: OffsetFamily | None = None) -> int:
-    """Pairs (g, w), g in the family, with g*w in the ball and coloured as w
-    (two blanks count as equal).  w -> g*w maps {w : g*w in the ball}
-    one-to-one onto {v : g^-1*v in the ball}, and equal colour is
+def offset_conflicts(colouring: Colouring) -> int:
+    """Pairs (g, w), g one of the 16 offsets, with g*w in the ball and
+    coloured as w (two blanks count as equal).  w -> g*w maps {w : g*w in
+    the ball} one-to-one onto {v : g^-1*v in the ball}, and equal colour is
     symmetric, so g^-1 has exactly as many as g: the count reads one table
-    per inverse pair (`OffsetFamily.representatives`) and doubles."""
+    per inverse pair (`representatives`) and doubles."""
     b = colouring.ball
-    fam = offsets16(b.presentation) if fam is None else fam
     codes = colouring.codes
     total = 0
-    for g in fam.representatives():
+    for g in representatives(offsets16(b.presentation)):
         table = b.left_table(g)
         mask = table >= 0
         total += int(np.count_nonzero(codes[mask] == codes[table[mask]]))

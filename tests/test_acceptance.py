@@ -58,7 +58,7 @@ def test_02_pdegree_binomial_law(ball3):
 def test_03_conditional_pdegree(ball3):
     started = time.perf_counter()
     n = 100_000
-    report = arrows.conditional_pdegree(ball3, RandomSource(1), n)
+    report = arrows.pdegree_histogram(ball3, RandomSource(1), n, conditional=True)
     assert abs(report.histogram[3] / n - 3 / 8) <= 0.015
     assert abs(report.histogram[4] / n - 1 / 8) <= 0.015
     assert time.perf_counter() - started < 30.0
@@ -95,17 +95,16 @@ def test_06_three_class_contradiction(ball8):
 
 
 def test_07_offsets_and_base_colouring():
-    family = proper.offsets16(F2)
-    elements = family.elements
-    assert len(elements) == 16
-    assert sum(1 for w in elements if w.length == 2) == 4
-    assert sum(1 for w in elements if w.length == 4) == 12
-    assert family.closed_under_inverse()
+    offsets = proper.offsets16(F2)
+    assert len(offsets) == 16
+    assert sum(1 for w in offsets if w.length == 2) == 4
+    assert sum(1 for w in offsets if w.length == 4) == 12
+    assert {w.inverse() for w in offsets} == set(offsets)
     b10 = ball(F2, 10)
     base = proper.greedy_base_colouring(b10, choice="min", seed=0)
     assert base.codes.min() >= 0
     assert int(base.codes.max()) <= 16
-    assert proper.offset_conflicts(base, family) == 0
+    assert proper.offset_conflicts(base) == 0
 
 
 def test_08_list_transport_fifty_configs(ball8):

@@ -11,7 +11,6 @@ from cayleycolour.arrows import (
     arrow_field,
     arrow_rule,
     candidate_arrays,
-    conditional_pdegree,
     constructive_solve,
     incoming_counts,
     mass_audit,
@@ -152,7 +151,7 @@ def test_neighbour_bits_independent_fair_coins():
 def test_conditional_pdegree_three_eighths_and_one_eighth():
     b = small_ball(3)
     n = 100_000
-    report = conditional_pdegree(b, RandomSource(99), n)
+    report = pdegree_histogram(b, RandomSource(99), n, conditional=True)
     assert sum(report.histogram) == n
     assert abs(report.fraction(3) - Fraction(3, 8)) < Fraction(15, 1000)
     assert abs(report.fraction(4) - Fraction(1, 8)) < Fraction(15, 1000)
@@ -184,9 +183,9 @@ def test_root_histograms_match_pdegree_profile(n, workers):
         return pdegree_profile(b, rows, np.array([0]))[:, 0]
 
     plain = histogram(b, source, n, at_root, 5)
-    assert pdegree_histogram(b, source, n, workers).histogram == tuple(plain)
+    assert pdegree_histogram(b, source, n, workers=workers).histogram == tuple(plain)
     conditioned = histogram(b, source, n, at_root, 5, keep=lambda rows: rows[:, j] == -1)
-    assert conditional_pdegree(b, source, n, workers).histogram == tuple(conditioned)
+    assert pdegree_histogram(b, source, n, conditional=True, workers=workers).histogram == tuple(conditioned)
 
 
 def test_constructive_solution_satisfies_rule():

@@ -422,13 +422,13 @@ class TestMonteCarlo:
         assert sum(record["result"]["histogram"]) == 2000
 
     def test_conditional_matches_library(self, tmp_path):
-        from cayleycolour.arrows import conditional_pdegree
+        from cayleycolour.arrows import pdegree_histogram
         from cayleycolour.configs import RandomSource
         from cayleycolour.groups import ball, free_group
 
         args = ["pdeg", "--samples", "4000", "--seed", "13", "--conditional", "--workers", "3"]
         code, record = run_json(tmp_path, args)
-        expected = conditional_pdegree(ball(free_group(2), 3), RandomSource(13), 4000)
+        expected = pdegree_histogram(ball(free_group(2), 3), RandomSource(13), 4000, conditional=True)
         assert record["result"]["conditioned_on"] == expected.conditioned_on
         assert tuple(record["result"]["histogram"]) == expected.histogram
 
@@ -441,16 +441,14 @@ class TestMonteCarlo:
         expected = pdegree_histogram(ball(free_group(2), 3), RandomSource(13), 4000)
         assert tuple(record["result"]["histogram"]) == expected.histogram
 
-    @pytest.mark.parametrize(
-        "estimator, flags", [("pdegree_histogram", []), ("conditional_pdegree", ["--conditional"])]
-    )
-    def test_lost_sample_fails(self, tmp_path, monkeypatch, estimator, flags):
-        real = getattr(arrows, estimator)
+    @pytest.mark.parametrize("flags", [[], ["--conditional"]])
+    def test_lost_sample_fails(self, tmp_path, monkeypatch, flags):
+        real = arrows.pdegree_histogram
 
-        def drops_one(ball, source, n, workers=1):
-            return dataclasses.replace(real(ball, source, n - 1, workers=workers), samples=n)
+        def drops_one(ball, source, n, conditional=False, workers=1):
+            return dataclasses.replace(real(ball, source, n - 1, conditional, workers), samples=n)
 
-        monkeypatch.setattr(arrows, estimator, drops_one)
+        monkeypatch.setattr(arrows, "pdegree_histogram", drops_one)
         code, record = run_json(tmp_path, ["pdeg", "--samples", "2000", "--seed", "9", *flags])
         assert record["result"]["samples"] == 2000
         assert sum(record["result"]["histogram"]) == 1999
@@ -481,7 +479,7 @@ class TestStructureCommands:
         def one_conflict(b, choice="min", seed=0):
             base = real(b, choice=choice, seed=seed)
             # The root takes the colour of its neighbour through one offset.
-            base.codes[0] = base.codes[b.left_table(proper.offsets16(b.presentation).short[0])[0]]
+            base.codes[0] = base.codes[b.left_table(proper.offsets16(b.presentation)[0])[0]]
             return base
 
         monkeypatch.setattr(proper, "greedy_base_colouring", one_conflict)
@@ -500,8 +498,32 @@ class TestStructureCommands:
         assert result["proper"]["conflicts"] == []
 
     def test_doubled_even_levels_rejected(self, tmp_path):
-        code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", "2"])
-        assert code == 1 and "odd" in record["error"]["message"]
+        # Zero and negative level counts get the same SpecError as even ones.
+        for levels in ("2", "0", "-1"):
+            code, record = run_json(tmp_path, ["doubled", "--radius", "5", "--n-levels", levels])
+            assert code == 1
+            assert record["error"] == {"type": "SpecError", "message": "--n-levels must be odd and positive"}, levels
+
+    @pytest.mark.parametrize("radius", ["2", "3"])
+    def test_doubled_small_radius_names_the_offsets_need(self, tmp_path, radius):
+        # The base colouring's check comes first: the arrow colouring alone
+        # would run from radius 3.
+        code, record = run_json(tmp_path, ["doubled", "--radius", radius])
+        assert code == 1
+        assert record["error"]["message"] == "need radius at least 5 so the offsets act inside the ball"
+
+    @pytest.mark.parametrize("args", ["offsets --radius 8 --choice random --seed 3", "doubled --radius 7"])
+    def test_st_runs_as_f2_spelled_s_t(self, tmp_path, args):
+        """Offsets are spelled by generator index, so on the free group on s
+        and t a run gives f2's result with a, b, A, B read as s, t, S, T."""
+        code, f2 = run_json(tmp_path, args.split(), "f2.json")
+        st_code, st = run_json(tmp_path, [*args.split(), "--presentation", "st"], "st.json")
+        assert code == st_code == 0
+        spell = str.maketrans("abAB", "stST")
+        for key in ("short", "long"):
+            if key in f2["result"]:
+                f2["result"][key] = sorted(w.translate(spell) for w in f2["result"][key])
+        assert st["result"] == f2["result"]
 
     def test_doubled_reports_calibration_failure(self, tmp_path):
         code, record = run_json(

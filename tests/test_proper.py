@@ -26,7 +26,6 @@ from cayleycolour.proper import (
     _start,
     _walk,
     Calibration,
-    OffsetFamily,
     arrows_to_list_colouring,
     calibrate_N,
     canonical_doubled_colouring,
@@ -38,6 +37,7 @@ from cayleycolour.proper import (
     list_assignments,
     offset_conflicts,
     offsets16,
+    representatives,
     secondary_graph,
 )
 from cayleycolour.rules import Colouring, ViolationReport, check
@@ -58,19 +58,22 @@ def setup_r6(seed=7):
 
 
 def test_offsets16_counts():
-    fam = offsets16()
-    assert len(fam.elements) == 16
-    assert len({g.letters for g in fam.elements}) == 16
-    assert all(g.length == 2 for g in fam.short)
-    assert all(g.length == 4 for g in fam.long)
-    assert fam.closed_under_inverse()
+    for presentation in (F2, free_group(2, "st")):
+        offsets = offsets16(presentation)
+        assert len(offsets) == len(set(offsets)) == 16
+        assert all(g.length == 2 for g in offsets[:4])
+        assert all(g.length == 4 for g in offsets[4:])
+        assert {g.inverse() for g in offsets} == set(offsets)
+        reps = representatives(offsets)
+        assert len(reps) == 8
+        assert {g.inverse() for g in reps} == set(offsets) - set(reps)
 
 
 def test_offsets16_identity_products():
-    fam = offsets16()
-    identity_products = sum(1 for g in fam.short for h in fam.short if (g * h).is_identity)
+    short = offsets16()[:4]
+    identity_products = sum(1 for g in short for h in short if (g * h).is_identity)
     assert identity_products == 4
-    g1, g3 = fam.short[0], fam.short[2]  # aB and bA
+    g1, g3 = short[0], short[2]  # aB and bA
     assert (g1 * g3).is_identity
     assert (g1 * g1).length == 4
 
@@ -95,29 +98,20 @@ def test_greedy_random_choice_proper():
 
 
 def test_representatives_take_one_of_each_inverse_pair():
-    fam = offsets16()
-    reps = fam.representatives()
+    offsets = offsets16()
+    reps = representatives(offsets)
     assert len(reps) == 8
     words = {g.letters for g in reps}
     inverses = {g.inverse().letters for g in reps}
     assert words.isdisjoint(inverses)
-    assert words | inverses == {g.letters for g in fam.elements}
-
-
-def test_representatives_reject_unpaired_and_self_inverse_offsets():
-    a = F2.word("a")
-    with pytest.raises(ValueError, match="closed"):
-        OffsetFamily(F2, (a,), ()).representatives()
-    z = z2_z3()
-    with pytest.raises(ValueError, match="own inverse"):
-        OffsetFamily(z, (z.word("s"),), ()).representatives()
+    assert words | inverses == {g.letters for g in offsets}
 
 
 def direct_conflicts(colouring):
     """Offset conflicts summed over all 16 tables, one per element."""
     b, codes = colouring.ball, colouring.codes
     total = 0
-    for g in offsets16(b.presentation).elements:
+    for g in offsets16(b.presentation):
         t = b.left_table(g)
         inside = np.flatnonzero(t >= 0)
         total += int(np.count_nonzero(codes[inside] == codes[t[inside]]))
@@ -145,7 +139,7 @@ def test_offset_conflicts_equal_the_sum_over_all_sixteen_tables(radius, colours,
 def test_offset_conflicts_count_a_planted_conflict_from_both_ends():
     b = GREEDY_BALLS[6]
     base = greedy_base_colouring(b)
-    w, g = 0, offsets16().long[5]
+    w, g = 0, offsets16()[4:][5]
     v = int(b.left_table(g)[w])
     codes = base.codes.copy()
     codes[v] = codes[w]
@@ -164,12 +158,12 @@ def test_greedy_and_conflict_count_read_one_table_per_inverse_pair(monkeypatch):
 
     monkeypatch.setattr(Ball, "left_table", left_table)
     b = ball(F2, 6)
-    fam = offsets16()
+    offsets = offsets16()
     assert offset_conflicts(greedy_base_colouring(b, "random", 4)) == 0
     words = set(requested)
     assert len(words) == 8
-    assert words <= {g.letters for g in fam.elements}
-    assert not any(g.inverse().letters in words for g in fam.elements if g.letters in words)
+    assert words <= {g.letters for g in offsets}
+    assert not any(g.inverse().letters in words for g in offsets if g.letters in words)
 
 
 def test_offsets_peak_traced_memory_at_radius_10():
@@ -229,8 +223,7 @@ def test_secondary_edge_offsets():
     """Same-orientation clique-mates differ by a short offset; mates with
     opposite orientation differ by a same-sign length-2 product instead."""
     b, config, base = setup_r6()
-    fam = offsets16()
-    short = {g.letters for g in fam.short}
+    short = {g.letters for g in offsets16()[:4]}
     t1, u1, t2, u2 = (b.left_table(F2.generator(g, e)) for g, e in ((0, 1), (0, -1), (1, 1), (1, -1)))
 
     def slot_sign(x, z):
@@ -259,8 +252,7 @@ def test_secondary_edge_offsets():
 
 def test_away_targets_differ_from_centre_by_short_offset():
     b, config, base = setup_r6()
-    fam = offsets16()
-    short = {g.letters for g in fam.short}
+    short = {g.letters for g in offsets16()[:4]}
     graph = secondary_graph(config)
     checked = 0
     for z, row in zip(graph.centers, graph.cliques):
@@ -787,7 +779,7 @@ def test_secondary_family_matches_reference_loops(data):
 
 def greedy_reference(b, choice, seed):
     """The vertex-by-vertex greedy the layered one replaced."""
-    tables = [b.left_table(g) for g in offsets16(b.presentation).elements]
+    tables = [b.left_table(g) for g in offsets16(b.presentation)]
     codes = np.full(len(b), -1, dtype=np.int16)
     rng = np.random.default_rng(seed)
     for w in range(len(b)):
