@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import arrows, hausdorff, proper
+from . import arrows, equidecomp, hausdorff, proper
 from .configs import ALGORITHM, RandomSource, sample
 from .groups import Ball, Presentation, ball, free_group, z2_z3
 from .measures import DensityProgram, FeasibilityResult, feasible, replay_refutation
@@ -278,14 +278,8 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
 
 
 def _run_prefix(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
-    # Imported here: no other command reads equidecomp, so no other command
-    # pays to import it.
-    from . import equidecomp
-
-    report = equidecomp.verify_prefix_identities(b)
-    record = report.to_record()
-    record["ok"] = report.all_verified
-    return record
+    report = equidecomp.check_decomposition(b, equidecomp.free_group_decomposition(b), np.arange(len(b)))
+    return {**report.to_record(), "ok": report.all_verified}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +317,8 @@ _COMMANDS: dict[str, tuple] = {
     "doubled": (_run_doubled, "doubled-graph build, properness, and flow audit",
                 {"presentation": None, "radius": 7, "seed": 0, "epsilon": "1/512", "n-levels": None,
                  "choice": "random", "csv": None}),
-    "prefix": (_run_prefix, "exact prefix-set identity verification", {"presentation": None, "radius": 6}),
+    "prefix": (_run_prefix, "F2's paradoxical decomposition into prefix sets, checked exactly",
+               {"presentation": None, "radius": 6}),
 }
 
 

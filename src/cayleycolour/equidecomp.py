@@ -1,138 +1,134 @@
-"""Exact prefix-set identities on the rank-two free group.
+"""Paradoxical decompositions on a Cayley ball, checked exactly.
 
-The prefix sets W(s), W(S), W(t), W(T) (words starting with s, s^-1, t,
-t^-1) and the identity partition the group, and s * W(S) is everything
-outside W(s): the classical paradoxical decomposition of F2.  On a finite
-ball these identities hold only away from the boundary;
-`verify_prefix_identities` checks them there, with the chain identities
-that t accumulates, as boolean masks over the ball's vertices.
+A decomposition splits the judged vertices into numbered pieces and moves
+each piece, bar the left-over ones, by one group element on the left into
+one of two copies.  Each moved piece must land in its target set, every
+judged target vertex must come from that piece, and the pieces of one copy
+must never land on the same vertex.  `check_decomposition` counts all of
+this on vertex arrays translated by `Ball.left_table`; what a mover carries
+past the radius is counted apart, as the boundary remainder.
+
+`free_group_decomposition` is the classical one of the rank-two free group:
+with W(x) the words starting with x, F2 = 1 u W(s) u W(S) u W(t) u W(T),
+and W(s) u s W(S) and W(t) u t W(T) are each the whole group.  The identity
+is the piece left over.  The six-piece doubling of Z2 * Z3 lives in
+`hausdorff`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Ball, ReducedWord, check_rank_two_free
-
-_RANK_TWO_FREE = "prefix sets live on the rank-two free group"
+from .groups import Ball, check_rank_two_free
 
 
-def _prefix_masks(b: Ball) -> list[np.ndarray]:
-    """Per unit letter of `adjacency_letters()` (s, S, t, T on the rank-two
-    free group), the vertices whose reduced word starts with it."""
-    return [b.first == i for i in range(len(b.presentation.adjacency_letters()))]
+# pieces[v] is the number (1-based, in `names` order) of vertex v's piece,
+# 0 where v is not judged.  movers, copies and targets map each moved
+# piece's name to its mover word, its copy index and a whole-ball target
+# mask; a left-over piece has no entry.
+Decomposition = namedtuple("Decomposition", "pieces names movers copies targets")
 
 
 @dataclass(frozen=True)
-class PrefixReport:
-    radius: int
-    star_exact: tuple[bool, bool]
-    star_literal_gap: tuple[tuple[str, ...], tuple[str, ...]]
-    chain_exact: tuple[bool, ...]
-    chain_literal_gap_sizes: tuple[int, ...]
-    intersection_tail_sizes: tuple[int, ...]
+class DecompositionReport:
+    interior_size: int
+    piece_sizes: dict[str, int]
     partition_exact: bool
+    mover_words: dict[str, str]
+    into_checks: dict[str, tuple[int, int]]
+    onto_checks: dict[str, tuple[int, int]]
+    boundary_remainder: int
+    copies_disjoint: bool
 
     @property
     def all_verified(self) -> bool:
-        return all(self.star_exact) and all(self.chain_exact) and self.partition_exact
+        return (
+            self.interior_size > 0
+            and self.partition_exact
+            and self.copies_disjoint
+            and all(p == t for p, t in self.into_checks.values())
+            and all(p == t for p, t in self.onto_checks.values())
+        )
 
     def to_record(self) -> dict:
         return {
-            "radius": self.radius,
-            "star_exact": list(self.star_exact),
-            "star_literal_gap": [list(g) for g in self.star_literal_gap],
-            "chain_exact": list(self.chain_exact),
-            "chain_literal_gap_sizes": list(self.chain_literal_gap_sizes),
-            "intersection_tail_sizes": list(self.intersection_tail_sizes),
+            "interior_size": self.interior_size,
+            "piece_sizes": self.piece_sizes,
             "partition_exact": self.partition_exact,
+            "movers": self.mover_words,
+            "into_checks": {k: list(v) for k, v in self.into_checks.items()},
+            "onto_checks": {k: list(v) for k, v in self.onto_checks.items()},
+            "boundary_remainder": self.boundary_remainder,
+            "copies_disjoint": self.copies_disjoint,
             "all_verified": self.all_verified,
         }
 
 
-def verify_prefix_identities(b: Ball) -> PrefixReport:
-    """Exact prefix-set identities, truncation-aware.
+def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.ndarray) -> DecompositionReport:
+    """Check that the pieces tile the judged vertices (an index array) and
+    that the movers rebuild each copy.
 
-    The left-translation identities hold with the identity element included
-    on the right-hand side; the report carries the literal reading's gap
-    (always exactly the identity element) separately.  The chain sets
-    accumulate the powers of the second generator, and the running
-    intersections stabilize toward the inverse-prefix set plus that power
-    core, with the tail shrinking at every step.
-
-    Sets are boolean masks over the ball's vertices, translated with
-    `Ball.left_table`.  Products that leave the ball are dropped: every
-    comparison is restricted to length <= radius - 1 first (radius - n at
-    chain step n), and a word of length > radius stays longer than that
-    under the n or fewer left multiplications by t that follow.  t^n W(t)
-    is one t-translate of t^(n-1) W(t), never a t^n table: a word of W(t)
-    starts with t, so t^(n-1) w is in the ball whenever t^n w is.
+    Per moved piece, the into check counts its images inside the ball that
+    land in the target; the onto check counts the judged target vertices
+    whose preimage lies in some piece, and those whose preimage lies in
+    this one.  Images and preimages outside the ball, and preimages in no
+    piece, make up the boundary remainder.
     """
-    p = b.presentation
-    check_rank_two_free(p, _RANK_TWO_FREE)
-    if b.radius < 3:
-        raise ValueError("need radius at least 3")
-    ws, ws_inv, wt, wt_inv = _prefix_masks(b)
-    one = np.arange(len(b)) == 0
-    s, t = p.generator(0), p.generator(1)
+    piece = decomposition.pieces
+    piece_sizes = {name: int(np.count_nonzero(piece == k + 1)) for k, name in enumerate(decomposition.names)}
+    partition_exact = bool(np.all(piece[judged] > 0)) and sum(piece_sizes.values()) == len(judged)
 
-    def translate(g: ReducedWord, mask: np.ndarray) -> np.ndarray:
-        images = b.left_table(g)[mask]
-        out = np.zeros(len(b), dtype=bool)
-        out[images[images >= 0]] = True
-        return out
+    into_checks: dict[str, tuple[int, int]] = {}
+    onto_checks: dict[str, tuple[int, int]] = {}
+    images: dict[int, list[np.ndarray]] = defaultdict(list)
+    remainder = 0
+    for k, name in enumerate(decomposition.names):
+        if name not in decomposition.movers:
+            continue
+        mover = ball.presentation.word(decomposition.movers[name])
+        target = decomposition.targets[name]
+        moved = ball.left_table(mover)[piece == k + 1]
+        remainder += int(np.count_nonzero(moved < 0))
+        moved = moved[moved >= 0]
+        images[decomposition.copies[name]].append(moved)
+        into_checks[name] = (int(np.count_nonzero(target[moved])), len(moved))
+        sources = ball.left_table(mover.inverse())[judged[target[judged]]]
+        landed = piece[sources[sources >= 0]]
+        remainder += len(sources) - int(np.count_nonzero(landed))
+        onto_checks[name] = (int(np.count_nonzero(landed == k + 1)), int(np.count_nonzero(landed)))
 
-    parts = (one, ws, ws_inv, wt, wt_inv)
-    partition_exact = bool(np.all(np.logical_or.reduce(parts))) and sum(int(np.count_nonzero(m)) for m in parts) == len(b)
-
-    star_exact = []
-    star_gap = []
-    for g, src, others in (
-        (s, ws_inv, (ws_inv, wt, wt_inv)),
-        (t, wt_inv, (wt_inv, ws, ws_inv)),
-    ):
-        inner = b.lengths <= b.radius - 1
-        lhs = translate(g, src) & inner
-        literal = (others[0] | others[1] | others[2]) & inner
-        star_exact.append(bool(np.array_equal(lhs, one | literal)))
-        star_gap.append(tuple(sorted(b.words[int(i)].to_string() for i in np.flatnonzero(lhs & ~literal))))
-
-    # Chain: j0 is everything off the s-axis including the identity; each
-    # step multiplies by t and removes the s-prefixed words.  Closed form
-    # at step n: the powers t^0..t^n, the t-inverse prefixes, and the words
-    # with at least n+1 leading t's.
-    remove = ws | ws_inv
-    t_table = b.left_table(t)
-    chain_exact = []
-    chain_gap_sizes = []
-    tail_sizes = []
-    current = one | wt | wt_inv
-    powers = one.copy()
-    power = 0  # the vertex t^n
-    shifted = wt  # t^n W(t), carried one t at a time
-    running: np.ndarray | None = None
-    for n in range(1, b.radius - 1):
-        inner = b.lengths <= b.radius - n
-        current = translate(t, current) & ~remove
-        power = int(t_table[power])
-        powers[power] = True
-        shifted = translate(t, shifted)
-        closed = (powers | wt_inv | shifted) & inner
-        computed = current & inner
-        chain_exact.append(bool(np.array_equal(computed, closed)))
-        literal = ((np.arange(len(b)) == power) | wt_inv | shifted) & inner
-        chain_gap_sizes.append(int(np.count_nonzero(computed & ~literal)))
-        running = computed if running is None else (running & inner & computed)
-        tail_sizes.append(int(np.count_nonzero(running & ~(wt_inv & inner))))
-
-    return PrefixReport(
-        radius=b.radius,
-        star_exact=tuple(star_exact),
-        star_literal_gap=tuple(star_gap),
-        chain_exact=tuple(chain_exact),
-        chain_literal_gap_sizes=tuple(chain_gap_sizes),
-        intersection_tail_sizes=tuple(tail_sizes),
+    # A copy is disjoint when its pieces never move onto the same vertex.
+    hits = [np.concatenate(parts) for parts in images.values()]
+    return DecompositionReport(
+        interior_size=len(judged),
+        piece_sizes=piece_sizes,
         partition_exact=partition_exact,
+        mover_words=decomposition.movers,
+        into_checks=into_checks,
+        onto_checks=onto_checks,
+        boundary_remainder=remainder,
+        copies_disjoint=not any(np.any(np.diff(np.sort(h)) == 0) for h in hits),
+    )
+
+
+def free_group_decomposition(b: Ball) -> Decomposition:
+    """The pieces 1, W(s), W(S), W(t), W(T), read off `Ball.first`, judged
+    on the whole ball: copy 1 is W(s) by 1 plus W(S) by s, onto W(s) and
+    its complement, copy 2 likewise with t.  Pieces are named by their
+    first letter, as `ReducedWord.to_string` spells it."""
+    p = b.presentation
+    check_rank_two_free(p, "prefix sets live on the rank-two free group")
+    s, t = p.name(0), p.name(1)
+    S, T = s.upper(), t.upper()
+    # `first` is -1 at the identity and 0..3 for s, S, t, T.
+    ws, wt = b.first == 0, b.first == 2
+    return Decomposition(
+        pieces=b.first + 2,
+        names=("1", s, S, t, T),
+        movers={s: "1", S: s, t: "1", T: t},
+        copies={s: 1, S: 1, t: 2, T: 2},
+        targets={s: ws, S: ~ws, t: wt, T: ~wt},
     )

@@ -471,8 +471,9 @@ class Ball:
         return table
 
     def interior_indices(self, depth: int) -> np.ndarray:
-        """Vertices whose whole depth-neighbourhood stays inside the ball."""
-        return np.nonzero(self.lengths <= self.radius - depth)[0]
+        """Vertices whose whole depth-neighbourhood stays inside the ball:
+        those of length at most radius - depth, a prefix of vertex order."""
+        return np.arange(self._starts[max(self.radius - depth + 1, 0)])
 
 
 def ball(presentation: Presentation, radius: int) -> Ball:

@@ -10,16 +10,17 @@ too big and too small for any invariant finitely additive measure.
 Both solvers walk the ball outward from the identity, each vertex coloured
 from its unique shorter neighbour; torsion triangles close consistently.
 Each returns a plain `Colouring`, and the six-piece functions take it.
-The six-piece report rebuilds two full copies of the space from pieces of
-one, with every set membership and every moved vertex checked exactly.
+The six pieces of the A/B/C classes, moved by their `MOVERS`, rebuild two
+full copies of the space; `six_piece_doubling` checks this with
+`equidecomp.check_decomposition`, every set membership and every moved
+vertex exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .equidecomp import Decomposition, DecompositionReport, check_decomposition
 from .groups import Ball, Presentation, free_group, z2_z3
 from .measures import DensityProgram, TransportCertificate, certify_transport, translate
 from .rules import Colouring, ColouringRule, check
@@ -193,41 +194,6 @@ MOVERS = {
 }
 
 
-@dataclass(frozen=True)
-class DoublingReport:
-    interior_size: int
-    piece_sizes: dict[str, int]
-    partition_exact: bool
-    mover_words: dict[str, str]
-    into_checks: dict[str, tuple[int, int]]
-    onto_checks: dict[str, tuple[int, int]]
-    boundary_remainder: int
-    copies_disjoint: bool
-
-    @property
-    def all_verified(self) -> bool:
-        return (
-            self.interior_size > 0
-            and self.partition_exact
-            and self.copies_disjoint
-            and all(p == t for p, t in self.into_checks.values())
-            and all(p == t for p, t in self.onto_checks.values())
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "interior_size": self.interior_size,
-            "piece_sizes": self.piece_sizes,
-            "partition_exact": self.partition_exact,
-            "movers": self.mover_words,
-            "into_checks": {k: list(v) for k, v in self.into_checks.items()},
-            "onto_checks": {k: list(v) for k, v in self.onto_checks.items()},
-            "boundary_remainder": self.boundary_remainder,
-            "copies_disjoint": self.copies_disjoint,
-            "all_verified": self.all_verified,
-        }
-
-
 def six_piece_pieces(classes: Colouring) -> np.ndarray:
     """Piece number 1..6 per vertex (0 where the reads leave the ball).
 
@@ -251,7 +217,7 @@ def six_piece_pieces(classes: Colouring) -> np.ndarray:
     return piece
 
 
-def six_piece_doubling(classes: Colouring) -> DoublingReport:
+def six_piece_doubling(classes: Colouring) -> DecompositionReport:
     """Check that the six pieces tile the interior and that the designated
     movers rebuild two disjoint copies of the A/B/C partition."""
     ball = classes.ball
@@ -259,44 +225,11 @@ def six_piece_doubling(classes: Colouring) -> DoublingReport:
     report = check(rule, classes)
     if report.interior_size > 0 and not report.satisfied:
         raise ValueError("classes do not satisfy the congruence rule on the interior")
-    piece = six_piece_pieces(classes)
-    inner = ball.interior_indices(2)
-    piece_sizes = {name: int(np.sum(piece == k + 1)) for k, name in enumerate(PIECES)}
-    partition_exact = bool(np.all(piece[inner] > 0)) and sum(piece_sizes.values()) == len(inner)
-
-    cls = classes.codes
-    into_checks: dict[str, tuple[int, int]] = {}
-    onto_checks: dict[str, tuple[int, int]] = {}
-    mover_words: dict[str, str] = {}
-    images: dict[int, list[np.ndarray]] = {1: [], 2: []}
-    remainder = 0
-    for k, name in enumerate(PIECES):
-        word_text, target, copy = MOVERS[name]
-        mover = ball.presentation.word(word_text)
-        mover_words[name] = word_text
-        table = ball.left_table(mover)
-        target_code = H_COLOURS.index(target)
-        moved = table[piece == k + 1]
-        remainder += int(np.count_nonzero(moved < 0))
-        moved = moved[moved >= 0]
-        images[copy].append(moved)
-        into_checks[name] = (int(np.count_nonzero(cls[moved] == target_code)), len(moved))
-        sources = ball.left_table(mover.inverse())[inner[cls[inner] == target_code]]
-        inside = sources >= 0
-        landed = piece[sources[inside]]
-        remainder += len(sources) - int(np.count_nonzero(landed))
-        onto_checks[name] = (int(np.count_nonzero(landed == k + 1)), int(np.count_nonzero(landed)))
-
-    # A copy is disjoint when its three pieces never move onto the same vertex.
-    hits = [np.concatenate(parts) for parts in images.values()]
-    copies_disjoint = not any(np.any(np.diff(np.sort(h)) == 0) for h in hits)
-    return DoublingReport(
-        interior_size=len(inner),
-        piece_sizes=piece_sizes,
-        partition_exact=partition_exact,
-        mover_words=mover_words,
-        into_checks=into_checks,
-        onto_checks=onto_checks,
-        boundary_remainder=remainder,
-        copies_disjoint=copies_disjoint,
+    decomposition = Decomposition(
+        pieces=six_piece_pieces(classes),
+        names=PIECES,
+        movers={name: word for name, (word, _, _) in MOVERS.items()},
+        copies={name: copy for name, (_, _, copy) in MOVERS.items()},
+        targets={name: classes.codes == H_COLOURS.index(target) for name, (_, target, _) in MOVERS.items()},
     )
+    return check_decomposition(ball, decomposition, ball.interior_indices(2))

@@ -9,6 +9,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cayleycolour import arrows, equidecomp, hausdorff, proper
@@ -150,11 +151,11 @@ def test_09_doubled_space_audit():
 
 def test_10_prefix_identities():
     started = time.perf_counter()
-    prefix = equidecomp.verify_prefix_identities(ball(ST, 6))
-    assert prefix.star_exact == (True, True)
-    assert prefix.chain_exact[0] is True
-    # the printed forms omit exactly the identity element
-    assert prefix.star_literal_gap == (("1",), ("1",))
+    b = ball(ST, 6)
+    prefix = equidecomp.check_decomposition(b, equidecomp.free_group_decomposition(b), np.arange(len(b)))
+    assert prefix.all_verified
+    # W(s) u s W(S) and W(t) u t W(T) each rebuild the group: the identity is left over
+    assert prefix.piece_sizes["1"] == 1 and "1" not in prefix.mover_words
     assert time.perf_counter() - started < 30.0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cayleycolour
-from cayleycolour import arrows, cli, groups, hausdorff, proper
+from cayleycolour import arrows, cli, equidecomp, groups, hausdorff, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -591,21 +591,50 @@ class TestStructureCommands:
         code, record = run_json(tmp_path, ["prefix", "--radius", "5"])
         assert code == 0
         assert record["result"]["all_verified"] is True
-        assert record["result"]["star_literal_gap"] == [["1"], ["1"]]
+        # The identity is the piece left over: W(s) u s W(S) misses nothing else.
+        assert record["result"]["piece_sizes"]["1"] == 1 and "1" not in record["result"]["movers"]
 
     def test_prefix_broken_mask_fails(self, tmp_path, monkeypatch):
-        from cayleycolour import equidecomp
-
-        real = equidecomp._prefix_masks
+        real = equidecomp.free_group_decomposition
 
         def one_vertex_moved(b):
-            masks = real(b)
-            masks[0][1] = not masks[0][1]  # vertex 1 joins or leaves the s-prefix set
-            return masks
+            decomposition = real(b)
+            decomposition.pieces[1] = 1  # vertex 1 leaves its prefix piece for the identity's
+            return decomposition
 
-        monkeypatch.setattr(equidecomp, "_prefix_masks", one_vertex_moved)
+        monkeypatch.setattr(equidecomp, "free_group_decomposition", one_vertex_moved)
         code, record = run_json(tmp_path, ["prefix", "--radius", "5"])
-        assert record["result"]["partition_exact"] is False
+        assert record["result"]["piece_sizes"]["1"] == 2
+        assert record["ok"] is False and code == 1
+
+    @pytest.mark.parametrize("plant", ["vertex-moved", "mover-edited", "copies-overlap"])
+    @pytest.mark.parametrize(
+        "module, args",
+        [(equidecomp, "prefix --radius 5"), (hausdorff, "audit --rule hausdorff --radius 8")],
+        ids=["prefix", "hausdorff"],
+    )
+    def test_planted_decomposition_fails(self, tmp_path, monkeypatch, module, args, plant):
+        """Each command's decomposition, planted with one fault on its way
+        into the checker, fails the run: a judged vertex moves to the next
+        piece, the first moved piece's mover gains an s, or that piece joins
+        the other copy, which it overlaps."""
+        real = equidecomp.check_decomposition
+
+        def planted(b, decomposition, judged):
+            first = next(iter(decomposition.movers))  # the first moved piece
+            if plant == "vertex-moved":
+                v = judged[0]
+                decomposition.pieces[v] = decomposition.pieces[v] % len(decomposition.names) + 1
+            elif plant == "mover-edited":
+                decomposition.movers[first] = decomposition.movers[first].replace("1", "") + "s"
+            else:
+                decomposition.copies[first] = 3 - decomposition.copies[first]
+            return real(b, decomposition, judged)
+
+        monkeypatch.setattr(module, "check_decomposition", planted)
+        code, record = run_json(tmp_path, args.split())
+        result = record["result"].get("doubling", record["result"])
+        assert result["all_verified"] is False
         assert record["ok"] is False and code == 1
 
 

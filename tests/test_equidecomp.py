@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleycolour.equidecomp import PrefixReport, _prefix_masks, verify_prefix_identities
+from cayleycolour import hausdorff
+from cayleycolour.equidecomp import DecompositionReport, check_decomposition, free_group_decomposition
 from cayleycolour.groups import ball, free_group, z2_z3
 
 
@@ -12,9 +15,9 @@ BALL6 = ball(P, 6)
 
 
 def prefix_words(letter, b):
-    """The ball words whose reduced form starts with the unit letter, read
-    off `_prefix_masks` (masks in s, S, t, T order)."""
-    mask = _prefix_masks(b)["sStT".index(letter)]
+    """The ball words in the decomposition's piece named by the unit letter."""
+    decomposition = free_group_decomposition(b)
+    mask = decomposition.pieces == decomposition.names.index(letter) + 1
     return frozenset(b.words[int(i)] for i in np.flatnonzero(mask))
 
 
@@ -31,12 +34,13 @@ class TestPrefixSets:
         union = frozenset({P.identity()}).union(*parts)
         assert union == frozenset(BALL6.words)
         assert sum(map(len, parts)) + 1 == len(BALL6.words)
+        for x, part in zip("sStT", parts):
+            assert all(w.to_string()[0] == x for w in part)
 
     def test_needs_free_rank_two(self):
-        with pytest.raises(ValueError):
-            verify_prefix_identities(ball(z2_z3(), 3))
-        with pytest.raises(ValueError):
-            verify_prefix_identities(ball(free_group(1), 3))
+        for b in (ball(z2_z3(), 3), ball(free_group(1), 3)):
+            with pytest.raises(ValueError, match="prefix sets live on the rank-two free group"):
+                free_group_decomposition(b)
 
     def test_inverse_set_is_suffix_set(self):
         ws = prefix_words("s", BALL6)
@@ -49,93 +53,113 @@ class TestPrefixSets:
         assert P.word("stS") in ws and P.word("stS") in inverted
 
 
-def prefix_reference(b):
-    """verify_prefix_identities on frozensets of words, one product per
-    element, products outside the ball kept: the loop the masks replaced."""
-    p = b.presentation
-    one, s, t = p.identity(), p.generator(0), p.generator(1)
-    starts = {}
-    for w in b.words:
-        if not w.is_identity:
-            gen, exp = w.letters[0]
-            starts.setdefault((gen, exp > 0), set()).add(w)
-    ws, ws_inv, wt, wt_inv = (frozenset(starts[key]) for key in ((0, True), (0, False), (1, True), (1, False)))
+def decomposition_reference(b, decomposition, judged):
+    """check_decomposition on frozensets of `b.words`, one product per
+    element, products outside the ball kept: the loop the arrays replaced."""
+    words = list(b.words)
+    inside = frozenset(words)
 
-    def restrict(words, radius):
-        return frozenset(w for w in words if w.length <= radius)
+    def word_set(mask):
+        return frozenset(words[int(i)] for i in np.flatnonzero(mask))
 
-    def translate(g, words):
-        return frozenset(g * w for w in words)
-
-    everything = frozenset(b.words)
-    sizes = len(ws) + len(ws_inv) + len(wt) + len(wt_inv) + 1
-    partition_exact = {one} | ws | ws_inv | wt | wt_inv == everything and sizes == len(everything)
-    star_exact, star_gap = [], []
-    for g, src, others in ((s, ws_inv, (ws_inv, wt, wt_inv)), (t, wt_inv, (wt_inv, ws, ws_inv))):
-        lhs = restrict(translate(g, src), b.radius - 1)
-        literal = restrict(others[0] | others[1] | others[2], b.radius - 1)
-        star_exact.append(lhs == literal | {one})
-        star_gap.append(tuple(sorted(w.to_string() for w in lhs - literal)))
-    chain_exact, gap_sizes, tail_sizes = [], [], []
-    current = {one} | wt | wt_inv
-    running = None
-    for n in range(1, b.radius - 1):
-        inner = b.radius - n
-        current = translate(t, current) - (ws | ws_inv)
-        shifted = translate(p.generator(1, n), wt)
-        computed = restrict(current, inner)
-        chain_exact.append(computed == restrict({p.generator(1, k) for k in range(n + 1)} | wt_inv | shifted, inner))
-        gap_sizes.append(len(computed - restrict({p.generator(1, n)} | wt_inv | shifted, inner)))
-        running = computed if running is None else restrict(running, inner) & computed
-        tail_sizes.append(len(running - restrict(wt_inv, inner)))
-    return PrefixReport(
-        radius=b.radius,
-        star_exact=tuple(star_exact),
-        star_literal_gap=tuple(star_gap),
-        chain_exact=tuple(chain_exact),
-        chain_literal_gap_sizes=tuple(gap_sizes),
-        intersection_tail_sizes=tuple(tail_sizes),
+    region = frozenset(words[int(i)] for i in judged)
+    pieces = {name: word_set(decomposition.pieces == k + 1) for k, name in enumerate(decomposition.names)}
+    piece_of = {w: name for name, piece in pieces.items() for w in piece}
+    sizes = {name: len(piece) for name, piece in pieces.items()}
+    partition_exact = region <= frozenset(piece_of) and sum(sizes.values()) == len(region)
+    into, onto, images, remainder = {}, {}, {}, 0
+    for name, text in decomposition.movers.items():
+        mover = b.presentation.word(text)
+        target = word_set(decomposition.targets[name])
+        moved = frozenset(mover * w for w in pieces[name])
+        remainder += len(moved - inside)
+        moved &= inside
+        images.setdefault(decomposition.copies[name], []).append(moved)
+        into[name] = (len(moved & target), len(moved))
+        sources = [mover.inverse() * v for v in region & target]
+        landed = [piece_of[w] for w in sources if w in piece_of]
+        remainder += len(sources) - len(landed)
+        onto[name] = (landed.count(name), len(landed))
+    return DecompositionReport(
+        interior_size=len(region),
+        piece_sizes=sizes,
         partition_exact=partition_exact,
+        mover_words=dict(decomposition.movers),
+        into_checks={name: into[name] for name in decomposition.names if name in into},
+        onto_checks={name: onto[name] for name in decomposition.names if name in onto},
+        boundary_remainder=remainder,
+        copies_disjoint=all(sum(map(len, parts)) == len(frozenset().union(*parts)) for parts in images.values()),
     )
 
 
 class TestPrefixIdentities:
     @pytest.mark.parametrize("presentation", [P, free_group(2)], ids=["st", "ab"])
-    @pytest.mark.parametrize("radius", [3, 4, 5, 6])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, 6])
     def test_masks_match_word_sets(self, presentation, radius):
         b = ball(presentation, radius)
-        report = verify_prefix_identities(b)
-        assert report == prefix_reference(b)
-        assert json.dumps(report.to_record()) == json.dumps(prefix_reference(b).to_record())
+        judged = np.arange(len(b))
+        decomposition = free_group_decomposition(b)
+        report = check_decomposition(b, decomposition, judged)
+        reference = decomposition_reference(b, decomposition, judged)
+        assert report == reference
+        assert json.dumps(report.to_record()) == json.dumps(reference.to_record())
+        assert report.all_verified
+
+    @pytest.mark.parametrize("radius", range(2, 9))
+    def test_six_piece_masks_match_word_sets(self, monkeypatch, radius):
+        # The data as `six_piece_doubling` hands it to the checker.
+        seen = []
+
+        def capture(*args):
+            seen.append(args)
+            return check_decomposition(*args)
+
+        monkeypatch.setattr(hausdorff, "check_decomposition", capture)
+        report = hausdorff.six_piece_doubling(hausdorff.hausdorff_solve(ball(z2_z3(), radius)))
+        ((b, decomposition, judged),) = seen
+        reference = decomposition_reference(b, decomposition, judged)
+        assert report == reference
+        assert json.dumps(report.to_record()) == json.dumps(reference.to_record())
+        assert report.all_verified == (len(judged) > 0)
 
     def test_all_verified_on_radius_six(self):
-        report = verify_prefix_identities(BALL6)
+        report = check_decomposition(BALL6, free_group_decomposition(BALL6), np.arange(len(BALL6)))
         assert report.all_verified
         assert report.partition_exact
 
     def test_literal_reading_misses_identity(self):
-        report = verify_prefix_identities(BALL6)
-        assert report.star_literal_gap == (("1",), ("1",))
-
-    def test_chain_gap_grows_with_accumulated_powers(self):
-        report = verify_prefix_identities(BALL6)
-        assert report.chain_exact == (True, True, True, True)
-        assert report.chain_literal_gap_sizes[:3] == (1, 2, 3)
-
-    def test_intersection_tail_shrinks(self):
-        tails = verify_prefix_identities(BALL6).intersection_tail_sizes
-        assert all(x >= y for x, y in zip(tails, tails[1:]))
-        assert tails[-1] < tails[0]
+        # W(s) u s W(S) and W(t) u t W(T) are each the whole group, so the
+        # identity is the one vertex neither copy uses: the piece left over.
+        report = check_decomposition(BALL6, free_group_decomposition(BALL6), np.arange(len(BALL6)))
+        assert report.piece_sizes["1"] == 1
+        assert set(report.mover_words) == {"s", "S", "t", "T"}
 
     def test_other_radii(self):
-        for r in (4, 5):
-            assert verify_prefix_identities(ball(P, r)).all_verified
-
-    def test_radius_guard(self):
-        with pytest.raises(ValueError):
-            verify_prefix_identities(ball(P, 2))
+        for r in range(1, 10):
+            b = ball(P, r)
+            assert check_decomposition(b, free_group_decomposition(b), np.arange(len(b))).all_verified
 
     def test_record_serializes(self):
-        rec = verify_prefix_identities(ball(P, 4)).to_record()
+        b = ball(P, 4)
+        rec = check_decomposition(b, free_group_decomposition(b), np.arange(len(b))).to_record()
         json.dumps(rec)
         assert rec["all_verified"] is True
+
+
+F2_BALLS = {r: ball(P, r) for r in range(1, 8)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_relabelled_vertex_fails(data):
+    """Relabelling any single vertex of the F2 decomposition to another
+    piece breaks an into or onto count."""
+    b = F2_BALLS[data.draw(st.integers(1, 7), label="radius")]
+    decomposition = free_group_decomposition(b)
+    v = data.draw(st.integers(0, len(b) - 1), label="vertex")
+    others = [k for k in range(1, len(decomposition.names) + 1) if k != decomposition.pieces[v]]
+    decomposition.pieces[v] = data.draw(st.sampled_from(others), label="piece")
+    report = check_decomposition(b, decomposition, np.arange(len(b)))
+    assert not report.all_verified
+    counts = [*report.into_checks.values(), *report.onto_checks.values()]
+    assert any(passed != total for passed, total in counts)

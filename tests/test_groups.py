@@ -186,6 +186,10 @@ def test_interior_indices():
     inner = b.interior_indices(1)
     assert len(inner) == 17
     assert all(b.words[i].length <= 2 for i in inner)
+    for p in (free_group(2), free_group(3), z2_z3()):
+        b = ball(p, 5)
+        for depth in range(8):
+            assert np.array_equal(b.interior_indices(depth), np.flatnonzero(b.lengths <= 5 - depth)), (p, depth)
 
 
 def test_sphere_order_is_deterministic():
