@@ -227,6 +227,9 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     # The base colouring is drawn first: its presentation and radius checks
     # name what doubled needs, which the arrow colouring's checks understate.
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
+    # doubled counts no offset conflicts: the pair lists the greedy kept
+    # for that count go now.
+    proper.offset_pairs.cache_clear()
     arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
 
     exact_program = proper.doubled_flow_program()

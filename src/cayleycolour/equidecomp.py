@@ -3,10 +3,11 @@
 A decomposition splits the judged vertices into numbered pieces and moves
 each piece, bar the left-over ones, by one group element on the left into
 one of two copies.  Each moved piece must land in its target set, every
-judged target vertex must come from that piece, and the pieces of one copy
-must never land on the same vertex.  `check_decomposition` counts all of
-this on vertex arrays translated by `Ball.left_table`; what a mover carries
-past the radius is counted apart, as the boundary remainder.
+judged target vertex must come from that piece, the targets of each copy
+must cover the judged vertices, and the pieces of one copy must never land
+on the same vertex.  `check_decomposition` counts all of this on vertex
+arrays translated by `Ball.left_table`; what a mover carries past the
+radius is counted apart, as the boundary remainder.
 
 `free_group_decomposition` is the classical one of the rank-two free group:
 with W(x) the words starting with x, F2 = 1 u W(s) u W(S) u W(t) u W(T),
@@ -42,6 +43,9 @@ class DecompositionReport:
     onto_checks: dict[str, tuple[int, int]]
     boundary_remainder: int
     copies_disjoint: bool
+    # Whether each copy's targets cover the judged vertices; read only by
+    # `all_verified`, so the record keeps its keys.
+    copies_cover: bool
 
     @property
     def all_verified(self) -> bool:
@@ -49,6 +53,7 @@ class DecompositionReport:
             self.interior_size > 0
             and self.partition_exact
             and self.copies_disjoint
+            and self.copies_cover
             and all(p == t for p, t in self.into_checks.values())
             and all(p == t for p, t in self.onto_checks.values())
         )
@@ -75,7 +80,9 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.nda
     land in the target; the onto check counts the judged target vertices
     whose preimage lies in some piece, and those whose preimage lies in
     this one.  Images and preimages outside the ball, and preimages in no
-    piece, make up the boundary remainder.
+    piece, make up the boundary remainder.  The onto checks reach only
+    judged vertices in some target, so each copy's targets must also
+    cover every judged vertex.
     """
     piece = decomposition.pieces
     piece_sizes = {name: int(np.count_nonzero(piece == k + 1)) for k, name in enumerate(decomposition.names)}
@@ -84,6 +91,7 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.nda
     into_checks: dict[str, tuple[int, int]] = {}
     onto_checks: dict[str, tuple[int, int]] = {}
     images: dict[int, list[np.ndarray]] = defaultdict(list)
+    covered: dict[int, np.ndarray] = defaultdict(lambda: np.zeros(len(judged), dtype=bool))
     remainder = 0
     for k, name in enumerate(decomposition.names):
         if name not in decomposition.movers:
@@ -94,6 +102,7 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.nda
         remainder += int(np.count_nonzero(moved < 0))
         moved = moved[moved >= 0]
         images[decomposition.copies[name]].append(moved)
+        covered[decomposition.copies[name]] |= target[judged]
         into_checks[name] = (int(np.count_nonzero(target[moved])), len(moved))
         sources = ball.left_table(mover.inverse())[judged[target[judged]]]
         landed = piece[sources[sources >= 0]]
@@ -111,6 +120,7 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.nda
         onto_checks=onto_checks,
         boundary_remainder=remainder,
         copies_disjoint=not any(np.any(np.diff(np.sort(h)) == 0) for h in hits),
+        copies_cover=all(c.all() for c in covered.values()),
     )
 
 

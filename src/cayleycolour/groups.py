@@ -197,13 +197,18 @@ class ReducedWord:
         return self.to_string()
 
 
+_CHUNK = 1 << 16
+
+
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """outer[inner] as an int32 table, -1 wherever inner is -1: one gather
-    from outer with a trailing -1, which index -1 reads."""
-    padded = np.empty(len(outer) + 1, dtype=np.int32)
-    padded[:-1] = outer
-    padded[-1] = -1
-    return padded[inner]
+    from outer, where index -1 reads its last entry, then each entry or-ed
+    with inner >> 31, which is -1 there and 0 elsewhere; by chunks, so no
+    temporary is as long as the table."""
+    table = outer[inner]
+    for lo in range(0, len(table), _CHUNK):
+        table[lo : lo + _CHUNK] |= inner[lo : lo + _CHUNK] >> 31
+    return table
 
 
 def _blocks(p: Presentation, radius: int) -> list[list[tuple[int, int]]]:
@@ -253,7 +258,9 @@ class Ball:
     shorter neighbour.  first[i] is the index in `adjacency_letters()` of
     vertex i's first unit letter (the first of `ReducedWord.unit_letters`)
     and parent[i] the vertex that removing it leaves; both are -1 at the
-    identity, vertex 0.  `lengths` holds word lengths; `words` builds
+    identity, vertex 0.  `lengths` holds word lengths.  first is int8
+    (a presentation has at most 26 generators), lengths the smallest
+    unsigned type that holds the radius and parent int32.  `words` builds
     `ReducedWord` objects only when read, and `names()` spells every word
     at once without them.
 
@@ -272,6 +279,9 @@ class Ball:
     Left tables are built lazily, with -1 for entries falling outside the
     ball, and cached in one dictionary keyed by canonical letters, so each
     group element has one table; the unit tables are its one-letter words.
+    `forget` drops a word's table from it: the offset pass of `proper`
+    builds the 8 representative offset tables through `left_table` and
+    forgets each once it is read, so none of them stays cached.
     Block tables that only compose a longer word's table are built for
     that composition and not kept.  The table of a block l = (g, e)
     sends the vertices of sphere ell not starting with g, in order, to part
@@ -327,10 +337,10 @@ class Ball:
         self._starts = np.array(starts, dtype=np.int32)
         self._runs = np.array(runs, dtype=np.int32)
         self.sphere_sizes: list[int] = np.diff(starts).tolist()
-        self.lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), self.sphere_sizes)
+        self.lengths = np.repeat(np.arange(radius + 1, dtype=np.min_scalar_type(radius)), self.sphere_sizes)
 
         letters = presentation.adjacency_letters()
-        self.first = np.full(len(self), -1, dtype=np.int32)
+        self.first = np.full(len(self), -1, dtype=np.int8)
         self.parent = np.full(len(self), -1, dtype=np.int32)
         for (ell, gen, exp), (start, count) in parts.items():
             if gen < 0:
@@ -461,6 +471,11 @@ class Ball:
                 table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
             self._left[letters] = table
         return table
+
+    def forget(self, g: ReducedWord) -> None:
+        """Drops g's cached left table, if there is one; the next
+        `left_table(g)` builds it again."""
+        self._left.pop(g.letters, None)
 
     def right_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of w*g per vertex w; -1 where w*g leaves the ball."""

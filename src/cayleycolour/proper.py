@@ -15,6 +15,7 @@ as base-colour codes; palette names appear only in reported violations.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Sequence
@@ -61,16 +62,13 @@ def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colour
     by layer over the DAG of earlier neighbours: a vertex's colour depends
     only on vertices in lower layers, so each layer is one array pass.
 
-    The DAG is read from one left table per inverse pair {g, g^-1} of the
-    offsets (`representatives`): v = g*w exactly when w = g^-1*v, so the
-    table t of g gives both the edges of g, (t[w], w) where t[w] < w, and
-    those of g^-1, (w, t[w]) where t[w] > w."""
+    The DAG is read from the pair lists of the offset pass
+    (`offset_pairs`): one left table per inverse pair {g, g^-1} gives the
+    edges of both, each table is dropped once read, and the lists are kept
+    for `offset_conflicts` to read."""
     if choice not in GREEDY_CHOICES:
         raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
-    offsets = offsets16(b.presentation)
-    if b.radius < 5:
-        raise ValueError("need radius at least 5 so the offsets act inside the ball")
-    pairs = _earlier_pairs([b.left_table(g) for g in representatives(offsets)])
+    pairs = offset_pairs(b)
     codes = _layered_greedy(pairs, len(b), choice, seed)
     if codes is None:
         codes = _random_greedy_loop(pairs, len(b), seed)
@@ -81,19 +79,65 @@ _CHUNK = 1 << 13
 _ALL_COLOURS = np.int32((1 << len(PALETTE17)) - 1)
 
 
-def _earlier_pairs(tables: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(src, dst) int32 lists of the earlier-neighbour DAG, two per table t
-    of g: src = g*dst for g, dst = g*src for g^-1, each with src < dst.
-    A table is one-to-one where it is defined, so a list holds each dst at
-    most once."""
-    vertex = np.arange(len(tables[0]), dtype=np.int32)
-    pairs = []
-    for t in tables:
-        dst = np.flatnonzero((t >= 0) & (t < vertex)).astype(np.int32)
-        pairs.append((t[dst], dst))
-        src = np.flatnonzero(t > vertex).astype(np.int32)
-        pairs.append((src, t[src]))
-    return pairs
+@functools.lru_cache(maxsize=1)
+def offset_pairs(b: Ball) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The earlier-neighbour pair lists (`_earlier_pairs`) of the left
+    table of each inverse pair {g, g^-1} of the offsets
+    (`representatives`): v = g*w exactly when w = g^-1*v, so the table of
+    g gives the edges of both.
+
+    One pass builds the 8 tables through `Ball.left_table`, one at a time,
+    and turns each into its two lists at once.  A length-4 table is then
+    forgotten.  The two length-2 tables live while the four products of
+    two of them (aBaB = aB * aB) are composed from them, one gather each,
+    and are forgotten after; the other two (aB^2a) are composed by blocks,
+    before the length-2 tables are built.  So no offset table stays
+    cached.  The lists of the last ball passed in are kept instead, for
+    the greedy and the conflict count of one run to read, until
+    `offset_pairs.cache_clear()`; `_layered_greedy` reorders them, which
+    neither depends on."""
+    reps = representatives(offsets16(b.presentation))
+    if b.radius < 5:
+        raise ValueError("need radius at least 5 so the offsets act inside the ball")
+    short = [g for g in reps if g.length == 2]
+    halves = {g.letters for g in short}
+    products = [g for g in reps if g.length > 2 and g.letters[:2] in halves and g.letters[2:] in halves]
+    by_blocks = [g for g in reps if g not in short and g not in products]
+    pairs = {}
+    for g in by_blocks + short + products:
+        pairs[g] = _table_pairs(b, g)
+        if g not in short:
+            b.forget(g)
+    for g in short:
+        b.forget(g)
+    # In representative order: how many passes the depth fixpoint takes
+    # depends on the order of the lists.
+    return [pair for g in reps for pair in pairs[g]]
+
+
+def _table_pairs(b: Ball, g: ReducedWord) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The two `_earlier_pairs` lists of g's left table, which lives only
+    for this call.  No offset fixes a vertex, since F2 has no torsion, so
+    each defined entry of the table lands in exactly one of the two lists;
+    raises if their lengths do not add up to the defined entries."""
+    t = b.left_table(g)
+    earlier, later = _earlier_pairs(t)
+    defined = int(np.count_nonzero(t >= 0))
+    if len(earlier[0]) + len(later[0]) != defined:
+        raise RuntimeError(f"offset {g}: {len(earlier[0])} + {len(later[0])} pairs for {defined} defined table entries")
+    return earlier, later
+
+
+def _earlier_pairs(t: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The two (src, dst) int32 lists of the earlier-neighbour DAG that the
+    table t of g gives, each with src < dst: src = g*dst for g, then dst =
+    g*src for g^-1.  A table is one-to-one where it is defined, so a list
+    holds each dst at most once.  Read as unsigned, the -1 entries exceed
+    every vertex, so one comparison finds the defined entries below it."""
+    vertex = np.arange(len(t), dtype=np.int32)
+    dst = vertex[t.view(np.uint32) < vertex.view(np.uint32)]
+    src = vertex[t > vertex]
+    return (t[dst], dst), (src, t[src])
 
 
 def _layered_greedy(
@@ -227,14 +271,12 @@ def offset_conflicts(colouring: Colouring) -> int:
     coloured as w (two blanks count as equal).  w -> g*w maps {w : g*w in
     the ball} one-to-one onto {v : g^-1*v in the ball}, and equal colour is
     symmetric, so g^-1 has exactly as many as g: the count reads one table
-    per inverse pair (`representatives`) and doubles."""
-    b = colouring.ball
+    per inverse pair (`representatives`) and doubles.  Each defined entry
+    of those tables is one pair of the offset pass (`offset_pairs`), so
+    the count compares the codes of every pair, reusing the lists the
+    greedy read when it coloured the same ball."""
     codes = colouring.codes
-    total = 0
-    for g in representatives(offsets16(b.presentation)):
-        table = b.left_table(g)
-        mask = table >= 0
-        total += int(np.count_nonzero(codes[mask] == codes[table[mask]]))
+    total = sum(int(np.count_nonzero(codes[src] == codes[dst])) for src, dst in offset_pairs(colouring.ball))
     return 2 * total
 
 

@@ -67,7 +67,7 @@ def decomposition_reference(b, decomposition, judged):
     piece_of = {w: name for name, piece in pieces.items() for w in piece}
     sizes = {name: len(piece) for name, piece in pieces.items()}
     partition_exact = region <= frozenset(piece_of) and sum(sizes.values()) == len(region)
-    into, onto, images, remainder = {}, {}, {}, 0
+    into, onto, images, covered, remainder = {}, {}, {}, {}, 0
     for name, text in decomposition.movers.items():
         mover = b.presentation.word(text)
         target = word_set(decomposition.targets[name])
@@ -75,6 +75,7 @@ def decomposition_reference(b, decomposition, judged):
         remainder += len(moved - inside)
         moved &= inside
         images.setdefault(decomposition.copies[name], []).append(moved)
+        covered[decomposition.copies[name]] = covered.get(decomposition.copies[name], frozenset()) | target
         into[name] = (len(moved & target), len(moved))
         sources = [mover.inverse() * v for v in region & target]
         landed = [piece_of[w] for w in sources if w in piece_of]
@@ -89,6 +90,7 @@ def decomposition_reference(b, decomposition, judged):
         onto_checks={name: onto[name] for name in decomposition.names if name in onto},
         boundary_remainder=remainder,
         copies_disjoint=all(sum(map(len, parts)) == len(frozenset().union(*parts)) for parts in images.values()),
+        copies_cover=all(region <= cover for cover in covered.values()),
     )
 
 
@@ -138,6 +140,26 @@ class TestPrefixIdentities:
         for r in range(1, 10):
             b = ball(P, r)
             assert check_decomposition(b, free_group_decomposition(b), np.arange(len(b))).all_verified
+
+    def test_targets_that_miss_judged_vertices_fail(self):
+        # Only W(s) by 1 onto W(s) and W(t) by 1 onto W(t): every count
+        # matches and the copies are disjoint, but neither copy rebuilds
+        # the words outside its one target.
+        decomposition = free_group_decomposition(BALL6)
+        s, t = P.name(0), P.name(1)
+        partial = decomposition._replace(
+            movers={s: "1", t: "1"},
+            copies={s: 1, t: 2},
+            targets={s: decomposition.targets[s], t: decomposition.targets[t]},
+        )
+        report = check_decomposition(BALL6, partial, np.arange(len(BALL6)))
+        counts = [*report.into_checks.values(), *report.onto_checks.values()]
+        assert all(passed == total for passed, total in counts)
+        assert report.partition_exact and report.copies_disjoint
+        assert not report.copies_cover
+        assert not report.all_verified
+        assert report.to_record()["all_verified"] is False
+        assert "copies_cover" not in report.to_record()
 
     def test_record_serializes(self):
         b = ball(P, 4)

@@ -206,8 +206,17 @@ def test_ball_rejects_bad_radius():
 
 def test_lengths_array():
     b = ball(free_group(2), 2)
-    assert b.lengths.dtype == np.int32
+    assert b.lengths.dtype == np.uint8
     assert list(b.lengths[:5]) == [0, 1, 1, 1, 1]
+
+
+def test_lengths_past_one_byte():
+    """Lengths take the smallest type that holds the radius: 300 needs two
+    bytes, and a one-byte array would wrap it to 44."""
+    b = ball(free_group(1), 300)
+    assert len(b) == 601
+    assert int(b.lengths.max()) == 300
+    assert b.lengths.tolist() == [0] + [ell for ell in range(1, 301) for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +312,11 @@ def test_array_ball_matches_reference(p, radius):
     assert [index[p.word(name).letters] for name in names] == list(range(len(words)))
     assert list(b.lengths) == [w.length for w in words]
     assert sum(b.sphere_sizes) == len(words)
-    # The tree: each vertex's first unit letter, and the vertex left when
-    # it is removed.
+    # The tree: each vertex's first unit letter, one byte each, and the
+    # vertex left when it is removed.
     letters = p.adjacency_letters()
     units = [w.unit_letters() for w in words]
+    assert b.first.dtype == np.int8
     assert b.first.tolist() == [-1] + [letters.index(u[0]) for u in units[1:]]
     assert b.parent.tolist() == [-1] + [index[reduce_letters(u[1:], p).letters] for u in units[1:]]
     for gen, exp in letters:
@@ -403,7 +413,9 @@ def test_offsets_peak_traced_memory_at_radius_12():
     the ball's unit tables binary-searched a 64-bit key per vertex, at
     94.9 MiB once they were filled from the ball's part layout, and at
     70.6 MiB once the block tables that only compose the offset tables were
-    no longer cached."""
+    no longer cached, 66.5 MiB with the 8 offset tables still cached, and
+    33.7 MiB once one uncached pass turned them into the pair lists that
+    greedy and count read, and the ball's first and lengths took a byte."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -415,7 +427,7 @@ def test_offsets_peak_traced_memory_at_radius_12():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 78 * 2**20, peak / 2**20
+    assert peak <= 37 * 2**20, peak / 2**20
 
 
 def test_compose_reads_minus_one_through():

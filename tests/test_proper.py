@@ -166,10 +166,73 @@ def test_greedy_and_conflict_count_read_one_table_per_inverse_pair(monkeypatch):
     assert not any(g.inverse().letters in words for g in offsets if g.letters in words)
 
 
+PAIR_BALLS = {(names, r): ball(free_group(2, names), r) for names in ("ab", "st") for r in range(5, 10)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(names=st.sampled_from(["ab", "st"]), radius=st.integers(5, 9))
+def test_offset_pairs_hold_each_defined_table_entry_once(names, radius):
+    """The two lists of each representative g hold the defined entries
+    (w, g*w) of g's left table: (g*w, w) where g*w < w, (w, g*w) where
+    g*w > w, each w exactly once."""
+    b = PAIR_BALLS[names, radius]
+    proper.offset_pairs.cache_clear()
+    pairs = proper.offset_pairs(b)
+    reps = representatives(offsets16(b.presentation))
+    assert len(pairs) == 2 * len(reps)
+    for k, g in enumerate(reps):
+        t = b.left_table(g)
+        (src, dst), (low, high) = pairs[2 * k], pairs[2 * k + 1]
+        assert src.dtype == dst.dtype == low.dtype == high.dtype == np.int32
+        assert (src < dst).all() and (low < high).all()
+        assert np.array_equal(t[dst], src) and np.array_equal(t[low], high)
+        entries = np.sort(np.concatenate([dst, low]))
+        assert np.array_equal(entries, np.flatnonzero(t >= 0))
+        b.forget(g)
+
+
+def test_offset_pass_raises_on_a_dropped_pair(monkeypatch):
+    """Each table's two lists must hold all its defined entries; a pair
+    lost between table and lists stops the pass."""
+    real = proper._earlier_pairs
+
+    def drop_one(t):
+        (src, dst), later = real(t)
+        return (src[1:], dst[1:]), later
+
+    monkeypatch.setattr(proper, "_earlier_pairs", drop_one)
+    proper.offset_pairs.cache_clear()
+    with pytest.raises(RuntimeError, match="pairs for"):
+        greedy_base_colouring(ball(F2, 6))
+
+
+def test_no_offset_table_stays_cached_or_is_built_twice(monkeypatch):
+    """The greedy and the conflict count of one ball build each offset
+    table once, and leave no table in the ball's cache: the pass forgets
+    each offset table once read, and the count reads the pass's lists."""
+    requested = []
+    real = Ball.left_table
+
+    def left_table(self, g):
+        requested.append(g.letters)
+        return real(self, g)
+
+    monkeypatch.setattr(Ball, "left_table", left_table)
+    b = ball(F2, 7)
+    base = greedy_base_colouring(b)
+    reps = {g.letters for g in representatives(offsets16())}
+    assert not reps & set(b._left)
+    assert offset_conflicts(base) == 0
+    assert not b._left
+    assert sorted(requested) == sorted(reps)
+
+
 def test_offsets_peak_traced_memory_at_radius_10():
     """Ball, greedy and conflict count of F2 at radius 10 under tracemalloc,
     which numpy reports its buffers to: 16.04 MiB when all 16 offset tables
-    were built and the sphere scratch outlived the ball's construction."""
+    were built and the sphere scratch outlived the ball's construction,
+    7.43 MiB with 8 cached offset tables, and 3.78 MiB once one uncached
+    pass turned them into the pair lists that greedy and count read."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -182,7 +245,7 @@ def test_offsets_peak_traced_memory_at_radius_10():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 13.5 * 2**20, peak / 2**20
+    assert peak <= 4.1 * 2**20, peak / 2**20
 
 
 def test_greedy_needs_room():
