@@ -132,7 +132,7 @@ def _pdegrees(signs: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.ascontiguousarray(matches).view(np.uint32)[..., 0])
 
 
-def pdegree_profile(ball: Ball, values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+def pdegree_profile(ball: Ball, values: np.ndarray, vertices: np.ndarray | slice) -> np.ndarray:
     """p-degrees for a batch: values (B, |ball|) against interior vertices (m,)."""
     neighbours = np.stack([table[vertices] for table in neighbour_tables(ball)], axis=-1)
     return _pdegrees(values[:, neighbours]).astype(np.int8)
@@ -212,11 +212,12 @@ def constructive_solve(config: Configuration) -> Colouring:
     check_rank_two_free(ball.presentation, _RANK_TWO_FREE)
     if ball.radius < 3:
         raise ValueError("need radius at least 3")
-    inner = ball.interior_indices(1)
-    first, _ = _candidates(config, inner)
-    longer = ball.lengths[first] > ball.lengths[inner]
+    n = ball.interior_size(1)
+    first, _ = _candidates(config, slice(n))
+    longer = ball.lengths[first] > ball.lengths[:n]
     codes = np.full(len(ball), -1, dtype=np.int16)
-    codes[inner] = np.where(longer, ARROW_COLOURS.index("a1u"), ARROW_COLOURS.index("a2u"))
+    codes[:n] = ARROW_COLOURS.index("a2u")
+    codes[:n][longer] = ARROW_COLOURS.index("a1u")
     return Colouring(ball, ARROW_COLOURS, codes, config)
 
 
@@ -267,17 +268,17 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
     config, ball = colouring.configuration, colouring.ball
     if config is None:
         raise ValueError("mass audit needs the underlying sign bits")
-    interior = ball.interior_indices(2)
+    n = ball.interior_size(2)
     targets = arrow_field(colouring)
     incoming = incoming_counts(targets)
 
-    has_arrow = targets[interior] >= 0
-    crowded = incoming[interior] >= 2
-    crowded_fraction = Fraction(int(crowded.sum()), len(interior)) if len(interior) else Fraction(0)
+    has_arrow = targets[:n] >= 0
+    crowded = incoming[:n] >= 2
+    crowded_fraction = Fraction(int(crowded.sum()), n) if n else Fraction(0)
 
-    deg = pdegree_profile(ball, config.values[None, :], interior)[0]
+    deg = pdegree_profile(ball, config.values[None, :], slice(n))[0]
     hist = np.bincount(deg, minlength=5)
-    in_capacity = Fraction(int((deg >= 1).sum()), len(interior)) if len(interior) else Fraction(0)
+    in_capacity = Fraction(int((deg >= 1).sum()), n) if n else Fraction(0)
 
     vertex_ok = has_arrow & ~crowded
     failures = np.flatnonzero(~vertex_ok)
@@ -287,16 +288,16 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
         source=("one arrow out of every vertex",),
         target=("vertices of p-degree >= 1",),
         checks_passed=int(vertex_ok.sum()),
-        checks_total=len(interior),
+        checks_total=n,
         constraint=flow_constraint(),
-        first_failure=int(interior[failures[0]]) if len(failures) else None,
+        first_failure=int(failures[0]) if len(failures) else None,
     )
     program = feasibility = None
     if certificate.verified:
         program = translate([certificate], ARROW_COLOURS)
         feasibility = feasible(program)
     return MassAudit(
-        interior_size=len(interior),
+        interior_size=n,
         outflow_per_vertex=1,
         outflow_total=int(has_arrow.sum()),
         pdegree_histogram=tuple(int(c) for c in hist),

@@ -229,7 +229,7 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
     # doubled counts no offset conflicts: the pair lists the greedy kept
     # for that count go now.
-    proper.offset_pairs.cache_clear()
+    proper.forget_offset_pairs()
     arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
 
     exact_program = proper.doubled_flow_program()
@@ -281,7 +281,7 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
 
 
 def _run_prefix(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
-    report = equidecomp.check_decomposition(b, equidecomp.free_group_decomposition(b), np.arange(len(b)))
+    report = equidecomp.check_decomposition(b, equidecomp.free_group_decomposition(b), len(b))
     return {**report.to_record(), "ok": report.all_verified}
 
 

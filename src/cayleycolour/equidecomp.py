@@ -6,7 +6,7 @@ one of two copies.  Each moved piece must land in its target set, every
 judged target vertex must come from that piece, the targets of each copy
 must cover the judged vertices, and the pieces of one copy must never land
 on the same vertex.  `check_decomposition` counts all of this on vertex
-arrays translated by `Ball.left_table`; what a mover carries past the
+arrays translated by `Ball.left_table_once`; what a mover carries past the
 radius is counted apart, as the boundary remainder.
 
 `free_group_decomposition` is the classical one of the rank-two free group:
@@ -18,7 +18,7 @@ is the piece left over.  The six-piece doubling of Z2 * Z3 lives in
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +72,9 @@ class DecompositionReport:
         }
 
 
-def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.ndarray) -> DecompositionReport:
-    """Check that the pieces tile the judged vertices (an index array) and
-    that the movers rebuild each copy.
+def check_decomposition(ball: Ball, decomposition: Decomposition, judged: int) -> DecompositionReport:
+    """Check that the pieces tile the first `judged` vertices and that the
+    movers rebuild each copy.
 
     Per moved piece, the into check counts its images inside the ball that
     land in the target; the onto check counts the judged target vertices
@@ -86,40 +86,44 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: np.nda
     """
     piece = decomposition.pieces
     piece_sizes = {name: int(np.count_nonzero(piece == k + 1)) for k, name in enumerate(decomposition.names)}
-    partition_exact = bool(np.all(piece[judged] > 0)) and sum(piece_sizes.values()) == len(judged)
+    partition_exact = bool(np.all(piece[:judged] > 0)) and sum(piece_sizes.values()) == judged
 
     into_checks: dict[str, tuple[int, int]] = {}
     onto_checks: dict[str, tuple[int, int]] = {}
-    images: dict[int, list[np.ndarray]] = defaultdict(list)
-    covered: dict[int, np.ndarray] = defaultdict(lambda: np.zeros(len(judged), dtype=bool))
+    hits: dict[int, np.ndarray] = {}
+    covered: dict[int, np.ndarray] = {}
+    disjoint = True
     remainder = 0
     for k, name in enumerate(decomposition.names):
         if name not in decomposition.movers:
             continue
         mover = ball.presentation.word(decomposition.movers[name])
-        target = decomposition.targets[name]
-        moved = ball.left_table(mover)[piece == k + 1]
+        target, copy = decomposition.targets[name], decomposition.copies[name]
+        moved = ball.left_table_once(mover)[piece == k + 1]
         remainder += int(np.count_nonzero(moved < 0))
         moved = moved[moved >= 0]
-        images[decomposition.copies[name]].append(moved)
-        covered[decomposition.copies[name]] |= target[judged]
+        if copy not in hits:
+            hits[copy], covered[copy] = np.zeros(len(ball), dtype=bool), np.zeros(judged, dtype=bool)
+        # A table is one-to-one where it is defined, so this copy's pieces
+        # overlap exactly when one lands on a vertex an earlier one hit.
+        disjoint = disjoint and not hits[copy][moved].any()
+        hits[copy][moved] = True
+        covered[copy] |= target[:judged]
         into_checks[name] = (int(np.count_nonzero(target[moved])), len(moved))
-        sources = ball.left_table(mover.inverse())[judged[target[judged]]]
+        sources = ball.left_table_once(mover.inverse())[:judged][target[:judged]]
         landed = piece[sources[sources >= 0]]
         remainder += len(sources) - int(np.count_nonzero(landed))
         onto_checks[name] = (int(np.count_nonzero(landed == k + 1)), int(np.count_nonzero(landed)))
 
-    # A copy is disjoint when its pieces never move onto the same vertex.
-    hits = [np.concatenate(parts) for parts in images.values()]
     return DecompositionReport(
-        interior_size=len(judged),
+        interior_size=judged,
         piece_sizes=piece_sizes,
         partition_exact=partition_exact,
         mover_words=decomposition.movers,
         into_checks=into_checks,
         onto_checks=onto_checks,
         boundary_remainder=remainder,
-        copies_disjoint=not any(np.any(np.diff(np.sort(h)) == 0) for h in hits),
+        copies_disjoint=disjoint,
         copies_cover=all(c.all() for c in covered.values()),
     )
 

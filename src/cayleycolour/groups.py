@@ -279,9 +279,9 @@ class Ball:
     Left tables are built lazily, with -1 for entries falling outside the
     ball, and cached in one dictionary keyed by canonical letters, so each
     group element has one table; the unit tables are its one-letter words.
-    `forget` drops a word's table from it: the offset pass of `proper`
-    builds the 8 representative offset tables through `left_table` and
-    forgets each once it is read, so none of them stays cached.
+    `forget` drops a word's table: the offset pass of `proper` and, through
+    `left_table_once`, `rules.check`, `six_piece_pieces` and
+    `check_decomposition` forget each table they build.
     Block tables that only compose a longer word's table are built for
     that composition and not kept.  The table of a block l = (g, e)
     sends the vertices of sphere ell not starting with g, in order, to part
@@ -473,9 +473,16 @@ class Ball:
         return table
 
     def forget(self, g: ReducedWord) -> None:
-        """Drops g's cached left table, if there is one; the next
-        `left_table(g)` builds it again."""
+        """Drops g's cached left table, if there is one."""
         self._left.pop(g.letters, None)
+
+    def left_table_once(self, g: ReducedWord) -> np.ndarray:
+        """`left_table(g)`, forgotten after this read unless cached before."""
+        cached = g.letters in self._left
+        table = self.left_table(g)
+        if not cached:
+            self.forget(g)
+        return table
 
     def right_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of w*g per vertex w; -1 where w*g leaves the ball."""
@@ -485,10 +492,10 @@ class Ball:
             table = self._right[g.letters] = _compose(inverse, self.left_table(g.inverse())[inverse])
         return table
 
-    def interior_indices(self, depth: int) -> np.ndarray:
-        """Vertices whose whole depth-neighbourhood stays inside the ball:
-        those of length at most radius - depth, a prefix of vertex order."""
-        return np.arange(self._starts[max(self.radius - depth + 1, 0)])
+    def interior_size(self, depth: int) -> int:
+        """How many vertices keep their depth-neighbourhood in the ball: those
+        of length at most radius - depth, a prefix of vertex order."""
+        return int(self._starts[max(self.radius - depth + 1, 0)])
 
 
 def ball(presentation: Presentation, radius: int) -> Ball:

@@ -206,14 +206,16 @@ def six_piece_pieces(classes: Colouring) -> np.ndarray:
     sigma = ball.presentation.generator(s_idx, 1)
     tau = ball.presentation.generator(t_idx, 1)
     cls = classes.codes
-    t_s = ball.left_table(sigma)
-    t_t = ball.left_table(tau)
-    inner = ball.interior_indices(2)
-    c = cls[inner] % 3  # an uncoloured vertex (-1) splits like C
+    n = ball.interior_size(2)
+    c = cls[:n] % 3  # an uncoloured vertex (-1) splits like C
     # tau^-1 x = tau^2 x in this torsion group; walk two tau steps.
-    back = np.where(c == 0, inner, np.where(c == 1, t_t[t_t[inner]], t_t[inner]))
+    t_t = ball.left_table_once(tau)
+    back = np.where(c == 1, t_t[t_t[:n]], t_t[:n])
+    del t_t
+    t_s = ball.left_table_once(sigma)
+    to_b = cls[np.where(c == 0, t_s[:n], t_s[back])] == 1
     piece = np.zeros(len(ball), dtype=np.int8)
-    piece[inner] = 2 * c + np.where(cls[t_s[back]] == 1, 1, 2)
+    piece[:n] = 2 * c + 2 - to_b
     return piece
 
 
@@ -221,9 +223,7 @@ def six_piece_doubling(classes: Colouring) -> DecompositionReport:
     """Check that the six pieces tile the interior and that the designated
     movers rebuild two disjoint copies of the A/B/C partition."""
     ball = classes.ball
-    rule = hausdorff_rule(ball.presentation)
-    report = check(rule, classes)
-    if report.interior_size > 0 and not report.satisfied:
+    if check(hausdorff_rule(ball.presentation), classes).violations:
         raise ValueError("classes do not satisfy the congruence rule on the interior")
     decomposition = Decomposition(
         pieces=six_piece_pieces(classes),
@@ -232,4 +232,4 @@ def six_piece_doubling(classes: Colouring) -> DecompositionReport:
         copies={name: copy for name, (_, _, copy) in MOVERS.items()},
         targets={name: classes.codes == H_COLOURS.index(target) for name, (_, target, _) in MOVERS.items()},
     )
-    return check_decomposition(ball, decomposition, ball.interior_indices(2))
+    return check_decomposition(ball, decomposition, ball.interior_size(2))

@@ -174,8 +174,7 @@ def certify_transport(
     def failures(word: ReducedWord, src: Sequence[str], tgt: Sequence[str]) -> tuple[int, np.ndarray]:
         src_codes = [i for i, c in enumerate(colouring.palette) if c in src]
         tgt_codes = [i for i, c in enumerate(colouring.palette) if c in tgt]
-        inner = ball.interior_indices(word.length)
-        mine = inner[np.isin(codes[inner], src_codes)]
+        mine = np.flatnonzero(np.isin(codes[: ball.interior_size(word.length)], src_codes))
         return len(mine), mine[~np.isin(codes[ball.left_table(word)[mine]], tgt_codes)]
 
     total, failed = failures(g, source, target)

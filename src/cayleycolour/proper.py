@@ -94,7 +94,7 @@ def offset_pairs(b: Ball) -> list[tuple[np.ndarray, np.ndarray]]:
     before the length-2 tables are built.  So no offset table stays
     cached.  The lists of the last ball passed in are kept instead, for
     the greedy and the conflict count of one run to read, until
-    `offset_pairs.cache_clear()`; `_layered_greedy` reorders them, which
+    `forget_offset_pairs()`; `_layered_greedy` reorders them, which
     neither depends on."""
     reps = representatives(offsets16(b.presentation))
     if b.radius < 5:
@@ -113,6 +113,15 @@ def offset_pairs(b: Ball) -> list[tuple[np.ndarray, np.ndarray]]:
     # In representative order: how many passes the depth fixpoint takes
     # depends on the order of the lists.
     return [pair for g in reps for pair in pairs[g]]
+
+
+_OFFSET_PAIRS = offset_pairs
+
+
+def forget_offset_pairs() -> None:
+    """Drops the pair lists `offset_pairs` keeps, through the cache itself:
+    a profiler may rebind that name."""
+    _OFFSET_PAIRS.cache_clear()
 
 
 def _table_pairs(b: Ball, g: ReducedWord) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -297,12 +306,11 @@ class SecondaryGraph:
     """Cliques of potential in-pointers, one per centre vertex.
 
     Row k of `cliques` lists the T1, T1^-1, T2, T2^-1 neighbours of
-    centers[k], with -1 in the slot of each neighbour whose sign bit in
+    centre vertex k, with -1 in the slot of each neighbour whose sign bit in
     `config` cannot aim at it.
     """
 
     config: Configuration
-    centers: np.ndarray
     cliques: np.ndarray
 
     @property
@@ -323,18 +331,17 @@ class SecondaryGraph:
         i, j = np.triu_indices(4, 1)
         x, y = rows[:, i], rows[:, j]
         both = y < pad
-        centre = np.broadcast_to(self.centers[:, None], both.shape)
-        return x[both], y[both], centre[both]
+        return x[both], y[both], np.nonzero(both)[0]
 
 
 def secondary_graph(config: Configuration) -> SecondaryGraph:
     """Clique at z: the neighbours whose own sign bit lets them aim at z.
     Centres are the vertices two steps from the boundary, so every
     neighbour is inside the ball."""
-    centers = config.ball.interior_indices(2)
-    neighbours = np.stack([table[centers] for table in neighbour_tables(config.ball)], axis=1)
+    n = config.ball.interior_size(2)
+    neighbours = np.stack([table[:n] for table in neighbour_tables(config.ball)], axis=1)
     aims = config.values[neighbours] == IN_SIGNS
-    return SecondaryGraph(config, centers, np.where(aims, neighbours, -1))
+    return SecondaryGraph(config, np.where(aims, neighbours, -1))
 
 
 def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Colouring:
@@ -345,10 +352,9 @@ def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Col
         raise ValueError("base colouring lives on a different ball")
     targets = arrow_field(arrow_colouring)
     incoming = incoming_counts(targets)
-    interior = b.interior_indices(2)
-    crowded = np.flatnonzero(incoming[interior] >= 2)
+    crowded = np.flatnonzero(incoming[: b.interior_size(2)] >= 2)
     if len(crowded):
-        raise ValueError(f"crowded interior vertex {int(interior[crowded[0]])}: list transport needs one arrow per target")
+        raise ValueError(f"crowded interior vertex {int(crowded[0])}: list transport needs one arrow per target")
     codes = np.where(targets >= 0, base.codes[targets], -1).astype(np.int16)
     return Colouring(b, base.palette, codes, configuration=arrow_colouring.configuration)
 
@@ -517,14 +523,13 @@ def calibrate_N(base: Colouring, epsilon: Fraction = EPSILON) -> Calibration:
     if not Fraction(0) < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n_colours = len(base.palette)
-    within = np.cumsum(b.sphere_sizes)  # within[k]: vertices of length <= k
     trace = []
     last = (None, (), 0, Fraction(1))
-    seen = np.zeros((within[b.radius - 1] if b.radius else 0, n_colours), dtype=bool)
-    chunks, done = _start(np.arange(len(seen))), 0
+    seen = np.zeros((b.interior_size(1), n_colours), dtype=bool)
+    chunks, done = _start(np.arange(len(seen), dtype=np.int32)), 0
     for n_odd in range(1, b.radius + 1, 2):
-        n_eligible = int(within[b.radius - n_odd])
-        n_next = int(within[b.radius - n_odd - 2]) if n_odd + 2 <= b.radius else 0
+        n_eligible = b.interior_size(n_odd)
+        n_next = b.interior_size(n_odd + 2)
         held = []
         for length, word, position, image in _walk(b, chunks, done, n_odd):
             if length == n_odd:
@@ -594,7 +599,7 @@ class DoubledGraph:
         """`family,from,to` rows: the secondary edges off Q, then the cross
         and copy2 edges from the interior, each family in (word, vertex) order."""
         names = self.ball.names()
-        interior = self.ball.interior_indices(1)
+        interior = np.arange(self.ball.interior_size(1), dtype=np.int32)
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
         writer.writerows(("secondary", names[x], names[y]) for x, y in _int_pairs(_secondary_off_q(self)))
@@ -628,13 +633,12 @@ def doubled_graph(
         raise ValueError("N must be odd and positive")
     q = np.zeros(len(b), dtype=bool)
     q[list(q_proxy)] = True
-    interior = b.interior_indices(1)
     return DoubledGraph(
         config=config,
         base=base,
         N=N,
         q=q,
-        senders=interior[~q[interior]],
+        senders=np.flatnonzero(~q[: b.interior_size(1)]),
         secondary=secondary_graph(config),
         odd_limit=min(N, b.radius),
         even_limit=min(2 * N + 10, b.radius),
@@ -727,8 +731,7 @@ def check_proper(
     n_copy2, xs, ys = _block_conflicts(all_seconds, graph.copy2_edges(all_seconds), codes[n:], codes[n:])
     conflicts += [("copy2", graph.rho(x), graph.rho(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
-    interior = graph.ball.interior_indices(1)
-    uncoloured = int(np.count_nonzero(codes[interior] < 0) + np.count_nonzero(codes[n:] < 0))
+    uncoloured = int(np.count_nonzero(codes[: graph.ball.interior_size(1)] < 0) + np.count_nonzero(codes[n:] < 0))
     checked = {"secondary": len(sx), "cross": n_cross, "copy2": n_copy2}
     return ProperReport(checked, tuple(conflicts), uncoloured)
 
@@ -779,18 +782,18 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     `check_proper`'s verdict, not this audit's.
     """
     n = graph.n_first
-    eligible = graph.ball.interior_indices(1)
+    n_eligible = graph.ball.interior_size(1)
     senders = graph.senders
     z1, z2 = candidate_arrays(graph.config, senders)
     cx = codes[senders]
     to_first = (cx >= 0) & (cx == codes[n + z1])
     to_second = ~to_first & (cx >= 0) & (cx == codes[n + z2])
     with_arrow = int(np.count_nonzero(to_first) + np.count_nonzero(to_second))
-    outflow = Fraction(with_arrow, len(eligible)) if len(eligible) else Fraction(0)
-    q_fraction = Fraction(len(eligible) - len(senders), len(eligible)) if len(eligible) else Fraction(0)
+    outflow = Fraction(with_arrow, n_eligible) if n_eligible else Fraction(0)
+    q_fraction = Fraction(n_eligible - len(senders), n_eligible) if n_eligible else Fraction(0)
 
     landed = np.bincount(np.concatenate([z1[to_first], z2[to_second]]), minlength=n)
-    crowded = Fraction(int((landed[eligible] >= 2).sum()), len(eligible)) if len(eligible) else Fraction(0)
+    crowded = Fraction(int((landed[:n_eligible] >= 2).sum()), n_eligible) if n_eligible else Fraction(0)
 
     cliques = graph.secondary.cliques
     # Cliques are padded with -1, which must not read the last vertex's flag.
@@ -799,7 +802,7 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
 
     program = doubled_flow_program()
     return DoubledAudit(
-        n_eligible=len(eligible),
+        n_eligible=n_eligible,
         q_fraction=q_fraction,
         outflow_fraction=outflow,
         induced_crowded_fraction=crowded,

@@ -182,15 +182,17 @@ class ViolationReport:
         }
 
 
-def _window_rows(rule: ColouringRule, colouring: Colouring, vertices: np.ndarray) -> np.ndarray:
-    """The window bits of each vertex's table row."""
+def _window_rows(rule: ColouringRule, colouring: Colouring, n: int) -> np.ndarray:
+    """The window bits of the first n vertices' table rows, in int32: no
+    table has more than MAX_TABLE_CELLS cells."""
     if rule.window and colouring.configuration is None:
         raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
     if colouring.palette != rule.colours:
         raise ValueError(f"colouring palette differs from the colours of rule {rule.name!r}")
-    rows = np.zeros(len(vertices), dtype=np.int64)
+    rows = np.zeros(n, dtype=np.int32)
     for w in rule.window:
-        rows = 2 * rows + (colouring.configuration.values[colouring.ball.left_table(w)[vertices]] > 0)
+        rows <<= 1
+        rows |= colouring.configuration.values[colouring.ball.left_table_once(w)[:n]] > 0
     return rows
 
 
@@ -204,24 +206,26 @@ def _raise_read_error(rule: ColouringRule, colouring: Colouring, i: int) -> None
 
 def check(rule: ColouringRule, colouring: Colouring) -> ViolationReport:
     """Judge every interior vertex exactly; boundary vertices are skipped."""
-    interior = colouring.ball.interior_indices(rule.dependency_radius)
-    rows = _window_rows(rule, colouring, interior)
+    n = colouring.ball.interior_size(rule.dependency_radius)
+    rows = _window_rows(rule, colouring, n)
+    assigned = colouring.codes[:n]
+    unreadable = assigned < 0
     for d in rule.descendants:
-        c = colouring.codes[colouring.ball.left_table(d)[interior]]
-        rows = np.where((rows >= 0) & (c >= 0), len(rule.colours) * rows + c, -1)
-    assigned = colouring.codes[interior]
-    unreadable = (assigned < 0) | (rows < 0)
+        c = colouring.codes[colouring.ball.left_table_once(d)[:n]]
+        unreadable |= c < 0
+        rows *= len(rule.colours)
+        rows += c
     if unreadable.any():
-        i = int(interior[np.argmax(unreadable)])
+        i = int(np.argmax(unreadable))
         if colouring.codes[i] < 0:
             raise ValueError(f"interior vertex {i} is uncoloured")
         _raise_read_error(rule, colouring, i)
-    bad = ~rule.table[rows, assigned]
+    bad = np.flatnonzero(~rule.table[rows, assigned])
     violations = tuple(
         (i, rule.colours[a], rule.allowed_set(row))
-        for i, a, row in zip(interior[bad].tolist(), assigned[bad].tolist(), rows[bad].tolist())
+        for i, a, row in zip(bad.tolist(), assigned[bad].tolist(), rows[bad].tolist())
     )
-    return ViolationReport(interior_size=len(interior), violations=violations)
+    return ViolationReport(interior_size=n, violations=violations)
 
 
 def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[Colouring, bool, int]:
@@ -231,9 +235,9 @@ def iterate(rule: ColouringRule, initial: Colouring, max_rounds: int) -> tuple[C
     rules that are not rank one.
     """
     colouring = initial.copy()
-    interior = colouring.ball.interior_indices(rule.dependency_radius)
+    n = colouring.ball.interior_size(rule.dependency_radius)
     # Window bits stay fixed; descendant codes are read as the sweep goes.
-    steps = list(zip(interior.tolist(), _window_rows(rule, colouring, interior).tolist()))
+    steps = list(enumerate(_window_rows(rule, colouring, n).tolist()))
     reads = [colouring.ball.left_table(d).tolist() for d in rule.descendants]
     allowed = rule.table.tolist()
     codes = colouring.codes.tolist()

@@ -497,6 +497,18 @@ class TestStructureCommands:
         assert result["audit"]["feasibility"]["feasible"] is False
         assert result["proper"]["conflicts"] == []
 
+    def test_doubled_with_offset_pairs_wrapped(self, tmp_path, monkeypatch):
+        """A plain wrapper around `proper.offset_pairs`, as a profiler sets,
+        has no `cache_clear`; doubled still drops the pair lists and keeps
+        its pinned record."""
+        args = "doubled --radius 6 --seed 0"
+        real = proper.offset_pairs
+        monkeypatch.setattr(proper, "offset_pairs", lambda b: real(b))
+        out = tmp_path / "record.json"
+        assert main([*args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDENS[args]["record"]
+        assert real.cache_info().currsize == 0
+
     def test_doubled_even_levels_rejected(self, tmp_path):
         # Zero and negative level counts get the same SpecError as even ones.
         for levels in ("2", "0", "-1"):
@@ -615,16 +627,15 @@ class TestStructureCommands:
     )
     def test_planted_decomposition_fails(self, tmp_path, monkeypatch, module, args, plant):
         """Each command's decomposition, planted with one fault on its way
-        into the checker, fails the run: a judged vertex moves to the next
-        piece, the first moved piece's mover gains an s, or that piece joins
-        the other copy, which it overlaps."""
+        into the checker, fails the run: the first judged vertex moves to the
+        next piece, the first moved piece's mover gains an s, or that piece
+        joins the other copy, which it overlaps."""
         real = equidecomp.check_decomposition
 
         def planted(b, decomposition, judged):
             first = next(iter(decomposition.movers))  # the first moved piece
             if plant == "vertex-moved":
-                v = judged[0]
-                decomposition.pieces[v] = decomposition.pieces[v] % len(decomposition.names) + 1
+                decomposition.pieces[0] = decomposition.pieces[0] % len(decomposition.names) + 1
             elif plant == "mover-edited":
                 decomposition.movers[first] = decomposition.movers[first].replace("1", "") + "s"
             else:

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -181,15 +182,26 @@ def test_composed_table_no_false_dropout():
             assert (table[i] >= 0) == ((g * w) in b.words)
 
 
-def test_interior_indices():
-    b = ball(free_group(2), 3)
-    inner = b.interior_indices(1)
-    assert len(inner) == 17
-    assert all(b.words[i].length <= 2 for i in inner)
-    for p in (free_group(2), free_group(3), z2_z3()):
-        b = ball(p, 5)
-        for depth in range(8):
-            assert np.array_equal(b.interior_indices(depth), np.flatnonzero(b.lengths <= 5 - depth)), (p, depth)
+INTERIOR_PRESENTATIONS = {"f1": free_group(1), "f2": free_group(2), "f3": free_group(3), "st": free_group(2, "st"), "z2z3": z2_z3()}
+
+
+@functools.cache
+def interior_ball(name: str, radius: int) -> Ball:
+    return ball(INTERIOR_PRESENTATIONS[name], radius)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(INTERIOR_PRESENTATIONS)), radius=st.integers(0, 8), data=st.data())
+def test_interior_size(name, radius, data):
+    # The vertices whose depth-neighbourhood stays inside are those of
+    # length at most radius - depth, and they come first in vertex order.
+    b = interior_ball(name, radius)
+    depth = data.draw(st.integers(0, radius + 1), label="depth")
+    n = b.interior_size(depth)
+    assert n == np.count_nonzero(b.lengths <= radius - depth)
+    assert np.all(b.lengths[:n] <= radius - depth)
+    if depth > radius:
+        assert n == 0
 
 
 def test_sphere_order_is_deterministic():
@@ -453,14 +465,17 @@ def test_radius_zero_ball_tables():
 
 
 def test_one_block_table_per_element_after_hausdorff_audit():
-    # The audit's movers read the unit tables of s, t and T = t^2.  Tables
-    # are cached under their element's canonical letters, so the one-letter
+    # The unit tables are those of s, t and T = t^2, which the audit's
+    # movers read; the audit leaves the cache as it found it.  Tables are
+    # cached under their element's canonical letters, so the one-letter
     # tables are those three, and reading T again, spelt either way, or the
     # names adds no entry.
     p = z2_z3()
     b = ball(p, 10)
-    assert six_piece_doubling(hausdorff_solve(b)).all_verified
+    b.unit_tables()
     tables = set(b._left)
+    assert six_piece_doubling(hausdorff_solve(b)).all_verified
+    assert set(b._left) == tables
     assert all(reduce_letters(list(key), p).letters == key for key in tables)
     assert sorted(key for key in tables if len(key) == 1) == [((0, 1),), ((1, 1),), ((1, 2),)]
     b.names()

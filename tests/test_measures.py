@@ -208,7 +208,7 @@ def certify_reference(colouring, g, source, target, kind):
     def count(word, src, tgt):
         table = ball.left_table(word)
         p = t = 0
-        for i in ball.interior_indices(word.length):
+        for i in np.flatnonzero(ball.lengths <= ball.radius - word.length):
             if colouring.colour_at(int(i)) in src:
                 t += 1
                 if colouring.colour_at(int(table[i])) in tgt:

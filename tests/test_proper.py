@@ -260,8 +260,7 @@ def test_greedy_rejects_unknown_choice():
 
 def test_list_assignment_distinct():
     b, config, base = setup_r6()
-    interior = b.interior_indices(1)
-    lists = list_assignments(config, base, interior[:300])
+    lists = list_assignments(config, base, np.arange(300))
     assert lists.shape == (300, 2)
     for c1, c2 in lists.tolist():
         assert c1 != c2
@@ -277,9 +276,9 @@ def test_list_assignment_boundary_error():
 def test_secondary_clique_sizes_are_pdegrees():
     b, config, base = setup_r6()
     graph = secondary_graph(config)
-    assert graph.cliques.shape == (len(graph.centers), 4)
+    assert graph.cliques.shape == (b.interior_size(2), 4)
     sizes = np.count_nonzero(graph.cliques >= 0, axis=1)
-    assert np.array_equal(sizes, pdegree_profile(b, config.values[None, :], graph.centers)[0])
+    assert np.array_equal(sizes, pdegree_profile(b, config.values[None, :], np.arange(len(graph.cliques)))[0])
 
 
 def test_secondary_edge_offsets():
@@ -297,7 +296,7 @@ def test_secondary_edge_offsets():
 
     graph = secondary_graph(config)
     seen_same = seen_cross = 0
-    for z, row in zip(graph.centers, graph.cliques):
+    for z, row in enumerate(graph.cliques):
         clique = row[row >= 0]
         for i in range(len(clique)):
             for j in range(i + 1, len(clique)):
@@ -318,7 +317,7 @@ def test_away_targets_differ_from_centre_by_short_offset():
     short = {g.letters for g in offsets16()[:4]}
     graph = secondary_graph(config)
     checked = 0
-    for z, row in zip(graph.centers, graph.cliques):
+    for z, row in enumerate(graph.cliques):
         for x in row[row >= 0].tolist():
             if b.lengths[x] > b.radius - 1:
                 continue
@@ -335,7 +334,7 @@ def test_list_transport_proper():
     b, config, base = setup_r6()
     colouring = constructive_solve(config)
     assert check(arrow_rule(), colouring).satisfied
-    lists_cover = b.interior_indices(1)
+    lists_cover = np.arange(b.interior_size(1))
     lists = list_assignments(config, base, lists_cover)
     transported = arrows_to_list_colouring(colouring, base)
     graph = secondary_graph(config)
@@ -365,8 +364,7 @@ def test_list_transport_rejects_crowding():
 
     targets = arrow_field(colouring)
     incoming = incoming_counts(targets)
-    interior = set(int(i) for i in b.interior_indices(2))
-    victim = next(int(w) for w in np.flatnonzero(incoming == 1) if int(w) in interior)
+    victim = next(int(w) for w in np.flatnonzero(incoming == 1) if w < b.interior_size(2))
     t1, u1, t2, u2 = neighbour_tables(b)
     broken = colouring.copy()
     for sender, need, active in (
@@ -598,7 +596,7 @@ def test_rho_involution():
 
 def test_q_vertices_have_no_first_copy_edges():
     b, config, base = setup_r6()
-    qv = int(b.interior_indices(2)[10])
+    qv = 10  # a vertex of the 2-interior
     graph = doubled_graph(config, base, 1, q_proxy=frozenset({qv}))
     codes = canonical_doubled_colouring(graph, constructive_solve(config))
     report = check_proper(graph, codes, copy2_sample=8)
@@ -657,11 +655,11 @@ def test_flow_audit_exact_gap():
 
 def test_flow_audit_counts_q():
     b, config, base = setup_r6()
-    qv = {int(v) for v in b.interior_indices(2)[:3]}
+    qv = {0, 1, 2}  # vertices of the 2-interior
     graph = doubled_graph(config, base, 1, q_proxy=frozenset(qv))
     codes = canonical_doubled_colouring(graph, constructive_solve(config))
     audit = flow_audit_doubled(codes, graph)
-    assert audit.q_fraction == Fraction(3, len(b.interior_indices(1)))
+    assert audit.q_fraction == Fraction(3, b.interior_size(1))
     assert audit.outflow_fraction == 1 - audit.q_fraction
     assert audit.clique_touches_q_fraction > 0
 
@@ -687,7 +685,7 @@ def reference_conflicts(graph, codes, seconds):
     b = graph.ball
     n = len(b)
     base = graph.base.codes
-    firsts = np.array([x for x in b.interior_indices(1) if not graph.q[x]], dtype=np.int64)
+    firsts = np.array([x for x in np.flatnonzero(b.lengths < b.radius) if not graph.q[x]], dtype=np.int64)
     pairs = np.stack(candidate_arrays(graph.config, firsts), axis=1)
     out = []
     for g in range(1, sum(b.sphere_sizes[: graph.odd_limit + 1])):
@@ -762,7 +760,7 @@ def secondary_reference(config):
     t1, u1, t2, u2 = neighbour_tables(b)
     v = config.values
     centers, cliques = [], []
-    for z in b.interior_indices(2).tolist():
+    for z in np.flatnonzero(b.lengths <= b.radius - 2).tolist():
         slots = ((t1[z], -1), (u1[z], 1), (t2[z], -1), (u2[z], 1))
         centers.append(z)
         cliques.append(tuple(int(nb) for nb, need in slots if nb >= 0 and v[nb] == need))
@@ -804,7 +802,7 @@ def test_secondary_family_matches_reference_loops(data):
 
     graph = secondary_graph(config)
     centers, cliques = secondary_reference(config)
-    assert graph.centers.tolist() == centers
+    assert centers == list(range(len(graph.cliques)))
     assert graph.cliques.shape == (len(centers), 4)
     assert [tuple(row[row >= 0].tolist()) for row in graph.cliques] == cliques
     x, y, z = graph.edges()
@@ -826,7 +824,7 @@ def test_secondary_family_matches_reference_loops(data):
 
     q = frozenset(rng.choice(len(b), size=data.draw(st.integers(0, 40), label="|Q|")).tolist())
     doubled = doubled_graph(config, base, 1, q_proxy=q)
-    assert doubled.senders.tolist() == [v for v in b.interior_indices(1).tolist() if v not in q]
+    assert doubled.senders.tolist() == [v for v in np.flatnonzero(b.lengths < b.radius).tolist() if v not in q]
     codes = np.concatenate([colouring.codes, base.codes])
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]
