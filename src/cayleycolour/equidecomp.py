@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Ball, check_rank_two_free
+from .groups import Ball, ReducedWord, check_rank_two_free
 
 
 # pieces[v] is the number (1-based, in `names` order) of vertex v's piece,
@@ -83,49 +83,79 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: int) -
     piece, make up the boundary remainder.  The onto checks reach only
     judged vertices in some target, so each copy's targets must also
     cover every judged vertex.
+
+    Each distinct word among the movers and their inverses has its table
+    built once, by `Ball.left_table_once`, and dropped before the next:
+    it serves the into check of every piece it moves and the onto check
+    of every piece whose mover is its inverse.
     """
     piece = decomposition.pieces
     piece_sizes = {name: int(np.count_nonzero(piece == k + 1)) for k, name in enumerate(decomposition.names)}
     partition_exact = bool(np.all(piece[:judged] > 0)) and sum(piece_sizes.values()) == judged
 
-    into_checks: dict[str, tuple[int, int]] = {}
-    onto_checks: dict[str, tuple[int, int]] = {}
+    number = {name: k + 1 for k, name in enumerate(decomposition.names)}
+    moved_names = [name for name in decomposition.names if name in decomposition.movers]
+    # Per distinct word, in first use: the pieces it moves, and the pieces
+    # whose mover is its inverse.
+    reads: dict[tuple, tuple[ReducedWord, list[str], list[str]]] = {}
+    for name in moved_names:
+        mover = ball.presentation.word(decomposition.movers[name])
+        reads.setdefault(mover.letters, (mover, [], []))[1].append(name)
+        inverse = mover.inverse()
+        reads.setdefault(inverse.letters, (inverse, [], []))[2].append(name)
+
+    into: dict[str, tuple[int, int]] = {}
+    onto: dict[str, tuple[int, int]] = {}
     hits: dict[int, np.ndarray] = {}
     covered: dict[int, np.ndarray] = {}
     disjoint = True
     remainder = 0
-    for k, name in enumerate(decomposition.names):
-        if name not in decomposition.movers:
-            continue
-        mover = ball.presentation.word(decomposition.movers[name])
-        target, copy = decomposition.targets[name], decomposition.copies[name]
-        moved = ball.left_table_once(mover)[piece == k + 1]
-        remainder += int(np.count_nonzero(moved < 0))
-        moved = moved[moved >= 0]
-        if copy not in hits:
-            hits[copy], covered[copy] = np.zeros(len(ball), dtype=bool), np.zeros(judged, dtype=bool)
-        # A table is one-to-one where it is defined, so this copy's pieces
-        # overlap exactly when one lands on a vertex an earlier one hit.
-        disjoint = disjoint and not hits[copy][moved].any()
-        hits[copy][moved] = True
-        covered[copy] |= target[:judged]
-        into_checks[name] = (int(np.count_nonzero(target[moved])), len(moved))
-        sources = ball.left_table_once(mover.inverse())[:judged][target[:judged]]
-        landed = piece[sources[sources >= 0]]
-        remainder += len(sources) - int(np.count_nonzero(landed))
-        onto_checks[name] = (int(np.count_nonzero(landed == k + 1)), int(np.count_nonzero(landed)))
+    for word, forward, backward in reads.values():
+        table = ball.left_table_once(word)
+        for name in forward:
+            target, copy = decomposition.targets[name], decomposition.copies[name]
+            if copy not in hits:
+                hits[copy], covered[copy] = np.zeros(len(ball), dtype=bool), np.zeros(judged, dtype=bool)
+            dropped, into[name], overlap = _into(table[piece == number[name]], target, hits[copy])
+            remainder += dropped
+            disjoint = disjoint and not overlap
+            covered[copy] |= target[:judged]
+        for name in backward:
+            dropped, onto[name] = _onto(table[:judged][decomposition.targets[name][:judged]], piece, number[name])
+            remainder += dropped
+        # Dropped before the next word's table is built.
+        del table
 
     return DecompositionReport(
         interior_size=judged,
         piece_sizes=piece_sizes,
         partition_exact=partition_exact,
         mover_words=decomposition.movers,
-        into_checks=into_checks,
-        onto_checks=onto_checks,
+        into_checks={name: into[name] for name in moved_names},
+        onto_checks={name: onto[name] for name in moved_names},
         boundary_remainder=remainder,
         copies_disjoint=disjoint,
         copies_cover=all(c.all() for c in covered.values()),
     )
+
+
+def _into(moved: np.ndarray, target: np.ndarray, hit: np.ndarray) -> tuple[int, tuple[int, int], bool]:
+    """A piece's images: how many leave the ball, (in the target, inside
+    the ball), and whether one lands on a vertex its copy's hit mask marks;
+    marks them.  A table is one-to-one where it is defined, so the pieces
+    of a copy overlap exactly when one lands on a vertex another hit."""
+    inside = moved[moved >= 0]
+    overlap = bool(hit[inside].any())
+    hit[inside] = True
+    return len(moved) - len(inside), (int(np.count_nonzero(target[inside])), len(inside)), overlap
+
+
+def _onto(sources: np.ndarray, piece: np.ndarray, k: int) -> tuple[int, tuple[int, int]]:
+    """Judged target vertices' preimages: how many lie outside the ball or
+    in no piece, and (in piece k, in some piece)."""
+    landed = piece[sources[sources >= 0]]
+    found = int(np.count_nonzero(landed))
+    return len(sources) - found, (int(np.count_nonzero(landed == k)), found)
 
 
 def free_group_decomposition(b: Ball) -> Decomposition:

@@ -390,59 +390,82 @@ def check_proper_list(graph: SecondaryGraph, base: Colouring, colouring: Colouri
 
 _BLOCK_ENTRIES = 1 << 13
 
-# A chunk of the word-image walk: parallel int32 arrays (word, position,
-# image) with image = word * vertices[position].
-Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
+# A group of the word-image walk: its distinct words (int32), how many
+# consecutive entries each word owns, and the entries' int32 (position,
+# image) arrays, image = word * vertices[position].
+Group = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _start(vertices: np.ndarray) -> list[Chunk]:
-    """The walk's entries for the empty word, (0, j, vertices[j]), in
-    chunks of at most _BLOCK_ENTRIES."""
-    n = len(vertices)
-    word, position, image = np.zeros(n, dtype=np.int32), np.arange(n, dtype=np.int32), vertices.astype(np.int32)
-    return [
-        (word[lo : lo + _BLOCK_ENTRIES], position[lo : lo + _BLOCK_ENTRIES], image[lo : lo + _BLOCK_ENTRIES])
-        for lo in range(0, n, _BLOCK_ENTRIES)
-    ]
+def _start(vertices: np.ndarray | int) -> Iterator[Group]:
+    """The walk's entries for the empty word, (position j, image
+    vertices[j]), one group of at most _BLOCK_ENTRIES at a time; an int n
+    stands for the vertices 0 .. n - 1."""
+    n = vertices if isinstance(vertices, int) else len(vertices)
+    for lo in range(0, n, _BLOCK_ENTRIES):
+        position = np.arange(lo, min(lo + _BLOCK_ENTRIES, n), dtype=np.int32)
+        image = position if isinstance(vertices, int) else vertices[lo : lo + _BLOCK_ENTRIES].astype(np.int32)
+        yield np.zeros(1, dtype=np.int32), np.array([len(position)]), position, image
 
 
-def _walk(b: Ball, chunks: list[Chunk], length: int, limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Extends chunks of entries whose words have the given length to every
-    word of length <= limit, depth first; yields each new chunk once, as
-    (length, word, position, image).
+def _select(group: Group, keep: np.ndarray) -> Group:
+    """The entries of a group that keep marks, each word's kept ones
+    counted by one `np.add.reduceat` over its range; words with none go."""
+    words, counts, position, image = group
+    kept = np.add.reduceat(keep, np.cumsum(counts) - counts)
+    on = kept > 0
+    return words[on], kept[on], np.compress(keep, position), np.compress(keep, image)
+
+
+def _expand(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A group's (word, position, image) entries, one word per entry."""
+    words, counts, position, image = group
+    return np.repeat(words, counts), position, image
+
+
+def _walk(b: Ball, groups: Iterable[Group], length: int, limit: int) -> Iterator[tuple[int, Group]]:
+    """Extends groups of entries whose words have the given length to
+    every word of length <= limit, depth first, one given group at a time;
+    yields each new group once, with its words' length.
 
     A word of length k + 1 is l * parent, l its first unit letter
-    (`Ball.first`) and the parent one sphere shorter (`Ball.parent`), so an
-    entry's children are unit_l[word] for each unit letter l with
-    first[unit_l[word]] = l: every word is reached once, from its parent, a
-    torsion word such as a^2 = A^2 in an order-4 generator too.  A child's
-    image is unit_l[image], kept only inside the ball, so the walk follows the
-    suffixes of each word and drops an entry once a suffix times the
-    vertex leaves the ball.  In a free group the lengths along that walk
-    fall and then rise, so this happens exactly when word * vertex is
-    outside.  No -1 entry and no (words x vertices) block is ever held.
+    (`Ball.first`) and the parent one sphere shorter (`Ball.parent`), so a
+    word's children are unit_l[word] for each unit letter l with
+    first[unit_l[word]] = l, tested once per word: every word is reached
+    once, from its parent, a torsion word such as a^2 = A^2 in an order-4
+    generator too.  A child's image is unit_l[image], kept only inside the
+    ball, so the walk follows the suffixes of each word and drops an entry
+    once a suffix times the vertex leaves the ball.  In a free group the
+    lengths along that walk fall and then rise, so this happens exactly
+    when word * vertex is outside.  No -1 entry, no (words x vertices)
+    block and no word per entry is ever held.
 
-    A chunk's children form one chunk while they fit in _BLOCK_ENTRIES,
-    else one chunk per letter, each no larger than its parent: chunks stay
-    near that size, and the walk holds a few of them per sphere.
+    A group's children form one group while they fit in _BLOCK_ENTRIES,
+    else one group per letter, each no larger than its parent.  `take`
+    and `compress` are about twice as fast as fancy indexing here.
     """
     units = b.unit_tables()
-    stack = [(length, chunk) for chunk in reversed(chunks)]
-    while stack:
-        length, (word, position, image) = stack.pop()
-        if length >= limit:
-            continue
-        children = []
-        for letter, unit in enumerate(units):
-            child, moved = unit[word], unit[image]
-            keep = (b.first[child] == letter) & (moved >= 0)
-            children.append((child[keep], position[keep], moved[keep]))
-        if sum(len(child) for child, _, _ in children) <= _BLOCK_ENTRIES:
-            children = [tuple(np.concatenate(column) for column in zip(*children))]
-        children = [child for child in children if len(child[0])]
-        for child in children:
-            yield length + 1, *child
-        stack.extend((length + 1, child) for child in reversed(children))
+    for group in groups:
+        stack = [(length, group)]
+        while stack:
+            depth, (words, counts, position, image) = stack.pop()
+            if depth >= limit:
+                continue
+            children = []
+            for letter, unit in enumerate(units):
+                child = unit[words]
+                valid = b.first[child] == letter
+                if not valid.any():
+                    continue
+                moved = unit.take(image)
+                keep = np.repeat(valid, counts)
+                keep &= moved >= 0
+                children.append(_select((child, counts, position, moved), keep))
+            if children and sum(len(child[2]) for child in children) <= _BLOCK_ENTRIES:
+                children = [tuple(np.concatenate(column) for column in zip(*children))]
+            children = [child for child in children if len(child[0])]
+            for child in children:
+                yield depth + 1, child
+            stack.extend((depth + 1, child) for child in reversed(children))
 
 
 def _edges(
@@ -452,29 +475,35 @@ def _edges(
     vertices: np.ndarray,
     codes: np.ndarray,
     forbidden: Sequence[np.ndarray],
-) -> Iterator[Chunk]:
-    """Per chunk of `_walk` from `vertices`, the pairs (x, gamma * x) for
-    nonempty words gamma of length <= limit with the given parity,
-    gamma * x in the ball and codes[gamma * x] different from every
-    forbidden[k] at x, as (word, position, image) arrays.
+) -> Iterator[tuple[Group, np.ndarray]]:
+    """Per group of `_walk` from `vertices` whose words have the given
+    parity, the group and the mask of its edges: the entries (x, gamma *
+    x), gamma nonempty of length <= limit, gamma * x in the ball, with
+    codes[gamma * x] different from every forbidden[k] at x.
 
     position indexes `vertices`, so (word, position) is the order of a
     loop over words outside a loop over vertices; each pair comes once.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    for length, word, position, image in _walk(b, _start(vertices), 0, limit):
+    for length, group in _walk(b, _start(vertices), 0, limit):
         if length % 2 == parity:
-            keep = np.ones(len(image), dtype=bool)
-            image_codes = codes[image]
+            _, _, position, image = group
+            edge = np.ones(len(image), dtype=bool)
+            image_codes = codes.take(image)
             for colours in forbidden:
-                keep &= image_codes != colours[position]
-            yield word[keep], position[keep], image[keep]
+                edge &= image_codes != colours.take(position)
+            yield group, edge
 
 
-def _in_order(parts: Iterable[Chunk], vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) pairs of (word, position, y) entries, x = vertices[position],
-    sorted by (word, position)."""
-    parts = list(parts)
+def _kept(edges: Iterable[tuple[Group, np.ndarray]]) -> Iterator[Group]:
+    """The edges of masked groups, each group cut down to its mask."""
+    return (_select(group, edge) for group, edge in edges)
+
+
+def _in_order(groups: Iterable[Group], vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) pairs of the groups' (position, y) entries, x =
+    vertices[position], sorted by (word, position)."""
+    parts = [_expand(group) for group in groups]
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     word, position, y = (np.concatenate(column) for column in zip(*parts))
@@ -517,33 +546,40 @@ def calibrate_N(base: Colouring, epsilon: Fraction = EPSILON) -> Calibration:
     Vertex order is length-major, so the eligible vertices for N are the
     first ones, and those for N + 2 a prefix of them.  One `_walk` serves
     every N: after sphere N it keeps only the entries of the vertices
-    still eligible for N + 2, and goes on from there.
+    still eligible for N + 2, and goes on from there.  The colours seen
+    from each vertex are one bit mask (`np.bitwise_or.at`), and the walk
+    starts from one block of vertices at a time.
     """
     b = base.ball
     if not Fraction(0) < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n_colours = len(base.palette)
     trace = []
-    last = (None, (), 0, Fraction(1))
-    seen = np.zeros((b.interior_size(1), n_colours), dtype=bool)
-    chunks, done = _start(np.arange(len(seen), dtype=np.int32)), 0
+    n_eligible, fraction = 0, Fraction(1)
+    # Bit c of seen[v] is set once colour c is reached from vertex v.
+    bits = np.left_shift(np.uint32(1), np.arange(n_colours, dtype=np.uint32))
+    every = bits.sum()
+    seen = np.zeros(b.interior_size(1), dtype=np.uint32)
+    groups, done = _start(len(seen)), 0
     for n_odd in range(1, b.radius + 1, 2):
         n_eligible = b.interior_size(n_odd)
         n_next = b.interior_size(n_odd + 2)
         held = []
-        for length, word, position, image in _walk(b, chunks, done, n_odd):
+        for length, group in _walk(b, groups, done, n_odd):
             if length == n_odd:
-                seen[position, base.codes[image]] = True
-                on = position < n_next
-                held.append((word[on], position[on], image[on]))
-        chunks, done = held, n_odd
-        failing = np.flatnonzero(~seen[:n_eligible].all(axis=1))
-        fraction = Fraction(len(failing), n_eligible)
-        trace.append((n_odd, n_eligible, len(failing)))
-        last = (n_odd, tuple(failing.tolist()), n_eligible, fraction)
+                _, _, position, image = group
+                np.bitwise_or.at(seen, position, bits.take(base.codes.take(image)))
+                held.append(_select(group, position < n_next))
+        groups, done = held, n_odd
+        n_failing = int(np.count_nonzero(seen[:n_eligible] != every))
+        fraction = Fraction(n_failing, n_eligible)
+        trace.append((n_odd, n_eligible, n_failing))
         if fraction <= epsilon:
-            return Calibration(epsilon, n_odd, last[1], last[2], fraction, tuple(trace))
-    return Calibration(epsilon, None, last[1], last[2], last[3], tuple(trace))
+            break
+    else:
+        n_odd = None
+    failing = np.flatnonzero(seen[:n_eligible] != every)
+    return Calibration(epsilon, n_odd, tuple(failing.tolist()), n_eligible, fraction, tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -558,8 +594,9 @@ class DoubledGraph:
     arrows.  Cross edges come from the nonempty odd words of length <=
     odd_limit, copy2 edges from the nonempty even words of length <=
     even_limit; both limits are clipped at the radius.  The edges are not
-    stored: they are generated from the words by `_walk`, one chunk of
-    (word, vertex, image) entries at a time, each image inside the ball.
+    stored: they are generated from the words by `_walk`, one group at a
+    time: its distinct words, how many entries each owns and the entries'
+    (vertex, image) arrays, each image inside the ball.
     """
 
     config: Configuration
@@ -582,15 +619,17 @@ class DoubledGraph:
     def rho(self, v: int) -> int:
         return (v + self.n_first) % (2 * self.n_first)
 
-    def cross_edges(self) -> Iterator[Chunk]:
-        """Chunks (word, position, z) with x ~ rho(z), x = senders[position]:
+    def cross_edges(self) -> Iterator[tuple[Group, np.ndarray]]:
+        """Groups of (position, z) entries, each with the mask of those
+        with x ~ rho(z), x = senders[position]:
         odd distance, z's base colour on neither of x's candidates."""
         z1, z2 = candidate_arrays(self.config, self.senders)
         codes = self.base.codes
         return _edges(self.ball, self.odd_limit, 1, self.senders, codes, (codes[z1], codes[z2]))
 
-    def copy2_edges(self, vertices: np.ndarray) -> Iterator[Chunk]:
-        """Chunks (word, position, y) with rho(x) ~ rho(y), x = vertices[position]:
+    def copy2_edges(self, vertices: np.ndarray) -> Iterator[tuple[Group, np.ndarray]]:
+        """Groups of (position, y) entries, each with the mask of those
+        with rho(x) ~ rho(y), x = vertices[position]:
         even distance, different base colours."""
         codes = self.base.codes
         return _edges(self.ball, self.even_limit, 0, vertices, codes, (codes[vertices],))
@@ -603,9 +642,9 @@ class DoubledGraph:
         writer = csv.writer(fileobj)
         writer.writerow(("family", "from", "to"))
         writer.writerows(("secondary", names[x], names[y]) for x, y in _int_pairs(_secondary_off_q(self)))
-        cross = _in_order(self.cross_edges(), self.senders)
+        cross = _in_order(_kept(self.cross_edges()), self.senders)
         writer.writerows(("cross", names[x], f"rho({names[z]})") for x, z in _int_pairs(cross))
-        copy2 = _in_order(self.copy2_edges(interior), interior)
+        copy2 = _in_order(_kept(self.copy2_edges(interior)), interior)
         writer.writerows(("copy2", f"rho({names[x]})", f"rho({names[y]})") for x, y in _int_pairs(copy2))
 
 
@@ -680,21 +719,23 @@ def _secondary_off_q(graph: DoubledGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_conflicts(
     vertices: np.ndarray,
-    chunks: Iterable[Chunk],
+    edges: Iterable[tuple[Group, np.ndarray]],
     x_codes: np.ndarray,
     y_codes: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Edges of a family's chunks from `vertices`, counted, and the (x, y)
-    among them with x_codes[x] = y_codes[y] >= 0, in (word, position)
-    order; only those are gathered into arrays."""
+    """Edges of a family's masked groups from `vertices`, counted, and the
+    (x, y) among them with x_codes[x] = y_codes[y] >= 0, in (word,
+    position) order; only those are gathered into arrays."""
     at = x_codes[vertices]
     count = 0
     found = []
-    for word, position, image in chunks:
-        count += len(word)
-        cx = at[position]
-        bad = (cx >= 0) & (cx == y_codes[image])
-        found.append((word[bad], position[bad], image[bad]))
+    for group, edge in edges:
+        _, _, position, image = group
+        count += int(np.count_nonzero(edge))
+        cx = at.take(position)
+        bad = edge & (cx >= 0) & (cx == y_codes.take(image))
+        if bad.any():
+            found.append(_select(group, bad))
     return (count, *_in_order(found, vertices))
 
 
@@ -711,7 +752,7 @@ def check_proper(
     uncoloured vertices among those judged: the whole second copy and the
     first copy's 1-interior.  copy2 edges are checked from a seeded vertex
     sample by default since that family is the dense one.  Cross and copy2
-    edges are counted and checked one chunk of the word walk at a time,
+    edges are counted and checked one group of the word walk at a time,
     never as one list; each family's conflicts are listed in the order
     (word, vertex), words in canonical order outside vertices in ascending
     order.

@@ -21,7 +21,9 @@ from cayleycolour.proper import (
     _choice_draws,
     _choice_words,
     _edges,
+    _expand,
     _in_order,
+    _kept,
     _nth_set_bit,
     _start,
     _walk,
@@ -445,9 +447,10 @@ def suffix_images(b, x):
 def test_word_images_match_multiplication(data):
     """The word-image walk against ReducedWord products and `vertex_index`:
     every nonempty word of length <= limit times a vertex list (possibly
-    empty, with repeats and boundary vertices), in chunks of a few
-    entries; each (word, position) comes once, and the parity and colour
-    selection of `_edges` keeps the right pairs."""
+    empty, with repeats and boundary vertices), in groups of a few
+    entries, each group its distinct words of one length with how many
+    consecutive entries each owns; each (word, position) comes once, and
+    the parity and colour selection of `_edges` keeps the right pairs."""
     name = data.draw(st.sampled_from(sorted(KERNEL_GROUPS)), label="group")
     radius = data.draw(st.integers(0, 6), label="radius")
     b = KERNEL_BALLS[name, radius]
@@ -477,12 +480,16 @@ def test_word_images_match_multiplication(data):
     codes = rng.integers(0, 3, size=len(b))
     forbidden = rng.integers(0, 3, size=len(vertices))
     with patch.object(proper, "_BLOCK_ENTRIES", budget):
-        chunks = list(_walk(b, _start(vertices), 0, limit))
-        kept_chunks = list(_edges(b, limit, parity, vertices, codes, (forbidden,)))
+        groups = list(_walk(b, _start(vertices), 0, limit))
+        kept_groups = list(_kept(_edges(b, limit, parity, vertices, codes, (forbidden,))))
 
-    assert all(0 < len(word) <= budget for _, word, _, _ in chunks)
-    assert all((b.lengths[word] == length).all() for length, word, _, _ in chunks)
-    walked = [(int(g), int(j), int(y)) for _, *chunk in chunks for g, j, y in zip(*chunk)]
+    for length, (words, counts, position, image) in groups:
+        assert 0 < len(position) <= budget and len(image) == len(position)
+        assert position.dtype == image.dtype == np.int32
+        assert len(words) == len(counts) and (counts > 0).all() and counts.sum() == len(position)
+        assert len(np.unique(words)) == len(words), "a word came twice in one group"
+        assert (b.lengths[words] == length).all()
+    walked = [(int(g), int(j), int(y)) for _, group in groups for g, j, y in zip(*_expand(group))]
     assert len({(g, j) for g, j, _ in walked}) == len(walked), "a (word, position) came twice"
     assert {(g, j): y for g, j, y in walked} == expected
 
@@ -491,9 +498,13 @@ def test_word_images_match_multiplication(data):
         for (g, j), y in expected.items()
         if b.lengths[g] % 2 == parity and codes[y] != forbidden[j]
     )
-    kept = sorted((int(g), int(j), int(vertices[j]), int(y)) for chunk in kept_chunks for g, j, y in zip(*chunk))
+    for words, counts, position, _ in kept_groups:
+        assert (counts > 0).all() and counts.sum() == len(position)
+    kept = sorted(
+        (int(g), int(j), int(vertices[j]), int(y)) for group in kept_groups for g, j, y in zip(*_expand(group))
+    )
     assert kept == want
-    xs, ys = _in_order(kept_chunks, vertices)
+    xs, ys = _in_order(kept_groups, vertices)
     assert list(zip(xs.tolist(), ys.tolist())) == [(x, y) for _, _, x, y in want]
 
 
@@ -578,6 +589,33 @@ def test_calibrate_and_check_proper_peak_traced_memory_at_radius_8():
     assert peak <= 1.75 * 2**20, peak / 2**20
 
 
+def test_calibrate_and_check_proper_peak_traced_memory_at_radius_10():
+    """The same stages on F2 at radius 10 (118,097 vertices): 3.22 MiB
+    with a (vertices x 17) boolean `seen`, the failing vertices of every N
+    as Python ints and one word per walk entry; 2.55 MiB with a colour
+    mask per vertex and the walk grouped by word, now set by
+    check_proper."""
+    b = ball(F2, 10)
+    config = sample(b, RandomSource(3))
+    arrow_colouring = constructive_solve(config)
+    base = greedy_base_colouring(b, choice="random", seed=3)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        cal = calibrate_N(base)
+        graph = doubled_graph(config, base, cal.N, frozenset(cal.failing))
+        report = check_proper(graph, canonical_doubled_colouring(graph, arrow_colouring), seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.satisfied and report.edges_checked["cross"] == 1749811
+    assert peak <= 3 * 2**20, peak / 2**20
+
+
 def test_doubled_graph_clips_limits_at_radius():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1)
@@ -602,7 +640,7 @@ def test_q_vertices_have_no_first_copy_edges():
     report = check_proper(graph, codes, copy2_sample=8)
     assert report.satisfied
     assert qv not in graph.senders
-    xs, _ = _in_order(graph.cross_edges(), graph.senders)
+    xs, _ = _in_order(_kept(graph.cross_edges()), graph.senders)
     assert len(xs) and qv not in xs, "Q vertex produced a cross edge"
 
 
@@ -718,7 +756,9 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     # of the first word and the first of the last word.
     senders = graph.senders
     cross = sorted(
-        (int(g), int(j), int(senders[j]), int(z)) for chunk in graph.cross_edges() for g, j, z in zip(*chunk)
+        (int(g), int(j), int(senders[j]), int(z))
+        for group in _kept(graph.cross_edges())
+        for g, j, z in zip(*_expand(group))
     )
     last_of_first = max(edge for edge in cross if edge[0] == cross[0][0])
     first_of_last = min(edge for edge in cross if edge[0] == cross[-1][0])
@@ -726,7 +766,7 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     planted = proper_codes.copy()
     for _, _, x, z in (last_of_first, first_of_last):
         planted[n + z] = planted[x]
-    us, vs = _in_order(graph.copy2_edges(seconds), seconds)
+    us, vs = _in_order(_kept(graph.copy2_edges(seconds)), seconds)
     u, v = int(us[len(us) // 3]), int(vs[len(vs) // 3])
     planted[n + v] = planted[n + u]
 
@@ -751,6 +791,42 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
     codes[sy] = codes[sx]
     assert check_proper(graph, codes, copy2_sample=None).conflicts[0] == ("secondary", sx, sy)
     flow_audit_doubled(codes, graph)
+
+
+def test_cross_conflicts_listed_by_word_then_vertex_in_merged_and_separate_groups():
+    """Cross conflicts planted on two words, the later word's at an
+    earlier vertex, are listed in (word, position) order both when the
+    walk merges the two words into one group and when a small
+    _BLOCK_ENTRIES keeps them in separate groups."""
+    b, config, base = setup_r6()
+    n = len(b)
+    graph = doubled_graph(config, base, 3)
+    codes = canonical_doubled_colouring(graph, constructive_solve(config))
+    senders = graph.senders
+
+    def kept_groups(budget):
+        with patch.object(proper, "_BLOCK_ENTRIES", budget):
+            return list(_kept(graph.cross_edges()))
+
+    merged = next(group for group in kept_groups(proper._BLOCK_ENTRIES) if len(group[0]) >= 2)
+    g1, g2 = sorted(merged[0][:2].tolist())
+    word, position, z = _expand(merged)
+    edges = {g: sorted(zip(position[word == g].tolist(), z[word == g].tolist())) for g in (g1, g2)}
+    (j1, z1), (j2, z2) = edges[g1][-1], edges[g2][0]
+    assert senders[j2] < senders[j1]
+    small = 64
+    assert not any({g1, g2} <= set(group[0].tolist()) for group in kept_groups(small))
+
+    planted = codes.copy()
+    planted[n + z1] = planted[senders[j1]]
+    planted[n + z2] = planted[senders[j2]]
+    report = check_proper(graph, planted, copy2_sample=None)
+    with patch.object(proper, "_BLOCK_ENTRIES", small):
+        assert check_proper(graph, planted, copy2_sample=None) == report
+    cross = [conflict for conflict in report.conflicts if conflict[0] == "cross"]
+    assert cross == [c for c in reference_conflicts(graph, planted, np.arange(n)) if c[0] == "cross"]
+    first, second = ("cross", int(senders[j1]), n + z1), ("cross", int(senders[j2]), n + z2)
+    assert cross.index(first) < cross.index(second)
 
 
 def secondary_reference(config):
