@@ -17,17 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _lazy
 from .configs import Configuration, RandomSource, histogram
 from .groups import Ball, Presentation, check_rank_two_free, free_group
-from .measures import (
-    DensityProgram,
-    FeasibilityResult,
-    TransportCertificate,
-    feasible,
-    le,
-    translate,
-)
 from .rules import Colouring, ColouringRule
+
+measures = _lazy("measures")  # read by the mass audit alone
 
 ARROW_COLOURS = ("a1u", "a1c", "a2u", "a2c")
 
@@ -213,8 +208,12 @@ def constructive_solve(config: Configuration) -> Colouring:
     if ball.radius < 3:
         raise ValueError("need radius at least 3")
     n = ball.interior_size(1)
-    first, _ = _candidates(config, slice(n))
-    longer = ball.lengths[first] > ball.lengths[:n]
+    # The first candidate, T1 x on sign +1 and T1^-1 x on -1, is longer than
+    # x unless x starts with that letter's inverse, so no table is read (the
+    # identity's first letter, -1, is no letter).
+    letters = ball.presentation.adjacency_letters()
+    inverse = np.where(config.values[:n] == 1, np.int8(letters.index((0, -1))), np.int8(letters.index((0, 1))))
+    longer = ball.first[:n] != inverse
     codes = np.full(len(ball), -1, dtype=np.int16)
     codes[:n] = ARROW_COLOURS.index("a2u")
     codes[:n][longer] = ARROW_COLOURS.index("a1u")
@@ -231,9 +230,9 @@ class MassAudit:
     pdegree_histogram: tuple[int, int, int, int, int]
     in_capacity_estimate: Fraction
     crowded_fraction: Fraction
-    certificate: TransportCertificate
-    program: DensityProgram | None
-    feasibility: FeasibilityResult | None
+    certificate: measures.TransportCertificate
+    program: measures.DensityProgram | None
+    feasibility: measures.FeasibilityResult | None
     seed: int | None = None
 
     def to_record(self) -> dict:
@@ -253,7 +252,7 @@ class MassAudit:
 
 
 def flow_constraint():
-    return le([], [], "outflow 1 against in-capacity 15/16", lhs_const=1, rhs_const=IN_CAPACITY)
+    return measures.le([], [], "outflow 1 against in-capacity 15/16", lhs_const=1, rhs_const=IN_CAPACITY)
 
 
 def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
@@ -282,7 +281,7 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
 
     vertex_ok = has_arrow & ~crowded
     failures = np.flatnonzero(~vertex_ok)
-    certificate = TransportCertificate(
+    certificate = measures.TransportCertificate(
         kind="flow",
         element="arrow field",
         source=("one arrow out of every vertex",),
@@ -294,8 +293,8 @@ def mass_audit(colouring: Colouring, seed: int | None = None) -> MassAudit:
     )
     program = feasibility = None
     if certificate.verified:
-        program = translate([certificate], ARROW_COLOURS)
-        feasibility = feasible(program)
+        program = measures.translate([certificate], ARROW_COLOURS)
+        feasibility = measures.feasible(program)
     return MassAudit(
         interior_size=n,
         outflow_per_vertex=1,

@@ -10,6 +10,10 @@ the command read (other fields keep ``ExperimentSpec``'s defaults).
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set
 it: no code here calls BLAS, and numpy's idle OpenBLAS pool only burns CPU.
+
+Of the package, importing it executes only ``groups``, ``configs`` and
+``rules``; the other modules are lazy (``cayleycolour._lazy``), and ``run``
+executes those its command and builtin rule read, before the ball is built.
 """
 
 from __future__ import annotations
@@ -30,11 +34,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import arrows, equidecomp, hausdorff, proper
+from . import _lazy
 from .configs import ALGORITHM, RandomSource, sample
 from .groups import Ball, Presentation, ball, free_group, z2_z3
-from .measures import DensityProgram, FeasibilityResult, feasible, replay_refutation
 from .rules import Colouring, check, iterate, rule_from_json
+
+# Compiled and executed when first read (see `run`).
+arrows = _lazy("arrows")
+equidecomp = _lazy("equidecomp")
+hausdorff = _lazy("hausdorff")
+measures = _lazy("measures")
+proper = _lazy("proper")
 
 SCHEMA = "cayleycolour/v1"
 
@@ -87,9 +97,9 @@ class RunOptions:
 # Builtin rules, read by solve, check, audit and doubled.
 
 
-def _refuted(program: DensityProgram, outcome: FeasibilityResult) -> bool:
+def _refuted(program: measures.DensityProgram, outcome: measures.FeasibilityResult) -> bool:
     """Infeasible, with a refutation that replays against the program."""
-    return not outcome.feasible and replay_refutation(program, outcome.refutation)
+    return not outcome.feasible and measures.replay_refutation(program, outcome.refutation)
 
 
 def _audit_arrow(colouring: Colouring, seed: int) -> dict:
@@ -105,7 +115,7 @@ def _audit_example1(colouring: Colouring, seed: int) -> dict:
     # set becomes a program.
     if all(c.verified for c in certificates):
         program = hausdorff.example1_program(certificates)
-        outcome = feasible(program)
+        outcome = measures.feasible(program)
         record.update(program=program.to_record(), feasibility=outcome.to_record())
         record["ok"] = _refuted(program, outcome)
     return record
@@ -117,18 +127,21 @@ def _audit_hausdorff(colouring: Colouring, seed: int) -> dict:
 
 
 # Each builtin rule: how it is built on a presentation, how its constructive
-# colouring is drawn from (ball, seed), and how `audit` certifies that
-# colouring.  Each colouring rejects the presentations its rule rejects.  The
-# lambdas look each function up in its module when called, so a replaced
-# module attribute (a traced span, a test's plant) is the one that runs.
-_Builtin = namedtuple("_Builtin", "rule colour audit")
+# colouring is drawn from (ball, seed), how `audit` certifies that colouring,
+# and the lazy modules those read besides `measures` (which `audit` lists)
+# and their own imports.  Each colouring rejects the presentations its rule
+# rejects.  The lambdas look each function up in its module when called, so
+# a replaced module attribute (a traced span, a test's plant) is the one
+# that runs.
+_Builtin = namedtuple("_Builtin", "rule colour audit modules")
 _BUILTINS = {
     "arrow": _Builtin(lambda p: arrows.arrow_rule(p),
-                      lambda b, seed: arrows.constructive_solve(sample(b, RandomSource(seed))), _audit_arrow),
+                      lambda b, seed: arrows.constructive_solve(sample(b, RandomSource(seed))), _audit_arrow,
+                      (arrows,)),
     "example1": _Builtin(lambda p: hausdorff.example1_rule(2, p), lambda b, seed: hausdorff.example1_solve(b),
-                         _audit_example1),
+                         _audit_example1, (hausdorff,)),
     "hausdorff": _Builtin(lambda p: hausdorff.hausdorff_rule(p), lambda b, seed: hausdorff.hausdorff_solve(b),
-                          _audit_hausdorff),
+                          _audit_hausdorff, (hausdorff,)),
 }
 
 
@@ -233,7 +246,7 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
 
     exact_program = proper.doubled_flow_program()
-    exact = feasible(exact_program)
+    exact = measures.feasible(exact_program)
     result: dict = {"exact_program": exact.to_record()}
     ok = _refuted(exact_program, exact)
 
@@ -297,31 +310,35 @@ _FLAGS: dict[str, dict] = {
     "solver": {"choices": ("constructive", "iterate")},
     "epsilon": {"help": "rational like 1/512"},
     "n-levels": {"type": int},
-    "choice": {"choices": proper.GREEDY_CHOICES},
+    "choice": {"choices": ("min", "random")},  # proper.GREEDY_CHOICES; parsing executes no proper
     "conditional": {"action": "store_true"},
     "csv": {"help": "optional CSV table path"},
     "workers": {"type": int},
     "out": {"help": "primary JSON path (stdout when omitted)"},
 }
 
-# Each command: its runner, its help, and the flags it reads with their
-# defaults.  Every command also takes --out.
+# Each command: its runner, its help, the flags it reads with their
+# defaults, and the lazy modules it reads besides its builtin rule's, in
+# dependency order (measures, arrows, proper; `run` loads the rule's after).
+# Every command also takes --out.
 _COMMANDS: dict[str, tuple] = {
     "solve": (_run_solve, "run a constructive solver and report rule satisfaction",
-              {"presentation": None, "radius": 6, "seed": 0, "rule": "arrow", "solver": "constructive", "csv": None}),
+              {"presentation": None, "radius": 6, "seed": 0, "rule": "arrow", "solver": "constructive", "csv": None},
+              ()),
     "check": (_run_check, "check a solver's output against its rule, with violations",
-              {"presentation": None, "radius": 8, "seed": 0, "rule": "arrow", "solver": "constructive"}),
+              {"presentation": None, "radius": 8, "seed": 0, "rule": "arrow", "solver": "constructive"}, ()),
     "audit": (_run_audit, "transport certificates and exact density feasibility",
-              {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}),
+              {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}, (measures,)),
     "pdeg": (_run_pdeg, "Monte Carlo p-degree histograms at the root",
-             {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False, "workers": 1}),
+             {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False, "workers": 1},
+             (arrows,)),
     "offsets": (_run_offsets, "offset family and greedy base colouring",
-                {"presentation": None, "radius": 10, "seed": 0, "choice": "min"}),
+                {"presentation": None, "radius": 10, "seed": 0, "choice": "min"}, (proper,)),
     "doubled": (_run_doubled, "doubled-graph build, properness, and flow audit",
                 {"presentation": None, "radius": 7, "seed": 0, "epsilon": "1/512", "n-levels": None,
-                 "choice": "random", "csv": None}),
+                 "choice": "random", "csv": None}, (measures, arrows, proper)),
     "prefix": (_run_prefix, "F2's paradoxical decomposition into prefix sets, checked exactly",
-               {"presentation": None, "radius": 6}),
+               {"presentation": None, "radius": 6}, (equidecomp,)),
 }
 
 
@@ -331,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducible colouring-rule experiments on Cayley balls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, blurb, flags) in _COMMANDS.items():
+    for name, (_, blurb, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=blurb)
         for flag, default in {**flags, "out": None}.items():
             sp.add_argument("--" + flag, default=default, **_FLAGS[flag])
@@ -384,8 +401,14 @@ def _emit(record: dict, options: RunOptions, elapsed: float | None) -> None:
 def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
     """Build the run's ball, dispatch to the command implementation and
     return the result body."""
-    b = ball(presentation_named(spec.presentation), spec.radius)
-    return _COMMANDS[spec.command][0](spec, b, options)
+    runner, _, _, modules = _COMMANDS[spec.command]
+    presentation = presentation_named(spec.presentation)
+    builtin = _BUILTINS.get(spec.rule)
+    # Executed before the ball is built, their compiling leaves no transient
+    # beside its arrays; any attribute read executes a lazy module.
+    for module in modules + (builtin.modules if builtin else ()):
+        getattr(module, "__spec__")
+    return runner(spec, ball(presentation, spec.radius), options)
 
 
 def main(argv: list[str] | None = None) -> int:

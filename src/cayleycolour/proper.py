@@ -22,11 +22,14 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arrows import IN_SIGNS, arrow_field, candidate_arrays, incoming_counts, neighbour_tables
+from . import _lazy
 from .configs import Configuration
 from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
-from .measures import DensityProgram, FeasibilityResult, feasible, le
 from .rules import Colouring, ViolationReport
+
+# The greedy partition and its offset count read neither.
+arrows = _lazy("arrows")
+measures = _lazy("measures")
 
 PALETTE17 = tuple(f"c{i}" for i in range(17))
 GREEDY_CHOICES = ("min", "random")
@@ -294,7 +297,7 @@ def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[
     distinct whenever the base colouring is offset-proper (the candidates
     differ by a short offset)."""
     vertices = np.asarray(vertices, dtype=np.int64)
-    lists = np.stack([base.codes[z] for z in candidate_arrays(config, vertices)], axis=1)
+    lists = np.stack([base.codes[z] for z in arrows.candidate_arrays(config, vertices)], axis=1)
     blank = (lists < 0).any(axis=1)
     if blank.any():
         raise ValueError(f"candidate of vertex {int(vertices[blank][0])} is uncoloured")
@@ -339,8 +342,8 @@ def secondary_graph(config: Configuration) -> SecondaryGraph:
     Centres are the vertices two steps from the boundary, so every
     neighbour is inside the ball."""
     n = config.ball.interior_size(2)
-    neighbours = np.stack([table[:n] for table in neighbour_tables(config.ball)], axis=1)
-    aims = config.values[neighbours] == IN_SIGNS
+    neighbours = np.stack([table[:n] for table in arrows.neighbour_tables(config.ball)], axis=1)
+    aims = config.values[neighbours] == arrows.IN_SIGNS
     return SecondaryGraph(config, np.where(aims, neighbours, -1))
 
 
@@ -350,8 +353,8 @@ def arrows_to_list_colouring(arrow_colouring: Colouring, base: Colouring) -> Col
     b = arrow_colouring.ball
     if base.ball is not b:
         raise ValueError("base colouring lives on a different ball")
-    targets = arrow_field(arrow_colouring)
-    incoming = incoming_counts(targets)
+    targets = arrows.arrow_field(arrow_colouring)
+    incoming = arrows.incoming_counts(targets)
     crowded = np.flatnonzero(incoming[: b.interior_size(2)] >= 2)
     if len(crowded):
         raise ValueError(f"crowded interior vertex {int(crowded[0])}: list transport needs one arrow per target")
@@ -623,7 +626,7 @@ class DoubledGraph:
         """Groups of (position, z) entries, each with the mask of those
         with x ~ rho(z), x = senders[position]:
         odd distance, z's base colour on neither of x's candidates."""
-        z1, z2 = candidate_arrays(self.config, self.senders)
+        z1, z2 = arrows.candidate_arrays(self.config, self.senders)
         codes = self.base.codes
         return _edges(self.ball, self.odd_limit, 1, self.senders, codes, (codes[z1], codes[z2]))
 
@@ -786,8 +789,8 @@ class DoubledAudit:
     clique_touches_q_fraction: Fraction
     outflow_bound: Fraction
     inflow_bound: Fraction
-    program: DensityProgram
-    feasibility: FeasibilityResult
+    program: measures.DensityProgram
+    feasibility: measures.FeasibilityResult
 
     def to_record(self) -> dict:
         return {
@@ -803,14 +806,23 @@ class DoubledAudit:
         }
 
 
-def doubled_flow_program() -> DensityProgram:
+def doubled_flow_program() -> measures.DensityProgram:
     mass = "arrow mass"
     constraints = (
-        le([], [(1, mass)], "nonnegativity of arrow mass"),
-        le([], [(1, mass)], "outflow at least 511/512", lhs_const=OUTFLOW_BOUND),
-        le([(1, mass)], [], "inflow capacity at most 31/32", rhs_const=INFLOW_BOUND),
+        measures.le([], [(1, mass)], "nonnegativity of arrow mass"),
+        measures.le([], [(1, mass)], "outflow at least 511/512", lhs_const=OUTFLOW_BOUND),
+        measures.le([(1, mass)], [], "inflow capacity at most 31/32", rhs_const=INFLOW_BOUND),
     )
-    return DensityProgram((mass,), constraints)
+    return measures.DensityProgram((mass,), constraints)
+
+
+def _crowded(landings: np.ndarray, limit: int) -> int:
+    """How many vertices below `limit` occur twice or more in `landings`.
+    Sorted, each such vertex is one run of equal neighbours: the equal
+    neighbour pairs less those that continue a run."""
+    landings = np.sort(landings[landings < limit])
+    repeats = landings[1:] == landings[:-1]
+    return int(np.count_nonzero(repeats) - np.count_nonzero(repeats[1:] & repeats[:-1]))
 
 
 def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
@@ -825,7 +837,7 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     n = graph.n_first
     n_eligible = graph.ball.interior_size(1)
     senders = graph.senders
-    z1, z2 = candidate_arrays(graph.config, senders)
+    z1, z2 = arrows.candidate_arrays(graph.config, senders)
     cx = codes[senders]
     to_first = (cx >= 0) & (cx == codes[n + z1])
     to_second = ~to_first & (cx >= 0) & (cx == codes[n + z2])
@@ -833,8 +845,8 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
     outflow = Fraction(with_arrow, n_eligible) if n_eligible else Fraction(0)
     q_fraction = Fraction(n_eligible - len(senders), n_eligible) if n_eligible else Fraction(0)
 
-    landed = np.bincount(np.concatenate([z1[to_first], z2[to_second]]), minlength=n)
-    crowded = Fraction(int((landed[:n_eligible] >= 2).sum()), n_eligible) if n_eligible else Fraction(0)
+    landings = np.concatenate([z1[to_first], z2[to_second]])
+    crowded = Fraction(_crowded(landings, n_eligible), n_eligible) if n_eligible else Fraction(0)
 
     cliques = graph.secondary.cliques
     # Cliques are padded with -1, which must not read the last vertex's flag.
@@ -851,5 +863,5 @@ def flow_audit_doubled(codes: np.ndarray, graph: DoubledGraph) -> DoubledAudit:
         outflow_bound=OUTFLOW_BOUND,
         inflow_bound=INFLOW_BOUND,
         program=program,
-        feasibility=feasible(program),
+        feasibility=measures.feasible(program),
     )

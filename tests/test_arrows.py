@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cayleycolour.arrows import (
@@ -201,6 +203,24 @@ def test_constructive_targets_strictly_longer():
     defined = np.flatnonzero(targets >= 0)
     assert len(defined) > 0
     assert np.all(b.lengths[targets[defined]] == b.lengths[defined] + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_constructive_longer_first_candidate_matches_the_tables(radius, seed):
+    """The solve reads which first candidate is longer off `Ball.first`
+    alone, building no table; the unit tables agree on every vertex
+    it colours: a1 exactly where that candidate is longer."""
+    b = ball(F2, radius)
+    values = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), len(b))
+    codes = constructive_solve(Configuration(b, values)).codes
+    assert not b._left
+    n = b.interior_size(1)
+    t1, u1, _, _ = neighbour_tables(b)
+    first = np.where(values[:n] == 1, t1[:n], u1[:n])
+    longer = b.lengths[first] > b.lengths[:n]
+    assert np.array_equal(codes[:n] == ARROW_COLOURS.index("a1u"), longer)
+    assert np.all(codes[:n] >= 0) and np.all(codes[n:] == -1)
 
 
 def test_constructive_no_crowding():

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cayleycolour
-from cayleycolour import arrows, cli, equidecomp, groups, hausdorff, proper
+from cayleycolour import arrows, cli, equidecomp, groups, hausdorff, measures, proper
 from cayleycolour.cli import ExperimentSpec, build_parser, main, presentation_named, run
 from cayleycolour.groups import ball, free_group
 from cayleycolour.rules import ColouringRule, rule_to_json
@@ -375,19 +376,27 @@ class TestAudits:
         ],
     )
     def test_unreplayable_refutation_fails(self, tmp_path, monkeypatch, module, args, feasibility):
-        real = module.feasible
+        """A refutation with a multiplier dropped fails the run.  Only the
+        call of `measures.feasible` made in `module` is planted, so each case
+        fails at its own call site (doubled's exact program, solved in `cli`,
+        still replays)."""
+        real = measures.feasible
+        planted = []
 
         def drops_a_multiplier(program):
             outcome = real(program)
+            if sys._getframe(1).f_globals["__name__"] != module.__name__:
+                return outcome
+            planted.append(program)
             refutation = outcome.refutation
             return dataclasses.replace(
                 outcome, refutation=dataclasses.replace(refutation, multipliers=refutation.multipliers[:-1])
             )
 
-        monkeypatch.setattr(module, "feasible", drops_a_multiplier)
+        monkeypatch.setattr(measures, "feasible", drops_a_multiplier)
         code, record = run_json(tmp_path, args.split())
         reported = functools.reduce(dict.__getitem__, feasibility.split("."), record["result"])
-        assert reported["feasible"] is False
+        assert len(planted) == 1 and reported["feasible"] is False
         assert record["ok"] is False and code == 1
 
     @pytest.mark.parametrize(
@@ -664,24 +673,68 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(state))
 """
 
+# Runs in a fresh interpreter: which package modules have been executed
+# after `import cayleycolour.cli`, after parsing the arguments given, when
+# the first ball is built and when the command returns.  A lazy module is
+# of a ModuleType subclass until it is executed, and reading any attribute
+# of it executes it, so only its type is read.
+EXECUTED_PROBE = """
+import contextlib, io, json, sys, types
+import cayleycolour.cli as cli
+from cayleycolour import groups
+
+def executed():
+    return sorted(
+        name.removeprefix("cayleycolour.") for name, module in list(sys.modules.items())
+        if name.startswith("cayleycolour.") and type(module) is types.ModuleType
+    )
+
+state = {"imported": executed()}
+argv = sys.argv[1:]
+if argv:
+    cli.build_parser().parse_args(argv)
+    state["parsed"] = executed()
+    real = groups.Ball.__init__
+
+    def init(b, *args, **kwargs):
+        state.setdefault("at_ball", executed())
+        real(b, *args, **kwargs)
+
+    groups.Ball.__init__ = init
+    with contextlib.redirect_stdout(io.StringIO()):
+        state["exit"] = cli.main(argv)
+    state["executed"] = executed()
+print(json.dumps(state))
+"""
+
+LAZY = {"arrows", "equidecomp", "hausdorff", "measures", "proper"}
+
+
+def fresh_process(cwd, script, *args, env=None):
+    """Run `script` in a new interpreter in `cwd` that imports this
+    checkout's package, and return its stdout parsed as JSON."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(cayleycolour.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+@functools.cache
+def executed_modules(args: str) -> dict:
+    """EXECUTED_PROBE's state for one command line, run once per session."""
+    return fresh_process(Path.cwd(), EXECUTED_PROBE, *args.split())
+
 
 class TestStartup:
     @pytest.mark.parametrize("preset", [None, "2"])
     def test_fresh_process(self, tmp_path, preset):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        src = str(Path(cayleycolour.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        proc = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        state = json.loads(proc.stdout)
+        state = fresh_process(tmp_path, STARTUP_PROBE, env=env)
         # A value the caller set wins; otherwise no idle BLAS threads start.
         assert state["blas"] == (preset or "1")
         if preset is None and sys.platform == "linux":
@@ -689,6 +742,39 @@ class TestStartup:
         assert state["audit"] == 0 and state["pdeg"] == 0
         assert state["numpy.ma"] is False
         assert state["concurrent.futures"] is False
+
+    def test_import_executes_no_lazy_module(self, tmp_path):
+        state = fresh_process(tmp_path, EXECUTED_PROBE)
+        assert {"cli", "configs", "groups", "rules"} <= set(state["imported"])
+        assert not LAZY & set(state["imported"])
+
+    @pytest.mark.parametrize(
+        "args, modules",
+        [
+            ("offsets --radius 5", {"proper"}),
+            ("audit --rule hausdorff --radius 4", {"equidecomp", "hausdorff", "measures"}),
+            ("pdeg --samples 50", {"arrows"}),
+        ],
+    )
+    def test_command_executes_only_what_it_reads(self, args, modules):
+        state = executed_modules(args)
+        assert state["exit"] == 0
+        assert LAZY & set(state["executed"]) == modules
+
+    def test_choice_flag_lists_the_greedy_choices(self):
+        assert cli._FLAGS["choice"]["choices"] == proper.GREEDY_CHOICES
+
+    def test_lazy_returns_what_sys_modules_holds(self, monkeypatch):
+        """A module already in sys.modules comes back untouched: reading any
+        of its attributes would execute a lazy one."""
+
+        class Unread(types.ModuleType):
+            def __getattribute__(self, name):
+                raise AssertionError(f"read {name}")
+
+        held = Unread("cayleycolour.arrows")
+        monkeypatch.setitem(sys.modules, "cayleycolour.arrows", held)
+        assert cayleycolour._lazy("arrows") is held
 
 
 class TestRunApi:
@@ -720,3 +806,17 @@ class TestRunApi:
         monkeypatch.setattr(groups.Ball, "__init__", counted)
         code, _ = run_json(tmp_path, [command, *self.SMALL_RUNS[command].split()])
         assert code == 0 and len(built) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [f"{command} {flags}" for command, flags in SMALL_RUNS.items()]
+        + [f"{command} --rule {rule} --radius 4" for command in ("solve", "check", "audit") for rule in cli._BUILTINS],
+    )
+    def test_no_module_is_first_executed_after_the_ball(self, args):
+        """Parsing the arguments executes none of the lazy modules, and `run`
+        executes those its command reads before it builds the ball, so
+        compiling them leaves no transient beside its arrays."""
+        state = executed_modules(args)
+        assert state["exit"] == 0
+        assert not LAZY & set(state["parsed"])
+        assert state["at_ball"] == state["executed"]

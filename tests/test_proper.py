@@ -594,11 +594,13 @@ def test_calibrate_and_check_proper_peak_traced_memory_at_radius_10():
     with a (vertices x 17) boolean `seen`, the failing vertices of every N
     as Python ints and one word per walk entry; 2.55 MiB with a colour
     mask per vertex and the walk grouped by word, now set by
-    check_proper."""
+    check_proper.  The four unit tables these stages read, and keep cached
+    for the rest of the run (1.8 MiB), are built before the window."""
     b = ball(F2, 10)
     config = sample(b, RandomSource(3))
     arrow_colouring = constructive_solve(config)
     base = greedy_base_colouring(b, choice="random", seed=3)
+    b.unit_tables()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -700,6 +702,40 @@ def test_flow_audit_counts_q():
     assert audit.q_fraction == Fraction(3, b.interior_size(1))
     assert audit.outflow_fraction == 1 - audit.q_fraction
     assert audit.clique_touches_q_fraction > 0
+
+
+def crowded_reference(codes, graph):
+    """The induced crowded fraction with a count per ball vertex."""
+    n, n_eligible = graph.n_first, graph.ball.interior_size(1)
+    z1, z2 = candidate_arrays(graph.config, graph.senders)
+    cx = codes[graph.senders]
+    to_first = (cx >= 0) & (cx == codes[n + z1])
+    to_second = ~to_first & (cx >= 0) & (cx == codes[n + z2])
+    landed = np.bincount(np.concatenate([z1[to_first], z2[to_second]]), minlength=n)
+    return Fraction(int((landed[:n_eligible] >= 2).sum()), n_eligible)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flow_audit_crowded_matches_bincount(data):
+    """Random Q and random doubled codes, with two senders planted to land
+    on one clique centre: the audit's crowded count, read off the sorted
+    landings, is the per-vertex count's."""
+    b = ball(F2, data.draw(st.integers(5, 7), label="radius"))
+    config = sample(b, RandomSource(data.draw(st.integers(0, 2**32), label="seed")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="codes"))
+    q = frozenset(rng.choice(b.interior_size(1), size=data.draw(st.integers(0, 60), label="|Q|")).tolist())
+    graph = doubled_graph(config, greedy_base_colouring(b), 1, q_proxy=q)
+    codes = rng.integers(-1, data.draw(st.integers(1, 4), label="colours"), size=2 * len(b)).astype(np.int16)
+    # A centre with two clique-mates off Q, both of colour 5 and so the only
+    # vertices that can land on it: a double landing.
+    centres = [k for k, row in enumerate(graph.secondary.cliques) if len([x for x in row if x >= 0 and x not in q]) >= 2]
+    k = centres[data.draw(st.integers(0, len(centres) - 1), label="centre")]
+    x, y = [int(v) for v in graph.secondary.cliques[k] if v >= 0 and v not in q][:2]
+    codes[[x, y, len(b) + k]] = 5
+    expected = crowded_reference(codes, graph)
+    assert expected >= Fraction(1, b.interior_size(1))
+    assert flow_audit_doubled(codes, graph).induced_crowded_fraction == expected
 
 
 def test_doubled_csv(tmp_path):
