@@ -128,11 +128,14 @@ def _audit_hausdorff(colouring: Colouring, seed: int) -> dict:
 
 # Each builtin rule: how it is built on a presentation, how its constructive
 # colouring is drawn from (ball, seed), how `audit` certifies that colouring,
-# and the lazy modules those read besides `measures` (which `audit` lists)
-# and their own imports.  Each colouring rejects the presentations its rule
-# rejects.  The lambdas look each function up in its module when called, so
-# a replaced module attribute (a traced span, a test's plant) is the one
-# that runs.
+# and the lazy modules its rule and colouring read besides their own
+# imports.  Each colouring rejects the presentations its rule rejects.  The
+# lambdas look each function up in its module when called, so a replaced
+# module attribute (a traced span, a test's plant) is the one that runs.
+# `_AUDIT_MODULES` lists what each audit reads besides them: the arrow and
+# example1 audits solve a density program in `measures`, and the six-piece
+# doubling of the Hausdorff audit reads none.
+_AUDIT_MODULES = {"arrow": (measures,), "example1": (measures,)}
 _Builtin = namedtuple("_Builtin", "rule colour audit modules")
 _BUILTINS = {
     "arrow": _Builtin(lambda p: arrows.arrow_rule(p),
@@ -319,7 +322,8 @@ _FLAGS: dict[str, dict] = {
 
 # Each command: its runner, its help, the flags it reads with their
 # defaults, and the lazy modules it reads besides its builtin rule's, in
-# dependency order (measures, arrows, proper; `run` loads the rule's after).
+# dependency order (measures, arrows, proper; `run` loads an audit's
+# `_AUDIT_MODULES`, then the rule's, after).
 # Every command also takes --out.
 _COMMANDS: dict[str, tuple] = {
     "solve": (_run_solve, "run a constructive solver and report rule satisfaction",
@@ -328,7 +332,7 @@ _COMMANDS: dict[str, tuple] = {
     "check": (_run_check, "check a solver's output against its rule, with violations",
               {"presentation": None, "radius": 8, "seed": 0, "rule": "arrow", "solver": "constructive"}, ()),
     "audit": (_run_audit, "transport certificates and exact density feasibility",
-              {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}, (measures,)),
+              {"presentation": None, "radius": 8, "seed": 0, "rule": "example1"}, ()),
     "pdeg": (_run_pdeg, "Monte Carlo p-degree histograms at the root",
              {"presentation": None, "radius": 3, "seed": 0, "samples": 10000, "conditional": False, "workers": 1},
              (arrows,)),
@@ -404,9 +408,10 @@ def run(spec: ExperimentSpec, options: RunOptions = RunOptions()) -> dict:
     runner, _, _, modules = _COMMANDS[spec.command]
     presentation = presentation_named(spec.presentation)
     builtin = _BUILTINS.get(spec.rule)
+    audit = _AUDIT_MODULES.get(spec.rule, ()) if spec.command == "audit" else ()
     # Executed before the ball is built, their compiling leaves no transient
     # beside its arrays; any attribute read executes a lazy module.
-    for module in modules + (builtin.modules if builtin else ()):
+    for module in modules + audit + (builtin.modules if builtin else ()):
         getattr(module, "__spec__")
     return runner(spec, ball(presentation, spec.radius), options)
 

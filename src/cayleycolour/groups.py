@@ -258,11 +258,14 @@ class Ball:
     shorter neighbour.  first[i] is the index in `adjacency_letters()` of
     vertex i's first unit letter (the first of `ReducedWord.unit_letters`)
     and parent[i] the vertex that removing it leaves; both are -1 at the
-    identity, vertex 0.  `lengths` holds word lengths.  first is int8
-    (a presentation has at most 26 generators), lengths the smallest
-    unsigned type that holds the radius and parent int32.  `words` builds
-    `ReducedWord` objects only when read, and `names()` spells every word
-    at once without them.
+    identity, vertex 0.  They are the only per-vertex arrays a ball holds
+    besides what it caches (left and right tables, the inverse
+    permutation): first is int8 (a presentation has at most 26 generators)
+    and parent int32.  A word's length is the sphere that holds it, and
+    `sphere_sizes` lists the spheres' sizes in vertex order.
+    `words` builds `ReducedWord` objects only when read, and `names()`
+    spells every word at once without them.  An automaton colouring
+    (`hausdorff.automaton_colouring`) reads the same tree.
 
     The order is `ReducedWord.sort_key`: by length, then by the blocks'
     keys (gen, sign, |exp|) from the left.  Words of one length that share
@@ -337,7 +340,6 @@ class Ball:
         self._starts = np.array(starts, dtype=np.int32)
         self._runs = np.array(runs, dtype=np.int32)
         self.sphere_sizes: list[int] = np.diff(starts).tolist()
-        self.lengths = np.repeat(np.arange(radius + 1, dtype=np.min_scalar_type(radius)), self.sphere_sizes)
 
         letters = presentation.adjacency_letters()
         self.first = np.full(len(self), -1, dtype=np.int8)
@@ -359,7 +361,7 @@ class Ball:
         self._right: dict[tuple[Letter, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return int(self._starts[-1])
 
     @property
     def words(self) -> _Words:

@@ -7,9 +7,11 @@ allowed sets can be empty, so it is not rank one.  The mod-3 cycling rule
 rank one, and any colouring satisfying it makes the A1 class simultaneously
 too big and too small for any invariant finitely additive measure.
 
-Both solvers walk the ball outward from the identity, each vertex coloured
-from its unique shorter neighbour; torsion triangles close consistently.
-Each returns a plain `Colouring`, and the six-piece functions take it.
+Both solvers are automaton colourings: a table delta[colour, letter] and a
+root colour, read outward from the identity, each vertex coloured from its
+unique shorter neighbour's colour and the letter that joins them; torsion
+triangles close consistently.  Each returns a plain `Colouring`, and the
+six-piece functions take it.
 The six pieces of the A/B/C classes, moved by their `MOVERS`, rebuild two
 full copies of the space; `six_piece_doubling` checks this with
 `equidecomp.check_decomposition`, every set membership and every moved
@@ -20,31 +22,38 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _lazy
 from .equidecomp import Decomposition, DecompositionReport, check_decomposition
 from .groups import Ball, Presentation, free_group, z2_z3
-from .measures import DensityProgram, TransportCertificate, certify_transport, translate
 from .rules import Colouring, ColouringRule, check
+
+measures = _lazy("measures")  # read by the example1 audit alone
 
 E1_COLOURS = ("A1", "A2", "A3")
 H_COLOURS = ("A", "B", "C")
 
 
-def _cycle_colour(ball: Ball, tau: int) -> np.ndarray:
-    """Codes 0/1/2, the identity 0 and each other vertex from its unique
-    shorter neighbour: a tau^e step adds e mod 3, any other step gives 1
-    from 0 and 0 from anything else.  Ball order is by length, so each
-    sphere's parents are coloured before it; one pass per (sphere, letter).
+def automaton_colouring(ball: Ball, delta: np.ndarray, root: int) -> np.ndarray:
+    """Codes of the automaton colouring (delta, root): the identity gets
+    root and each other vertex delta[c, a], where c is its parent's code and
+    a its first unit letter (`Ball.parent`, `Ball.first`), so delta has one
+    column per `adjacency_letters()` entry.  Ball order is by length, so each
+    sphere's parents are coloured before it: one gather per sphere.
     """
-    letters = ball.presentation.adjacency_letters()
-    first, parent = ball.first, ball.parent
-    codes = np.full(len(ball), -1, dtype=np.int16)
-    codes[0] = 0
-    for lo, size in zip(np.cumsum(ball.sphere_sizes[:-1]), ball.sphere_sizes[1:]):
-        for i, (gen, exp) in enumerate(letters):
-            mine = lo + np.flatnonzero(first[lo : lo + size] == i)
-            up = codes[parent[mine]]
-            codes[mine] = (up + exp) % 3 if gen == tau else up == 0
+    codes = np.empty(len(ball), dtype=np.int16)
+    codes[0] = root
+    bounds = np.cumsum(ball.sphere_sizes).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        codes[lo:hi] = delta[codes[ball.parent[lo:hi]], ball.first[lo:hi]]
     return codes
+
+
+def _cycle_delta(p: Presentation, tau: int) -> np.ndarray:
+    """delta over codes 0/1/2 and `p.adjacency_letters()`: a tau^e letter
+    adds e mod 3, any other letter sends 0 to 1 and everything else to 0."""
+    codes = np.arange(3, dtype=np.int16)
+    letters = p.adjacency_letters()
+    return np.stack([(codes + exp) % 3 if gen == tau else codes == 0 for gen, exp in letters], axis=1, dtype=np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +114,10 @@ def example1_solve(ball: Ball) -> Colouring:
     and returns to A1 from anywhere else.  The ball's presentation must be
     one `example1_rule(2, ...)` accepts, as for `hausdorff_solve`."""
     _check_example1_presentation(ball.presentation, 2)
-    return Colouring(ball, E1_COLOURS, _cycle_colour(ball, tau=0))
+    return Colouring(ball, E1_COLOURS, automaton_colouring(ball, _cycle_delta(ball.presentation, 0), 0))
 
 
-def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
+def example1_certificates(colouring: Colouring) -> list[measures.TransportCertificate]:
     """Transport facts implied by a satisfying colouring, verified exactly.
 
     tau moves each class onto the next one; the first sigma sends the two
@@ -121,16 +130,16 @@ def example1_certificates(colouring: Colouring) -> list[TransportCertificate]:
     certs = []
     for i in range(3):
         certs.append(
-            certify_transport(
+            measures.certify_transport(
                 colouring, tau, (E1_COLOURS[i],), (E1_COLOURS[(i + 1) % 3],), kind="bijection"
             )
         )
-    certs.append(certify_transport(colouring, sigma, ("A2", "A3"), ("A1",), kind="maps-into"))
+    certs.append(measures.certify_transport(colouring, sigma, ("A2", "A3"), ("A1",), kind="maps-into"))
     return certs
 
 
-def example1_program(certificates: list[TransportCertificate]) -> DensityProgram:
-    return translate(certificates, E1_COLOURS)
+def example1_program(certificates: list[measures.TransportCertificate]) -> measures.DensityProgram:
+    return measures.translate(certificates, E1_COLOURS)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ def hausdorff_solve(ball: Ball) -> Colouring:
     """A/B/C classes on a Z2 * Z3 ball: identity in A; tau steps cycle
     forward, sigma swaps A with B."""
     _, t_idx = _check_z2_z3(ball.presentation)
-    return Colouring(ball, H_COLOURS, _cycle_colour(ball, t_idx))
+    return Colouring(ball, H_COLOURS, automaton_colouring(ball, _cycle_delta(ball.presentation, t_idx), 0))
 
 
 # ---------------------------------------------------------------------------

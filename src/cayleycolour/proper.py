@@ -604,7 +604,6 @@ class DoubledGraph:
 
     config: Configuration
     base: Colouring
-    N: int
     q: np.ndarray
     senders: np.ndarray
     secondary: SecondaryGraph
@@ -678,7 +677,6 @@ def doubled_graph(
     return DoubledGraph(
         config=config,
         base=base,
-        N=N,
         q=q,
         senders=np.flatnonzero(~q[: b.interior_size(1)]),
         secondary=secondary_graph(config),

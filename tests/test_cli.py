@@ -752,8 +752,11 @@ class TestStartup:
         "args, modules",
         [
             ("offsets --radius 5", {"proper"}),
-            ("audit --rule hausdorff --radius 4", {"equidecomp", "hausdorff", "measures"}),
+            ("audit --rule hausdorff --radius 4", {"equidecomp", "hausdorff"}),
             ("pdeg --samples 50", {"arrows"}),
+            ("audit --rule example1 --radius 4", {"equidecomp", "hausdorff", "measures"}),
+            ("solve --rule example1 --radius 4", {"equidecomp", "hausdorff"}),
+            ("check --rule hausdorff --radius 4", {"equidecomp", "hausdorff"}),
         ],
     )
     def test_command_executes_only_what_it_reads(self, args, modules):

@@ -20,6 +20,8 @@ from cayleycolour.groups import (
 from cayleycolour.hausdorff import hausdorff_solve, six_piece_doubling
 from cayleycolour.proper import greedy_base_colouring, offset_conflicts
 
+from helpers import word_lengths
+
 
 def test_free_group_sphere_sizes():
     # |S(l)| = 2k * (2k-1)^(l-1) for F_k; k=2 gives 4 * 3^(l-1).
@@ -198,8 +200,9 @@ def test_interior_size(name, radius, data):
     b = interior_ball(name, radius)
     depth = data.draw(st.integers(0, radius + 1), label="depth")
     n = b.interior_size(depth)
-    assert n == np.count_nonzero(b.lengths <= radius - depth)
-    assert np.all(b.lengths[:n] <= radius - depth)
+    lengths = word_lengths(b)
+    assert n == np.count_nonzero(lengths <= radius - depth)
+    assert np.all(lengths[:n] <= radius - depth)
     if depth > radius:
         assert n == 0
 
@@ -218,17 +221,18 @@ def test_ball_rejects_bad_radius():
 
 def test_lengths_array():
     b = ball(free_group(2), 2)
-    assert b.lengths.dtype == np.uint8
-    assert list(b.lengths[:5]) == [0, 1, 1, 1, 1]
+    assert list(word_lengths(b)[:5]) == [0, 1, 1, 1, 1]
 
 
 def test_lengths_past_one_byte():
-    """Lengths take the smallest type that holds the radius: 300 needs two
-    bytes, and a one-byte array would wrap it to 44."""
+    """Word lengths come from the sphere sizes, with no per-vertex array
+    whose type could wrap a long radius: a one-byte array would wrap 300 to
+    44."""
     b = ball(free_group(1), 300)
     assert len(b) == 601
-    assert int(b.lengths.max()) == 300
-    assert b.lengths.tolist() == [0] + [ell for ell in range(1, 301) for _ in range(2)]
+    assert b.sphere_sizes == [1] + [2] * 300
+    assert int(word_lengths(b).max()) == 300
+    assert word_lengths(b).tolist() == [0] + [ell for ell in range(1, 301) for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +326,7 @@ def test_array_ball_matches_reference(p, radius):
     names = b.names()
     assert names == [w.to_string() for w in words]
     assert [index[p.word(name).letters] for name in names] == list(range(len(words)))
-    assert list(b.lengths) == [w.length for w in words]
+    assert list(word_lengths(b)) == [w.length for w in words]
     assert sum(b.sphere_sizes) == len(words)
     # The tree: each vertex's first unit letter, one byte each, and the
     # vertex left when it is removed.

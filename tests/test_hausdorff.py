@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycolour.groups import ball, free_group, z2_z3
+from cayleycolour.groups import Presentation, ball, free_group, z2_z3
 from cayleycolour.hausdorff import (
     E1_COLOURS,
     H_COLOURS,
     MOVERS,
     PIECES,
+    _cycle_delta,
+    automaton_colouring,
     example1_certificates,
     example1_program,
     example1_rule,
@@ -22,6 +24,8 @@ from cayleycolour.hausdorff import (
 )
 from cayleycolour.measures import feasible, replay_refutation
 from cayleycolour.rules import RANK_ONE, RANK_TWO_OR_HIGHER, Colouring, check, classify_rank
+
+from helpers import word_lengths
 
 
 def test_example1_rule_is_rank_one():
@@ -145,6 +149,77 @@ def test_hausdorff_tau_moves_a_to_b():
             assert cls[int(table[int(i)])] == 1
 
 
+# ---------------------------------------------------------------------------
+# Automaton colourings.
+
+
+def automaton_reference(b, delta, root):
+    """Codes one vertex at a time, in vertex order, each from its parent's
+    code and its first letter."""
+    codes = [root]
+    for v in range(1, len(b)):
+        codes.append(int(delta[codes[int(b.parent[v])], int(b.first[v])]))
+    return codes
+
+
+AUTOMATON_PRESENTATIONS = st.lists(st.sampled_from([None, 2, 3, 4, 6]), min_size=1, max_size=3).map(
+    lambda orders: Presentation(tuple(zip("abc", orders)))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=AUTOMATON_PRESENTATIONS, data=st.data())
+def test_automaton_colouring_matches_per_vertex_loop(p, data):
+    """Random presentations with free and torsion generators, random delta
+    over 2-4 colours and a random root; radii 0-8 (0-5 with three
+    generators, whose free ball of radius 8 has 585,937 vertices)."""
+    b = ball(p, data.draw(st.integers(0, 8 if p.n_generators < 3 else 5), label="radius"))
+    k = data.draw(st.integers(2, 4), label="colours")
+    shape = (k, len(p.adjacency_letters()))
+    entries = data.draw(st.lists(st.integers(0, k - 1), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    delta = np.array(entries).reshape(shape)
+    root = data.draw(st.integers(0, k - 1), label="root")
+    codes = automaton_colouring(b, delta, root)
+    assert codes.dtype == np.int16
+    assert codes.tolist() == automaton_reference(b, delta, root)
+
+
+@pytest.mark.parametrize(
+    "presentation, tau, rule, palette, entry, value",
+    [
+        # example1 on F2: delta[A3][B] = A3, not A1.
+        (free_group(2), 0, example1_rule(2), E1_COLOURS, (2, 3), 2),
+        # Hausdorff on Z2*Z3: delta[A][t] = A, not B.
+        (z2_z3(), 1, hausdorff_rule(), H_COLOURS, (0, 1), 0),
+    ],
+    ids=["example1-f2", "hausdorff-z2z3"],
+)
+def test_one_edited_delta_entry_fails_check(presentation, tau, rule, palette, entry, value):
+    """The builtin delta satisfies its rule; the same delta with one entry
+    that an interior vertex reads set to another colour does not."""
+    b = ball(presentation, 6)
+    delta = _cycle_delta(presentation, tau)
+    assert check(rule, Colouring(b, palette, automaton_colouring(b, delta, 0))).satisfied
+    colour, letter = entry
+    assert delta[entry] != value
+    delta[entry] = value
+    codes = automaton_colouring(b, delta, 0)
+    n = b.interior_size(rule.dependency_radius)
+    assert np.any((codes[b.parent[1:n]] == colour) & (b.first[1:n] == letter)), "the edited entry is read"
+    report = check(rule, Colouring(b, palette, codes))
+    assert report.n_violations > 0 and not report.satisfied
+
+
+def test_unread_delta_entry_changes_no_code():
+    """In Z2*Z3 a word starting with t has a parent starting with s, which
+    the Hausdorff delta never colours C: delta[C][t] is read by no vertex."""
+    b = ball(z2_z3(), 8)
+    delta = _cycle_delta(b.presentation, 1)
+    codes = automaton_colouring(b, delta, 0)
+    delta[2, 1] = 2
+    assert np.array_equal(automaton_colouring(b, delta, 0), codes)
+
+
 def test_six_pieces_partition_interior():
     b = ball(z2_z3(), 9)
     classes = hausdorff_solve(b)
@@ -182,7 +257,7 @@ def onto_reference(classes):
     b = classes.ball
     piece = six_piece_pieces(classes)
     cls = classes.codes
-    inner = np.flatnonzero(b.lengths <= b.radius - 2)
+    inner = np.flatnonzero(word_lengths(b) <= b.radius - 2)
     remainder = 0
     onto = {}
     for k, name in enumerate(PIECES):
@@ -229,7 +304,7 @@ def six_piece_reference(classes):
     t_s = b.left_table(b.presentation.word("s"))
     t_t = b.left_table(b.presentation.word("t"))
     piece = np.zeros(len(b), dtype=np.int8)
-    for i in np.flatnonzero(b.lengths <= b.radius - 2).tolist():
+    for i in np.flatnonzero(word_lengths(b) <= b.radius - 2).tolist():
         c = int(cls[i])
         if c == 0:
             piece[i] = 1 if cls[t_s[i]] == 1 else 2

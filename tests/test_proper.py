@@ -44,6 +44,8 @@ from cayleycolour.proper import (
 )
 from cayleycolour.rules import Colouring, ViolationReport, check
 
+from helpers import word_lengths
+
 
 def candidate_pair(config, w):
     z1, z2 = candidate_arrays(config, np.array([w]))
@@ -270,7 +272,7 @@ def test_list_assignment_distinct():
 
 def test_list_assignment_boundary_error():
     b, config, base = setup_r6()
-    edge = int(np.flatnonzero(b.lengths == b.radius)[0])
+    edge = int(np.flatnonzero(word_lengths(b) == b.radius)[0])
     with pytest.raises(ValueError):
         list_assignments(config, base, [edge])
 
@@ -318,10 +320,11 @@ def test_away_targets_differ_from_centre_by_short_offset():
     b, config, base = setup_r6()
     short = {g.letters for g in offsets16()[:4]}
     graph = secondary_graph(config)
+    lengths = word_lengths(b)
     checked = 0
     for z, row in enumerate(graph.cliques):
         for x in row[row >= 0].tolist():
-            if b.lengths[x] > b.radius - 1:
+            if lengths[x] > b.radius - 1:
                 continue
             pair = candidate_pair(config, x)
             assert z in pair
@@ -455,7 +458,8 @@ def test_word_images_match_multiplication(data):
     radius = data.draw(st.integers(0, 6), label="radius")
     b = KERNEL_BALLS[name, radius]
     limit = data.draw(st.integers(0, radius), label="limit")
-    boundary = np.flatnonzero(b.lengths == radius).tolist()
+    lengths = word_lengths(b)
+    boundary = np.flatnonzero(lengths == radius).tolist()
     drawn = data.draw(st.lists(st.integers(0, len(b) - 1), max_size=4), label="vertices")
     drawn += data.draw(st.lists(st.sampled_from(boundary), max_size=2), label="boundary")
     drawn += drawn[: data.draw(st.integers(0, 2), label="repeats")]
@@ -488,7 +492,7 @@ def test_word_images_match_multiplication(data):
         assert position.dtype == image.dtype == np.int32
         assert len(words) == len(counts) and (counts > 0).all() and counts.sum() == len(position)
         assert len(np.unique(words)) == len(words), "a word came twice in one group"
-        assert (b.lengths[words] == length).all()
+        assert (lengths[words] == length).all()
     walked = [(int(g), int(j), int(y)) for _, group in groups for g, j, y in zip(*_expand(group))]
     assert len({(g, j) for g, j, _ in walked}) == len(walked), "a (word, position) came twice"
     assert {(g, j): y for g, j, y in walked} == expected
@@ -496,7 +500,7 @@ def test_word_images_match_multiplication(data):
     want = sorted(
         (g, j, int(vertices[j]), y)
         for (g, j), y in expected.items()
-        if b.lengths[g] % 2 == parity and codes[y] != forbidden[j]
+        if lengths[g] % 2 == parity and codes[y] != forbidden[j]
     )
     for words, counts, position, _ in kept_groups:
         assert (counts > 0).all() and counts.sum() == len(position)
@@ -539,11 +543,12 @@ def reference_calibration(base, epsilon):
     through the `left_table` of every odd word up to N: the loop the word
     walk replaced."""
     b = base.ball
+    lengths = word_lengths(b)
     trace = []
     for n_odd in range(1, b.radius + 1, 2):
-        eligible = np.flatnonzero(b.lengths <= b.radius - n_odd)
+        eligible = np.flatnonzero(lengths <= b.radius - n_odd)
         seen = np.zeros((len(eligible), len(base.palette)), dtype=bool)
-        for g in np.flatnonzero((b.lengths <= n_odd) & (b.lengths % 2 == 1)):
+        for g in np.flatnonzero((lengths <= n_odd) & (lengths % 2 == 1)):
             seen[np.arange(len(eligible)), base.codes[b.left_table(b.words[g])[eligible]]] = True
         failing = tuple(eligible[~seen.all(axis=1)].tolist())
         trace.append((n_odd, len(eligible), len(failing)))
@@ -621,7 +626,6 @@ def test_calibrate_and_check_proper_peak_traced_memory_at_radius_10():
 def test_doubled_graph_clips_limits_at_radius():
     b, config, base = setup_r6()
     graph = doubled_graph(config, base, 1)
-    assert graph.N == 1
     assert (graph.odd_limit, graph.even_limit) == (1, 6)
     graph = doubled_graph(config, base, 7)
     assert (graph.odd_limit, graph.even_limit) == (6, 6)
@@ -759,18 +763,19 @@ def reference_conflicts(graph, codes, seconds):
     b = graph.ball
     n = len(b)
     base = graph.base.codes
-    firsts = np.array([x for x in np.flatnonzero(b.lengths < b.radius) if not graph.q[x]], dtype=np.int64)
+    lengths = word_lengths(b)
+    firsts = np.array([x for x in np.flatnonzero(lengths < b.radius) if not graph.q[x]], dtype=np.int64)
     pairs = np.stack(candidate_arrays(graph.config, firsts), axis=1)
     out = []
     for g in range(1, sum(b.sphere_sizes[: graph.odd_limit + 1])):
-        if b.lengths[g] % 2 == 1:
+        if lengths[g] % 2 == 1:
             z = b.left_table(b.words[g])[firsts]
             keep = (z >= 0) & (base[z] != base[pairs[:, 0]]) & (base[z] != base[pairs[:, 1]])
             for x, y in zip(firsts[keep], z[keep]):
                 if codes[x] >= 0 and codes[x] == codes[n + y]:
                     out.append(("cross", int(x), int(n + y)))
     for g in range(1, sum(b.sphere_sizes[: graph.even_limit + 1])):
-        if b.lengths[g] % 2 == 0:
+        if lengths[g] % 2 == 0:
             y = b.left_table(b.words[g])[seconds]
             keep = (y >= 0) & (base[y] != base[seconds])
             for u, v in zip(seconds[keep], y[keep]):
@@ -872,7 +877,7 @@ def secondary_reference(config):
     t1, u1, t2, u2 = neighbour_tables(b)
     v = config.values
     centers, cliques = [], []
-    for z in np.flatnonzero(b.lengths <= b.radius - 2).tolist():
+    for z in np.flatnonzero(word_lengths(b) <= b.radius - 2).tolist():
         slots = ((t1[z], -1), (u1[z], 1), (t2[z], -1), (u2[z], 1))
         centers.append(z)
         cliques.append(tuple(int(nb) for nb, need in slots if nb >= 0 and v[nb] == need))
@@ -936,7 +941,7 @@ def test_secondary_family_matches_reference_loops(data):
 
     q = frozenset(rng.choice(len(b), size=data.draw(st.integers(0, 40), label="|Q|")).tolist())
     doubled = doubled_graph(config, base, 1, q_proxy=q)
-    assert doubled.senders.tolist() == [v for v in np.flatnonzero(b.lengths < b.radius).tolist() if v not in q]
+    assert doubled.senders.tolist() == [v for v in np.flatnonzero(word_lengths(b) < b.radius).tolist() if v not in q]
     codes = np.concatenate([colouring.codes, base.codes])
     off_q = [(x, y) for x, y, _ in edges if x not in q and y not in q]
     conflicts = [("secondary", x, y) for x, y in off_q if codes[x] >= 0 and codes[x] == codes[y]]

@@ -20,6 +20,8 @@ from cayleycolour.rules import (
     rule_to_json,
 )
 
+from helpers import word_lengths
+
 F2 = free_group(2)
 
 
@@ -225,7 +227,7 @@ def reference_inputs(rule, colouring, i):
 
 def reference_check(rule, colouring):
     b = colouring.ball
-    interior = np.flatnonzero(b.lengths <= b.radius - rule.dependency_radius)
+    interior = np.flatnonzero(word_lengths(b) <= b.radius - rule.dependency_radius)
     if rule.window and colouring.configuration is None:
         raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
     bad = []
@@ -242,7 +244,7 @@ def reference_check(rule, colouring):
 def reference_iterate(rule, initial, max_rounds):
     colouring = initial.copy()
     b = colouring.ball
-    order = np.flatnonzero(b.lengths <= b.radius - rule.dependency_radius).tolist()
+    order = np.flatnonzero(word_lengths(b) <= b.radius - rule.dependency_radius).tolist()
     if rule.window and colouring.configuration is None:
         raise ValueError(f"rule {rule.name!r} reads a window but no configuration is attached")
     for round_no in range(1, max_rounds + 1):
