@@ -225,8 +225,10 @@ def _run_pdeg(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
 
 def _run_offsets(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     offsets = proper.offsets16(b.presentation)
-    base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
-    conflicts = proper.offset_conflicts(base)
+    # One offset pass serves the greedy and the conflict count.
+    pairs = proper.offset_pairs(b)
+    base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed, pairs=pairs)
+    conflicts = proper.offset_conflicts(base, pairs)
     return {
         "short": sorted(w.to_string() for w in offsets[:4]),
         "long": sorted(w.to_string() for w in offsets[4:]),
@@ -243,9 +245,6 @@ def _run_doubled(spec: ExperimentSpec, b: Ball, options: RunOptions) -> dict:
     # The base colouring is drawn first: its presentation and radius checks
     # name what doubled needs, which the arrow colouring's checks understate.
     base = proper.greedy_base_colouring(b, choice=spec.choice, seed=spec.seed)
-    # doubled counts no offset conflicts: the pair lists the greedy kept
-    # for that count go now.
-    proper.forget_offset_pairs()
     arrow_colouring = _BUILTINS["arrow"].colour(b, spec.seed)
 
     exact_program = proper.doubled_flow_program()

@@ -6,7 +6,7 @@ one of two copies.  Each moved piece must land in its target set, every
 judged target vertex must come from that piece, the targets of each copy
 must cover the judged vertices, and the pieces of one copy must never land
 on the same vertex.  `check_decomposition` counts all of this on vertex
-arrays translated by `Ball.left_table_once`; what a mover carries past the
+arrays translated by `Ball.left_table`; what a mover carries past the
 radius is counted apart, as the boundary remainder.
 
 `free_group_decomposition` is the classical one of the rank-two free group:
@@ -85,7 +85,7 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: int) -
     cover every judged vertex.
 
     Each distinct word among the movers and their inverses has its table
-    built once, by `Ball.left_table_once`, and dropped before the next:
+    built once, by `Ball.left_table`, and dropped before the next:
     it serves the into check of every piece it moves and the onto check
     of every piece whose mover is its inverse.
     """
@@ -111,7 +111,7 @@ def check_decomposition(ball: Ball, decomposition: Decomposition, judged: int) -
     disjoint = True
     remainder = 0
     for word, forward, backward in reads.values():
-        table = ball.left_table_once(word)
+        table = ball.left_table(word)
         for name in forward:
             target, copy = decomposition.targets[name], decomposition.copies[name]
             if copy not in hits:

@@ -198,9 +198,11 @@ class ReducedWord:
 
 
 _CHUNK = 1 << 16
+# Vertex ids, table entries and part offsets are int32.
+_MAX_VERTICES = np.iinfo(np.int32).max
 
 
-def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """outer[inner] as an int32 table, -1 wherever inner is -1: one gather
     from outer, where index -1 reads its last entry, then each entry or-ed
     with inner >> 31, which is -1 there and 0 elsewhere; by chunks, so no
@@ -259,12 +261,13 @@ class Ball:
     vertex i's first unit letter (the first of `ReducedWord.unit_letters`)
     and parent[i] the vertex that removing it leaves; both are -1 at the
     identity, vertex 0.  They are the only per-vertex arrays a ball holds
-    besides what it caches (left and right tables, the inverse
-    permutation): first is int8 (a presentation has at most 26 generators)
-    and parent int32.  A word's length is the sphere that holds it, and
-    `sphere_sizes` lists the spheres' sizes in vertex order.
-    `words` builds `ReducedWord` objects only when read, and `names()`
-    spells every word at once without them.  An automaton colouring
+    besides its cached unit tables: first is int8 (a presentation has at
+    most 26 generators) and parent int32.  A ball with more vertices than
+    int32 ids can number is refused before any array is allocated.  A
+    word's length is the sphere that holds it, and `sphere_sizes` lists
+    the spheres' sizes in vertex order.  `words` builds `ReducedWord`
+    objects only when read, and `names()` spells every word at once
+    without them.  An automaton colouring
     (`hausdorff.automaton_colouring`) reads the same tree.
 
     The order is `ReducedWord.sort_key`: by length, then by the blocks'
@@ -280,23 +283,23 @@ class Ball:
     every array and table is written from them by slices, with no search.
 
     Left tables are built lazily, with -1 for entries falling outside the
-    ball, and cached in one dictionary keyed by canonical letters, so each
-    group element has one table; the unit tables are its one-letter words.
-    `forget` drops a word's table: the offset pass of `proper` and, through
-    `left_table_once`, `rules.check`, `six_piece_pieces` and
-    `check_decomposition` forget each table they build.
-    Block tables that only compose a longer word's table are built for
-    that composition and not kept.  The table of a block l = (g, e)
-    sends the vertices of sphere ell not starting with g, in order, to part
-    (ell + |l|, g, e); part (ell, g, e') to part (ell - |e'| + |e' + e|, g,
-    e' + e), which has the same rests, or to those rests when e' + e
-    cancels; and every other vertex, whose target part lies past the
-    radius, to -1.
+    ball.  Only the unit tables, those of the adjacency letters, are
+    cached (`unit_tables`, keyed by their canonical letters), since the
+    word walks and the inverse permutation read them over and over; every
+    other table, and every unit table read before `unit_tables` is first
+    called, is built on each `left_table` call and belongs to its caller,
+    which drops it once read.
+
+    The table of a block l = (g, e) sends the vertices of sphere ell not
+    starting with g, in order, to part (ell + |l|, g, e); part (ell, g,
+    e') to part (ell - |e'| + |e' + e|, g, e' + e), which has the same
+    rests, or to those rests when e' + e cancels; and every other vertex,
+    whose target part lies past the radius, to -1.
 
     Tables of other words are composed block by block, one gather each
-    (a block's cached one-letter table is read where there is one), or,
-    when the word splits between two blocks into two words whose tables
-    are cached (the offsets aBaB = aB * aB), one gather of those.
+    (`compose`; a block's cached unit table is read where there is one).
+    A caller that holds the tables of two words composes their product
+    with one gather of its own (the offsets aBaB = aB * aB in `proper`).
     Composing by blocks, not unit letters, never drops an entry
     spuriously: along the blocks of g, the length of the partial product
     falls while blocks cancel, changes once where a block merges, then
@@ -306,8 +309,9 @@ class Ball:
     is not.
 
     A right table is the left table of g^-1 read through the inverse
-    permutation, w*g = (g^-1 * w^-1)^-1.  A word and its inverse have the
-    same length, so one leaves the ball exactly when the other does.
+    permutation, w*g = (g^-1 * w^-1)^-1; both are built on each call.  A
+    word and its inverse have the same length, so one leaves the ball
+    exactly when the other does.
     """
 
     def __init__(self, presentation: Presentation, radius: int):
@@ -336,6 +340,8 @@ class Ball:
                         start += count
                 runs[ell].append((lo, start))
             starts.append(start)
+        if starts[-1] > _MAX_VERTICES:
+            raise ValueError(f"a ball of {starts[-1]} vertices overflows int32 vertex ids (at most {_MAX_VERTICES})")
         self._parts = parts
         self._starts = np.array(starts, dtype=np.int32)
         self._runs = np.array(runs, dtype=np.int32)
@@ -356,9 +362,7 @@ class Ball:
             else:
                 self._write_rests(self.parent, start, ell - 1, gen)
 
-        self._inverse: np.ndarray | None = None
         self._left: dict[tuple[Letter, ...], np.ndarray] = {}
-        self._right: dict[tuple[Letter, ...], np.ndarray] = {}
 
     def __len__(self) -> int:
         return int(self._starts[-1])
@@ -389,23 +393,21 @@ class Ball:
         prefixes and their inverses are shorter than w, so one pass over
         the spheres in order fills all three, by unit-table reads.
         """
-        if self._inverse is None:
-            p = self.presentation
-            letters = p.adjacency_letters()
-            flip = np.array([letters.index((g, e if p.order(g) == 2 else -e)) for g, e in letters], dtype=np.int32)
-            units = np.stack(self.unit_tables())
-            last = self.first.copy()
-            prefix = np.zeros(len(self), dtype=np.int32)
-            inverse = np.zeros(len(self), dtype=np.int32)
-            for ell in range(1, self.radius + 1):
-                lo, hi = self._starts[ell], self._starts[ell + 1]
-                if ell > 1:
-                    up = self.parent[lo:hi]
-                    last[lo:hi] = last[up]
-                    prefix[lo:hi] = units[self.first[lo:hi], prefix[up]]
-                inverse[lo:hi] = units[flip[last[lo:hi]], inverse[prefix[lo:hi]]]
-            self._inverse = inverse
-        return self._inverse
+        p = self.presentation
+        letters = p.adjacency_letters()
+        flip = np.array([letters.index((g, e if p.order(g) == 2 else -e)) for g, e in letters], dtype=np.int32)
+        units = np.stack(self.unit_tables())
+        last = self.first.copy()
+        prefix = np.zeros(len(self), dtype=np.int32)
+        inverse = np.zeros(len(self), dtype=np.int32)
+        for ell in range(1, self.radius + 1):
+            lo, hi = self._starts[ell], self._starts[ell + 1]
+            if ell > 1:
+                up = self.parent[lo:hi]
+                last[lo:hi] = last[up]
+                prefix[lo:hi] = units[self.first[lo:hi], prefix[up]]
+            inverse[lo:hi] = units[flip[last[lo:hi]], inverse[prefix[lo:hi]]]
+        return inverse
 
     def _block_table(self, block: Letter) -> np.ndarray:
         """Left table of one block, filled part by part (see `Ball`); built
@@ -448,51 +450,36 @@ class Ball:
 
     def unit_tables(self) -> list[np.ndarray]:
         """Left tables of the `adjacency_letters()`, in that order, which is
-        the order `first` indexes; cached as one-letter words."""
-        p = self.presentation
-        return [self.left_table(p.generator(gen, exp)) for gen, exp in p.adjacency_letters()]
+        the order `first` indexes; the only tables a ball caches, each under
+        its one block's canonical letters."""
+        if not self._left:
+            p = self.presentation
+            for gen, exp in p.adjacency_letters():
+                g = p.generator(gen, exp)
+                self._left[g.letters] = self.left_table(g)
+        return list(self._left.values())
 
     def left_table(self, g: ReducedWord) -> np.ndarray:
-        """Vertex index of g*w per vertex w; -1 where g*w leaves the ball."""
-        table = self._left.get(g.letters)
+        """Vertex index of g*w per vertex w; -1 where g*w leaves the ball.
+        A cached unit table is returned as is; any other table is composed
+        by blocks and left to the caller."""
+        letters = g.letters
+        table = self._left.get(letters)
         if table is None:
-            letters = g.letters
-            for k in range(1, len(letters)):
-                head, tail = self._left.get(letters[:k]), self._left.get(letters[k:])
-                if head is not None and tail is not None:
-                    table = _compose(head, tail)
-                    break
-            else:
-                # Applies the last block first and the first block last; a
-                # block that repeats (aB^2a) is built once.
-                built = {block: self._left.get((block,)) for block in letters}
-                for block, cached in built.items():
-                    if cached is None:
-                        built[block] = self._block_table(block)
-                blocks = [built[block] for block in letters]
-                table = functools.reduce(_compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
-            self._left[letters] = table
-        return table
-
-    def forget(self, g: ReducedWord) -> None:
-        """Drops g's cached left table, if there is one."""
-        self._left.pop(g.letters, None)
-
-    def left_table_once(self, g: ReducedWord) -> np.ndarray:
-        """`left_table(g)`, forgotten after this read unless cached before."""
-        cached = g.letters in self._left
-        table = self.left_table(g)
-        if not cached:
-            self.forget(g)
+            # Applies the last block first and the first block last; a
+            # block that repeats (aB^2a) is built once.
+            built = {block: self._left.get((block,)) for block in letters}
+            for block, cached in built.items():
+                if cached is None:
+                    built[block] = self._block_table(block)
+            blocks = [built[block] for block in letters]
+            table = functools.reduce(compose, blocks) if blocks else np.arange(len(self), dtype=np.int32)
         return table
 
     def right_table(self, g: ReducedWord) -> np.ndarray:
         """Vertex index of w*g per vertex w; -1 where w*g leaves the ball."""
-        table = self._right.get(g.letters)
-        if table is None:
-            inverse = self._inverses()
-            table = self._right[g.letters] = _compose(inverse, self.left_table(g.inverse())[inverse])
-        return table
+        inverse = self._inverses()
+        return compose(inverse, self.left_table(g.inverse())[inverse])
 
     def interior_size(self, depth: int) -> int:
         """How many vertices keep their depth-neighbourhood in the ball: those

@@ -127,15 +127,9 @@ def example1_certificates(colouring: Colouring) -> list[measures.TransportCertif
     p = colouring.ball.presentation
     tau = p.generator(0, 1)
     sigma = p.generator(1, 1)
-    certs = []
-    for i in range(3):
-        certs.append(
-            measures.certify_transport(
-                colouring, tau, (E1_COLOURS[i],), (E1_COLOURS[(i + 1) % 3],), kind="bijection"
-            )
-        )
-    certs.append(measures.certify_transport(colouring, sigma, ("A2", "A3"), ("A1",), kind="maps-into"))
-    return certs
+    cycle = [((E1_COLOURS[i],), (E1_COLOURS[(i + 1) % 3],)) for i in range(3)]
+    certs = measures.certify_transport(colouring, tau, cycle, kind="bijection")
+    return certs + measures.certify_transport(colouring, sigma, [(("A2", "A3"), ("A1",))], kind="maps-into")
 
 
 def example1_program(certificates: list[measures.TransportCertificate]) -> measures.DensityProgram:
@@ -218,10 +212,10 @@ def six_piece_pieces(classes: Colouring) -> np.ndarray:
     n = ball.interior_size(2)
     c = cls[:n] % 3  # an uncoloured vertex (-1) splits like C
     # tau^-1 x = tau^2 x in this torsion group; walk two tau steps.
-    t_t = ball.left_table_once(tau)
+    t_t = ball.left_table(tau)
     back = np.where(c == 1, t_t[t_t[:n]], t_t[:n])
     del t_t
-    t_s = ball.left_table_once(sigma)
+    t_s = ball.left_table(sigma)
     to_b = cls[np.where(c == 0, t_s[:n], t_s[back])] == 1
     piece = np.zeros(len(ball), dtype=np.int8)
     piece[:n] = 2 * c + 2 - to_b

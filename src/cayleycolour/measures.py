@@ -162,35 +162,44 @@ class TransportCertificate:
 def certify_transport(
     colouring: Colouring,
     g: ReducedWord,
-    source: Sequence[str],
-    target: Sequence[str],
+    classes: Sequence[tuple[Sequence[str], Sequence[str]]],
     kind: str = "maps-into",
-) -> TransportCertificate:
-    """Check g(source) ⊆ target on the interior; bijections also check onto.
-    first_failure is the first failing interior vertex, forward check first."""
+) -> list[TransportCertificate]:
+    """One certificate per (source, target) pair of classes: g(source) ⊆
+    target on the interior; bijections also check g^-1(target) ⊆ source.
+    first_failure is the first failing interior vertex, forward check first.
+    Every pair's forward check reads one table of g, and every backward
+    check one table of g^-1, built after the first is dropped."""
     ball = colouring.ball
     codes = colouring.codes
 
-    def failures(word: ReducedWord, src: Sequence[str], tgt: Sequence[str]) -> tuple[int, np.ndarray]:
-        src_codes = [i for i, c in enumerate(colouring.palette) if c in src]
-        tgt_codes = [i for i, c in enumerate(colouring.palette) if c in tgt]
-        mine = np.flatnonzero(np.isin(codes[: ball.interior_size(word.length)], src_codes))
-        return len(mine), mine[~np.isin(codes[ball.left_table(word)[mine]], tgt_codes)]
+    def failures(word: ReducedWord, pairs) -> list[tuple[int, np.ndarray]]:
+        table = ball.left_table(word)
+        n = ball.interior_size(word.length)
+        out = []
+        for src, tgt in pairs:
+            src_codes = [i for i, c in enumerate(colouring.palette) if c in src]
+            tgt_codes = [i for i, c in enumerate(colouring.palette) if c in tgt]
+            mine = np.flatnonzero(np.isin(codes[:n], src_codes))
+            out.append((len(mine), mine[~np.isin(codes[table[mine]], tgt_codes)]))
+        return out
 
-    total, failed = failures(g, source, target)
+    checks = failures(g, classes)
     if kind == "bijection":
-        t2, f2 = failures(g.inverse(), target, source)
-        total += t2
-        failed = np.concatenate([failed, f2])
-    return TransportCertificate(
-        kind=kind,
-        element=str(g),
-        source=tuple(source),
-        target=tuple(target),
-        checks_passed=total - len(failed),
-        checks_total=total,
-        first_failure=int(failed[0]) if len(failed) else None,
-    )
+        backward = failures(g.inverse(), [(tgt, src) for src, tgt in classes])
+        checks = [(t1 + t2, np.concatenate([f1, f2])) for (t1, f1), (t2, f2) in zip(checks, backward)]
+    return [
+        TransportCertificate(
+            kind=kind,
+            element=str(g),
+            source=tuple(source),
+            target=tuple(target),
+            checks_passed=total - len(failed),
+            checks_total=total,
+            first_failure=int(failed[0]) if len(failed) else None,
+        )
+        for (source, target), (total, failed) in zip(classes, checks)
+    ]
 
 
 @dataclass(frozen=True)

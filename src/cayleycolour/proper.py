@@ -15,7 +15,6 @@ as base-colour codes; palette names appear only in reported violations.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _lazy
 from .configs import Configuration
-from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, free_group
+from .groups import Ball, Presentation, ReducedWord, check_rank_two_free, compose, free_group
 from .rules import Colouring, ViolationReport
 
 # The greedy partition and its offset count read neither.
@@ -55,7 +54,9 @@ def representatives(offsets: Sequence[ReducedWord]) -> tuple[ReducedWord, ...]:
     return tuple(g for i, g in enumerate(offsets) if g.inverse() not in offsets[:i])
 
 
-def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colouring:
+def greedy_base_colouring(
+    b: Ball, choice: str = "min", seed: int = 0, pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
+) -> Colouring:
     """17 colours, proper for all 16 offsets; each vertex has at most 16
     offset-neighbours so a free colour always exists.
 
@@ -65,13 +66,13 @@ def greedy_base_colouring(b: Ball, choice: str = "min", seed: int = 0) -> Colour
     by layer over the DAG of earlier neighbours: a vertex's colour depends
     only on vertices in lower layers, so each layer is one array pass.
 
-    The DAG is read from the pair lists of the offset pass
-    (`offset_pairs`): one left table per inverse pair {g, g^-1} gives the
-    edges of both, each table is dropped once read, and the lists are kept
-    for `offset_conflicts` to read."""
+    The DAG is read from the ball's `offset_pairs`, built here unless
+    given; a caller that also counts conflicts passes the same lists to
+    `offset_conflicts`."""
     if choice not in GREEDY_CHOICES:
         raise ValueError(f"unknown choice {choice!r}: use one of {GREEDY_CHOICES}")
-    pairs = offset_pairs(b)
+    if pairs is None:
+        pairs = offset_pairs(b)
     codes = _layered_greedy(pairs, len(b), choice, seed)
     if codes is None:
         codes = _random_greedy_loop(pairs, len(b), seed)
@@ -82,57 +83,43 @@ _CHUNK = 1 << 13
 _ALL_COLOURS = np.int32((1 << len(PALETTE17)) - 1)
 
 
-@functools.lru_cache(maxsize=1)
 def offset_pairs(b: Ball) -> list[tuple[np.ndarray, np.ndarray]]:
     """The earlier-neighbour pair lists (`_earlier_pairs`) of the left
     table of each inverse pair {g, g^-1} of the offsets
     (`representatives`): v = g*w exactly when w = g^-1*v, so the table of
     g gives the edges of both.
 
-    One pass builds the 8 tables through `Ball.left_table`, one at a time,
-    and turns each into its two lists at once.  A length-4 table is then
-    forgotten.  The two length-2 tables live while the four products of
-    two of them (aBaB = aB * aB) are composed from them, one gather each,
-    and are forgotten after; the other two (aB^2a) are composed by blocks,
-    before the length-2 tables are built.  So no offset table stays
-    cached.  The lists of the last ball passed in are kept instead, for
-    the greedy and the conflict count of one run to read, until
-    `forget_offset_pairs()`; `_layered_greedy` reorders them, which
-    neither depends on."""
+    One pass builds the 8 tables, one at a time, and turns each into its
+    two lists at once; no table outlives the pass.  The two length-2
+    tables, held here, compose the four products of two of them (aBaB =
+    aB * aB), one gather each; the other two (aB^2a) are composed by
+    `Ball.left_table` from blocks, before the length-2 tables are built.
+    The lists belong to the caller; `_layered_greedy` reorders them, which
+    neither it nor `offset_conflicts` depends on."""
     reps = representatives(offsets16(b.presentation))
     if b.radius < 5:
         raise ValueError("need radius at least 5 so the offsets act inside the ball")
     short = [g for g in reps if g.length == 2]
     halves = {g.letters for g in short}
     products = [g for g in reps if g.length > 2 and g.letters[:2] in halves and g.letters[2:] in halves]
-    by_blocks = [g for g in reps if g not in short and g not in products]
-    pairs = {}
-    for g in by_blocks + short + products:
-        pairs[g] = _table_pairs(b, g)
-        if g not in short:
-            b.forget(g)
+    pairs = {g: _table_pairs(g, b.left_table(g)) for g in reps if g not in short and g not in products}
+    tables = {g.letters: b.left_table(g) for g in short}
     for g in short:
-        b.forget(g)
+        pairs[g] = _table_pairs(g, tables[g.letters])
+    for g in products:
+        pairs[g] = _table_pairs(g, compose(tables[g.letters[:2]], tables[g.letters[2:]]))
     # In representative order: how many passes the depth fixpoint takes
     # depends on the order of the lists.
     return [pair for g in reps for pair in pairs[g]]
 
 
-_OFFSET_PAIRS = offset_pairs
-
-
-def forget_offset_pairs() -> None:
-    """Drops the pair lists `offset_pairs` keeps, through the cache itself:
-    a profiler may rebind that name."""
-    _OFFSET_PAIRS.cache_clear()
-
-
-def _table_pairs(b: Ball, g: ReducedWord) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The two `_earlier_pairs` lists of g's left table, which lives only
-    for this call.  No offset fixes a vertex, since F2 has no torsion, so
-    each defined entry of the table lands in exactly one of the two lists;
-    raises if their lengths do not add up to the defined entries."""
-    t = b.left_table(g)
+def _table_pairs(
+    g: ReducedWord, t: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The two `_earlier_pairs` lists of g's left table t.  No offset
+    fixes a vertex, since F2 has no torsion, so each defined entry of the
+    table lands in exactly one of the two lists; raises if their lengths
+    do not add up to the defined entries."""
     earlier, later = _earlier_pairs(t)
     defined = int(np.count_nonzero(t >= 0))
     if len(earlier[0]) + len(later[0]) != defined:
@@ -278,18 +265,16 @@ def _random_greedy_loop(pairs: Sequence[tuple[np.ndarray, np.ndarray]], n: int, 
     return np.array(codes, dtype=np.int16)
 
 
-def offset_conflicts(colouring: Colouring) -> int:
+def offset_conflicts(colouring: Colouring, pairs: list[tuple[np.ndarray, np.ndarray]]) -> int:
     """Pairs (g, w), g one of the 16 offsets, with g*w in the ball and
     coloured as w (two blanks count as equal).  w -> g*w maps {w : g*w in
     the ball} one-to-one onto {v : g^-1*v in the ball}, and equal colour is
     symmetric, so g^-1 has exactly as many as g: the count reads one table
     per inverse pair (`representatives`) and doubles.  Each defined entry
-    of those tables is one pair of the offset pass (`offset_pairs`), so
-    the count compares the codes of every pair, reusing the lists the
-    greedy read when it coloured the same ball."""
+    of those tables is one pair of the ball's `offset_pairs`, which the
+    greedy also reads, so the count compares the codes of every pair."""
     codes = colouring.codes
-    total = sum(int(np.count_nonzero(codes[src] == codes[dst])) for src, dst in offset_pairs(colouring.ball))
-    return 2 * total
+    return 2 * sum(int(np.count_nonzero(codes[src] == codes[dst])) for src, dst in pairs)
 
 
 def list_assignments(config: Configuration, base: Colouring, vertices: Sequence[int]) -> np.ndarray:
@@ -326,15 +311,15 @@ class SecondaryGraph:
         seen[self.cliques[self.cliques >= 0]] = True
         return np.flatnonzero(seen)
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, y, centre) arrays, x < y, one entry per pair of clique-mates:
-        centre by centre, each clique's pairs in sorted lexicographic order."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) arrays, x < y, one entry per pair of clique-mates: centre
+        by centre, each clique's pairs in sorted lexicographic order."""
         pad = len(self.ball)
         rows = np.sort(np.where(self.cliques >= 0, self.cliques, pad), axis=1)
         i, j = np.triu_indices(4, 1)
         x, y = rows[:, i], rows[:, j]
         both = y < pad
-        return x[both], y[both], np.nonzero(both)[0]
+        return x[both], y[both]
 
 
 def secondary_graph(config: Configuration) -> SecondaryGraph:
@@ -372,7 +357,7 @@ def check_proper_list(graph: SecondaryGraph, base: Colouring, colouring: Colouri
     members = graph.members()
     lists = list_assignments(graph.config, base, members)
     codes = colouring.codes
-    x, y, _ = graph.edges()
+    x, y = graph.edges()
     same = (codes[x] >= 0) & (codes[x] == codes[y])
     clash = np.isin(members, np.concatenate([x[same], y[same]]))
     on_list = (lists == codes[members][:, None]).any(axis=1)  # list codes are never -1
@@ -713,7 +698,7 @@ class ProperReport:
 
 def _secondary_off_q(graph: DoubledGraph) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) ends of the secondary edges with neither end in Q."""
-    x, y, _ = graph.secondary.edges()
+    x, y = graph.secondary.edges()
     off_q = ~(graph.q[x] | graph.q[y])
     return x[off_q], y[off_q]
 

@@ -192,7 +192,7 @@ def _window_rows(rule: ColouringRule, colouring: Colouring, n: int) -> np.ndarra
     rows = np.zeros(n, dtype=np.int32)
     for w in rule.window:
         rows <<= 1
-        rows |= colouring.configuration.values[colouring.ball.left_table_once(w)[:n]] > 0
+        rows |= colouring.configuration.values[colouring.ball.left_table(w)[:n]] > 0
     return rows
 
 
@@ -211,7 +211,7 @@ def check(rule: ColouringRule, colouring: Colouring) -> ViolationReport:
     assigned = colouring.codes[:n]
     unreadable = assigned < 0
     for d in rule.descendants:
-        c = colouring.codes[colouring.ball.left_table_once(d)[:n]]
+        c = colouring.codes[colouring.ball.left_table(d)[:n]]
         unreadable |= c < 0
         rows *= len(rule.colours)
         rows += c

@@ -105,7 +105,7 @@ def test_07_offsets_and_base_colouring():
     base = proper.greedy_base_colouring(b10, choice="min", seed=0)
     assert base.codes.min() >= 0
     assert int(base.codes.max()) <= 16
-    assert proper.offset_conflicts(base) == 0
+    assert proper.offset_conflicts(base, proper.offset_pairs(b10)) == 0
 
 
 def test_08_list_transport_fifty_configs(ball8):

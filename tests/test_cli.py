@@ -485,8 +485,8 @@ class TestStructureCommands:
     def test_offset_conflict_fails(self, tmp_path, monkeypatch):
         real = proper.greedy_base_colouring
 
-        def one_conflict(b, choice="min", seed=0):
-            base = real(b, choice=choice, seed=seed)
+        def one_conflict(b, choice="min", seed=0, pairs=None):
+            base = real(b, choice=choice, seed=seed, pairs=pairs)
             # The root takes the colour of its neighbour through one offset.
             base.codes[0] = base.codes[b.left_table(proper.offsets16(b.presentation)[0])[0]]
             return base
@@ -505,18 +505,6 @@ class TestStructureCommands:
         assert result["audit"]["gap"] == "15/512"
         assert result["audit"]["feasibility"]["feasible"] is False
         assert result["proper"]["conflicts"] == []
-
-    def test_doubled_with_offset_pairs_wrapped(self, tmp_path, monkeypatch):
-        """A plain wrapper around `proper.offset_pairs`, as a profiler sets,
-        has no `cache_clear`; doubled still drops the pair lists and keeps
-        its pinned record."""
-        args = "doubled --radius 6 --seed 0"
-        real = proper.offset_pairs
-        monkeypatch.setattr(proper, "offset_pairs", lambda b: real(b))
-        out = tmp_path / "record.json"
-        assert main([*args.split(), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDENS[args]["record"]
-        assert real.cache_info().currsize == 0
 
     def test_doubled_even_levels_rejected(self, tmp_path):
         # Zero and negative level counts get the same SpecError as even ones.
@@ -809,6 +797,44 @@ class TestRunApi:
         monkeypatch.setattr(groups.Ball, "__init__", counted)
         code, _ = run_json(tmp_path, [command, *self.SMALL_RUNS[command].split()])
         assert code == 0 and len(built) == 1
+
+    @pytest.mark.parametrize(
+        "args", [f"{command} {flags}" for command, flags in SMALL_RUNS.items()] + ["check --solver iterate --radius 4"]
+    )
+    def test_a_run_caches_no_table_but_the_unit_tables(self, tmp_path, monkeypatch, args):
+        """Once a run returns, its ball caches no table or exactly its unit
+        tables: any other table, and a unit table read on its own, belongs
+        to the reader that built it.  The iterate run reads a file rule
+        with descendants a, A and ab."""
+        if "iterate" in args:
+            doc = json.loads(rule_to_json(hausdorff.example1_rule(2)))
+            rule_path = tmp_path / "rule.json"
+            rule_path.write_text(json.dumps({**doc, "descendants": ["a", "A", "ab"], "dependency_radius": 2}))
+            args += f" --rule {rule_path}"
+        built = []
+        real = groups.Ball.__init__
+
+        def counted(b, *args, **kwargs):
+            built.append(b)
+            real(b, *args, **kwargs)
+
+        monkeypatch.setattr(groups.Ball, "__init__", counted)
+        _, record = run_json(tmp_path, args.split())
+        assert "result" in record
+        [b] = built
+        p = b.presentation
+        units = {p.generator(gen, exp).letters for gen, exp in p.adjacency_letters()}
+        assert set(b._left) in (set(), units), sorted(b._left)
+
+    @pytest.mark.parametrize("args", ["prefix --radius 19", "solve --radius 20", "audit --rule hausdorff --radius 80"])
+    def test_a_ball_past_int32_ids_is_an_error_record(self, tmp_path, capsys, args):
+        """A ball with more vertices than int32 ids can number is refused
+        before any of its arrays is allocated, with a ValueError record."""
+        code, record = run_json(tmp_path, args.split())
+        assert code == 1 and record["ok"] is False and "result" not in record
+        assert record["error"]["type"] == "ValueError"
+        assert "overflows int32 vertex ids (at most 2147483647)" in record["error"]["message"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "args",

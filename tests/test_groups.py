@@ -11,14 +11,14 @@ from cayleycolour.groups import (
     Ball,
     Presentation,
     ReducedWord,
-    _compose,
+    compose,
     ball,
     free_group,
     reduce_letters,
     z2_z3,
 )
 from cayleycolour.hausdorff import hausdorff_solve, six_piece_doubling
-from cayleycolour.proper import greedy_base_colouring, offset_conflicts
+from cayleycolour.proper import greedy_base_colouring, offset_conflicts, offset_pairs
 
 from helpers import word_lengths
 
@@ -438,7 +438,9 @@ def test_offsets_peak_traced_memory_at_radius_12():
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     try:
-        assert offset_conflicts(greedy_base_colouring(ball(free_group(2), 12))) == 0
+        b = ball(free_group(2), 12)
+        pairs = offset_pairs(b)
+        assert offset_conflicts(greedy_base_colouring(b, pairs=pairs), pairs) == 0
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -449,12 +451,12 @@ def test_offsets_peak_traced_memory_at_radius_12():
 def test_compose_reads_minus_one_through():
     outer = np.array([2, -1, 0, 1], dtype=np.int32)
     inner = np.array([-1, 3, 1, -1], dtype=np.int32)
-    out = _compose(outer, inner)
+    out = compose(outer, inner)
     assert out.dtype == np.int32
     assert out.tolist() == [-1, 1, -1, -1]
-    assert _compose(outer, np.full(4, -1, dtype=np.int32)).tolist() == [-1, -1, -1, -1]
-    assert _compose(np.array([-1], dtype=np.int32), np.array([0], dtype=np.int32)).tolist() == [-1]
-    assert _compose(np.array([0], dtype=np.int32), np.array([-1], dtype=np.int32)).tolist() == [-1]
+    assert compose(outer, np.full(4, -1, dtype=np.int32)).tolist() == [-1, -1, -1, -1]
+    assert compose(np.array([-1], dtype=np.int32), np.array([0], dtype=np.int32)).tolist() == [-1]
+    assert compose(np.array([0], dtype=np.int32), np.array([-1], dtype=np.int32)).tolist() == [-1]
 
 
 def test_radius_zero_ball_tables():

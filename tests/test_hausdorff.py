@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleycolour.cli import ExperimentSpec, run
 from cayleycolour.groups import Presentation, ball, free_group, z2_z3
 from cayleycolour.hausdorff import (
     E1_COLOURS,
@@ -105,6 +107,26 @@ def test_example1_certificates_detect_breakage():
     broken = [c for c in example1_certificates(col) if not c.verified]
     assert broken and broken[0].first_failure is not None
     assert broken[0].to_record()["first_failure"] == broken[0].first_failure
+
+
+def test_example1_audit_peak_traced_memory_at_radius_12():
+    """`audit --rule example1` of F2 at radius 12, in-process, under
+    tracemalloc, which numpy reports its buffers to.  It peaked at 24.0 MiB
+    while the ball cached the tables of tau, tau^-1 and sigma that the
+    certificates read, and at 15.9 MiB once each is built for its
+    certificates alone and dropped before the next."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        assert run(ExperimentSpec(command="audit", presentation="f2", radius=12, rule="example1"))["ok"]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 18 * 2**20, peak / 2**20
 
 
 def test_example1_program_infeasible():

@@ -184,10 +184,10 @@ def test_certify_transport_on_ball():
     # maps into parity-1 under a.
     codes = np.array([w.length % 2 for w in b.words], dtype=np.int16)
     col = Colouring(b, ("even", "odd"), codes)
-    cert = certify_transport(col, F2.word("a"), ("even",), ("odd",), kind="maps-into")
+    [cert] = certify_transport(col, F2.word("a"), [(("even",), ("odd",))], kind="maps-into")
     assert cert.verified
     assert cert.checks_total > 0
-    bad = certify_transport(col, F2.word("a"), ("even",), ("even",), kind="maps-into")
+    [bad] = certify_transport(col, F2.word("a"), [(("even",), ("even",))], kind="maps-into")
     assert not bad.verified
 
 
@@ -195,8 +195,8 @@ def test_certify_bijection_counts_both_directions():
     b = ball(F2, 4)
     codes = np.array([w.length % 2 for w in b.words], dtype=np.int16)
     col = Colouring(b, ("even", "odd"), codes)
-    one_way = certify_transport(col, F2.word("a"), ("even",), ("odd",), kind="maps-into")
-    both = certify_transport(col, F2.word("a"), ("even",), ("odd",), kind="bijection")
+    [one_way] = certify_transport(col, F2.word("a"), [(("even",), ("odd",))], kind="maps-into")
+    [both] = certify_transport(col, F2.word("a"), [(("even",), ("odd",))], kind="bijection")
     assert both.checks_total > one_way.checks_total
     assert both.verified
 
@@ -245,14 +245,17 @@ def test_certificate_masks_match_reference_loop():
         lengths = word_lengths(b)
         g = b.words[data.draw(st.sampled_from(np.flatnonzero((lengths >= 1) & (lengths <= 3)).tolist()))]
         names = st.sampled_from(palette + ("Z",))
-        source = tuple(data.draw(st.lists(names, min_size=1, max_size=3)))
-        target = tuple(data.draw(st.lists(names, min_size=1, max_size=3)))
+        classes = data.draw(st.lists(st.tuples(*[st.lists(names, min_size=1, max_size=3).map(tuple)] * 2),
+                                     min_size=1, max_size=3))
         kind = data.draw(st.sampled_from(["maps-into", "bijection"]))
-        cert = certify_transport(colouring, g, source, target, kind=kind)
-        assert (cert.checks_passed, cert.checks_total, cert.first_failure) == certify_reference(
-            colouring, g, source, target, kind
-        )
-        outcomes.append(cert.checks_passed < cert.checks_total)
+        certs = certify_transport(colouring, g, classes, kind=kind)
+        assert len(certs) == len(classes)
+        for cert, (source, target) in zip(certs, classes):
+            assert (cert.source, cert.target, cert.kind, cert.element) == (source, target, kind, str(g))
+            assert (cert.checks_passed, cert.checks_total, cert.first_failure) == certify_reference(
+                colouring, g, source, target, kind
+            )
+            outcomes.append(cert.checks_passed < cert.checks_total)
 
     compare()
     assert any(outcomes) and not all(outcomes)

@@ -89,7 +89,7 @@ def test_offsets_require_free_group():
 
 def test_greedy_base_proper():
     b, config, base = setup_r6()
-    assert offset_conflicts(base) == 0
+    assert offset_conflicts(base, proper.offset_pairs(b)) == 0
     assert base.colour_at(0) == "c0"
     assert len({int(c) for c in base.codes}) <= 17
     assert int(base.codes.min()) >= 0
@@ -98,7 +98,7 @@ def test_greedy_base_proper():
 def test_greedy_random_choice_proper():
     b = ball(F2, 5)
     base = greedy_base_colouring(b, choice="random", seed=11)
-    assert offset_conflicts(base) == 0
+    assert offset_conflicts(base, proper.offset_pairs(b)) == 0
 
 
 def test_representatives_take_one_of_each_inverse_pair():
@@ -137,7 +137,7 @@ def test_offset_conflicts_equal_the_sum_over_all_sixteen_tables(radius, colours,
     codes = rng.integers(0, colours, size=len(b)).astype(np.int16)
     codes[rng.random(len(b)) < blank] = -1
     colouring = Colouring(b, PALETTE17, codes)
-    assert offset_conflicts(colouring) == direct_conflicts(colouring)
+    assert offset_conflicts(colouring, proper.offset_pairs(b)) == direct_conflicts(colouring)
 
 
 def test_offset_conflicts_count_a_planted_conflict_from_both_ends():
@@ -148,24 +148,26 @@ def test_offset_conflicts_count_a_planted_conflict_from_both_ends():
     codes = base.codes.copy()
     codes[v] = codes[w]
     planted = Colouring(b, PALETTE17, codes)
-    assert offset_conflicts(planted) == direct_conflicts(planted) >= 2
-    assert offset_conflicts(planted) % 2 == 0
+    count = offset_conflicts(planted, proper.offset_pairs(b))
+    assert count == direct_conflicts(planted) >= 2
+    assert count % 2 == 0
 
 
 def test_greedy_and_conflict_count_read_one_table_per_inverse_pair(monkeypatch):
     requested = []
-    real = Ball.left_table
+    real = proper._table_pairs
 
-    def left_table(self, g):
+    def table_pairs(g, t):
         requested.append(g.letters)
-        return real(self, g)
+        return real(g, t)
 
-    monkeypatch.setattr(Ball, "left_table", left_table)
+    monkeypatch.setattr(proper, "_table_pairs", table_pairs)
     b = ball(F2, 6)
     offsets = offsets16()
-    assert offset_conflicts(greedy_base_colouring(b, "random", 4)) == 0
+    pairs = proper.offset_pairs(b)
+    assert offset_conflicts(greedy_base_colouring(b, "random", 4, pairs), pairs) == 0
     words = set(requested)
-    assert len(words) == 8
+    assert len(words) == len(requested) == 8
     assert words <= {g.letters for g in offsets}
     assert not any(g.inverse().letters in words for g in offsets if g.letters in words)
 
@@ -180,7 +182,6 @@ def test_offset_pairs_hold_each_defined_table_entry_once(names, radius):
     (w, g*w) of g's left table: (g*w, w) where g*w < w, (w, g*w) where
     g*w > w, each w exactly once."""
     b = PAIR_BALLS[names, radius]
-    proper.offset_pairs.cache_clear()
     pairs = proper.offset_pairs(b)
     reps = representatives(offsets16(b.presentation))
     assert len(pairs) == 2 * len(reps)
@@ -192,7 +193,7 @@ def test_offset_pairs_hold_each_defined_table_entry_once(names, radius):
         assert np.array_equal(t[dst], src) and np.array_equal(t[low], high)
         entries = np.sort(np.concatenate([dst, low]))
         assert np.array_equal(entries, np.flatnonzero(t >= 0))
-        b.forget(g)
+    assert not b._left
 
 
 def test_offset_pass_raises_on_a_dropped_pair(monkeypatch):
@@ -205,30 +206,39 @@ def test_offset_pass_raises_on_a_dropped_pair(monkeypatch):
         return (src[1:], dst[1:]), later
 
     monkeypatch.setattr(proper, "_earlier_pairs", drop_one)
-    proper.offset_pairs.cache_clear()
     with pytest.raises(RuntimeError, match="pairs for"):
         greedy_base_colouring(ball(F2, 6))
 
 
 def test_no_offset_table_stays_cached_or_is_built_twice(monkeypatch):
-    """The greedy and the conflict count of one ball build each offset
-    table once, and leave no table in the ball's cache: the pass forgets
-    each offset table once read, and the count reads the pass's lists."""
-    requested = []
-    real = Ball.left_table
+    """The greedy and the conflict count of one ball, given one pass's
+    lists, turn each offset table into pairs once, and leave no table in
+    the ball's cache: the pass drops each offset table once read, and the
+    count reads the pass's lists.  The four products of two length-2
+    offsets are composed by the pass itself, so `Ball.left_table` builds
+    only the other representatives, each once."""
+    requested, paired = [], []
+    real_table, real_pairs = Ball.left_table, proper._table_pairs
 
     def left_table(self, g):
         requested.append(g.letters)
-        return real(self, g)
+        return real_table(self, g)
+
+    def table_pairs(g, t):
+        paired.append(g.letters)
+        return real_pairs(g, t)
 
     monkeypatch.setattr(Ball, "left_table", left_table)
+    monkeypatch.setattr(proper, "_table_pairs", table_pairs)
     b = ball(F2, 7)
-    base = greedy_base_colouring(b)
+    pairs = proper.offset_pairs(b)
+    base = greedy_base_colouring(b, pairs=pairs)
     reps = {g.letters for g in representatives(offsets16())}
     assert not reps & set(b._left)
-    assert offset_conflicts(base) == 0
+    assert offset_conflicts(base, pairs) == 0
     assert not b._left
-    assert sorted(requested) == sorted(reps)
+    assert sorted(paired) == sorted(reps)
+    assert len(requested) == len(set(requested)) == 4 and set(requested) < reps
 
 
 def test_offsets_peak_traced_memory_at_radius_10():
@@ -243,8 +253,9 @@ def test_offsets_peak_traced_memory_at_radius_10():
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     try:
-        base = greedy_base_colouring(ball(F2, 10))
-        assert offset_conflicts(base) == 0
+        b = ball(F2, 10)
+        pairs = proper.offset_pairs(b)
+        assert offset_conflicts(greedy_base_colouring(b, pairs=pairs), pairs) == 0
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -826,7 +837,7 @@ def test_check_proper_reports_planted_cross_and_copy2_conflicts():
 
     # One equal colour on a secondary edge is a listed conflict, and the
     # audit still reads the colouring: properness is check_proper's verdict.
-    xs, ys, _ = graph.secondary.edges()
+    xs, ys = graph.secondary.edges()
     sx, sy = int(xs[0]), int(ys[0])
     codes = proper_codes.copy()
     codes[sy] = codes[sx]
@@ -922,9 +933,9 @@ def test_secondary_family_matches_reference_loops(data):
     assert centers == list(range(len(graph.cliques)))
     assert graph.cliques.shape == (len(centers), 4)
     assert [tuple(row[row >= 0].tolist()) for row in graph.cliques] == cliques
-    x, y, z = graph.edges()
+    x, y = graph.edges()
     edges = edges_reference(centers, cliques)
-    assert list(zip(x.tolist(), y.tolist(), z.tolist())) == edges
+    assert list(zip(x.tolist(), y.tolist())) == [(u, v) for u, v, _ in edges]
     members = graph.members()
     assert members.tolist() == sorted({m for clique in cliques for m in clique})
 
@@ -1059,7 +1070,7 @@ def test_random_greedy_falls_back_to_loop_when_a_word_is_rejected(monkeypatch):
         codes = greedy_base_colouring(b, "random", 3).codes
     loop.assert_called_once()
     assert np.array_equal(codes, greedy_reference(b, "random", 3))
-    assert offset_conflicts(Colouring(b, PALETTE17, codes)) == 0
+    assert offset_conflicts(Colouring(b, PALETTE17, codes), proper.offset_pairs(b)) == 0
 
 
 def test_random_greedy_default_path_runs_no_loop():
